@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import OutOfDomain, QIsOne
@@ -37,6 +38,36 @@ def padic_valuation(x, p: int):
     if x == 0:
         return math.inf
     return padic_valuation_int(x.numerator, p) - padic_valuation_int(x.denominator, p)
+
+
+# Miller-Rabin to these bases (the first 13 primes) is deterministic
+# below 3.3e24 (Sorenson and Webster, 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@lru_cache(maxsize=None)
+def _is_odd_prime(p: int) -> bool:
+    """True when p is an odd prime: Miller-Rabin to the bases in
+    _WITNESSES, exact below 3.3e24 and a strong probable-prime test above."""
+    if p < 3 or p % 2 == 0:
+        return False
+    for w in _WITNESSES:
+        if p % w == 0:
+            return p == w
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for w in _WITNESSES:
+        x = pow(w, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def binom_int(n: int, k: int) -> int:
@@ -74,7 +105,7 @@ class QParam:
         object.__setattr__(self, "value", Fraction(self.value))
         if self.prime is not None:
             p = self.prime
-            if p < 3 or p % 2 == 0:
+            if not _is_odd_prime(p):
                 raise OutOfDomain(f"prime context must be an odd prime, got {p}")
             if padic_valuation_int(self.value.denominator, p) != 0:
                 raise OutOfDomain(f"q = {self.value} is not a p-adic integer for p = {p}")

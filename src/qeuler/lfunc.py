@@ -6,15 +6,24 @@ as q -> 1, and the staged verifier for the main expansion identity: the
 alternating sum of reciprocal q-integer powers over units below n*p
 expanded as a series whose coefficients are p-adic l-values.
 
-Every Euler number feeding a series is computed exactly in the rational
-layer first (its denominators are p-units) and embedded afterwards, so
-precision is only spent in the genuinely p-adic factors.  Truncated
-series are certified by a stability window plus an audited geometric
-valuation gain per term; results are reported modulo p**target of their
-budget, never beyond what the certificate covers.
+Every series runs through one kernel on integer residues mod p**N, the
+image of the ring map Z_(p) -> Z/p^N: the q-Euler numbers E_{j,q^F} come
+from the integral recurrence
+
+    (1 + Q^m) E_{m,Q} = 2 [m = 0] - sum_{k<m} binom(m, k) Q^k E_{k,Q},
+
+which divides only by 1 + Q^m == 2 (mod p) and serves q = 1 and q != 1
+alike.  The exact closed forms of the rational layer remain the oracles
+of the verification stages.  A Z_p exponent (a non-integer s) is the one
+exception: its p-adic binomial is multiplied by the exact rational
+scalar, which adds the scalar's valuation to the term's precision.
+Truncated series are certified by a stability window plus an audited
+geometric valuation gain per term; results are reported modulo
+p**target of their budget, never beyond what the certificate covers.
 
 All computation is pure; verification grids can be evaluated in any
-order and merged.
+order and merged.  One theorem5_verify call evaluates each series once,
+through a memo dict that the call owns.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from .euler import (
     euler_poly_classical,
     euler_poly_q,
 )
-from .kernel import QParam, binom_int, padic_valuation, q_int
+from .kernel import QParam, binom_int, padic_valuation, padic_valuation_int, q_int
 from .padic import (
     PadicApprox,
     TeichChar,
@@ -79,19 +88,23 @@ class _TruncatedSeries:
         self.budget = budget
         self.gain = gain
         self.label = label
-        self.total = PadicApprox.zero(p, precision)
+        self.prime = p
+        self.residue = 0  # reduced once, by result()
+        self.precision = precision
         self.quiet = 0
         self.slack = 0
         self.used = 0
         self.done = False
 
-    def add(self, index: int, term: PadicApprox) -> bool:
-        self.total = self.total + term
+    def add(self, index: int, residue: int, precision: int) -> bool:
+        """Add term `index`, known as `residue` (already reduced) mod p**precision."""
+        self.residue += residue
+        self.precision = min(self.precision, precision)
         self.used = index
-        v = term.valuation
+        v = padic_valuation_int(residue, self.prime) if residue else None
         if v is not None:
             self.slack = max(self.slack, index * self.gain - v)
-        negligible = (term.precision if v is None else v) >= self.budget.target
+        negligible = (precision if v is None else v) >= self.budget.target
         self.quiet = self.quiet + 1 if negligible else 0
         tail_ok = (index + 1) * self.gain - self.slack >= self.budget.target
         self.done = self.quiet >= self.budget.window and tail_ok
@@ -103,11 +116,11 @@ class _TruncatedSeries:
                 f"series '{self.label}' not certified within {self.used + 1} terms "
                 f"(window {self.budget.window}, target {self.budget.target})"
             )
-        return self.total
+        return PadicApprox(self.prime, self.residue, self.precision)
 
 
 def _euler_term(j: int, q: Fraction, f: int) -> Fraction:
-    """E_{j, q^f}, with the classical Euler number serving the q = 1 path."""
+    """E_{j, q^f} exactly, with the classical Euler number serving q = 1."""
     if q == 1:
         return euler_number_classical(j)
     return euler_number_q(j, q**f)
@@ -118,6 +131,87 @@ def _euler_poly_term(n: int, a: int, f: int, q: Fraction) -> Fraction:
     if q == 1:
         return euler_poly_classical(n, Fraction(a, f))
     return euler_poly_q(n, PolyArg(a, f, q))
+
+
+class _Residues:
+    """Residues mod p**precision of what every series here is built from,
+    at one (q, F): q itself, Q = q^F, the q-integers [a]_q for a <= F,
+    and the q-Euler numbers E_{j,Q}, extended on demand by the integral
+    recurrence of the module docstring.
+    """
+
+    def __init__(self, q: QParam, F: int, precision: int):
+        p = q.prime
+        mod = p**precision
+        self.qparam = q
+        self.F = F
+        self.prime = p
+        self.precision = precision
+        self.mod = mod
+        # v_p([F]_q / [a]_q) = v_p(F): [a]_q is a unit and q == 1 (mod p)
+        self.gain = padic_valuation_int(F, p)
+        self.q = q.value.numerator * pow(q.value.denominator, -1, mod) % mod
+        self.Q = pow(self.q, F, mod)
+        q_ints, power = [0], 1
+        for _ in range(F):
+            q_ints.append((q_ints[-1] + power) % mod)
+            power = power * self.q % mod
+        self.q_ints = q_ints
+        self._euler = []
+        self._q_powers = []
+
+    def step(self, a: int) -> int:
+        """q^a [F]_q / [a]_q, the common ratio of every series at residue a."""
+        mod = self.mod
+        return pow(self.q, a, mod) * self.q_ints[-1] * pow(self.q_ints[a], -1, mod) % mod
+
+    def euler(self, m: int) -> int:
+        """E_{m,Q} mod p**precision."""
+        table, powers, mod = self._euler, self._q_powers, self.mod
+        while len(table) <= m:
+            k = len(table)
+            powers.append(pow(self.Q, k, mod))
+            acc = sum(math.comb(k, i) * powers[i] * table[i] for i in range(k))
+            table.append(((2 if k == 0 else 0) - acc) * pow(1 + powers[k], -1, mod) % mod)
+        return table[m]
+
+
+def _series(label, s, start, gain, coeff, exact_coeff, p, precision, budget):
+    """The series kernel: sum_{j >= start} binom(-s, j) c_j, truncated per
+    budget, where coeff(j) is c_j mod p**precision.  A Z_p exponent s
+    multiplies its p-adic binomial by the exact scalar exact_coeff(j)
+    instead, gaining v_p(c_j) digits.  Returns the _TruncatedSeries."""
+    series = _TruncatedSeries(p, precision, budget, gain, label)
+    mod = p**precision
+    for j in range(start, budget.max_terms + 1):
+        b = _series_binom(s, j)
+        if isinstance(b, int):
+            done = series.add(j, b * coeff(j) % mod, precision)
+        else:
+            term = b * exact_coeff(j)
+            done = series.add(j, term.residue, term.precision)
+        if done:
+            break
+    return series
+
+
+def _euler_series(label, s, a, res: _Residues, budget, start, weight):
+    """sum_{j >= start} binom(-s, j) (q^a [F]_q/[a]_q)^j E_{j,q^F} weight(q^(Fj)),
+    with weight a polynomial that works on residues and on exact rationals."""
+    step, mod, F = res.step(a), res.mod, res.F
+
+    def coeff(j):
+        return pow(step, j, mod) * res.euler(j) * weight(pow(res.Q, j, mod))
+
+    def exact_coeff(j):
+        qv = res.qparam.value
+        ratio = q_int(F, qv) / q_int(a, qv)
+        return (qv**a * ratio) ** j * _euler_term(j, qv, F) * weight(qv ** (F * j))
+
+    series = _series(
+        label, s, start, res.gain, coeff, exact_coeff, res.prime, res.precision, budget
+    )
+    return series.result()
 
 
 def _require_prime(q: QParam) -> int:
@@ -181,20 +275,8 @@ def H_pq(s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> 
     _check_residue(a, F, p)
     precision = _default_precision(budget, precision)
     s = _as_exponent(s, p, precision)
-    qv = q.value
-    ratio = q_int(F, qv) / q_int(a, qv)
-    gain = int(padic_valuation(ratio, p))
-    series = _TruncatedSeries(p, precision, budget, gain, f"H(a={a})")
-    for j in range(budget.max_terms + 1):
-        scalar = qv ** (j * a) * ratio**j * _euler_term(j, qv, F)
-        b = _series_binom(s, j)
-        if isinstance(b, int):
-            term = embed(b * scalar, p, precision)
-        else:
-            term = b * scalar
-        if series.add(j, term):
-            break
-    inner = series.result()
+    res = _Residues(q, F, precision)
+    inner = _euler_series(f"H(a={a})", s, a, res, budget, 0, lambda x: 1)
     val = inner * _angle_power(a, s, q, precision) * Fraction((-1) ** a, 2)
     return val.reduce(min(val.precision, budget.target))
 
@@ -206,12 +288,10 @@ def l_pq(s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget, precision=N
     if chi.prime != p:
         raise OutOfDomain("character prime does not match q's prime context")
     precision = _default_precision(budget, precision)
-    total = PadicApprox.zero(p, precision)
-    for a in range(1, F + 1):
-        if math.gcd(a, p) != 1:
-            continue
-        total = total + chi.value(a, precision) * H_pq(s, a, F, q, budget, precision)
-    return (2 * total).reduce(min(total.precision, budget.target))
+    residues = [a for a in range(1, F + 1) if math.gcd(a, p) == 1]
+    return _char_sum(
+        lambda a: H_pq(s, a, F, q, budget, precision), chi, residues, p, precision, budget.target
+    )
 
 
 def gen_euler_teich(n: int, chi: TeichChar, q: QParam, precision: int) -> PadicApprox:
@@ -254,20 +334,12 @@ def T_pq(n: int, s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=N
     _check_residue(a, F, p)
     _check_even(n)
     precision = _default_precision(budget, precision)
-    qv = q.value
-    if qv == 1:
+    if q.is_one:
         return PadicApprox.zero(p, budget.target)
     s = _as_exponent(s, p, precision)
-    ratio = q_int(F, qv) / q_int(a, qv)
-    gain = int(padic_valuation(ratio, p))
-    series = _TruncatedSeries(p, precision, budget, gain, f"T(a={a})")
-    for k in range(1, budget.max_terms + 1):
-        scalar = ratio**k * qv ** (a * k) * ((-1) ** n * qv ** (n * F * k) - 1) * _euler_term(k, qv, F)
-        b = _series_binom(s, k)
-        term = embed(b * scalar, p, precision) if isinstance(b, int) else b * scalar
-        if series.add(k, term):
-            break
-    val = series.result() * _angle_power(a, s, q, precision) * (-1) ** a
+    res = _Residues(q, F, precision)
+    inner = _euler_series(f"T(a={a})", s, a, res, budget, 1, lambda x: (-1) ** n * x**n - 1)
+    val = inner * _angle_power(a, s, q, precision) * (-1) ** a
     return val.reduce(min(val.precision, budget.target))
 
 
@@ -277,51 +349,50 @@ def K_pq(n: int, s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=N
         K(s, a:F) = ((-1)^a / 2) <a>^(-s) sum_{l>=1} binom(-s, l) q^(al)
                     ([F]_q/[a]_q)^l E_{l, q^F}
                     sum_{j=1}^{l} binom(l, j) [nF]_q^j (q-1)^j.
+
+    The inner sum is (1 + [nF]_q (q-1))^l - 1 = q^(nFl) - 1, the identity
+    that the geometric-power-splitting stage checks exactly.
     """
     p = _require_prime(q)
     _check_residue(a, F, p)
     _check_even(n)
     precision = _default_precision(budget, precision)
-    qv = q.value
-    if qv == 1:
+    if q.is_one:
         return PadicApprox.zero(p, budget.target)
     s = _as_exponent(s, p, precision)
-    ratio = q_int(F, qv) / q_int(a, qv)
-    gain = int(padic_valuation(ratio, p))
-    nf = q_int(n * F, qv)
-    series = _TruncatedSeries(p, precision, budget, gain, f"K(a={a})")
-    for l in range(1, budget.max_terms + 1):
-        inner = sum(binom_int(l, j) * nf**j * (qv - 1) ** j for j in range(1, l + 1))
-        scalar = qv ** (a * l) * ratio**l * _euler_term(l, qv, F) * inner
-        b = _series_binom(s, l)
-        term = embed(b * scalar, p, precision) if isinstance(b, int) else b * scalar
-        if series.add(l, term):
-            break
-    val = series.result() * _angle_power(a, s, q, precision) * Fraction((-1) ** a, 2)
+    res = _Residues(q, F, precision)
+    inner = _euler_series(f"K(a={a})", s, a, res, budget, 1, lambda x: x**n - 1)
+    val = inner * _angle_power(a, s, q, precision) * Fraction((-1) ** a, 2)
     return val.reduce(min(val.precision, budget.target))
 
 
-def _char_sum(fn, chi: TeichChar, p: int, precision: int) -> PadicApprox:
+def _char_sum(fn, chi: TeichChar, residues, p: int, precision: int, target: int) -> PadicApprox:
+    """2 sum_a chi(a) fn(a) over the given residues, reported modulo p**target."""
     total = PadicApprox.zero(p, precision)
-    for a in range(1, p):
+    for a in residues:
         total = total + chi.value(a, precision) * fn(a)
-    return 2 * total
+    total = 2 * total
+    return total.reduce(min(total.precision, target))
 
 
 def T_pq_chi(n: int, s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
     """Character sum 2 sum_{a<p} chi(a) T(s, a:F)."""
     p = _require_prime(q)
     precision = _default_precision(budget, precision)
-    val = _char_sum(lambda a: T_pq(n, s, a, F, q, budget, precision), chi, p, precision)
-    return val.reduce(min(val.precision, budget.target))
+    return _char_sum(
+        lambda a: T_pq(n, s, a, F, q, budget, precision),
+        chi, range(1, p), p, precision, budget.target,
+    )
 
 
 def K_pq_chi(n: int, s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
     """Character sum 2 sum_{a<p} chi(a) K(s, a:F)."""
     p = _require_prime(q)
     precision = _default_precision(budget, precision)
-    val = _char_sum(lambda a: K_pq(n, s, a, F, q, budget, precision), chi, p, precision)
-    return val.reduce(min(val.precision, budget.target))
+    return _char_sum(
+        lambda a: K_pq(n, s, a, F, q, budget, precision),
+        chi, range(1, p), p, precision, budget.target,
+    )
 
 
 # -- the expansion identity ------------------------------------------------
@@ -353,7 +424,16 @@ def _merge_coefficient(r: int, k: int) -> Fraction:
     return Fraction(r, r + k) * binom_int(-r - 1, k)
 
 
-def _theorem5_rhs(r, n, q, budget, precision, residue_weighted):
+def _once(memo: dict, fn, *args):
+    """fn(*args), evaluated once per memo: one verify call owns one memo,
+    so every series value is shared between the stages that use it."""
+    key = (fn, args)
+    if key not in memo:
+        memo[key] = fn(*args)
+    return memo[key]
+
+
+def _theorem5_rhs(r, n, q, budget, precision, residue_weighted, memo):
     p = _require_prime(q)
     _check_even(n)
     if r < 1:
@@ -361,34 +441,41 @@ def _theorem5_rhs(r, n, q, budget, precision, residue_weighted):
     precision = _default_precision(budget, precision)
     F = p
     qv = q.value
+    target = budget.target
+    residues = range(1, p)
+
+    def h_value(s, a):
+        return _once(memo, H_pq, s, a, F, q, budget, precision)
+
+    def k_value(s, a):
+        return _once(memo, K_pq, n, s, a, F, q, budget, precision)
+
     pn_q = q_int(p * n, qv)
     gain = int(padic_valuation(pn_q, p))
     series = _TruncatedSeries(p, precision, budget, gain, "assembly tail")
-    used = 0
     for k in range(1, budget.max_terms + 1):
-        chi = TeichChar(p, -(r + k))
+        s, chi = r + k, TeichChar(p, -(r + k))
         if residue_weighted:
             inner = PadicApprox.zero(p, precision)
-            for a in range(1, p):
-                part = H_pq(r + k, a, F, q, budget, precision) + K_pq(
-                    n, r + k, a, F, q, budget, precision
-                )
+            for a in residues:
+                part = h_value(s, a) + k_value(s, a)
                 inner = inner + chi.value(a, precision) * part * qv ** (a * k)
             block = 2 * inner
         else:
-            block = l_pq(r + k, chi, F, q, budget, precision) + K_pq_chi(
-                n, r + k, chi, F, q, budget, precision
-            )
+            block = _char_sum(lambda a: h_value(s, a), chi, residues, p, precision, target)
+            block = block + _char_sum(lambda a: k_value(s, a), chi, residues, p, precision, target)
         term = block * (_merge_coefficient(r, k) * (-1) ** n) * pn_q**k
-        used = k
-        if series.add(k, term):
+        if series.add(k, term.residue, term.precision):
             break
     tail = series.result()
-    t_chi = T_pq_chi(n, r, TeichChar(p, -r), F, q, budget, precision)
+    t_chi = _char_sum(
+        lambda a: _once(memo, T_pq, n, r, a, F, q, budget, precision),
+        TeichChar(p, -r), residues, p, precision, target,
+    )
     if residue_weighted:
         t_chi = t_chi * Fraction(1, 2)
     rhs = -tail - t_chi
-    return rhs.reduce(min(rhs.precision, budget.target)), used
+    return rhs.reduce(min(rhs.precision, target)), series.used
 
 
 def theorem5_rhs(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -400,7 +487,7 @@ def theorem5_rhs(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None
     truncated per budget; term decay is driven by v_p([pn]_q^k) >= k.
     At q = 1 the correction sums vanish and only the l-series remains.
     """
-    val, _ = _theorem5_rhs(r, n, q, budget, precision, residue_weighted=False)
+    val, _ = _theorem5_rhs(r, n, q, budget, precision, False, {})
     return val
 
 
@@ -410,7 +497,7 @@ def theorem5_rhs_weighted(r: int, n: int, q: QParam, budget: SeriesBudget, preci
     halves the correction-tail term; this is the assembly that the
     per-residue expansion supports exactly.  Coincides with
     :func:`theorem5_rhs` at q = 1."""
-    val, _ = _theorem5_rhs(r, n, q, budget, precision, residue_weighted=True)
+    val, _ = _theorem5_rhs(r, n, q, budget, precision, True, {})
     return val
 
 
@@ -424,114 +511,105 @@ def _block_sum_exact(r: int, n: int, a: int, F: int, qv: Fraction) -> Fraction:
     )
 
 
-def _block_sum_series(r, n, a, F, q, budget, precision):
-    """Series expansion of the per-residue block sum: the double Euler
-    series plus the power-difference series (the odd-n boundary term is
-    asserted to vanish on this even-n engine)."""
-    p = q.prime
-    qv = q.value
-    qf = qv**F
-    inv_ar = q_int(a, qv) ** (-r)
-    ratio = q_int(F, qv) / q_int(a, qv)
-    gain = int(padic_valuation(ratio, p))
-    series = _TruncatedSeries(p, precision, budget, gain, f"block expansion (a={a})")
-    for s_idx in range(1, budget.max_terms + 1):
-        base = (
-            binom_int(-r, s_idx)
-            * inv_ar
-            * ratio**s_idx
-            * qv ** (a * s_idx)
-            * (-1) ** a
-        )
-        inner = sum(
-            binom_int(s_idx, l)
-            * qv ** (n * F * l)
-            * _euler_term(l, qv, F)
-            * q_int(n, qf) ** (s_idx - l)
-            for l in range(s_idx)
-        )
-        t_double = base * Fraction((-1) ** n, 2) * inner
-        t_power = base * ((-1) ** n * qv ** (F * s_idx * n) - 1) / 2 * _euler_term(s_idx, qv, F)
-        if series.add(s_idx, embed(-(t_double + t_power), p, precision)):
-            break
-    boundary = Fraction(1 - (-1) ** n, 2) * inv_ar * (-1) ** a
-    assert boundary == 0, "boundary term must vanish for even n"
+def _block_series(r, n, a, res: _Residues, budget, label, power_tail):
+    """Series expansion of the per-residue block sum (n even):
+
+        -((-1)^a / (2 [a]_q^r)) sum_{s>=1} binom(-r, s) (q^a [F]_q/[a]_q)^s
+            [ (-1)^n sum_{l<s} binom(s, l) q^(nFl) E_{l,q^F} [n]_{q^F}^(s-l)
+              + ((-1)^n q^(nFs) - 1) E_{s,q^F} ],
+
+    the double Euler series plus, when power_tail, the power-difference
+    series.  Returns the _TruncatedSeries."""
+    p, mod = res.prime, res.mod
+    step = res.step(a)
+    unit = -((-1) ** a) * pow(2 * pow(res.q_ints[a], r, mod), -1, mod)
+    q_n = pow(res.Q, n, mod)
+    h = sum(pow(res.Q, i, mod) for i in range(n)) % mod
+    lead, h_pows = [], [1]  # q^(nFl) E_{l,q^F} and [n]_{q^F}^i
+
+    def coeff(s):
+        while len(lead) < s:
+            lead.append(pow(q_n, len(lead), mod) * res.euler(len(lead)) % mod)
+            h_pows.append(h_pows[-1] * h % mod)
+        double = sum(math.comb(s, l) * lead[l] * h_pows[s - l] for l in range(s))
+        c = (-1) ** n * double
+        if power_tail:
+            c += ((-1) ** n * pow(q_n, s, mod) - 1) * res.euler(s)
+        return unit * pow(step, s, mod) * c
+
+    return _series(label, r, 1, res.gain, coeff, None, p, res.precision, budget)
+
+
+def _block_sum_series(r, n, a, res: _Residues, budget):
+    """The block sum's Euler-series expansion (the odd-n boundary term
+    vanishes on this even-n engine), with its truncation index."""
+    series = _block_series(r, n, a, res, budget, f"block expansion (a={a})", True)
     total = series.result()
     return total.reduce(min(total.precision, budget.target)), series.used
 
 
-def _block_sum_t_form(r, n, a, F, q, budget, precision):
+def _block_sum_t_form(r, n, a, res: _Residues, budget, memo):
     """The regrouped expansion: double Euler series plus the closed
     correction series T in place of the power-difference tail."""
-    p = q.prime
-    qv = q.value
-    qf = qv**F
-    inv_ar = q_int(a, qv) ** (-r)
-    ratio = q_int(F, qv) / q_int(a, qv)
-    gain = int(padic_valuation(ratio, p))
-    series = _TruncatedSeries(p, precision, budget, gain, f"regrouped expansion (a={a})")
-    for s_idx in range(1, budget.max_terms + 1):
-        base = (
-            binom_int(-r, s_idx)
-            * inv_ar
-            * ratio**s_idx
-            * qv ** (a * s_idx)
-            * (-1) ** a
-        )
-        inner = sum(
-            binom_int(s_idx, l)
-            * qv ** (n * F * l)
-            * _euler_term(l, qv, F)
-            * q_int(n, qf) ** (s_idx - l)
-            for l in range(s_idx)
-        )
-        if series.add(s_idx, embed(-base * Fraction((-1) ** n, 2) * inner, p, precision)):
-            break
-    w_pow = teichmuller(a, p, precision) ** (-r)
-    t_val = T_pq(n, r, a, F, q, budget, precision)
+    series = _block_series(r, n, a, res, budget, f"regrouped expansion (a={a})", False)
+    w_pow = teichmuller(a, res.prime, res.precision) ** (-r)
+    t_val = _once(memo, T_pq, n, r, a, res.F, res.qparam, budget, res.precision)
     total = series.result() - w_pow * t_val * Fraction(1, 2)
     return total.reduce(min(total.precision, budget.target))
 
 
-def _reindex_exact_check(r, n, a, F, qv, depth) -> bool:
+def _powers(x: int, y: int, depth: int) -> list:
+    """x^i y^(depth-i) for i = 0..depth: the numerators of (x/y)^i over y^depth."""
+    return [x**i * y ** (depth - i) for i in range(depth + 1)]
+
+
+def _reindex_sides(r, n, F, qv, depth, residues):
+    """Both sides of the double-series reindexing check, per residue a.
+
+    With g = q^a [F]_q/[a]_q, Y = q^(nF), h = [n]_{q^F} and E_l = E_{l,q^F}
+    exact, both double sums are sums of X(k, l) = g^(k+l) Y^l E_l h^k over
+    k >= 1, l >= 0, k + l <= depth, times c = (-1)^(a+n) / (2 [a]_q^r).
+    The left side (indices s = k + l, l) weighs X(k, l) by
+    binom(-r, k+l) binom(k+l, l), the merged right side by
+    _merge_coefficient(r, k) binom(-r-k, l).  Every X(k, l) is cleared onto
+    one common denominator, together with the denominators of the merge
+    coefficients, so each side is an exact integer sum.  Yields (lhs, rhs):
+    the two sides' rational values times one nonzero factor per residue.
+    """
+    qf = qv**F
+    y, h = qv ** (n * F), q_int(n, qf)
+    eulers = [_euler_term(l, qv, F) for l in range(depth + 1)]
+    common = math.lcm(*(e.denominator for e in eulers))
+    ye = [
+        w * e.numerator * (common // e.denominator)
+        for w, e in zip(_powers(y.numerator, y.denominator, depth), eulers)
+    ]
+    hk = _powers(h.numerator, h.denominator, depth)
+    merge = [_merge_coefficient(r, k) for k in range(depth + 1)]
+    mu = math.lcm(*(m.denominator for m in merge[1:]))
+    merge = [m.numerator * (mu // m.denominator) for m in merge]
+    left = [
+        [binom_int(-r, k + l) * binom_int(k + l, l) * mu for l in range(depth)]
+        for k in range(depth + 1)
+    ]
+    right = [[merge[k] * binom_int(-r - k, l) for l in range(depth)] for k in range(depth + 1)]
+    for a in residues:
+        g = qv**a * q_int(F, qv) / q_int(a, qv)
+        gp = _powers(g.numerator, g.denominator, depth)
+        lhs = rhs = 0
+        for l in range(depth):
+            ks = range(1, depth - l + 1)
+            x = [gp[k + l] * hk[k] for k in ks]
+            lhs += ye[l] * sum(left[k][l] * xk for k, xk in zip(ks, x))
+            rhs += ye[l] * sum(right[k][l] * xk for k, xk in zip(ks, x))
+        yield lhs, rhs
+
+
+def _reindex_exact_check(r, n, F, qv, depth, residues) -> bool:
     """Exact finite check that merging the double series indices (s, l)
     into (k = s - l, l) with the tail-merge coefficient identity
     preserves the sum, keeping the geometric factor q^(nFl)."""
-    qf = qv**F
-    inv_ar = q_int(a, qv) ** (-r)
-    ratio = q_int(F, qv) / q_int(a, qv)
-    lhs = Fraction(0)
-    for s_idx in range(1, depth + 1):
-        for l in range(s_idx):
-            lhs += (
-                binom_int(-r, s_idx)
-                * binom_int(s_idx, l)
-                * inv_ar
-                * ratio**s_idx
-                * qv ** (a * s_idx)
-                * Fraction((-1) ** a * (-1) ** n, 2)
-                * qv ** (n * F * l)
-                * _euler_term(l, qv, F)
-                * q_int(n, qf) ** (s_idx - l)
-            )
-    rhs = Fraction(0)
-    for k in range(1, depth + 1):
-        for l in range(depth - k + 1):
-            rhs += (
-                _merge_coefficient(r, k)
-                * binom_int(-r - k, l)
-                * inv_ar
-                * q_int(a, qv) ** (-k)
-                * qv ** (a * k)
-                * (-1) ** n
-                * (q_int(F, qv) * q_int(n, qf)) ** k
-                * Fraction((-1) ** a, 2)
-                * qv ** (a * l)
-                * ratio**l
-                * _euler_term(l, qv, F)
-                * qv ** (n * F * l)
-            )
-    return lhs == rhs
+    return all(lhs == rhs for lhs, rhs in _reindex_sides(r, n, F, qv, depth, residues))
 
 
 def _power_split_check(n, F, qv, l_max) -> bool:
@@ -544,18 +622,10 @@ def _power_split_check(n, F, qv, l_max) -> bool:
     return True
 
 
-def _range_reindex_check(r, n, q: QParam) -> bool:
+def _range_reindex_check(direct: Fraction, block_sums) -> bool:
     """Exact check that the coprime-index sum equals its per-residue
-    double-sum rearrangement."""
-    p = q.prime
-    qv = q.value
-    direct = theorem5_lhs_exact(r, n, q)
-    regrouped = 2 * sum(
-        Fraction((-1) ** (a + p * l), 1) / q_int(a + p * l, qv) ** r
-        for a in range(1, p)
-        for l in range(n)
-    )
-    return direct == regrouped
+    double-sum rearrangement, 2 sum_a sum_{l<n} (-1)^(a+pl) / [a+pl]_q^r."""
+    return direct == 2 * sum(block_sums)
 
 
 @dataclass
@@ -730,15 +800,18 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     target = budget.target
     stages = []
     trunc = {}
+    memo = {}
+    res = _Residues(q, F, precision)
 
+    block_sums = [_block_sum_exact(r, n, a, F, qv) for a in range(1, p)]
     pairs_series = []
     pairs_regroup = []
-    for a in range(1, p):
-        exact = embed(_block_sum_exact(r, n, a, F, qv), p, precision)
-        ser, used = _block_sum_series(r, n, a, F, q, budget, precision)
+    for a, block in enumerate(block_sums, start=1):
+        exact = embed(block, p, precision)
+        ser, used = _block_sum_series(r, n, a, res, budget)
         trunc[f"block-expansion/a={a}"] = used
         pairs_series.append((f"a={a}", exact, ser))
-        pairs_regroup.append((f"a={a}", exact, _block_sum_t_form(r, n, a, F, q, budget, precision)))
+        pairs_regroup.append((f"a={a}", exact, _block_sum_t_form(r, n, a, res, budget, memo)))
     stages.append(
         _padic_stage(
             "alternating-block-series",
@@ -761,7 +834,7 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
             "double-series-reindexing",
             f"exact reindexing of the double expansion via the coefficient-merge "
             f"identity (depth {depth}, all residues)",
-            all(_reindex_exact_check(r, n, a, F, qv, depth) for a in range(1, p)),
+            _reindex_exact_check(r, n, F, qv, depth, range(1, p)),
         )
     )
     stages.append(
@@ -771,16 +844,17 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
             _power_split_check(n, F, qv, 10),
         )
     )
+    lhs_exact = theorem5_lhs_exact(r, n, q)
     stages.append(
         _exact_stage(
             "index-range-rearrangement",
             "coprime-index alternating sum equals its per-residue double sum",
-            _range_reindex_check(r, n, q),
+            _range_reindex_check(lhs_exact, block_sums),
         )
     )
 
-    lhs = theorem5_lhs(r, n, q, precision)
-    rhs, used = _theorem5_rhs(r, n, q, budget, precision, residue_weighted=False)
+    lhs = embed(lhs_exact, p, precision)
+    rhs, used = _theorem5_rhs(r, n, q, budget, precision, False, memo)
     trunc["assembly"] = used
     val, sat = agreement(lhs, rhs)
     stages.append(
@@ -794,7 +868,7 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
             rhs_digits=rhs.render(),
         )
     )
-    rhs_w, used_w = _theorem5_rhs(r, n, q, budget, precision, residue_weighted=True)
+    rhs_w, used_w = _theorem5_rhs(r, n, q, budget, precision, True, memo)
     trunc["assembly-weighted"] = used_w
     stages.append(
         _padic_stage(

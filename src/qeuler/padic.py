@@ -10,7 +10,9 @@ costs k.
 
 Only Z_p is modeled: values of negative valuation are rejected (the
 exact rational layer clears denominators before anything reaches this
-module), and p = 2 is out of scope.
+module), and p = 2 is out of scope.  Every value checks that its prime
+is prime; the check is cached per prime, so arithmetic results pay one
+lookup for it.
 
 All values are immutable and all operations pure.
 """
@@ -28,15 +30,14 @@ from .errors import (
     OutOfDomain,
     PrecisionExhausted,
 )
-from .kernel import QParam, padic_valuation_int, q_int
+from .kernel import QParam, _is_odd_prime, padic_valuation_int, q_int
 
 
 def _validate_prime(p: int) -> None:
     if p < 3 or p % 2 == 0:
         raise OutOfDomain(f"only odd primes are supported, got {p}")
-    for d in range(3, min(int(math.isqrt(p)) + 1, 1000), 2):
-        if p % d == 0:
-            raise OutOfDomain(f"{p} is not prime")
+    if not _is_odd_prime(p):
+        raise OutOfDomain(f"{p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -240,6 +241,9 @@ class PadicApprox:
             k = -k
         else:
             base = self
+        if base.residue % base.prime:
+            # a unit keeps its precision through every product
+            return PadicApprox(base.prime, pow(base.residue, k, base.modulus), base.precision)
         acc = PadicApprox.one(self.prime, base.precision)
         while k:
             if k & 1:

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, serialization, round trips."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -178,3 +179,26 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["rows"][1]["value"] == "-1/7"
+
+
+def test_composite_prime_exits_two_at_once(capsys):
+    # 1022117 = 1009 * 1013 has no factor below 1000
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "theorem5", "--r", "2", "--n", "2", "--p", "1022117", "--q", "1022118", "--M", "2"
+    )
+    assert code == 2
+    assert "invalid input" in err
+    assert time.perf_counter() - start < 5.0
+
+
+def test_large_prime_embeds_at_once(capsys):
+    # 2^61 - 1 is prime; trial division to its square root would hang
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "euler-table", "--q", "6/1", "--max-m", "4", "--p", str(2**61 - 1), "--N", "2",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["rows"][1]["mod"] == f"{2**61 - 1}^2"
+    assert time.perf_counter() - start < 5.0

@@ -17,6 +17,7 @@ from qeuler import (
     q_int,
     q_int_neg,
 )
+from qeuler.kernel import _is_odd_prime
 
 
 def test_binom_small_pascal():
@@ -145,3 +146,17 @@ def test_identity_domain_guards():
         binom_product_merge(1, 2, 2)  # r < 2
     with pytest.raises(OutOfDomain):
         binom_tail_merge(0, 1, 1)  # r < 1
+
+
+def test_odd_prime_check_matches_trial_division():
+    def trial(p):
+        return p > 2 and p % 2 == 1 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+
+    assert [p for p in range(-3, 5000) if _is_odd_prime(p)] == [
+        p for p in range(-3, 5000) if trial(p)
+    ]
+    # strong pseudoprimes to the bases 2..7 and to the bases 2..23
+    assert not _is_odd_prime(3215031751)
+    assert not _is_odd_prime(3825123056546413051)
+    assert not _is_odd_prime((2**31 - 1) * (2**61 - 1))
+    assert _is_odd_prime(2**61 - 1) and _is_odd_prime(2**89 - 1)

@@ -269,3 +269,27 @@ def test_teich_char_values():
     assert triv.conductor == 1
     assert triv.value(5, 4).residue == 1  # trivial character is 1 even at p
     assert TeichChar(5, 6).exponent == 2  # exponent reduced mod p-1
+
+
+def test_composite_primes_rejected_at_every_boundary():
+    composite = 1009 * 1013  # no factor below 1000
+    with pytest.raises(OutOfDomain):
+        embed(Fraction(1, 2), composite, 3)
+    with pytest.raises(OutOfDomain):
+        teichmuller(2, composite, 3)
+    with pytest.raises(OutOfDomain):
+        TeichChar(composite, 1)
+    with pytest.raises(OutOfDomain):
+        PadicApprox(composite, 1, 2)
+    with pytest.raises(OutOfDomain):
+        QParam(Fraction(10), prime=9)
+    with pytest.raises(OutOfDomain):
+        QParam(Fraction(composite + 1), prime=composite)
+
+
+def test_arithmetic_over_a_large_prime():
+    p = 1000003
+    x = embed(Fraction(1, 2), p, 3)
+    assert (x + x).residue == 1
+    assert (x * 2).residue == 1
+    assert (x**3 * 8).residue == 1
