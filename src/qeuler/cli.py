@@ -26,7 +26,7 @@ from .euler import euler_number_classical, euler_number_q
 from .kernel import QParam
 from .lfunc import SeriesBudget, l_pq, padic_to_dict, theorem5_verify
 from .padic import TeichChar, embed
-from .suites import run_suite
+from .suites import run_suite, theorem5_checks
 from .zeta import ArchParams, ComplexChar, l_q_complex, zeta_Eq
 
 
@@ -35,6 +35,14 @@ def _parse_q(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _parse(kind, text: str, what: str):
+    """kind(text) for a number read inside a command, invalid input on failure."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise QEulerError(f"not a {what}: {text!r}") from exc
 
 
 def _fmt_rational(x: Fraction) -> str:
@@ -103,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite", choices=("exact-identities", "complex", "padic", "theorem5", "all"))
     v.add_argument("--r", type=int, default=None, help="restrict the theorem5 suite to one power")
     v.add_argument("--n", type=int, default=None, help="restrict the theorem5 suite to one block count")
-    v.add_argument("--p", type=int, default=5)
-    v.add_argument("--q", type=_parse_q, default=Fraction(6))
-    v.add_argument("--M", type=int, default=4, help="target precision (theorem5 suite)")
-    v.add_argument("--kmax", type=int, default=60)
+    v.add_argument("--p", type=int, default=None, help="odd prime (theorem5 suite; default 5)")
+    v.add_argument("--q", type=_parse_q, default=None, help="NUM/DEN (theorem5 suite; default 6)")
+    v.add_argument("--M", type=int, default=None, help="target precision (theorem5 suite; default 4)")
+    v.add_argument("--kmax", type=int, default=None, help="series term cap (theorem5 suite; default 60)")
     v.add_argument("--format", choices=("json", "csv", "text"), default="text")
     v.add_argument("--out", default=None)
 
@@ -188,14 +196,14 @@ def _parse_chi(text: str) -> ComplexChar:
     if text == "trivial":
         return ComplexChar.trivial()
     if text.startswith("quad:"):
-        return ComplexChar.quadratic(int(text.split(":", 1)[1]))
+        return ComplexChar.quadratic(_parse(int, text.split(":", 1)[1], "modulus"))
     raise QEulerError(f"unknown character {text!r}; use 'trivial' or 'quad:F'")
 
 
 def _cmd_lvalue(args) -> int:
     if args.side == "padic":
-        q = QParam(_parse_q(args.q), args.p)
-        s_frac = _parse_q(args.s)
+        q = QParam(_parse(Fraction, args.q, "rational number"), args.p)
+        s_frac = _parse(Fraction, args.s, "rational number")
         s = int(s_frac) if s_frac.denominator == 1 else s_frac
         F = args.F if args.F is not None else args.p
         budget = SeriesBudget(target=args.M, max_terms=args.kmax)
@@ -219,20 +227,22 @@ def _cmd_lvalue(args) -> int:
         }
         text = f"l_p(s={_fmt_rational(s_frac)}, w^{chi.exponent}; p={args.p}, q={_fmt_rational(q.value)}) = {value.render()}\n"
     else:
-        s = complex(float(args.s), args.s_im)
+        s_re = _parse(float, args.s, "real number")
+        q_re = _parse(float, args.q, "real number")
+        s = complex(s_re, args.s_im)
         if s.imag == 0:
             s = s.real
         chi = _parse_chi(args.chi)
-        params = ArchParams(q=float(args.q), eps=args.eps)
+        params = ArchParams(q=q_re, eps=args.eps)
         value = l_q_complex(s, chi, params)
         record = {
             "config": {
                 "command": "lvalue",
                 "side": "complex",
-                "s": repr(float(args.s)),
+                "s": repr(s_re),
                 "s_im": repr(args.s_im),
                 "chi": args.chi,
-                "q": repr(float(args.q)),
+                "q": repr(q_re),
                 "eps": repr(args.eps),
             },
             "value": _fmt_complex(value),
@@ -246,19 +256,21 @@ def _cmd_lvalue(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "theorem5" and (args.r is not None or args.n is not None):
-        from .suites import theorem5_checks
-
-        checks = theorem5_checks(
-            p=args.p,
-            qnum=args.q,
-            rs=(args.r,) if args.r is not None else (1, 2, 3),
-            ns=(args.n,) if args.n is not None else (2, 4),
-            target=args.M,
-            max_terms=args.kmax,
-        )
-    else:
+    grid = {
+        "rs": None if args.r is None else (args.r,),
+        "ns": None if args.n is None else (args.n,),
+        "p": args.p,
+        "qnum": args.q,
+        "target": args.M,
+        "max_terms": args.kmax,
+    }
+    grid = {key: value for key, value in grid.items() if value is not None}
+    if not grid:
         checks = run_suite(args.suite)
+    elif args.suite == "theorem5":
+        checks = theorem5_checks(**grid)
+    else:
+        raise QEulerError("--r, --n, --p, --q, --M and --kmax apply only to the theorem5 suite")
     passed = all(c.passed for c in checks)
     if args.format == "json":
         record = {

@@ -2,7 +2,8 @@
 
 The p-adic partial function H, the l-function built from it by a
 Teichmuller-character sum, the two correction series T and K that vanish
-as q -> 1, and the staged verifier for the main expansion identity: the
+as q -> 1 (T = 2K for the even n accepted here, so only H and K have a
+series body), and the staged verifier for the main expansion identity: the
 alternating sum of reciprocal q-integer powers over units below n*p
 expanded as a series whose coefficients are p-adic l-values.
 
@@ -195,25 +196,6 @@ def _series(label, s, start, gain, coeff, exact_coeff, p, precision, budget):
     return series
 
 
-def _euler_series(label, s, a, res: _Residues, budget, start, weight):
-    """sum_{j >= start} binom(-s, j) (q^a [F]_q/[a]_q)^j E_{j,q^F} weight(q^(Fj)),
-    with weight a polynomial that works on residues and on exact rationals."""
-    step, mod, F = res.step(a), res.mod, res.F
-
-    def coeff(j):
-        return pow(step, j, mod) * res.euler(j) * weight(pow(res.Q, j, mod))
-
-    def exact_coeff(j):
-        qv = res.qparam.value
-        ratio = q_int(F, qv) / q_int(a, qv)
-        return (qv**a * ratio) ** j * _euler_term(j, qv, F) * weight(qv ** (F * j))
-
-    series = _series(
-        label, s, start, res.gain, coeff, exact_coeff, res.prime, res.precision, budget
-    )
-    return series.result()
-
-
 def _require_prime(q: QParam) -> int:
     if q.prime is None:
         raise OutOfDomain("this operation needs a QParam with prime context")
@@ -261,6 +243,32 @@ def _default_precision(budget: SeriesBudget, precision) -> int:
     return precision if precision is not None else budget.target + 6
 
 
+def _partial(label, s, a, F, q: QParam, budget, precision, start, weight) -> PadicApprox:
+    """The body shared by H and K:
+
+        ((-1)^a / 2) <a>^(-s) sum_{j >= start} binom(-s, j)
+            (q^a [F]_q/[a]_q)^j E_{j,q^F} weight(q^(Fj)),
+
+    with weight a polynomial that works on residues and on exact
+    rationals, reported modulo p**budget.target."""
+    precision = _default_precision(budget, precision)
+    s = _as_exponent(s, q.prime, precision)
+    res = _Residues(q, F, precision)
+    step, mod = res.step(a), res.mod
+
+    def coeff(j):
+        return pow(step, j, mod) * res.euler(j) * weight(pow(res.Q, j, mod))
+
+    def exact_coeff(j):
+        qv = q.value
+        ratio = q_int(F, qv) / q_int(a, qv)
+        return (qv**a * ratio) ** j * _euler_term(j, qv, F) * weight(qv ** (F * j))
+
+    series = _series(label, s, start, res.gain, coeff, exact_coeff, q.prime, precision, budget)
+    val = series.result() * _angle_power(a, s, q, precision) * Fraction((-1) ** a, 2)
+    return val.reduce(min(val.precision, budget.target))
+
+
 def H_pq(s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
     """The p-adic partial function
 
@@ -271,14 +279,8 @@ def H_pq(s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> 
     s = -n it produces w^(-n)(a) times the exact partial-zeta value.
     Result reported modulo p**budget.target.
     """
-    p = _require_prime(q)
-    _check_residue(a, F, p)
-    precision = _default_precision(budget, precision)
-    s = _as_exponent(s, p, precision)
-    res = _Residues(q, F, precision)
-    inner = _euler_series(f"H(a={a})", s, a, res, budget, 0, lambda x: 1)
-    val = inner * _angle_power(a, s, q, precision) * Fraction((-1) ** a, 2)
-    return val.reduce(min(val.precision, budget.target))
+    _check_residue(a, F, _require_prime(q))
+    return _partial(f"H(a={a})", s, a, F, q, budget, precision, 0, lambda x: 1)
 
 
 def l_pq(s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -322,25 +324,26 @@ def _check_even(n: int) -> None:
         raise OutOfDomain(f"n must be a positive even integer, got {n}")
 
 
+def _check_point(r: int, n: int, q: QParam) -> int:
+    """Validate an (r, n) point of the expansion identity; returns p."""
+    p = _require_prime(q)
+    if r < 1:
+        raise OutOfDomain("power r must be >= 1")
+    _check_even(n)
+    return p
+
+
 def T_pq(n: int, s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
     """The first correction series (vanishing as q -> 1):
 
         T(s, a:F) = (-1)^a <a>^(-s) sum_{k>=1} binom(-s, k)
                     ([F]_q/[a]_q)^k q^(ak) ((-1)^n q^(nFk) - 1) E_{k, q^F},
 
-    where [a/F]_{q^F}^(-k) is realized exactly as ([F]_q/[a]_q)^k.
+    where [a/F]_{q^F}^(-k) is realized exactly as ([F]_q/[a]_q)^k.  For
+    the even n accepted here its weight is K's q^(nFk) - 1 and its scale
+    twice K's, so T = 2K.
     """
-    p = _require_prime(q)
-    _check_residue(a, F, p)
-    _check_even(n)
-    precision = _default_precision(budget, precision)
-    if q.is_one:
-        return PadicApprox.zero(p, budget.target)
-    s = _as_exponent(s, p, precision)
-    res = _Residues(q, F, precision)
-    inner = _euler_series(f"T(a={a})", s, a, res, budget, 1, lambda x: (-1) ** n * x**n - 1)
-    val = inner * _angle_power(a, s, q, precision) * (-1) ** a
-    return val.reduce(min(val.precision, budget.target))
+    return 2 * K_pq(n, s, a, F, q, budget, precision)
 
 
 def K_pq(n: int, s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -353,17 +356,11 @@ def K_pq(n: int, s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=N
     The inner sum is (1 + [nF]_q (q-1))^l - 1 = q^(nFl) - 1, the identity
     that the geometric-power-splitting stage checks exactly.
     """
-    p = _require_prime(q)
-    _check_residue(a, F, p)
+    _check_residue(a, F, _require_prime(q))
     _check_even(n)
-    precision = _default_precision(budget, precision)
     if q.is_one:
-        return PadicApprox.zero(p, budget.target)
-    s = _as_exponent(s, p, precision)
-    res = _Residues(q, F, precision)
-    inner = _euler_series(f"K(a={a})", s, a, res, budget, 1, lambda x: x**n - 1)
-    val = inner * _angle_power(a, s, q, precision) * Fraction((-1) ** a, 2)
-    return val.reduce(min(val.precision, budget.target))
+        return PadicApprox.zero(q.prime, budget.target)
+    return _partial(f"K(a={a})", s, a, F, q, budget, precision, 1, lambda x: x**n - 1)
 
 
 def _char_sum(fn, chi: TeichChar, residues, p: int, precision: int, target: int) -> PadicApprox:
@@ -376,13 +373,8 @@ def _char_sum(fn, chi: TeichChar, residues, p: int, precision: int, target: int)
 
 
 def T_pq_chi(n: int, s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
-    """Character sum 2 sum_{a<p} chi(a) T(s, a:F)."""
-    p = _require_prime(q)
-    precision = _default_precision(budget, precision)
-    return _char_sum(
-        lambda a: T_pq(n, s, a, F, q, budget, precision),
-        chi, range(1, p), p, precision, budget.target,
-    )
+    """Character sum 2 sum_{a<p} chi(a) T(s, a:F), that is 2 K_pq_chi."""
+    return 2 * K_pq_chi(n, s, chi, F, q, budget, precision)
 
 
 def K_pq_chi(n: int, s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -402,10 +394,7 @@ def theorem5_lhs_exact(r: int, n: int, q: QParam) -> Fraction:
     """The exact rational alternating sum 2 sum (-1)^j / [j]_q^r over
     1 <= j <= n*p with j coprime to p.  Each [j]_q is a p-adic unit, so
     the value is p-integral."""
-    p = _require_prime(q)
-    if r < 1:
-        raise OutOfDomain("power r must be >= 1")
-    _check_even(n)
+    p = _check_point(r, n, q)
     qv = q.value
     return 2 * sum(
         Fraction((-1) ** j, 1) / q_int(j, qv) ** r
@@ -434,43 +423,30 @@ def _once(memo: dict, fn, *args):
 
 
 def _theorem5_rhs(r, n, q, budget, precision, residue_weighted, memo):
-    p = _require_prime(q)
-    _check_even(n)
-    if r < 1:
-        raise OutOfDomain("power r must be >= 1")
+    """The plain or residue-weighted expansion side at a checked point,
+    with the assembly tail's truncation index.  The weighted assembly
+    keeps q^(ak) on each residue's term and halves the T term."""
+    p, qv = q.prime, q.value
     precision = _default_precision(budget, precision)
-    F = p
-    qv = q.value
     target = budget.target
-    residues = range(1, p)
-
-    def h_value(s, a):
-        return _once(memo, H_pq, s, a, F, q, budget, precision)
-
-    def k_value(s, a):
-        return _once(memo, K_pq, n, s, a, F, q, budget, precision)
-
     pn_q = q_int(p * n, qv)
     gain = int(padic_valuation(pn_q, p))
     series = _TruncatedSeries(p, precision, budget, gain, "assembly tail")
     for k in range(1, budget.max_terms + 1):
         s, chi = r + k, TeichChar(p, -(r + k))
-        if residue_weighted:
-            inner = PadicApprox.zero(p, precision)
-            for a in residues:
-                part = h_value(s, a) + k_value(s, a)
-                inner = inner + chi.value(a, precision) * part * qv ** (a * k)
-            block = 2 * inner
-        else:
-            block = _char_sum(lambda a: h_value(s, a), chi, residues, p, precision, target)
-            block = block + _char_sum(lambda a: k_value(s, a), chi, residues, p, precision, target)
-        term = block * (_merge_coefficient(r, k) * (-1) ** n) * pn_q**k
+        inner = PadicApprox.zero(p, precision)
+        for a in range(1, p):
+            part = _once(memo, H_pq, s, a, p, q, budget, precision)
+            part = part + _once(memo, K_pq, n, s, a, p, q, budget, precision)
+            weight = qv ** (a * k) if residue_weighted else 1
+            inner = inner + chi.value(a, precision) * part * weight
+        term = 2 * inner * (_merge_coefficient(r, k) * (-1) ** n) * pn_q**k
         if series.add(k, term.residue, term.precision):
             break
     tail = series.result()
     t_chi = _char_sum(
-        lambda a: _once(memo, T_pq, n, r, a, F, q, budget, precision),
-        TeichChar(p, -r), residues, p, precision, target,
+        lambda a: _once(memo, T_pq, n, r, a, p, q, budget, precision),
+        TeichChar(p, -r), range(1, p), p, precision, target,
     )
     if residue_weighted:
         t_chi = t_chi * Fraction(1, 2)
@@ -487,6 +463,7 @@ def theorem5_rhs(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None
     truncated per budget; term decay is driven by v_p([pn]_q^k) >= k.
     At q = 1 the correction sums vanish and only the l-series remains.
     """
+    _check_point(r, n, q)
     val, _ = _theorem5_rhs(r, n, q, budget, precision, False, {})
     return val
 
@@ -497,6 +474,7 @@ def theorem5_rhs_weighted(r: int, n: int, q: QParam, budget: SeriesBudget, preci
     halves the correction-tail term; this is the assembly that the
     per-residue expansion supports exactly.  Coincides with
     :func:`theorem5_rhs` at q = 1."""
+    _check_point(r, n, q)
     val, _ = _theorem5_rhs(r, n, q, budget, precision, True, {})
     return val
 
@@ -790,10 +768,7 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     measured, with a residue-weighted diagnostic assembly to localize
     any shortfall.  Failures are report content, never exceptions.
     """
-    p = _require_prime(q)
-    _check_even(n)
-    if r < 1:
-        raise OutOfDomain("power r must be >= 1")
+    p = _check_point(r, n, q)
     precision = _default_precision(budget, precision)
     F = p
     qv = q.value

@@ -34,10 +34,8 @@ from .kernel import QParam, _is_odd_prime, padic_valuation_int, q_int
 
 
 def _validate_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0:
-        raise OutOfDomain(f"only odd primes are supported, got {p}")
     if not _is_odd_prime(p):
-        raise OutOfDomain(f"{p} is not prime")
+        raise OutOfDomain(f"only odd primes are supported, got {p}")
 
 
 @dataclass(frozen=True)

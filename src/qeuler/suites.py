@@ -367,7 +367,10 @@ def suite_padic():
 # -- expansion engine suite -------------------------------------------------
 
 
-def theorem5_checks(p=5, qnum=6, rs=(1, 2, 3), ns=(2, 4), target=4, max_terms=60, key_stages=("alternating-block-series", "double-series-reindexing")):
+_KEY_STAGES = ("alternating-block-series", "double-series-reindexing")
+
+
+def theorem5_checks(p=5, qnum=6, rs=(1, 2, 3), ns=(2, 4), target=4, max_terms=60):
     """Run the expansion engine over the grid.  A point passes when its
     oracle stages verify at target precision and the assembled identity
     either holds at target precision or is localized with digits."""
@@ -377,9 +380,7 @@ def theorem5_checks(p=5, qnum=6, rs=(1, 2, 3), ns=(2, 4), target=4, max_terms=60
     for r in sorted(rs):
         for n in sorted(ns):
             report = theorem5_verify(r, n, q, budget)
-            stage_ok = all(
-                s.passed for s in report.stages if s.name in key_stages
-            )
+            stage_ok = all(s.passed for s in report.stages if s.name in _KEY_STAGES)
             if report.identity_holds:
                 detail = f"identity holds, agreement >= {report.agreement_valuation}"
             elif report.acceptable and stage_ok:
@@ -399,35 +400,9 @@ def theorem5_checks(p=5, qnum=6, rs=(1, 2, 3), ns=(2, 4), target=4, max_terms=60
     return out
 
 
-def theorem5_classical_checks(p=5, rs=(2,), ns=(2,), target=4):
-    """The q = 1 degeneration of the expansion engine (classical path)."""
-    q = QParam(Fraction(1), p)
-    budget = SeriesBudget(target=target)
-    out = []
-    for r in sorted(rs):
-        for n in sorted(ns):
-            report = theorem5_verify(r, n, q, budget)
-            stage_ok = all(
-                s.passed
-                for s in report.stages
-                if s.name in ("alternating-block-series", "double-series-reindexing")
-            )
-            if report.identity_holds:
-                detail = f"identity holds, agreement >= {report.agreement_valuation}"
-            else:
-                detail = f"agreement = {report.agreement_valuation}; {report.localization_note()}"
-            out.append(
-                _check(
-                    f"expansion[q=1, r={r}, n={n}]",
-                    stage_ok and report.acceptable,
-                    detail,
-                )
-            )
-    return out
-
-
 def suite_theorem5():
-    return theorem5_checks() + theorem5_classical_checks()
+    # the default grid, then its q = 1 degeneration (the classical path)
+    return theorem5_checks() + theorem5_checks(qnum=1, rs=(2,), ns=(2,))
 
 
 SUITES = {

@@ -38,6 +38,9 @@ class ArchParams:
             raise OutOfDomain(f"q must lie strictly in (0, 1), got {self.q}")
         if self.eps <= 0.0:
             raise OutOfDomain("tail threshold must be positive")
+        if self.max_terms < 3:
+            # the tail test starts at n = 2
+            raise OutOfDomain(f"max_terms must be >= 3, got {self.max_terms}")
 
 
 def _q_int_real(x: float, q: float) -> float:

@@ -202,3 +202,33 @@ def test_large_prime_embeds_at_once(capsys):
     assert code == 0
     assert json.loads(out)["rows"][1]["mod"] == f"{2**61 - 1}^2"
     assert time.perf_counter() - start < 5.0
+
+
+def test_verify_theorem5_routes_grid_flags(capsys):
+    # q = 8 is valid at p = 7 only (v_5(8 - 1) = 0), so the grid ran at p = 7
+    code, out, _ = run(capsys, "verify", "theorem5", "--p", "7", "--q", "8/1", "--format", "json")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names == [f"expansion[q=8, r={r}, n={n}]" for r in (1, 2, 3) for n in (2, 4)]
+
+
+def test_verify_other_suites_reject_grid_flags(capsys):
+    code, out, err = run(capsys, "verify", "padic", "--p", "7")
+    assert code == 2 and out == ""
+    assert "invalid input:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lvalue", "--side", "padic", "--s", "abc", "--q", "6"],
+        ["lvalue", "--side", "padic", "--s", "1", "--q", "1/0"],
+        ["lvalue", "--side", "complex", "--s", "abc", "--q", "0.5"],
+        ["lvalue", "--side", "complex", "--s", "1", "--q", "0.5", "--chi", "quad:x"],
+        ["zeta", "--s", "1", "--x", "1", "--q", "0.5", "--max-terms", "0"],
+    ],
+)
+def test_malformed_input_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input:")

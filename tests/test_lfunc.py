@@ -237,6 +237,9 @@ def test_plain_assembly_matches_at_q_one():
     rhs = theorem5_rhs(2, 2, q1, BUDGET)
     val, sat = agreement(lhs, rhs)
     assert sat and val >= 4
+    # at q = 1 the weights q^(ak) are 1 and T vanishes: the two assemblies coincide
+    weighted = theorem5_rhs_weighted(2, 2, q1, BUDGET)
+    assert (weighted.residue, weighted.precision) == (rhs.residue, rhs.precision)
 
 
 def test_verification_report_structure_and_audit():

@@ -138,16 +138,19 @@ BUDGETS = [(4, 10), (3, 3)]
 @pytest.mark.parametrize("target, precision", BUDGETS)
 @pytest.mark.parametrize("p, qv", SERIES_POINTS)
 def test_series_match_fraction_scalar_formula(p, qv, target, precision):
+    # the oracle keeps T's own (-1)^n weight and (-1)^a scale, so this
+    # also checks T = 2K at both block counts
     q = QParam(qv, p)
     budget = SeriesBudget(target=target)
-    for s in EXPONENTS:
-        for a in (1, 2, p - 1):
-            for kind, fn in (("H", H_pq), ("T", T_pq), ("K", K_pq)):
-                args = (s, a, p, q, budget, precision)
-                if kind != "H":
-                    args = (2, *args)
-                want = _outcome(lambda: _fraction_series(kind, 2, s, a, p, q, budget, precision))
-                assert _outcome(lambda: fn(*args)) == want, (kind, s, a)
+    for n in (2, 4):
+        for s in EXPONENTS:
+            for a in (1, 2, p - 1):
+                for kind, fn in (("H", H_pq), ("T", T_pq), ("K", K_pq)):
+                    args = (s, a, p, q, budget, precision)
+                    if kind != "H":
+                        args = (n, *args)
+                    want = _outcome(lambda: _fraction_series(kind, n, s, a, p, q, budget, precision))
+                    assert _outcome(lambda: fn(*args)) == want, (kind, n, s, a)
 
 
 @pytest.mark.parametrize("p, qv", SERIES_POINTS)
