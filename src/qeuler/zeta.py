@@ -1,27 +1,47 @@
 """Regularized evaluation of the alternating q-zeta and l-functions.
 
-Every infinite series on this side is an alternating series whose terms
-t_n tend geometrically (rate q^n) to the constant c = (1-q)^s; its value
-is *defined* as the Abel value, evaluated by the exact limit-subtraction
+Every infinite series on this side is an alternating series
+sum'_{m>=0} (-1)^m t_m with t_m = [A + f m]_q^(-s), whose terms tend
+geometrically (rate q^(f m)) to the constant c = (1-q)^s; its value is
+*defined* as the Abel value, evaluated by the exact limit-subtraction
 
-    sum'_{n>=0} (-1)^n t_n  :=  c/2 + sum_{n>=0} (-1)^n (t_n - c),
+    sum'_{m>=0} (-1)^m t_m  :=  c/2 + sum_{m>=0} (-1)^m (t_m - c).
 
-where the subtracted series converges absolutely with an a-priori tail
-bound q^n/(1-q).  This is what makes the zeta and l-function definitions
-meaningful at arbitrary complex s.  q is restricted to real values in
-(0, 1): all bases [n+x]_q are then positive reals and complex powers use
-the principal branch with no cut ambiguity.
+The head of the subtracted series is summed term by term.  Once
+y = q^(A + f n) satisfies y max(1, |s|) <= 1/2 (and at least _HEAD_MIN
+terms are in), the rest is summed in closed form: t_m = c (1 -
+y q^(f (m-n)))^(-s) expands binomially, and summing over m first gives
+the exact tail
+
+    (-1)^n c sum_{j>=1} binom(-s, j) (-y)^j / (1 + q^(f j)),
+
+which ends at j = k when s = -k.  As |binom(-s, j+1) / binom(-s, j)| <=
+max(1, |s|), the bounds |binom(-s, j)| y^j at least halve from j = 1 on:
+no tail term exceeds |c|/2 in size, so float rounding stays at the scale
+of |c|.  (At y <= 1/2 alone, s = 1/2 + 100i would sum terms near 1e17 |c|
+that cancel to O(|c|).)  So q near 1 costs about
+log(2 max(1, |s|)) / log(1/q) head terms instead of a direct tail of
+terms ~ q^(f m).  This is what makes the zeta and l-function definitions
+meaningful and computable at arbitrary complex s.  q is restricted to
+real values in (0, 1): all bases [A + f m]_q are then positive reals and
+complex powers use the principal branch with no cut ambiguity.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import NoConvergence, OutOfDomain
 from .euler import PolyArg, euler_number_q, euler_poly_q
-from .kernel import q_int
+from .kernel import _is_odd_prime, q_int
+
+# The head always sums at least this many terms before the closed-form tail
+# may take over, so every value the direct loop reaches within _HEAD_MIN
+# terms (every q <= 1/2 point of the complex suite) is unchanged bit for bit.
+_HEAD_MIN = 64
 
 
 @dataclass(frozen=True)
@@ -36,8 +56,8 @@ class ArchParams:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise OutOfDomain(f"q must lie strictly in (0, 1), got {self.q}")
-        if self.eps <= 0.0:
-            raise OutOfDomain("tail threshold must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise OutOfDomain(f"tail threshold must be positive and finite, got {self.eps}")
         if self.max_terms < 3:
             # the tail test starts at n = 2
             raise OutOfDomain(f"max_terms must be >= 3, got {self.max_terms}")
@@ -47,17 +67,52 @@ def _q_int_real(x: float, q: float) -> float:
     return (1.0 - q**x) / (1.0 - q)
 
 
-def _alternating_regularized(term, limit: complex, params: ArchParams) -> complex:
-    """Abel value of sum_{n>=0} (-1)^n term(n) for term(n) -> limit."""
+def _alternating_regularized(s, A, f, params: ArchParams) -> complex:
+    """Abel value of sum_{m>=0} (-1)^m [A + f m]_q^(-s): the
+    limit-subtracted head, then the closed-form binomial tail (see the
+    module docstring).  Head and tail terms together count against
+    params.max_terms."""
+    q, eps, max_terms = params.q, params.eps, params.max_terms
+    limit = complex(1.0 - q) ** s
     total = limit / 2.0
-    for n in range(params.max_terms):
-        delta = term(n) - limit
+    size = max(1.0, abs(s))
+    for n in range(max_terms):
+        y = q ** (A + f * n)
+        if n >= _HEAD_MIN and y * size <= 0.5:
+            tail = _binomial_tail(s, y, q**f, limit, eps, max_terms - n)
+            return total + (-1) ** n * limit * tail
+        delta = complex((1.0 - y) / (1.0 - q)) ** (-s) - limit
         total += (-1) ** n * delta
-        if n >= 2 and abs(delta) < params.eps:
+        if n >= 2 and abs(delta) < eps:
             return total
-    raise NoConvergence(
-        f"tail threshold {params.eps} not reached within {params.max_terms} terms"
-    )
+    raise NoConvergence(f"tail threshold {eps} not reached within {max_terms} terms")
+
+
+def _binomial_tail(s, y: float, qf: float, c: complex, eps: float, budget: int) -> complex:
+    """sum_{j>=1} binom(-s, j) (-y)^j / (1 + qf^j) for y max(1, |s|) <= 1/2,
+    to within eps / |c|, in at most `budget` terms.
+
+    The bounds |binom(-s, j)| y^j at least halve at each step, so the
+    terms after j add up to at most |binom(-s, j)| y^j."""
+    tail = 0j
+    b = 1.0  # binom(-s, j)
+    power = 1.0  # (-y)^j
+    qf_j = 1.0  # qf^j
+    for j in range(1, budget + 1):
+        b *= (-s - j + 1) / j
+        if b == 0:
+            return tail  # s = -k: the series ended at j = k
+        power *= -y
+        qf_j *= qf
+        tail += b * power / (1.0 + qf_j)
+        if abs(c * b) * abs(power) < eps:
+            return tail
+    raise NoConvergence(f"tail threshold {eps} not reached within {budget} tail terms")
+
+
+def _check_s(s) -> None:
+    if not cmath.isfinite(complex(s)):
+        raise OutOfDomain(f"exponent s must be finite, got {s}")
 
 
 def zeta_Eq(s, x: float, params: ArchParams) -> complex:
@@ -67,15 +122,10 @@ def zeta_Eq(s, x: float, params: ArchParams) -> complex:
     E_{k,q}(x); the series is regularized as described in the module
     docstring.
     """
-    if x <= 0:
-        raise OutOfDomain(f"shift x must be positive, got {x}")
-    q = params.q
-    limit = complex(1.0 - q) ** s
-
-    def term(n: int) -> complex:
-        return complex(_q_int_real(n + x, q)) ** (-s)
-
-    return 2.0 * _alternating_regularized(term, limit, params)
+    if not (math.isfinite(x) and x > 0):
+        raise OutOfDomain(f"shift x must be positive and finite, got {x}")
+    _check_s(s)
+    return 2.0 * _alternating_regularized(s, x, 1, params)
 
 
 def partial_zeta_Hq(s, a: int, f: int, params: ArchParams) -> complex:
@@ -94,13 +144,8 @@ def partial_zeta_Hq_series(s, a: int, f: int, params: ArchParams) -> complex:
     kept as an independent cross-check of the reduction form."""
     if not 0 < a < f or f % 2 == 0:
         raise OutOfDomain("need 0 < a < f with f odd")
-    q = params.q
-    limit = complex(1.0 - q) ** s
-
-    def term(l: int) -> complex:
-        return complex(_q_int_real(a + l * f, q)) ** (-s)
-
-    return (-1) ** a * _alternating_regularized(term, limit, params)
+    _check_s(s)
+    return (-1) ** a * _alternating_regularized(s, a, f, params)
 
 
 @dataclass(frozen=True)
@@ -142,6 +187,8 @@ class ComplexChar:
     @classmethod
     def quadratic(cls, f: int) -> "ComplexChar":
         """The quadratic (Legendre-symbol) character mod an odd prime f."""
+        if not _is_odd_prime(f):
+            raise OutOfDomain(f"quadratic character needs an odd prime modulus, got {f}")
         vals = []
         for a in range(f):
             if a % f == 0:

@@ -226,6 +226,12 @@ def test_verify_other_suites_reject_grid_flags(capsys):
         ["lvalue", "--side", "complex", "--s", "abc", "--q", "0.5"],
         ["lvalue", "--side", "complex", "--s", "1", "--q", "0.5", "--chi", "quad:x"],
         ["zeta", "--s", "1", "--x", "1", "--q", "0.5", "--max-terms", "0"],
+        ["zeta", "--s", "0.5", "--x", "1", "--q", "0.5", "--eps", "inf"],
+        ["zeta", "--s", "0.5", "--x", "1", "--q", "0.5", "--eps", "nan"],
+        ["zeta", "--s", "nan", "--x", "1", "--q", "0.5"],
+        ["zeta", "--s", "1", "--x", "inf", "--q", "0.5"],
+        ["lvalue", "--side", "complex", "--s", "1", "--q", "0.5", "--chi", "quad:1"],
+        ["lvalue", "--side", "complex", "--s", "1", "--q", "0.5", "--chi", "quad:9"],
     ],
 )
 def test_malformed_input_exits_two(capsys, argv):

@@ -1,8 +1,12 @@
 """Regularized complex zeta/l-values against the exact rational layer."""
 
+import json
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qeuler import (
     ArchParams,
@@ -19,6 +23,8 @@ from qeuler import (
     q_int,
     zeta_Eq,
 )
+from qeuler import zeta as zeta_module
+from qeuler.cli import main
 
 
 def test_zeta_at_zero_is_one():
@@ -56,14 +62,24 @@ def test_zeta_rejects_bad_inputs():
         ArchParams(q=1.2)
     with pytest.raises(NoConvergence):
         zeta_Eq(2.0, 1.0, ArchParams(q=0.9, max_terms=5))
+    inf, nan = float("inf"), float("nan")
+    for eps in (inf, nan):
+        with pytest.raises(OutOfDomain):
+            ArchParams(q=0.5, eps=eps)
+    for s, x in ((nan, 1.0), (complex(1, inf), 1.0), (0.5, inf), (0.5, nan)):
+        with pytest.raises(OutOfDomain):
+            zeta_Eq(s, x, ArchParams(q=0.5))
 
 
 def test_partial_zeta_two_forms_agree():
-    params = ArchParams(q=0.5)
-    for s in (2.5, -1.0, 0.3 + 0.7j):
-        a = partial_zeta_Hq(s, 1, 3, params)
-        b = partial_zeta_Hq_series(s, 1, 3, params)
-        assert abs(a - b) < 1e-8
+    # near q = 1 both forms end in the closed-form tail: the reduction with
+    # step 1 in base q^3, the congruence-class series with step 3 in base q
+    for q in (0.5, 0.99, 0.999):
+        params = ArchParams(q=q)
+        for s in (2.5, -1.0, 0.3 + 0.7j):
+            a = partial_zeta_Hq(s, 1, 3, params)
+            b = partial_zeta_Hq_series(s, 1, 3, params)
+            assert abs(a - b) < 1e-8
 
 
 def test_partial_zeta_negative_integers():
@@ -127,6 +143,9 @@ def test_character_validation():
         ComplexChar(2, (0.0, 1.0))  # even conductor
     with pytest.raises(OutOfDomain):
         ComplexChar(3, (0.5, 1.0, -1.0))  # nonzero value at non-unit
+    for f in (1, 9, 15, -3, 0):  # the Legendre symbol needs an odd prime
+        with pytest.raises(OutOfDomain):
+            ComplexChar.quadratic(f)
 
 
 def _abel_limit(term, r_values, tail_constant):
@@ -162,3 +181,154 @@ def test_regularization_against_abel_limit(s):
     abel = _abel_limit(term, (0.99, 0.999, 0.9999), (1.0 - q) ** s)
     direct = zeta_Eq(s, x, params) / 2.0
     assert abs(abel - direct) < 1e-6
+
+
+# -- the closed-form tail against the direct loop and mpmath ------------------
+
+
+def _direct_loop(s, A, f, params):
+    """The limit-subtracted loop alone, summed term by term until
+    |t_n - c| < eps: the summation the closed-form tail replaces, kept as
+    the oracle of everything the head reaches on its own."""
+    q = params.q
+    limit = complex(1.0 - q) ** s
+    total = limit / 2.0
+    for n in range(params.max_terms):
+        delta = complex((1.0 - q ** (A + f * n)) / (1.0 - q)) ** (-s) - limit
+        total += (-1) ** n * delta
+        if n >= 2 and abs(delta) < params.eps:
+            return total
+    raise NoConvergence(f"direct loop: no convergence in {params.max_terms} terms")
+
+
+def _mp_abel(s, q, A, f, y_split, dps=30):
+    """mpmath Abel value of sum_{m>=0} (-1)^m [A + f m]_q^(-s) at `dps`
+    digits: direct terms while q^(A + f m) > y_split, then the binomial
+    tail.  With y_split below 10^-dps the tail is negligible and this is
+    the direct sum alone."""
+    with mpmath.workdps(dps):
+        s, q, A = mpmath.mpc(s), mpmath.mpf(q), mpmath.mpf(A)
+        c = (1 - q) ** s
+        total, n = c / 2, 0
+        while q ** (A + f * n) > y_split:
+            total += (-1) ** n * (((1 - q ** (A + f * n)) / (1 - q)) ** (-s) - c)
+            n += 1
+        y = q ** (A + f * n)
+        tail, b, j = mpmath.mpc(0), mpmath.mpc(1), 0
+        while True:
+            j += 1
+            b *= (-s - j + 1) / j
+            term = b * (-y) ** j / (1 + q ** (f * j))
+            tail += term
+            if b == 0 or abs(term) < mpmath.mpf(10) ** (-dps - 5):
+                break
+        return complex(total + (-1) ** n * c * tail)
+
+
+SUITE_QS = (0.5, 0.25, 0.125)
+SUITE_S = tuple(-k for k in range(7)) + (0.5, 1.5)
+
+
+def test_head_is_the_direct_loop_at_suite_points(monkeypatch):
+    # Every q <= 1/2 point of the complex suite converges inside the head,
+    # so its value is the direct loop's bit for bit (the verify-all bytes).
+    chars = (ComplexChar.trivial(), ComplexChar.quadratic(3))
+    points = [(s, q) for q in SUITE_QS for s in SUITE_S]
+
+    def values():
+        out = []
+        for s, q in points:
+            params = ArchParams(q=q)
+            out += [zeta_Eq(s, x, params) for x in (1.0, 2.0, 1 / 3)]
+            out += [l_q_complex(s, chi, params) for chi in chars]
+        return out
+
+    got = values()
+    monkeypatch.setattr(zeta_module, "_alternating_regularized", _direct_loop)
+    assert got == values()
+
+
+def test_mp_oracle_split_is_exact():
+    # the binomial tail is an identity: splitting at 1/4 or summing every
+    # term directly gives the same 30-digit value
+    for s in (0.5, -2, 0.5 + 14j):
+        split = _mp_abel(s, 0.9, 1 / 3, 1, 0.25)
+        direct = _mp_abel(s, 0.9, 1 / 3, 1, 1e-35)
+        assert abs(split - direct) <= 1e-25 * abs(direct)
+
+
+@pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+@pytest.mark.parametrize("s", [0.5, 1.5, 0.5 + 14j, -1, 0.5 + 60j, 0.5 + 100j])
+def test_near_one_against_mpmath(q, s):
+    # At large |s| the tail must wait until its terms shrink from the start:
+    # switching at y <= 1/2 alone, 0.5 + 100i sums binomial terms near
+    # 1e17 |c| that cancel to O(|c|) and no digit survives.  The oracle
+    # splits where its own tail is as well conditioned.
+    params = ArchParams(q=q)
+    for x in (1.0, 1 / 3):
+        want = 2 * _mp_abel(s, q, x, 1, 0.25 / max(1, abs(s)))
+        got = zeta_Eq(s, x, params)
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_cli_zeta_near_one_converges(capsys):
+    # the direct loop stalled on float cancellation here (|c| = 1e4)
+    code = main(["zeta", "--s", "-2", "--x", "1", "--q", "0.99", "--format", "json"])
+    value = json.loads(capsys.readouterr().out)["value"]
+    exact = float(euler_poly_q(2, PolyArg(1, 1, Fraction(99, 100))))
+    assert code == 0
+    assert abs(complex(float(value["re"]), float(value["im"])) - exact) < 1e-8
+
+
+def test_head_and_tail_share_the_term_cap():
+    # q = 1 - 1e-6 needs about 693,000 head terms before y <= 1/2
+    with pytest.raises(NoConvergence):
+        zeta_Eq(0.5, 1.0, ArchParams(q=1 - 1e-6, max_terms=1000))
+    # q = 9/10 reaches the tail at n = 64 (y = 0.0012), which then needs a
+    # few more terms than the one a cap of 65 leaves
+    with pytest.raises(NoConvergence):
+        zeta_Eq(0.5, 1.0, ArchParams(q=0.9, max_terms=65))
+    assert zeta_Eq(0.5, 1.0, ArchParams(q=0.9, max_terms=75)) == zeta_Eq(
+        0.5, 1.0, ArchParams(q=0.9)
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    q=st.floats(0.3, 0.95),
+    s=st.floats(-4.0, 4.0),
+    # below about 1e-16, 1 - q^x rounds to 0 and [x]_q^(-s) divides by zero
+    x=st.floats(1e-12, 3.0),
+)
+def test_tail_matches_direct_loop(q, s, x):
+    params = ArchParams(q=q, max_terms=5000)
+    try:
+        want = _direct_loop(s, x, 1, params)
+    except NoConvergence:
+        assume(False)  # the loop stalls on cancellation, nothing to compare
+    got = zeta_module._alternating_regularized(s, x, 1, params)
+    # E_{k,q}(x) has zeros in x, so the error is measured against the size
+    # of the summed terms, |c| = |(1-q)^s|, when that is the larger scale
+    scale = max(abs(want), abs(complex(1.0 - q) ** s))
+    assert abs(got - want) <= 1e-9 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    # From q ~ 0.97 on, y = q^(x + 64) is still above 1/8 when the head may
+    # stop, where a tail taken at large |s| would grow before it shrinks
+    q=st.floats(0.97, 0.99),
+    re=st.floats(-4.0, 4.0),
+    im=st.floats(-120.0, 120.0),
+    x=st.floats(1e-3, 3.0),
+)
+def test_tail_matches_direct_loop_complex_s(q, re, im, x):
+    s = complex(re, im)
+    params = ArchParams(q=q, max_terms=20000)
+    try:
+        want = _direct_loop(s, x, 1, params)
+    except NoConvergence:
+        assume(False)
+    got = zeta_module._alternating_regularized(s, x, 1, params)
+    scale = max(abs(want), abs(complex(1.0 - q) ** s))
+    assert abs(got - want) <= 1e-9 * scale
