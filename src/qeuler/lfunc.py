@@ -23,15 +23,17 @@ geometric valuation gain per term; results are reported modulo
 p**target of their budget, never beyond what the certificate covers.
 
 All computation is pure; verification grids can be evaluated in any
-order and merged.  One theorem5_verify call evaluates each series once,
-through a memo dict that the call owns.
+order and merged.  H/K series values are cached per process, and every
+series at one (q, F, precision) reads one shared residue table.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import OutOfDomain, TruncationNotConverged
 from .euler import (
@@ -45,6 +47,7 @@ from .kernel import QParam, binom_int, padic_valuation, padic_valuation_int, q_i
 from .padic import (
     PadicApprox,
     TeichChar,
+    _validate_precision,
     agreement,
     angle_bracket,
     binom_zp,
@@ -68,6 +71,9 @@ class SeriesBudget:
     window: int = 5
 
     def __post_init__(self):
+        # a budget is part of the series cache key, where 3.0 == 3
+        if any(type(v) is not int for v in (self.target, self.max_terms, self.window)):
+            raise OutOfDomain("budget fields must be ints")
         if self.target < 1:
             raise OutOfDomain("target precision must be >= 1")
         if not self.max_terms > self.window >= 3:
@@ -144,8 +150,6 @@ class _Residues:
     def __init__(self, q: QParam, F: int, precision: int):
         p = q.prime
         mod = p**precision
-        self.qparam = q
-        self.F = F
         self.prime = p
         self.precision = precision
         self.mod = mod
@@ -160,6 +164,7 @@ class _Residues:
         self.q_ints = q_ints
         self._euler = []
         self._q_powers = []
+        self._lock = threading.Lock()  # _residues shares one table per point
 
     def step(self, a: int) -> int:
         """q^a [F]_q / [a]_q, the common ratio of every series at residue a."""
@@ -169,12 +174,19 @@ class _Residues:
     def euler(self, m: int) -> int:
         """E_{m,Q} mod p**precision."""
         table, powers, mod = self._euler, self._q_powers, self.mod
-        while len(table) <= m:
-            k = len(table)
-            powers.append(pow(self.Q, k, mod))
-            acc = sum(math.comb(k, i) * powers[i] * table[i] for i in range(k))
-            table.append(((2 if k == 0 else 0) - acc) * pow(1 + powers[k], -1, mod) % mod)
+        with self._lock:
+            while len(table) <= m:
+                k = len(table)
+                powers.append(pow(self.Q, k, mod))
+                acc = sum(math.comb(k, i) * powers[i] * table[i] for i in range(k))
+                table.append(((2 if k == 0 else 0) - acc) * pow(1 + powers[k], -1, mod) % mod)
         return table[m]
+
+
+@lru_cache(maxsize=None, typed=True)
+def _residues(q: QParam, F: int, precision: int) -> _Residues:
+    """The process's one table per (q, F, precision)."""
+    return _Residues(q, F, precision)
 
 
 def _series(label, s, start, gain, coeff, exact_coeff, p, precision, budget):
@@ -240,20 +252,24 @@ def _as_exponent(s, p: int, precision: int):
 
 
 def _default_precision(budget: SeriesBudget, precision) -> int:
-    return precision if precision is not None else budget.target + 6
+    if precision is None:
+        return budget.target + 6
+    _validate_precision(precision)
+    return precision
 
 
-def _partial(label, s, a, F, q: QParam, budget, precision, start, weight) -> PadicApprox:
-    """The body shared by H and K:
+@lru_cache(maxsize=None, typed=True)
+def _partial(s, a, F, q: QParam, budget, precision, n) -> PadicApprox:
+    """The body shared by H (n = 0) and K (n even, n >= 2):
 
         ((-1)^a / 2) <a>^(-s) sum_{j >= start} binom(-s, j)
             (q^a [F]_q/[a]_q)^j E_{j,q^F} weight(q^(Fj)),
 
-    with weight a polynomial that works on residues and on exact
-    rationals, reported modulo p**budget.target."""
-    precision = _default_precision(budget, precision)
+    (start, weight) = (0, 1) for H and (1, x^n - 1) for K, reported modulo
+    p**budget.target.  Typed: s = 2 and Fraction(2) take different paths."""
+    weight = (lambda x: x**n - 1) if n else (lambda x: 1)
     s = _as_exponent(s, q.prime, precision)
-    res = _Residues(q, F, precision)
+    res = _residues(q, F, precision)
     step, mod = res.step(a), res.mod
 
     def coeff(j):
@@ -264,6 +280,7 @@ def _partial(label, s, a, F, q: QParam, budget, precision, start, weight) -> Pad
         ratio = q_int(F, qv) / q_int(a, qv)
         return (qv**a * ratio) ** j * _euler_term(j, qv, F) * weight(qv ** (F * j))
 
+    label, start = (f"K(a={a})", 1) if n else (f"H(a={a})", 0)
     series = _series(label, s, start, res.gain, coeff, exact_coeff, q.prime, precision, budget)
     val = series.result() * _angle_power(a, s, q, precision) * Fraction((-1) ** a, 2)
     return val.reduce(min(val.precision, budget.target))
@@ -280,7 +297,7 @@ def H_pq(s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> 
     Result reported modulo p**budget.target.
     """
     _check_residue(a, F, _require_prime(q))
-    return _partial(f"H(a={a})", s, a, F, q, budget, precision, 0, lambda x: 1)
+    return _partial(s, a, F, q, budget, _default_precision(budget, precision), 0)
 
 
 def l_pq(s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -360,7 +377,7 @@ def K_pq(n: int, s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=N
     _check_even(n)
     if q.is_one:
         return PadicApprox.zero(q.prime, budget.target)
-    return _partial(f"K(a={a})", s, a, F, q, budget, precision, 1, lambda x: x**n - 1)
+    return _partial(s, a, F, q, budget, _default_precision(budget, precision), n)
 
 
 def _char_sum(fn, chi: TeichChar, residues, p: int, precision: int, target: int) -> PadicApprox:
@@ -413,22 +430,12 @@ def _merge_coefficient(r: int, k: int) -> Fraction:
     return Fraction(r, r + k) * binom_int(-r - 1, k)
 
 
-def _once(memo: dict, fn, *args):
-    """fn(*args), evaluated once per memo: one verify call owns one memo,
-    so every series value is shared between the stages that use it."""
-    key = (fn, args)
-    if key not in memo:
-        memo[key] = fn(*args)
-    return memo[key]
-
-
-def _theorem5_rhs(r, n, q, budget, precision, residue_weighted, memo):
+def _theorem5_rhs(r, n, q, budget, precision, residue_weighted):
     """The plain or residue-weighted expansion side at a checked point,
     with the assembly tail's truncation index.  The weighted assembly
     keeps q^(ak) on each residue's term and halves the T term."""
     p, qv = q.prime, q.value
     precision = _default_precision(budget, precision)
-    target = budget.target
     pn_q = q_int(p * n, qv)
     gain = int(padic_valuation(pn_q, p))
     series = _TruncatedSeries(p, precision, budget, gain, "assembly tail")
@@ -436,22 +443,18 @@ def _theorem5_rhs(r, n, q, budget, precision, residue_weighted, memo):
         s, chi = r + k, TeichChar(p, -(r + k))
         inner = PadicApprox.zero(p, precision)
         for a in range(1, p):
-            part = _once(memo, H_pq, s, a, p, q, budget, precision)
-            part = part + _once(memo, K_pq, n, s, a, p, q, budget, precision)
+            part = H_pq(s, a, p, q, budget, precision) + K_pq(n, s, a, p, q, budget, precision)
             weight = qv ** (a * k) if residue_weighted else 1
             inner = inner + chi.value(a, precision) * part * weight
         term = 2 * inner * (_merge_coefficient(r, k) * (-1) ** n) * pn_q**k
         if series.add(k, term.residue, term.precision):
             break
     tail = series.result()
-    t_chi = _char_sum(
-        lambda a: _once(memo, T_pq, n, r, a, p, q, budget, precision),
-        TeichChar(p, -r), range(1, p), p, precision, target,
-    )
+    t_chi = T_pq_chi(n, r, TeichChar(p, -r), p, q, budget, precision)
     if residue_weighted:
         t_chi = t_chi * Fraction(1, 2)
     rhs = -tail - t_chi
-    return rhs.reduce(min(rhs.precision, target)), series.used
+    return rhs.reduce(min(rhs.precision, budget.target)), series.used
 
 
 def theorem5_rhs(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -464,7 +467,7 @@ def theorem5_rhs(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None
     At q = 1 the correction sums vanish and only the l-series remains.
     """
     _check_point(r, n, q)
-    val, _ = _theorem5_rhs(r, n, q, budget, precision, False, {})
+    val, _ = _theorem5_rhs(r, n, q, budget, precision, False)
     return val
 
 
@@ -475,7 +478,7 @@ def theorem5_rhs_weighted(r: int, n: int, q: QParam, budget: SeriesBudget, preci
     per-residue expansion supports exactly.  Coincides with
     :func:`theorem5_rhs` at q = 1."""
     _check_point(r, n, q)
-    val, _ = _theorem5_rhs(r, n, q, budget, precision, True, {})
+    val, _ = _theorem5_rhs(r, n, q, budget, precision, True)
     return val
 
 
@@ -489,7 +492,7 @@ def _block_sum_exact(r: int, n: int, a: int, F: int, qv: Fraction) -> Fraction:
     )
 
 
-def _block_series(r, n, a, res: _Residues, budget, label, power_tail):
+def _block_series(r, n, a, q: QParam, F, budget, precision, label, power_tail):
     """Series expansion of the per-residue block sum (n even):
 
         -((-1)^a / (2 [a]_q^r)) sum_{s>=1} binom(-r, s) (q^a [F]_q/[a]_q)^s
@@ -498,6 +501,7 @@ def _block_series(r, n, a, res: _Residues, budget, label, power_tail):
 
     the double Euler series plus, when power_tail, the power-difference
     series.  Returns the _TruncatedSeries."""
+    res = _residues(q, F, precision)
     p, mod = res.prime, res.mod
     step = res.step(a)
     unit = -((-1) ** a) * pow(2 * pow(res.q_ints[a], r, mod), -1, mod)
@@ -515,23 +519,23 @@ def _block_series(r, n, a, res: _Residues, budget, label, power_tail):
             c += ((-1) ** n * pow(q_n, s, mod) - 1) * res.euler(s)
         return unit * pow(step, s, mod) * c
 
-    return _series(label, r, 1, res.gain, coeff, None, p, res.precision, budget)
+    return _series(label, r, 1, res.gain, coeff, None, p, precision, budget)
 
 
-def _block_sum_series(r, n, a, res: _Residues, budget):
+def _block_sum_series(r, n, a, q: QParam, F, budget, precision):
     """The block sum's Euler-series expansion (the odd-n boundary term
     vanishes on this even-n engine), with its truncation index."""
-    series = _block_series(r, n, a, res, budget, f"block expansion (a={a})", True)
+    series = _block_series(r, n, a, q, F, budget, precision, f"block expansion (a={a})", True)
     total = series.result()
     return total.reduce(min(total.precision, budget.target)), series.used
 
 
-def _block_sum_t_form(r, n, a, res: _Residues, budget, memo):
+def _block_sum_t_form(r, n, a, q: QParam, F, budget, precision):
     """The regrouped expansion: double Euler series plus the closed
     correction series T in place of the power-difference tail."""
-    series = _block_series(r, n, a, res, budget, f"regrouped expansion (a={a})", False)
-    w_pow = teichmuller(a, res.prime, res.precision) ** (-r)
-    t_val = _once(memo, T_pq, n, r, a, res.F, res.qparam, budget, res.precision)
+    series = _block_series(r, n, a, q, F, budget, precision, f"regrouped expansion (a={a})", False)
+    w_pow = teichmuller(a, q.prime, precision) ** (-r)
+    t_val = T_pq(n, r, a, F, q, budget, precision)
     total = series.result() - w_pow * t_val * Fraction(1, 2)
     return total.reduce(min(total.precision, budget.target))
 
@@ -775,18 +779,16 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     target = budget.target
     stages = []
     trunc = {}
-    memo = {}
-    res = _Residues(q, F, precision)
 
     block_sums = [_block_sum_exact(r, n, a, F, qv) for a in range(1, p)]
     pairs_series = []
     pairs_regroup = []
     for a, block in enumerate(block_sums, start=1):
         exact = embed(block, p, precision)
-        ser, used = _block_sum_series(r, n, a, res, budget)
+        ser, used = _block_sum_series(r, n, a, q, F, budget, precision)
         trunc[f"block-expansion/a={a}"] = used
         pairs_series.append((f"a={a}", exact, ser))
-        pairs_regroup.append((f"a={a}", exact, _block_sum_t_form(r, n, a, res, budget, memo)))
+        pairs_regroup.append((f"a={a}", exact, _block_sum_t_form(r, n, a, q, F, budget, precision)))
     stages.append(
         _padic_stage(
             "alternating-block-series",
@@ -829,7 +831,7 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     )
 
     lhs = embed(lhs_exact, p, precision)
-    rhs, used = _theorem5_rhs(r, n, q, budget, precision, False, memo)
+    rhs, used = _theorem5_rhs(r, n, q, budget, precision, False)
     trunc["assembly"] = used
     val, sat = agreement(lhs, rhs)
     stages.append(
@@ -843,7 +845,7 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
             rhs_digits=rhs.render(),
         )
     )
-    rhs_w, used_w = _theorem5_rhs(r, n, q, budget, precision, True, memo)
+    rhs_w, used_w = _theorem5_rhs(r, n, q, budget, precision, True)
     trunc["assembly-weighted"] = used_w
     stages.append(
         _padic_stage(

@@ -38,6 +38,11 @@ def _validate_prime(p: int) -> None:
         raise OutOfDomain(f"only odd primes are supported, got {p}")
 
 
+def _validate_precision(precision: int) -> None:
+    if precision < 1:
+        raise PrecisionExhausted(f"cannot represent a value with {precision} guaranteed digits")
+
+
 @dataclass(frozen=True)
 class PadicApprox:
     """An element of Z_p known modulo p**precision.
@@ -54,10 +59,7 @@ class PadicApprox:
 
     def __post_init__(self):
         _validate_prime(self.prime)
-        if self.precision < 1:
-            raise PrecisionExhausted(
-                f"cannot represent a value with {self.precision} guaranteed digits"
-            )
+        _validate_precision(self.precision)
         object.__setattr__(self, "residue", self.residue % self.modulus)
 
     # -- structure ---------------------------------------------------
@@ -273,6 +275,7 @@ def embed(r, p: int, precision: int) -> PadicApprox:
     """Embed an exact rational with p-unit denominator into Z_p mod p^N."""
     r = Fraction(r)
     _validate_prime(p)
+    _validate_precision(precision)
     if r.denominator % p == 0:
         raise DenominatorDivisibleByP(
             f"{r} has negative {p}-adic valuation and cannot live in Z_{p}"
@@ -288,6 +291,7 @@ def teichmuller(a: int, p: int, precision: int) -> PadicApprox:
     fixed point (at most N iterations, branch-free).
     """
     _validate_prime(p)
+    _validate_precision(precision)
     if math.gcd(a, p) != 1:
         raise NotCoprime(f"{a} is divisible by {p}")
     mod = p**precision

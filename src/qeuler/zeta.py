@@ -125,6 +125,9 @@ def zeta_Eq(s, x: float, params: ArchParams) -> complex:
     if not (math.isfinite(x) and x > 0):
         raise OutOfDomain(f"shift x must be positive and finite, got {x}")
     _check_s(s)
+    if params.q**x == 1.0 and (complex(s).real > 0 or complex(s).imag != 0):
+        # [x]_q = (1 - q**x) / (1 - q) rounds to 0, which has no power -s
+        raise OutOfDomain(f"shift x = {x} is too small for q = {params.q}: [x]_q rounds to 0")
     return 2.0 * _alternating_regularized(s, x, 1, params)
 
 

@@ -232,6 +232,10 @@ def test_verify_other_suites_reject_grid_flags(capsys):
         ["zeta", "--s", "1", "--x", "inf", "--q", "0.5"],
         ["lvalue", "--side", "complex", "--s", "1", "--q", "0.5", "--chi", "quad:1"],
         ["lvalue", "--side", "complex", "--s", "1", "--q", "0.5", "--chi", "quad:9"],
+        ["euler-table", "--q", "6/1", "--p", "5", "--N", "-1"],
+        ["theorem5", "--r", "2", "--n", "2", "--N", "-1"],
+        ["lvalue", "--side", "padic", "--s", "1", "--q", "6", "--N", "-1"],
+        ["zeta", "--s", "1", "--x", "1e-300", "--q", "0.5"],
     ],
 )
 def test_malformed_input_exits_two(capsys, argv):

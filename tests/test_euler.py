@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from qeuler import (
     OutOfDomain,
@@ -45,6 +46,18 @@ def test_classical_numbers_match_series_expansion():
     assert oracle[0] == 1 and oracle[1] == Fraction(-1, 2) and oracle[2] == 0
     for n in range(9):
         assert euler_number_classical(n) == oracle[n]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_classical_path_against_sympy(n):
+    # sympy.euler(n, x) is the Euler polynomial, sympy.euler(n, 0) its constant term
+    def rational(v):
+        return Fraction(int(v.p), int(v.q))
+
+    for x in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3)):
+        want = sympy.euler(n, sympy.Rational(x.numerator, x.denominator))
+        assert euler_poly_classical(n, x) == rational(want)
+    assert euler_number_classical(n) == rational(sympy.euler(n, 0))
 
 
 def test_classical_functional_equation():

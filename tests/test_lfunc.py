@@ -10,6 +10,7 @@ from qeuler import (
     K_pq_chi,
     OutOfDomain,
     PolyArg,
+    PrecisionExhausted,
     QParam,
     SeriesBudget,
     T_pq,
@@ -32,6 +33,7 @@ from qeuler import (
     theorem5_rhs_weighted,
     theorem5_verify,
 )
+from qeuler.lfunc import _partial
 
 Q6 = QParam(Fraction(6), 5)
 BUDGET = SeriesBudget(target=4)
@@ -296,6 +298,32 @@ def test_truncation_not_converged_is_raised():
         H_pq(2, 1, 5, Q6, tight)
 
 
+def test_series_cache_keeps_int_and_fraction_exponents_apart():
+    # 2 == Fraction(2) and both hash alike, but an int exponent sums exact
+    # binomials while a Fraction one takes the Z_p path, which this budget
+    # cannot certify: the series cache must key them apart in either order
+    q, budget = QParam(1, 5), SeriesBudget(3)
+    for order in ((2, Fraction(2)), (Fraction(2), 2)):
+        _partial.cache_clear()
+        for s in order:
+            if isinstance(s, int):
+                got = H_pq(s, 1, 5, q, budget, 3)
+                assert (got.residue, got.precision) == (122, 3)
+            else:
+                with pytest.raises(TruncationNotConverged):
+                    H_pq(s, 1, 5, q, budget, 3)
+
+
+def test_explicit_precision_below_one_rejected():
+    for precision in (0, -1):
+        with pytest.raises(PrecisionExhausted):
+            H_pq(1, 1, 5, Q6, BUDGET, precision)
+        with pytest.raises(PrecisionExhausted):
+            l_pq(1, TeichChar(5, 2), 5, Q6, BUDGET, precision)
+        with pytest.raises(PrecisionExhausted):
+            theorem5_verify(2, 2, Q6, BUDGET, precision)
+
+
 def test_doubling_max_terms_is_invisible():
     base = SeriesBudget(target=4, max_terms=60)
     double = SeriesBudget(target=4, max_terms=120)
@@ -311,6 +339,9 @@ def test_doubling_max_terms_is_invisible():
 def test_budget_validation():
     with pytest.raises(OutOfDomain):
         SeriesBudget(target=0)
+    for fields in ({"target": 3.0}, {"target": 4, "max_terms": 60.0}, {"target": True}):
+        with pytest.raises(OutOfDomain):
+            SeriesBudget(**fields)
     with pytest.raises(OutOfDomain):
         SeriesBudget(target=4, max_terms=5, window=5)
     with pytest.raises(OutOfDomain):

@@ -1,9 +1,12 @@
 """Capped-precision Z_p arithmetic, Teichmuller lifts, log/exp, powers."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qeuler import (
     DenominatorDivisibleByP,
@@ -293,3 +296,80 @@ def test_arithmetic_over_a_large_prime():
     assert (x + x).residue == 1
     assert (x * 2).residue == 1
     assert (x**3 * 8).residue == 1
+
+
+def test_precision_below_one_rejected():
+    for precision in (0, -1):
+        with pytest.raises(PrecisionExhausted):
+            embed(2, 5, precision)
+        with pytest.raises(PrecisionExhausted):
+            teichmuller(2, 5, precision)
+
+
+# -- soundness properties: every op agrees with exact arithmetic ----------
+#
+# For p-integral rationals x, y embedded at precisions n, m, the result of
+# each op must be congruent to the exact rational value modulo
+# p**result.precision: the precision a value claims is the invariant every
+# reported digit rests on.
+
+PRIMES = st.sampled_from([3, 5, 7, 31])
+PRECISIONS = st.integers(1, 12)
+SOUNDNESS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def _p_integral(draw, p, unit=False):
+    num = draw(st.integers(-(10**6), 10**6))
+    den = draw(st.integers(1, 10**4))
+    assume(den % p and (not unit or num % p))
+    return Fraction(num, den)
+
+
+def _congruent(result, exact):
+    assert result.residue == embed(exact, result.prime, result.precision).residue
+
+
+@SOUNDNESS
+@given(st.data(), PRIMES, PRECISIONS, PRECISIONS)
+def test_arithmetic_agrees_with_exact(data, p, n, m):
+    a = data.draw(_p_integral(p))
+    b = data.draw(_p_integral(p))
+    u = data.draw(_p_integral(p, unit=True))
+    x, y, w = embed(a, p, n), embed(b, p, m), embed(u, p, m)
+    _congruent(x + y, a + b)
+    _congruent(x - y, a - b)
+    _congruent(x * y, a * b)
+    _congruent(x / w, a / u)
+    _congruent(x + b, a + b)
+    _congruent(b - x, b - a)
+    _congruent(x * b, a * b)
+    _congruent(x / u, a / u)
+
+
+@SOUNDNESS
+@given(st.data(), PRIMES, PRECISIONS, st.integers(-6, 6))
+def test_integer_powers_agree_with_exact(data, p, n, k):
+    a = data.draw(_p_integral(p, unit=k < 0))
+    x = embed(a, p, n)
+    _congruent(x**k, a**k)
+    _congruent(power_zp(x, k), a**k)
+
+
+def _log_series(z, terms):
+    return sum(Fraction((-1) ** (i + 1), i) * z**i for i in range(1, terms))
+
+
+def _exp_series(x, terms):
+    return sum(x**i / math.factorial(i) for i in range(terms))
+
+
+@SOUNDNESS
+@given(st.data(), PRIMES, PRECISIONS)
+def test_log_and_exp_agree_with_exact_series(data, p, n):
+    # v(z^i / i) >= i - log_p(i) and v(x^i / i!) >= i/2 for v(z), v(x) >= 1,
+    # so 2n + 10 terms carry every digit below p**n of the exact value
+    t = data.draw(_p_integral(p))
+    z = p * t
+    _congruent(padic_log(embed(1 + z, p, n)), _log_series(z, 2 * n + 10))
+    _congruent(padic_exp(embed(z, p, n)), _exp_series(z, 2 * n + 10))

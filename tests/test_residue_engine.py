@@ -8,6 +8,8 @@ reindexing stage.
 """
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -66,6 +68,32 @@ def test_recurrence_table_at_the_series_base(p, qv):
     table = _Residues(QParam(qv, p), p, 12)
     for m in range(40):
         assert table.euler(m) == embed(_closed_form(m, qv**p), p, 12).residue, m
+
+
+def test_shared_table_grows_consistently_across_threads():
+    # one table per point is shared by every caller in the process; threads
+    # extending it together must build the single-threaded table
+    q, depth, workers = QParam(Fraction(32), 31), 80, 4
+    shared = _Residues(q, 31, 12)
+    start = threading.Barrier(workers)
+
+    def extend():
+        start.wait()
+        for m in range(depth):
+            shared.euler(m)
+
+    threads = [threading.Thread(target=extend) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert shared._euler == [_Residues(q, 31, 12).euler(m) for m in range(depth)]
 
 
 # -- the Fraction-scalar series, as the engine computed them before ---------

@@ -71,6 +71,19 @@ def test_zeta_rejects_bad_inputs():
             zeta_Eq(s, x, ArchParams(q=0.5))
 
 
+def test_shift_below_float_resolution():
+    # q**x rounds to 1, so [x]_q rounds to 0: s with Re s > 0 or Im s != 0
+    # would need a negative or complex power of 0
+    params = ArchParams(0.5)
+    for s in (1, 0.5, 1j, -1 + 1j):
+        with pytest.raises(OutOfDomain):
+            zeta_Eq(s, 1e-300, params)
+    # for real s <= 0 the power of 0 is its limit, and E_{k,q}(x) is continuous at 0
+    assert zeta_Eq(0, 1e-300, params) == 1
+    want = float(euler_number_q(2, Fraction(1, 2)))
+    assert abs(zeta_Eq(-2, 1e-300, params) - want) < 1e-12
+
+
 def test_partial_zeta_two_forms_agree():
     # near q = 1 both forms end in the closed-form tail: the reduction with
     # step 1 in base q^3, the congruence-class series with step 3 in base q
