@@ -45,11 +45,13 @@ def padic_valuation(x, p: int):
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _is_odd_prime(p: int) -> bool:
     """True when p is an odd prime: Miller-Rabin to the bases in
-    _WITNESSES, exact below 3.3e24 and a strong probable-prime test above."""
-    if p < 3 or p % 2 == 0:
+    _WITNESSES, exact below 3.3e24 and a strong probable-prime test above.
+    Only an int qualifies (not a bool, nor a float such as 5.0).  typed=True
+    guards against a cache that keys 5 and 5.0 alike, which CPython's does not."""
+    if type(p) is not int or p < 3 or p % 2 == 0:
         return False
     for w in _WITNESSES:
         if p % w == 0:
@@ -181,6 +183,11 @@ def binom_product_merge(r: int, j: int, k: int) -> bool:
     return lhs == rhs
 
 
+def tail_merge_coefficient(r: int, k: int) -> Fraction:
+    """(r/(r+k)) binom(-r-1, k); integer-valued by the tail-merge identity."""
+    return Fraction(r, r + k) * binom_int(-r - 1, k)
+
+
 def binom_tail_merge(r: int, j: int, k: int) -> bool:
     """r/(r+k) binom(-r-1,k) binom(-r-k,j) == binom(-r,k+j) binom(k+j,j).
 
@@ -189,6 +196,6 @@ def binom_tail_merge(r: int, j: int, k: int) -> bool:
     """
     if r < 1 or j < 0 or k < 0:
         raise OutOfDomain("identity requires r >= 1 and j,k >= 0")
-    lhs = Fraction(r, r + k) * binom_int(-r - 1, k) * binom_int(-r - k, j)
+    lhs = tail_merge_coefficient(r, k) * binom_int(-r - k, j)
     rhs = binom_int(-r, k + j) * binom_int(k + j, j)
     return lhs == rhs

@@ -44,6 +44,7 @@ from .euler import (
     euler_poly_q,
 )
 from .kernel import QParam, binom_int, padic_valuation, padic_valuation_int, q_int
+from .kernel import tail_merge_coefficient as _merge_coefficient
 from .padic import (
     PadicApprox,
     TeichChar,
@@ -214,13 +215,17 @@ def _require_prime(q: QParam) -> int:
     return q.prime
 
 
+def _check_modulus(F: int, p: int) -> None:
+    if F < 1 or F % p != 0 or F % 2 == 0:
+        raise OutOfDomain(f"F must be an odd positive multiple of {p}, got {F}")
+
+
 def _check_residue(a: int, F: int, p: int) -> None:
     if not 0 < a < F:
         raise OutOfDomain(f"need 0 < a < F, got a={a}, F={F}")
     if math.gcd(a, p) != 1:
         raise OutOfDomain(f"residue {a} is not coprime to {p}")
-    if F % p != 0 or F % 2 == 0:
-        raise OutOfDomain(f"F must be an odd multiple of {p}, got {F}")
+    _check_modulus(F, p)
 
 
 def _angle_power(a: int, s, q: QParam, precision: int) -> PadicApprox:
@@ -306,6 +311,7 @@ def l_pq(s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget, precision=N
     p = _require_prime(q)
     if chi.prime != p:
         raise OutOfDomain("character prime does not match q's prime context")
+    _check_modulus(F, p)
     precision = _default_precision(budget, precision)
     residues = [a for a in range(1, F + 1) if math.gcd(a, p) == 1]
     return _char_sum(
@@ -425,11 +431,6 @@ def theorem5_lhs(r: int, n: int, q: QParam, precision: int) -> PadicApprox:
     return embed(theorem5_lhs_exact(r, n, q), _require_prime(q), precision)
 
 
-def _merge_coefficient(r: int, k: int) -> Fraction:
-    """(r/(r+k)) binom(-r-1, k); integer-valued by the tail-merge identity."""
-    return Fraction(r, r + k) * binom_int(-r - 1, k)
-
-
 def _theorem5_rhs(r, n, q, budget, precision, residue_weighted):
     """The plain or residue-weighted expansion side at a checked point,
     with the assembly tail's truncation index.  The weighted assembly
@@ -540,58 +541,23 @@ def _block_sum_t_form(r, n, a, q: QParam, F, budget, precision):
     return total.reduce(min(total.precision, budget.target))
 
 
-def _powers(x: int, y: int, depth: int) -> list:
-    """x^i y^(depth-i) for i = 0..depth: the numerators of (x/y)^i over y^depth."""
-    return [x**i * y ** (depth - i) for i in range(depth + 1)]
+def _reindex_exact_check(r: int, depth: int) -> bool:
+    """Exact check that merging the double series indices (s, l) into
+    (k = s - l, l) preserves the sum, for k >= 1 and k + l <= depth.
 
-
-def _reindex_sides(r, n, F, qv, depth, residues):
-    """Both sides of the double-series reindexing check, per residue a.
-
-    With g = q^a [F]_q/[a]_q, Y = q^(nF), h = [n]_{q^F} and E_l = E_{l,q^F}
-    exact, both double sums are sums of X(k, l) = g^(k+l) Y^l E_l h^k over
-    k >= 1, l >= 0, k + l <= depth, times c = (-1)^(a+n) / (2 [a]_q^r).
-    The left side (indices s = k + l, l) weighs X(k, l) by
-    binom(-r, k+l) binom(k+l, l), the merged right side by
-    _merge_coefficient(r, k) binom(-r-k, l).  Every X(k, l) is cleared onto
-    one common denominator, together with the denominators of the merge
-    coefficients, so each side is an exact integer sum.  Yields (lhs, rhs):
-    the two sides' rational values times one nonzero factor per residue.
+    Both double sums weigh the same terms g^(k+l) q^(nFl) E_{l,q^F}
+    [n]_{q^F}^k (g = q^a [F]_q/[a]_q), the left side by
+    binom(-r, k+l) binom(k+l, l) and the merged right side by
+    _merge_coefficient(r, k) binom(-r-k, l).  The coefficients depend on
+    neither q nor the residue a, so equal tables give equal sums at every
+    residue.  This is kernel.binom_tail_merge over the table, with the
+    coefficient looked up here at call time.
     """
-    qf = qv**F
-    y, h = qv ** (n * F), q_int(n, qf)
-    eulers = [_euler_term(l, qv, F) for l in range(depth + 1)]
-    common = math.lcm(*(e.denominator for e in eulers))
-    ye = [
-        w * e.numerator * (common // e.denominator)
-        for w, e in zip(_powers(y.numerator, y.denominator, depth), eulers)
-    ]
-    hk = _powers(h.numerator, h.denominator, depth)
-    merge = [_merge_coefficient(r, k) for k in range(depth + 1)]
-    mu = math.lcm(*(m.denominator for m in merge[1:]))
-    merge = [m.numerator * (mu // m.denominator) for m in merge]
-    left = [
-        [binom_int(-r, k + l) * binom_int(k + l, l) * mu for l in range(depth)]
-        for k in range(depth + 1)
-    ]
-    right = [[merge[k] * binom_int(-r - k, l) for l in range(depth)] for k in range(depth + 1)]
-    for a in residues:
-        g = qv**a * q_int(F, qv) / q_int(a, qv)
-        gp = _powers(g.numerator, g.denominator, depth)
-        lhs = rhs = 0
-        for l in range(depth):
-            ks = range(1, depth - l + 1)
-            x = [gp[k + l] * hk[k] for k in ks]
-            lhs += ye[l] * sum(left[k][l] * xk for k, xk in zip(ks, x))
-            rhs += ye[l] * sum(right[k][l] * xk for k, xk in zip(ks, x))
-        yield lhs, rhs
-
-
-def _reindex_exact_check(r, n, F, qv, depth, residues) -> bool:
-    """Exact finite check that merging the double series indices (s, l)
-    into (k = s - l, l) with the tail-merge coefficient identity
-    preserves the sum, keeping the geometric factor q^(nFl)."""
-    return all(lhs == rhs for lhs, rhs in _reindex_sides(r, n, F, qv, depth, residues))
+    return all(
+        binom_int(-r, k + l) * binom_int(k + l, l) == _merge_coefficient(r, k) * binom_int(-r - k, l)
+        for k in range(1, depth + 1)
+        for l in range(depth - k + 1)
+    )
 
 
 def _power_split_check(n, F, qv, l_max) -> bool:
@@ -811,7 +777,7 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
             "double-series-reindexing",
             f"exact reindexing of the double expansion via the coefficient-merge "
             f"identity (depth {depth}, all residues)",
-            _reindex_exact_check(r, n, F, qv, depth, range(1, p)),
+            _reindex_exact_check(r, depth),
         )
     )
     stages.append(

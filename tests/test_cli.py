@@ -236,6 +236,8 @@ def test_verify_other_suites_reject_grid_flags(capsys):
         ["theorem5", "--r", "2", "--n", "2", "--N", "-1"],
         ["lvalue", "--side", "padic", "--s", "1", "--q", "6", "--N", "-1"],
         ["zeta", "--s", "1", "--x", "1e-300", "--q", "0.5"],
+        ["lvalue", "--side", "padic", "--s", "1", "--q", "6", "--F", "0"],
+        ["lvalue", "--side", "padic", "--s", "1", "--q", "6", "--F", "-5"],
     ],
 )
 def test_malformed_input_exits_two(capsys, argv):

@@ -6,13 +6,18 @@ from fractions import Fraction
 import pytest
 
 from qeuler import (
+    ComplexChar,
+    H_pq,
     OutOfDomain,
     QIsOne,
     QParam,
+    SeriesBudget,
+    TeichChar,
     binom_int,
     binom_product_merge,
     binom_product_shift,
     binom_tail_merge,
+    embed,
     padic_valuation,
     q_int,
     q_int_neg,
@@ -160,3 +165,24 @@ def test_odd_prime_check_matches_trial_division():
     assert not _is_odd_prime(3825123056546413051)
     assert not _is_odd_prime((2**31 - 1) * (2**61 - 1))
     assert _is_odd_prime(2**61 - 1) and _is_odd_prime(2**89 - 1)
+
+
+FLOAT_PRIME_INPUTS = [
+    lambda: QParam(6, 5.0),
+    lambda: TeichChar(5.0, 1),
+    lambda: H_pq(3, 1, 5, QParam(6, 5.0), SeriesBudget(3), 5),
+    lambda: ComplexChar.quadratic(3.0),
+    lambda: embed(1, 5.0, 3),
+]
+
+
+def test_float_prime_rejected_before_and_after_the_int_is_cached():
+    # 5.0 == 5 and hash(5.0) == hash(5); the cached answer for the int
+    # must not carry over to the float
+    _is_odd_prime.cache_clear()
+    for _ in range(2):  # on an empty cache, then with 5 and 3 cached
+        for make in FLOAT_PRIME_INPUTS:
+            with pytest.raises(OutOfDomain):
+                make()
+        assert _is_odd_prime(5) and _is_odd_prime(3)
+    assert not _is_odd_prime(5.0) and not _is_odd_prime(True)

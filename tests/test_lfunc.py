@@ -85,6 +85,9 @@ def test_partial_function_guards():
         H_pq(0, 2, 6, Q6, BUDGET)  # F not a multiple... even too
     with pytest.raises(OutOfDomain):
         H_pq(0, 1, 5, QParam(Fraction(6)), BUDGET)  # missing prime context
+    for F in (0, -5):  # no residue in (0, F], so no H call would see F
+        with pytest.raises(OutOfDomain):
+            l_pq(1, TeichChar(5, 0), F, Q6, BUDGET)
 
 
 def test_l_value_interpolation_formula():

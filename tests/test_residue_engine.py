@@ -7,7 +7,6 @@ loop for H, T, K and l, and the term-by-term double loop for the exact
 reindexing stage.
 """
 
-import math
 import sys
 import threading
 from fractions import Fraction
@@ -240,47 +239,39 @@ def _reindex_stage(report):
     return next(s for s in report.stages if s.name == "double-series-reindexing")
 
 
-def _scale(r, n, a, F, qv, depth, merge):
-    """The rational value of one unit of the integer sides at residue a:
-    the sign and 1/(2 [a]_q^r) over the cleared common denominator."""
-    y, h = qv ** (n * F), q_int(n, qv**F)
-    g = qv**a * q_int(F, qv) / q_int(a, qv)
-    common = math.lcm(*(_euler_term(l, qv, F).denominator for l in range(depth + 1)))
-    mu = math.lcm(*(merge(r, k).denominator for k in range(1, depth + 1)))
-    den = 2 * (g.denominator * y.denominator * h.denominator) ** depth * common * mu
-    return Fraction((-1) ** (a + n), den) / q_int(a, qv) ** r
-
-
-def _sides_against_the_loop(r, n, F, qv, depth, merge):
-    """Per residue: both sides as rationals, next to the loop's values."""
-    sides = lfunc._reindex_sides(r, n, F, qv, depth, range(1, F))
-    for a, (lhs, rhs) in zip(range(1, F), sides):
-        scale = _scale(r, n, a, F, qv, depth, merge)
-        yield (lhs * scale, rhs * scale), _reindex_loop(r, n, a, F, qv, depth, merge)
+def _loop_sides(r, n, F, qv, depth, merge):
+    """The loop's two sides at every residue a < F."""
+    return [_reindex_loop(r, n, a, F, qv, depth, merge) for a in range(1, F)]
 
 
 @pytest.mark.parametrize("qv", [Fraction(6), Fraction(1)])
 def test_reindex_sides_equal_the_term_loop(qv):
-    merge = lfunc._merge_coefficient
-    for sides, want in _sides_against_the_loop(2, 2, 5, qv, 6, merge):
-        assert sides == want
-        assert want[0] == want[1]
+    # the stage compares coefficient tables that hold for every residue
+    # and every q; the weighted term loop is the sum they stand for
+    for lhs, rhs in _loop_sides(2, 2, 5, qv, 6, lfunc._merge_coefficient):
+        assert lhs == rhs
+    assert lfunc._reindex_exact_check(2, 6) is True
 
 
 @pytest.mark.parametrize("error", [1, Fraction(1, 2)])
 def test_reindex_stage_fails_on_a_wrong_merge_coefficient(monkeypatch, error):
     right = lfunc._merge_coefficient
 
-    def off_by_one(r, k):
-        return right(r, k) + (error if k == 3 else 0)
+    def off_at(row):
+        return lambda r, k: right(r, k) + (error if k == row else 0)
 
-    monkeypatch.setattr(lfunc, "_merge_coefficient", off_by_one)
     r, n, F, qv, depth = 2, 2, 5, Fraction(6), 6
-    for sides, want in _sides_against_the_loop(r, n, F, qv, depth, off_by_one):
-        assert sides == want
-        assert want[0] != want[1]
+    wrong = off_at(3)
+    for lhs, rhs in _loop_sides(r, n, F, qv, depth, wrong):
+        assert lhs != rhs
+    monkeypatch.setattr(lfunc, "_merge_coefficient", wrong)
+    assert lfunc._reindex_exact_check(r, depth) is False
     report = theorem5_verify(r, n, QParam(qv, F), SeriesBudget(target=4))
     assert _reindex_stage(report).passed is False
+    # the first and the last row of the stage's depth-12 table
+    for row in (1, 12):
+        monkeypatch.setattr(lfunc, "_merge_coefficient", off_at(row))
+        assert lfunc._reindex_exact_check(r, 12) is False, row
 
 
 def test_reindex_stage_passes_with_the_merge_identity():
