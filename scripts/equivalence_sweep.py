@@ -1,0 +1,125 @@
+"""Sweep the p-adic layer's public values into one sorted JSON file.
+
+Usage:
+
+    python3 scripts/equivalence_sweep.py SRC OUT
+
+imports ``qeuler`` from the directory SRC (the ``src`` of some checkout)
+and writes to OUT, for every point of a fixed grid, either
+``[residue, precision]`` or ``{"raised": <exception type>}`` of ``H_pq``,
+``K_pq``, ``T_pq``, ``l_pq``, ``K_pq_chi``, ``theorem5_rhs`` and
+``theorem5_rhs_weighted``, plus ``theorem5_verify(...).to_dict()``.  Two
+checkouts compute the same values when their files are byte-identical,
+so running it on both sides of a change and comparing the sha256 printed
+at the end is an equivalence check.  Everything runs in one process, in
+a fixed order, so the per-process series caches fill the same way on both
+sides.  Nothing outside SRC and OUT is read or written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+# (p, q): q = 1, integral and non-integral q, and v_p(q - 1) = 1 and 2
+POINTS = [
+    (5, Fraction(6)),
+    (5, Fraction(26)),
+    (5, Fraction(31, 6)),
+    (5, Fraction(1)),
+    (7, Fraction(8)),
+    (7, Fraction(50)),
+    (31, Fraction(32)),
+]
+# (target, working precision, max_terms, window): the default margin, no
+# margin, a short term limit, and a high target that few series reach
+BUDGETS = [(4, None, 60, 5), (3, 3, 60, 5), (4, 10, 8, 5), (6, 6, 4, 3)]
+EXPANSION_POINTS = [(1, 2), (2, 2), (2, 4), (3, 4)]
+
+
+def exponents(qe, p):
+    """Integer, Fraction and PadicApprox exponents; 2 and Fraction(2) take
+    different paths."""
+    return [-2, 1, 2, 3, Fraction(2), Fraction(1, 2), Fraction(-3, 2),
+            qe.embed(Fraction(1, 3), p, 10), qe.PadicApprox(p, 1 + p, 6)]
+
+
+def residues(F, p):
+    return [a for a in (1, 2, F - 2, F - 1) if a % p] if F == p else [1, 2, p + 1, F - 1]
+
+
+def outcome(qe, compute):
+    try:
+        value = compute()
+    except qe.QEulerError as exc:
+        return {"raised": type(exc).__name__}
+    if isinstance(value, qe.PadicApprox):
+        return [value.residue, value.precision]
+    return value.to_dict()
+
+
+def sweep(qe) -> dict:
+    out = {}
+    for p, qv in POINTS:
+        q = qe.QParam(qv, p)
+        for target, precision, max_terms, window in BUDGETS:
+            budget = qe.SeriesBudget(target, max_terms, window)
+            at = f"p={p} q={qv} budget={target},{precision},{max_terms},{window}"
+
+            def put(name, compute):
+                out[f"{at} {name}"] = outcome(qe, compute)
+
+            for F in (p, 3 * p):
+                for s in exponents(qe, p):
+                    for a in residues(F, p):
+                        put(f"H s={s} a={a} F={F}", lambda: qe.H_pq(s, a, F, q, budget, precision))
+                        for n in (2, 4):
+                            put(f"K n={n} s={s} a={a} F={F}",
+                                lambda: qe.K_pq(n, s, a, F, q, budget, precision))
+                            put(f"T n={n} s={s} a={a} F={F}",
+                                lambda: qe.T_pq(n, s, a, F, q, budget, precision))
+            for s in exponents(qe, p):
+                for t in (0, 1, 2):
+                    chi = qe.TeichChar(p, t)
+                    put(f"l s={s} t={t}", lambda: qe.l_pq(s, chi, p, q, budget, precision))
+                    for n in (2, 4):
+                        put(f"K_chi n={n} s={s} t={t}",
+                            lambda: qe.K_pq_chi(n, s, chi, p, q, budget, precision))
+            for r, n in EXPANSION_POINTS:
+                put(f"rhs r={r} n={n}", lambda: qe.theorem5_rhs(r, n, q, budget, precision))
+                put(f"rhs_weighted r={r} n={n}",
+                    lambda: qe.theorem5_rhs_weighted(r, n, q, budget, precision))
+                put(f"verify r={r} n={n}", lambda: qe.theorem5_verify(r, n, q, budget, precision))
+        # invalid input: a residue at p, an even F, no working digit
+        budget = qe.SeriesBudget(4)
+        at = f"p={p} q={qv} invalid"
+        out[f"{at} H a=p"] = outcome(qe, lambda: qe.H_pq(1, p, 3 * p, q, budget))
+        out[f"{at} H F=2p"] = outcome(qe, lambda: qe.H_pq(1, 1, 2 * p, q, budget))
+        out[f"{at} rhs N=0"] = outcome(qe, lambda: qe.theorem5_rhs(2, 2, q, budget, 0))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="directory that contains the qeuler package")
+    parser.add_argument("out", help="JSON file to write")
+    args = parser.parse_args(argv)
+
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import qeuler as qe
+
+    if Path(qe.__file__).resolve().parent != src / "qeuler":
+        sys.exit(f"equivalence_sweep: imported {qe.__file__}, not the package under {src}")
+    text = json.dumps(sweep(qe), sort_keys=True, indent=0) + "\n"
+    Path(args.out).write_text(text)
+    print(f"{hashlib.sha256(text.encode()).hexdigest()}  {args.out} ({text.count(chr(10)) - 1} lines)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,7 +24,18 @@ p**target of their budget, never beyond what the certificate covers.
 
 All computation is pure; verification grids can be evaluated in any
 order and merged.  H/K series values are cached per process, and every
-series at one (q, F, precision) reads one shared residue table.
+series at one (q, F, precision) reads one shared residue table.  Besides
+q, Q = q^F, the q-integers and the Euler numbers, that table holds the
+Teichmuller residues w(a), the 1-units <a> = [a]_q / w(a), and per (a, n)
+the coefficient row c_j = step(a)^j E_{j,Q} w_n(Q^j) of the H (n = 0,
+w_0 = 1) and K (w_n(x) = x^n - 1) series, built by running products.  An
+integer exponent steps its binomial through the row; <a>^(-s) and the
+regrouping stage's w(a)^(-r) read the same table.  Both character-sum
+assemblies sum sum_a w(a)^(-(r+k)) (H + K)(r+k, a) q^(ak) (or weight 1)
+on integer residues, at the precision min(precision, H.precision,
+K.precision) over the residues, then scale that one p-adic value by the
+exact coefficient of term k.  The engine's working precision must reach
+its target: below it no integer-exponent series can certify.
 """
 
 from __future__ import annotations
@@ -50,7 +61,6 @@ from .padic import (
     TeichChar,
     _validate_precision,
     agreement,
-    angle_bracket,
     binom_zp,
     embed,
     power_zp,
@@ -143,9 +153,11 @@ def _euler_poly_term(n: int, a: int, f: int, q: Fraction) -> Fraction:
 
 class _Residues:
     """Residues mod p**precision of what every series here is built from,
-    at one (q, F): q itself, Q = q^F, the q-integers [a]_q for a <= F,
-    and the q-Euler numbers E_{j,Q}, extended on demand by the integral
-    recurrence of the module docstring.
+    at one (q, F): q itself, Q = q^F and the q-integers [a]_q for a <= F,
+    and three tables that grow on demand under one lock: the q-Euler
+    numbers E_{j,Q} (by the integral recurrence of the module docstring),
+    the Teichmuller residues w(a) with the 1-units <a> = [a]_q / w(a), and
+    the coefficient rows of the H and K series.
     """
 
     def __init__(self, q: QParam, F: int, precision: int):
@@ -165,7 +177,11 @@ class _Residues:
         self.q_ints = q_ints
         self._euler = []
         self._q_powers = []
-        self._lock = threading.Lock()  # _residues shares one table per point
+        self._units = {}
+        self._rows = {}
+        # _residues shares one table per point; reentrant, since a row
+        # extends the Euler table while it grows
+        self._lock = threading.RLock()
 
     def step(self, a: int) -> int:
         """q^a [F]_q / [a]_q, the common ratio of every series at residue a."""
@@ -183,6 +199,35 @@ class _Residues:
                 table.append(((2 if k == 0 else 0) - acc) * pow(1 + powers[k], -1, mod) % mod)
         return table[m]
 
+    def units(self, a: int):
+        """(w(a), <a>) mod p**precision, for 0 < a <= F coprime to p."""
+        with self._lock:
+            pair = self._units.get(a)
+            if pair is None:
+                w = teichmuller(a, self.prime, self.precision).residue
+                pair = self._units[a] = (w, self.q_ints[a] * pow(w, -1, self.mod) % self.mod)
+        return pair
+
+    def coeff(self, a: int, n: int, j: int) -> int:
+        """c_j = step(a)^j E_{j,Q} w_n(Q^j) mod p**precision, where w_0 = 1
+        (the H series) and w_n(x) = x^n - 1 for even n (the K series)."""
+        with self._lock:
+            row = self._rows.get((a, n))
+            if row is None:
+                row = self._rows[a, n] = ([], self._row(a, n))
+            values, terms = row
+            while len(values) <= j:
+                values.append(next(terms))
+        return values[j]
+
+    def _row(self, a: int, n: int):
+        """The c_j of coeff(a, n, .) in order, by running products."""
+        mod, step, Qn = self.mod, self.step(a), pow(self.Q, n, self.mod)
+        power, Qnj, j = 1, 1, 0
+        while True:
+            yield power * self.euler(j) * (Qnj - 1 if n else 1) % mod
+            power, Qnj, j = power * step % mod, Qnj * Qn % mod, j + 1
+
 
 @lru_cache(maxsize=None, typed=True)
 def _residues(q: QParam, F: int, precision: int) -> _Residues:
@@ -192,17 +237,20 @@ def _residues(q: QParam, F: int, precision: int) -> _Residues:
 
 def _series(label, s, start, gain, coeff, exact_coeff, p, precision, budget):
     """The series kernel: sum_{j >= start} binom(-s, j) c_j, truncated per
-    budget, where coeff(j) is c_j mod p**precision.  A Z_p exponent s
-    multiplies its p-adic binomial by the exact scalar exact_coeff(j)
-    instead, gaining v_p(c_j) digits.  Returns the _TruncatedSeries."""
+    budget, where coeff(j) is c_j mod p**precision.  An integer s steps its
+    binomial exactly, binom(-s, j+1) = binom(-s, j) (-s-j)/(j+1).  A Z_p
+    exponent s multiplies its p-adic binomial by the exact scalar
+    exact_coeff(j) instead, gaining v_p(c_j) digits.  Returns the
+    _TruncatedSeries."""
     series = _TruncatedSeries(p, precision, budget, gain, label)
     mod = p**precision
+    b = binom_int(-s, start) if isinstance(s, int) else None
     for j in range(start, budget.max_terms + 1):
-        b = _series_binom(s, j)
-        if isinstance(b, int):
+        if b is not None:
             done = series.add(j, b * coeff(j) % mod, precision)
+            b = b * (-s - j) // (j + 1)
         else:
-            term = b * exact_coeff(j)
+            term = binom_zp(-s, j) * exact_coeff(j)
             done = series.add(j, term.residue, term.precision)
         if done:
             break
@@ -228,19 +276,12 @@ def _check_residue(a: int, F: int, p: int) -> None:
     _check_modulus(F, p)
 
 
-def _angle_power(a: int, s, q: QParam, precision: int) -> PadicApprox:
-    """<a>^(-s); exact modular power for integer s, exp/log otherwise."""
-    ang = angle_bracket(a, q, precision)
+def _angle_power(res: _Residues, a: int, s) -> PadicApprox:
+    """<a>^(-s) from the table; exact modular power for integer s, exp/log otherwise."""
+    ang = PadicApprox(res.prime, res.units(a)[1], res.precision)
     if isinstance(s, int):
         return ang ** (-s)
     return power_zp(ang, -s)
-
-
-def _series_binom(s, k: int):
-    """binom(-s, k) as an exact int (integer s) or a PadicApprox."""
-    if isinstance(s, int):
-        return binom_int(-s, k)
-    return binom_zp(-s, k)
 
 
 def _as_exponent(s, p: int, precision: int):
@@ -272,22 +313,21 @@ def _partial(s, a, F, q: QParam, budget, precision, n) -> PadicApprox:
 
     (start, weight) = (0, 1) for H and (1, x^n - 1) for K, reported modulo
     p**budget.target.  Typed: s = 2 and Fraction(2) take different paths."""
-    weight = (lambda x: x**n - 1) if n else (lambda x: 1)
     s = _as_exponent(s, q.prime, precision)
     res = _residues(q, F, precision)
-    step, mod = res.step(a), res.mod
 
     def coeff(j):
-        return pow(step, j, mod) * res.euler(j) * weight(pow(res.Q, j, mod))
+        return res.coeff(a, n, j)
 
     def exact_coeff(j):
         qv = q.value
         ratio = q_int(F, qv) / q_int(a, qv)
-        return (qv**a * ratio) ** j * _euler_term(j, qv, F) * weight(qv ** (F * j))
+        weight = qv ** (F * j * n) - 1 if n else 1
+        return (qv**a * ratio) ** j * _euler_term(j, qv, F) * weight
 
     label, start = (f"K(a={a})", 1) if n else (f"H(a={a})", 0)
     series = _series(label, s, start, res.gain, coeff, exact_coeff, q.prime, precision, budget)
-    val = series.result() * _angle_power(a, s, q, precision) * Fraction((-1) ** a, 2)
+    val = series.result() * _angle_power(res, a, s) * Fraction((-1) ** a, 2)
     return val.reduce(min(val.precision, budget.target))
 
 
@@ -431,23 +471,42 @@ def theorem5_lhs(r: int, n: int, q: QParam, precision: int) -> PadicApprox:
     return embed(theorem5_lhs_exact(r, n, q), _require_prime(q), precision)
 
 
+def _engine_precision(budget: SeriesBudget, precision) -> int:
+    """The expansion engine's working precision.  Every series there has an
+    integer exponent, whose terms carry exactly the working precision, so
+    below the target none of them can ever certify."""
+    precision = _default_precision(budget, precision)
+    if precision < budget.target:
+        raise OutOfDomain(
+            f"working precision {precision} is below the target {budget.target}, "
+            f"where no series of the expansion can certify"
+        )
+    return precision
+
+
 def _theorem5_rhs(r, n, q, budget, precision, residue_weighted):
     """The plain or residue-weighted expansion side at a checked point,
     with the assembly tail's truncation index.  The weighted assembly
-    keeps q^(ak) on each residue's term and halves the T term."""
-    p, qv = q.prime, q.value
-    precision = _default_precision(budget, precision)
-    pn_q = q_int(p * n, qv)
+    keeps q^(ak) on each residue's term and halves the T term.  Each
+    term's character sum runs on integer residues at the precision
+    min(precision, H.precision, K.precision) of its summands."""
+    p = q.prime
+    precision = _engine_precision(budget, precision)
+    res = _residues(q, p, precision)
+    mod = res.mod
+    pn_q = q_int(p * n, q.value)
     gain = int(padic_valuation(pn_q, p))
     series = _TruncatedSeries(p, precision, budget, gain, "assembly tail")
     for k in range(1, budget.max_terms + 1):
-        s, chi = r + k, TeichChar(p, -(r + k))
-        inner = PadicApprox.zero(p, precision)
+        s, chi = r + k, -(r + k) % (p - 1)
+        q_k = pow(res.q, k, mod) if residue_weighted else 1
+        inner, low, weight = 0, precision, 1
         for a in range(1, p):
-            part = H_pq(s, a, p, q, budget, precision) + K_pq(n, s, a, p, q, budget, precision)
-            weight = qv ** (a * k) if residue_weighted else 1
-            inner = inner + chi.value(a, precision) * part * weight
-        term = 2 * inner * (_merge_coefficient(r, k) * (-1) ** n) * pn_q**k
+            h, kk = H_pq(s, a, p, q, budget, precision), K_pq(n, s, a, p, q, budget, precision)
+            weight = weight * q_k % mod  # q^(ak) or 1
+            inner += pow(res.units(a)[0], chi, mod) * (h.residue + kk.residue) * weight
+            low = min(low, h.precision, kk.precision)
+        term = PadicApprox(p, 2 * inner, low) * (_merge_coefficient(r, k) * (-1) ** n) * pn_q**k
         if series.add(k, term.residue, term.precision):
             break
     tail = series.result()
@@ -535,7 +594,8 @@ def _block_sum_t_form(r, n, a, q: QParam, F, budget, precision):
     """The regrouped expansion: double Euler series plus the closed
     correction series T in place of the power-difference tail."""
     series = _block_series(r, n, a, q, F, budget, precision, f"regrouped expansion (a={a})", False)
-    w_pow = teichmuller(a, q.prime, precision) ** (-r)
+    res = _residues(q, F, precision)
+    w_pow = PadicApprox(res.prime, pow(res.units(a)[0], -r, res.mod), precision)
     t_val = T_pq(n, r, a, F, q, budget, precision)
     total = series.result() - w_pow * t_val * Fraction(1, 2)
     return total.reduce(min(total.precision, budget.target))
@@ -739,7 +799,7 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     any shortfall.  Failures are report content, never exceptions.
     """
     p = _check_point(r, n, q)
-    precision = _default_precision(budget, precision)
+    precision = _engine_precision(budget, precision)
     F = p
     qv = q.value
     target = budget.target

@@ -238,6 +238,8 @@ def test_verify_other_suites_reject_grid_flags(capsys):
         ["zeta", "--s", "1", "--x", "1e-300", "--q", "0.5"],
         ["lvalue", "--side", "padic", "--s", "1", "--q", "6", "--F", "0"],
         ["lvalue", "--side", "padic", "--s", "1", "--q", "6", "--F", "-5"],
+        ["theorem5", "--r", "1", "--n", "2", "--p", "5", "--q", "6", "--M", "4", "--N", "2"],
+        ["theorem5", "--r", "1", "--n", "2", "--p", "5", "--q", "6", "--M", "4", "--N", "3"],
     ],
 )
 def test_malformed_input_exits_two(capsys, argv):

@@ -327,6 +327,17 @@ def test_explicit_precision_below_one_rejected():
             theorem5_verify(2, 2, Q6, BUDGET, precision)
 
 
+def test_engine_precision_below_target_rejected():
+    # every series of the expansion engine has an integer exponent, whose
+    # terms carry exactly the working precision, so none certifies below
+    # the target: that is invalid input, not a failure to converge
+    for precision in (2, 3):
+        for fn in (theorem5_verify, theorem5_rhs, theorem5_rhs_weighted):
+            with pytest.raises(OutOfDomain):
+                fn(1, 2, Q6, BUDGET, precision)
+    assert theorem5_rhs(1, 2, Q6, BUDGET, 4).precision == 4
+
+
 def test_doubling_max_terms_is_invisible():
     base = SeriesBudget(target=4, max_terms=60)
     double = SeriesBudget(target=4, max_terms=120)

@@ -2,9 +2,11 @@
 
 Every series in ``lfunc`` runs on integer residues mod p^N.  These tests
 keep the exact-rational formulation as the reference: the closed-form
-q-Euler numbers for the recurrence table, the Fraction-scalar series
-loop for H, T, K and l, and the term-by-term double loop for the exact
-reindexing stage.
+q-Euler numbers for the recurrence table, direct modular powers and
+``teichmuller``/``angle_bracket`` for the per-point tables, the
+Fraction-scalar series loop for H, T, K and l, the PadicApprox loop for
+the character-sum assembly, and the term-by-term double loop for the
+exact reindexing stage.
 """
 
 import sys
@@ -14,16 +16,21 @@ from fractions import Fraction
 import pytest
 
 from qeuler import (
+    PadicApprox,
     QParam,
     SeriesBudget,
     TeichChar,
     TruncationNotConverged,
+    angle_bracket,
     binom_int,
+    binom_zp,
     embed,
     euler_number_classical,
     euler_number_q,
     padic_valuation,
+    power_zp,
     q_int,
+    teichmuller,
     theorem5_verify,
 )
 from qeuler import lfunc
@@ -31,10 +38,11 @@ from qeuler.lfunc import (
     H_pq,
     K_pq,
     T_pq,
-    _angle_power,
+    T_pq_chi,
     _as_exponent,
+    _merge_coefficient,
     _Residues,
-    _series_binom,
+    _theorem5_rhs,
     l_pq,
 )
 
@@ -72,16 +80,31 @@ def test_recurrence_table_at_the_series_base(p, qv):
 def test_shared_table_grows_consistently_across_threads():
     # one table per point is shared by every caller in the process; threads
     # extending it together must build the single-threaded table
-    q, depth, workers = QParam(Fraction(32), 31), 80, 4
+    q, depth = QParam(Fraction(32), 31), 80
     shared = _Residues(q, 31, 12)
-    start = threading.Barrier(workers)
 
     def extend():
-        start.wait()
         for m in range(depth):
             shared.euler(m)
 
-    threads = [threading.Thread(target=extend) for _ in range(workers)]
+    _grow_in_threads(extend)
+    assert shared._euler == [_Residues(q, 31, 12).euler(m) for m in range(depth)]
+
+
+def _grow_in_threads(work, workers=4):
+    """Run work() in `workers` threads released together, at a 1 us switch
+    interval so that they interleave inside each table extension."""
+    start = threading.Barrier(workers)
+    errors = []
+
+    def run():
+        start.wait()
+        try:
+            work()
+        except Exception as exc:  # a thread's exception would only warn
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(workers)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -92,7 +115,53 @@ def test_shared_table_grows_consistently_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert shared._euler == [_Residues(q, 31, 12).euler(m) for m in range(depth)]
+    assert not errors, errors
+
+
+@pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(31, 6)), (5, Fraction(1)), (7, Fraction(50))])
+@pytest.mark.parametrize("F_over_p", [1, 3])
+def test_coefficient_rows_match_direct_powers(p, qv, F_over_p):
+    # the rows' running products against the three modular powers per term
+    F = p * F_over_p
+    table = _Residues(QParam(qv, p), F, 10)
+    mod = table.mod
+    for a in (1, 2, F - 1):
+        step = table.step(a)
+        for n in (0, 2, 4):
+            def w(x):
+                return pow(x, n, mod) - 1 if n else 1
+
+            for j in range(30):
+                want = pow(step, j, mod) * table.euler(j) * w(pow(table.Q, j, mod)) % mod
+                assert table.coeff(a, n, j) == want, (a, n, j)
+
+
+@pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(1)), (7, Fraction(50)), (31, Fraction(32))])
+def test_unit_table_matches_teichmuller_and_angle_bracket(p, qv):
+    q = QParam(qv, p)
+    for F in (p, 3 * p):
+        table = _Residues(q, F, 9)
+        for a in range(1, F):
+            if a % p:
+                assert table.units(a) == (teichmuller(a, p, 9).residue, angle_bracket(a, q, 9).residue), a
+
+
+def test_coefficient_rows_grow_consistently_across_threads():
+    q, depth = QParam(Fraction(32), 31), 40
+    rows = [(a, n) for a in (1, 2, 30) for n in (0, 2, 4)]
+    shared = _Residues(q, 31, 12)
+
+    def extend():
+        for j in range(depth):
+            for a, n in rows:
+                shared.coeff(a, n, j)
+            shared.units(1 + j % 30)
+
+    _grow_in_threads(extend)
+    serial = _Residues(q, 31, 12)
+    for a, n in rows:
+        assert shared._rows[a, n][0] == [serial.coeff(a, n, j) for j in range(depth)], (a, n)
+    assert shared._units == {a: serial.units(a) for a in range(1, 31)}
 
 
 # -- the Fraction-scalar series, as the engine computed them before ---------
@@ -124,7 +193,7 @@ def _fraction_series(kind, n, s, a, F, q, budget, precision):
     total, quiet, slack, done = embed(0, p, precision), 0, 0, False
     for j in range(0 if kind == "H" else 1, budget.max_terms + 1):
         scalar = _scalar(kind, n, j, a, F, q.value)
-        b = _series_binom(s, j)
+        b = binom_int(-s, j) if isinstance(s, int) else binom_zp(-s, j)
         term = embed(b * scalar, p, precision) if isinstance(b, int) else b * scalar
         total = total + term
         v = term.valuation
@@ -137,7 +206,7 @@ def _fraction_series(kind, n, s, a, F, q, budget, precision):
     if not done:
         raise TruncationNotConverged(kind)
     sign = Fraction((-1) ** a, 1 if kind == "T" else 2)
-    val = total * _angle_power(a, s, q, precision) * sign
+    val = total * power_zp(angle_bracket(a, q, precision), -s) * sign
     return val.reduce(min(val.precision, budget.target))
 
 
@@ -191,6 +260,79 @@ def test_l_value_matches_fraction_scalar_formula(p, qv):
             total = total + chi.value(a, 10) * _fraction_series("H", 0, s, a, p, q, budget, 10)
         want = (2 * total).reduce(min(total.precision, 4))
         assert _pair(l_pq(s, chi, p, q, budget, 10)) == _pair(want), s
+
+
+# -- the character-sum assembly, as the engine computed it before ----------
+
+
+def _padic_assembly(r, n, q, budget, precision, residue_weighted):
+    """The plain or weighted expansion side summed on PadicApprox values,
+    with the Fraction weight q^(ak), under the engine's stopping rule."""
+    p, qv = q.prime, q.value
+    precision = budget.target + 6 if precision is None else precision
+    pn_q = q_int(p * n, qv)
+    gain = int(padic_valuation(pn_q, p))
+    series = lfunc._TruncatedSeries(p, precision, budget, gain, "assembly tail")
+    for k in range(1, budget.max_terms + 1):
+        s, chi = r + k, TeichChar(p, -(r + k))
+        inner = PadicApprox.zero(p, precision)
+        for a in range(1, p):
+            part = H_pq(s, a, p, q, budget, precision) + K_pq(n, s, a, p, q, budget, precision)
+            weight = qv ** (a * k) if residue_weighted else 1
+            inner = inner + chi.value(a, precision) * part * weight
+        term = 2 * inner * (_merge_coefficient(r, k) * (-1) ** n) * pn_q**k
+        if series.add(k, term.residue, term.precision):
+            break
+    tail = series.result()
+    t_chi = T_pq_chi(n, r, TeichChar(p, -r), p, q, budget, precision)
+    if residue_weighted:
+        t_chi = t_chi * Fraction(1, 2)
+    rhs = -tail - t_chi
+    return rhs.reduce(min(rhs.precision, budget.target)), series.used
+
+
+class _TermLog(lfunc._TruncatedSeries):
+    """The series accumulator, logging every assembly-tail term it is given:
+    each term gains at least one digit from [pn]_q^k, so the reported value
+    alone cannot show a term's precision off by one."""
+
+    log = []
+
+    def add(self, index, residue, precision):
+        if self.label == "assembly tail":
+            self.log.append((index, residue, precision))
+        return super().add(index, residue, precision)
+
+
+def _assembly_outcome(compute):
+    """(residue, precision, truncation index) or the exception type, and
+    the terms summed on the way."""
+    _TermLog.log = []
+    try:
+        value, used = compute()
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc).__name__, _TermLog.log
+    return (value.residue, value.precision, used), _TermLog.log
+
+
+# (budget, working precision): the default margin, none, and a short tail
+ASSEMBLY_BUDGETS = [(SeriesBudget(4), None), (SeriesBudget(3), 3), (SeriesBudget(4, 10), 4)]
+
+
+@pytest.mark.parametrize(
+    "p, qv",
+    [(5, Fraction(6)), (5, Fraction(1)), (5, Fraction(31, 6)), (7, Fraction(50)), (31, Fraction(32))],
+)
+def test_assembly_matches_the_padic_loop(monkeypatch, p, qv):
+    monkeypatch.setattr(lfunc, "_TruncatedSeries", _TermLog)
+    q = QParam(qv, p)
+    for budget, precision in ASSEMBLY_BUDGETS:
+        for r in (1, 2, 3):
+            for n in (2, 4):
+                for weighted in (False, True):
+                    args = (r, n, q, budget, precision, weighted)
+                    want = _assembly_outcome(lambda: _padic_assembly(*args))
+                    assert _assembly_outcome(lambda: _theorem5_rhs(*args)) == want, args
 
 
 # -- the exact reindexing oracle -------------------------------------------
