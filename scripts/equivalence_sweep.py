@@ -1,4 +1,4 @@
-"""Sweep the p-adic layer's public values into one sorted JSON file.
+"""Sweep the p-adic and exact layers' public values into one sorted JSON file.
 
 Usage:
 
@@ -8,7 +8,10 @@ imports ``qeuler`` from the directory SRC (the ``src`` of some checkout)
 and writes to OUT, for every point of a fixed grid, either
 ``[residue, precision]`` or ``{"raised": <exception type>}`` of ``H_pq``,
 ``K_pq``, ``T_pq``, ``l_pq``, ``K_pq_chi``, ``theorem5_rhs`` and
-``theorem5_rhs_weighted``, plus ``theorem5_verify(...).to_dict()``.  Two
+``theorem5_rhs_weighted``, plus ``theorem5_verify(...).to_dict()``, and
+``"num/den"`` of the exact ``euler_number_q``, ``euler_poly_q``, the three
+``alt_power_sum`` forms, ``fermionic_riemann`` and ``theorem5_lhs_exact``
+on a grid of inputs that every revision accepts.  Two
 checkouts compute the same values when their files are byte-identical,
 so running it on both sides of a change and comparing the sha256 printed
 at the end is an equivalence check.  Everything runs in one process, in
@@ -39,6 +42,9 @@ POINTS = [
 # margin, a short term limit, and a high target that few series reach
 BUDGETS = [(4, None, 60, 5), (3, 3, 60, 5), (4, 10, 8, 5), (6, 6, 4, 3)]
 EXPANSION_POINTS = [(1, 2), (2, 2), (2, 4), (3, 4)]
+# exact layer: negative, zero, near-one, integral and non-integral q
+EXACT_QS = [Fraction(1, 2), Fraction(2, 3), Fraction(6), Fraction(-3, 7),
+            Fraction(32, 31), Fraction(0), Fraction(26), Fraction(31, 6)]
 
 
 def exponents(qe, p):
@@ -103,6 +109,44 @@ def sweep(qe) -> dict:
     return out
 
 
+def exact_sweep(qe) -> dict:
+    out = {}
+
+    def put(name, value):
+        out[f"exact {name}"] = f"{value.numerator}/{value.denominator}"
+
+    for qv in EXACT_QS:
+        for m in range(21):
+            put(f"q={qv} euler_number m={m}", qe.euler_number_q(m, qv))
+        for f in (1, 3, 5):
+            for a in range(8):
+                for n in range(13):
+                    put(f"q={qv} euler_poly n={n} a={a} f={f}",
+                        qe.euler_poly_q(n, qe.PolyArg(a, f, qv)))
+    for qv in EXACT_QS + [Fraction(1)]:
+        for n in range(15):
+            for m in range(9):
+                put(f"q={qv} alt_power_sum n={n} m={m}", qe.alt_power_sum(n, m, qv))
+                if qv != 1:
+                    put(f"q={qv} alt_power_sum_closed n={n} m={m}",
+                        qe.alt_power_sum_closed(n, m, qv))
+                    put(f"q={qv} alt_power_sum_polyform n={n} m={m}",
+                        qe.alt_power_sum_polyform(n, m, qv))
+    for p, qv in POINTS:
+        q = qe.QParam(qv, p)
+        for r, n in EXPANSION_POINTS:
+            put(f"p={p} q={qv} lhs r={r} n={n}", qe.theorem5_lhs_exact(r, n, q))
+        if qv == 1:
+            continue
+        for level in (1, 2, 3):
+            if p**level > 400:
+                break
+            for m in range(5):
+                put(f"p={p} q={qv} fermionic m={m} level={level}",
+                    qe.fermionic_riemann(m, q, level))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="directory that contains the qeuler package")
@@ -115,7 +159,9 @@ def main(argv=None) -> int:
 
     if Path(qe.__file__).resolve().parent != src / "qeuler":
         sys.exit(f"equivalence_sweep: imported {qe.__file__}, not the package under {src}")
-    text = json.dumps(sweep(qe), sort_keys=True, indent=0) + "\n"
+    if hasattr(sys, "set_int_max_str_digits"):  # theorem5_lhs_exact runs to 40,000 digits
+        sys.set_int_max_str_digits(0)
+    text = json.dumps(sweep(qe) | exact_sweep(qe), sort_keys=True, indent=0) + "\n"
     Path(args.out).write_text(text)
     print(f"{hashlib.sha256(text.encode()).hexdigest()}  {args.out} ({text.count(chr(10)) - 1} lines)")
     return 0

@@ -42,16 +42,19 @@ class PolyArg:
             raise OutOfDomain(f"denominator f must be odd and positive, got {self.f}")
 
 
-@lru_cache(maxsize=None)
-def _euler_number_q(m: int, q: Fraction) -> Fraction:
-    total = Fraction(0)
-    for i in range(m + 1):
-        total += Fraction(binom_int(m, i) * (-1) ** i, 1) / (1 + q**i)
-    return 2 * (Fraction(1) / (1 - q)) ** m * total
+def _reject_minus_one(qv: Fraction) -> None:
+    """q = -1 makes 1 + q^i vanish at every odd i."""
+    if qv == -1:
+        raise OutOfDomain("q = -1 is outside the domain: 1 + q vanishes")
+
+
+def _check_orders(n: int, m: int) -> None:
+    if n < 0 or m < 0:
+        raise OutOfDomain(f"length and order must be >= 0, got n = {n}, m = {m}")
 
 
 def euler_number_q(m: int, q) -> Fraction:
-    """The q-Euler number E_{m,q}, exactly.
+    """The q-Euler number E_{m,q} = E_{m,q}(0), exactly.
 
     E_{m,q} = 2 (1/(1-q))^m sum_{i<=m} binom(m,i) (-1)^i / (1 + q^i).
     """
@@ -60,16 +63,23 @@ def euler_number_q(m: int, q) -> Fraction:
     qv = as_fraction(q)
     if qv == 1:
         raise QIsOne("use euler_number_classical for q = 1")
-    return _euler_number_q(m, qv)
+    _reject_minus_one(qv)
+    return _euler_poly_q(m, 0, 1, qv)
 
 
 @lru_cache(maxsize=None)
 def _euler_poly_q(n: int, a: int, f: int, q: Fraction) -> Fraction:
-    qf = q**f
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += binom_int(n, k) * (-(q**a)) ** k / (1 + q ** (f * k))
-    return 2 * (Fraction(1) / (1 - qf)) ** n * total
+    # With Q = q^f = U/V and q^a = x/y, y^n times the k-th summand is the
+    # small fraction binom(n,k) (-x)^k y^(n-k) V^k / (V^k + U^k); the sum
+    # is scaled once by 2 V^n / ((V - U)^n y^n).
+    qf, qa = q**f, q**a
+    U, V = qf.numerator, qf.denominator
+    x, y = qa.numerator, qa.denominator
+    total = sum(
+        Fraction(binom_int(n, k) * (-x) ** k * y ** (n - k) * V**k, V**k + U**k)
+        for k in range(n + 1)
+    )
+    return Fraction(2 * V**n, (V - U) ** n * y**n) * total
 
 
 def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
@@ -82,6 +92,7 @@ def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
         raise OutOfDomain("order must be >= 0")
     if arg.q == 1:
         raise QIsOne("use euler_poly_classical for q = 1")
+    _reject_minus_one(arg.q)
     return _euler_poly_q(n, arg.a, arg.f, arg.q)
 
 
@@ -109,9 +120,23 @@ def euler_number_classical(n: int) -> Fraction:
 
 
 def alt_power_sum(n: int, m: int, q) -> Fraction:
-    """The finite alternating power sum 2 sum_{l<n} (-1)^l [l]_q^m, directly."""
+    """The finite alternating power sum 2 sum_{l<n} (-1)^l [l]_q^m, directly.
+
+    With q = u/v, [l]_q = B_l / v^(l-1) where B_0 = 0 and
+    B_(l+1) = v^l + u B_l, so the sum is one integer, built by Horner
+    over the common denominator v^((n-2)m), divided once.  At q = 1,
+    B_l = l; at m = 0, [0]_q^0 = 0^0 = 1.
+    """
+    _check_orders(n, m)
     qv = as_fraction(q)
-    return 2 * sum(((-1) ** l) * q_int(l, qv) ** m for l in range(n))
+    u, v = qv.numerator, qv.denominator
+    vm = v**m
+    acc, b, vl = 0, 0, 1  # b = B_l, vl = v^l
+    for l in range(n):
+        acc = acc * vm + (-(b**m) if l % 2 else b**m)
+        b, vl = vl + u * b, vl * v
+    # below n = 2 the sum is empty or [0]_q^m, an integer
+    return Fraction(2 * acc, v ** (max(n - 2, 0) * m))
 
 
 def alt_power_sum_closed(n: int, m: int, q) -> Fraction:
@@ -119,15 +144,25 @@ def alt_power_sum_closed(n: int, m: int, q) -> Fraction:
 
     (-1)^(n+1) sum_{l<m} binom(m,l) q^(nl) E_{l,q} [n]_q^(m-l)
         + ((-1)^(n+1) q^(nm) + 1) E_{m,q}.
+
+    With q^n = x/y, the denominator of [n]_q divides y, so [n]_q = w/y
+    and the l-th summand is the integer binom(m,l) x^l w^(m-l) times
+    E_{l,q}, over the one denominator y^m; the q^(nm) E_{m,q} part is the
+    summand at l = m.
     """
+    _check_orders(n, m)
     qv = as_fraction(q)
     if qv == 1:
         raise QIsOne("closed form needs q != 1")
-    sign = (-1) ** (n + 1)
-    acc = Fraction(0)
-    for l in range(m):
-        acc += binom_int(m, l) * qv ** (n * l) * _euler_number_q(l, qv) * q_int(n, qv) ** (m - l)
-    return sign * acc + (sign * qv ** (n * m) + 1) * _euler_number_q(m, qv)
+    _reject_minus_one(qv)
+    qn, bn = qv**n, q_int(n, qv)
+    x, y = qn.numerator, qn.denominator
+    w = bn.numerator * (y // bn.denominator)
+    acc = sum(
+        binom_int(m, l) * x**l * w ** (m - l) * _euler_poly_q(l, 0, 1, qv)
+        for l in range(m + 1)
+    )
+    return Fraction((-1) ** (n + 1), y**m) * acc + _euler_poly_q(m, 0, 1, qv)
 
 
 def alt_power_sum_polyform(n: int, m: int, q) -> Fraction:
@@ -137,10 +172,12 @@ def alt_power_sum_polyform(n: int, m: int, q) -> Fraction:
 
     the tail-splitting of the regularized alternating series at n.
     """
+    _check_orders(n, m)
     qv = as_fraction(q)
     if qv == 1:
         raise QIsOne("polynomial form needs q != 1")
-    return (-1) ** (n + 1) * _euler_poly_q(m, n, 1, qv) + _euler_number_q(m, qv)
+    _reject_minus_one(qv)
+    return (-1) ** (n + 1) * _euler_poly_q(m, n, 1, qv) + _euler_poly_q(m, 0, 1, qv)
 
 
 @dataclass(frozen=True)
@@ -182,8 +219,10 @@ def fermionic_riemann(m: int, q: QParam, level: int) -> Fraction:
         raise OutOfDomain("fermionic_riemann needs a QParam with prime context")
     if level < 1:
         raise OutOfDomain("level must be >= 1")
+    if m < 0:
+        raise OutOfDomain("order must be >= 0")
     qv = q.value
     count = q.prime**level
-    # q^(-x) (-q)^x collapses to (-1)^x, keeping every summand small.
-    total = sum((-1) ** x * q_int(x, qv) ** m for x in range(count))
-    return Fraction(2) / q_int(2, qv) / q_int_neg(count, qv) * total
+    # q^(-x) (-q)^x collapses to (-1)^x, so the sum is alt_power_sum / 2
+    # and its 1/2 cancels the 2 of 2/[2]_q.
+    return alt_power_sum(count, m, qv) / (q_int(2, qv) * q_int_neg(count, qv))

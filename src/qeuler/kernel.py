@@ -144,11 +144,14 @@ def q_int_neg(x: int, q: RationalLike) -> Fraction:
 
     Evaluated in closed form as (1 - (-q)^x)/(1 + q), which is the exact
     value of the alternating geometric sum.  q = 1 is rejected: every
-    caller of this quantity lives on the q-deformed side.
+    caller of this quantity lives on the q-deformed side.  So is q = -1,
+    where 1 + q vanishes.
     """
     qv = as_fraction(q)
     if qv == 1:
         raise QIsOne("[x]_{-q} is reserved for q != 1")
+    if qv == -1:
+        raise OutOfDomain("[x]_{-q} is undefined at q = -1")
     return (1 - (-qv) ** x) / (1 + qv)
 
 

@@ -1,7 +1,11 @@
 """q-Euler numbers/polynomials, alternating sums, the fermionic oracle."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -23,9 +27,14 @@ from qeuler import (
     fermionic_riemann,
     padic_valuation,
     q_int,
+    q_int_neg,
 )
+from qeuler.cli import main
 
 QS = (Fraction(1, 2), Fraction(2, 3), Fraction(6))
+# the grid of the reference-oracle tests: a negative q, a q close to 1
+# whose powers grow large, and q = 0, where 0^0 = 1 matters
+ORACLE_QS = QS + (Fraction(-3, 7), Fraction(32, 31), Fraction(0))
 
 
 def _series_euler_numbers(order):
@@ -214,3 +223,125 @@ def test_fermionic_gap_slack_at_most_one():
 def test_fermionic_requires_prime_context():
     with pytest.raises(OutOfDomain):
         fermionic_riemann(1, QParam(Fraction(6)), 2)
+
+
+# -- reference oracles: the defining formulas, summed one Fraction term at a
+# time, against which the integer-numerator sums are checked exactly
+
+
+def _euler_poly_loop(n, a, f, q):
+    total = Fraction(0)
+    for k in range(n + 1):
+        total += binom_int(n, k) * (-(q**a)) ** k / (1 + q ** (f * k))
+    return 2 * (Fraction(1) / (1 - q**f)) ** n * total
+
+
+def _euler_number_loop(m, q):
+    total = Fraction(0)
+    for i in range(m + 1):
+        total += Fraction(binom_int(m, i) * (-1) ** i, 1) / (1 + q**i)
+    return 2 * (Fraction(1) / (1 - q)) ** m * total
+
+
+def _alt_power_sum_loop(n, m, q):
+    return 2 * sum(((-1) ** l) * q_int(l, q) ** m for l in range(n))
+
+
+def _closed_loop(n, m, q):
+    sign = (-1) ** (n + 1)
+    acc = Fraction(0)
+    for l in range(m):
+        acc += binom_int(m, l) * q ** (n * l) * _euler_number_loop(l, q) * q_int(n, q) ** (m - l)
+    return sign * acc + (sign * q ** (n * m) + 1) * _euler_number_loop(m, q)
+
+
+def _polyform_loop(n, m, q):
+    return (-1) ** (n + 1) * _euler_poly_loop(m, n, 1, q) + _euler_number_loop(m, q)
+
+
+def _fermionic_loop(m, q, level):
+    qv, count = q.value, q.prime**level
+    total = sum((-1) ** x * q_int(x, qv) ** m for x in range(count))
+    return Fraction(2) / q_int(2, qv) / q_int_neg(count, qv) * total
+
+
+def _same(got, want):
+    return isinstance(got, Fraction) and got == want
+
+
+@pytest.mark.parametrize("q", ORACLE_QS, ids=str)
+def test_euler_numbers_match_loop_oracle(q):
+    for m in range(15):
+        assert _same(euler_number_q(m, q), _euler_number_loop(m, q)), m
+
+
+@pytest.mark.parametrize("q", ORACLE_QS, ids=str)
+def test_euler_polys_match_loop_oracle(q):
+    for f in (1, 3, 5, 15):
+        for a in range(8):
+            for n in range(15):
+                got = euler_poly_q(n, PolyArg(a, f, q))
+                assert _same(got, _euler_poly_loop(n, a, f, q)), (n, a, f)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (Fraction(1),), ids=str)
+def test_alternating_sums_match_loop_oracles(q):
+    for n in range(15):
+        for m in range(9):
+            want = _alt_power_sum_loop(n, m, q)
+            assert _same(alt_power_sum(n, m, q), want), (n, m)
+            if q != 1:
+                assert _same(alt_power_sum_closed(n, m, q), _closed_loop(n, m, q)), (n, m)
+                assert _same(alt_power_sum_polyform(n, m, q), _polyform_loop(n, m, q)), (n, m)
+
+
+def test_fermionic_matches_loop_oracle_at_non_integral_q():
+    # q = 31/6 has denominator v = 6, so [x]_q = B_x / 6^(x-1) is not integral
+    for qv, p in ((Fraction(31, 6), 5), (Fraction(6), 5)):
+        q = QParam(qv, p)
+        for m in range(5):
+            assert _same(fermionic_riemann(m, q, 3), _fermionic_loop(m, q, 3)), (qv, m)
+
+
+def test_q_minus_one_rejected():
+    q = Fraction(-1)
+    for call in (
+        lambda: euler_number_q(3, q),
+        lambda: euler_poly_q(3, PolyArg(1, 3, q)),
+        lambda: alt_power_sum_closed(3, 2, q),
+        lambda: alt_power_sum_polyform(3, 2, q),
+        lambda: q_int_neg(3, q),
+    ):
+        with pytest.raises(OutOfDomain):
+            call()
+    # the direct sum never divides by 1 + q: [l]_{-1} is 1 at odd l, else 0
+    assert alt_power_sum(4, 2, q) == -4 == _alt_power_sum_loop(4, 2, q)
+
+
+def test_negative_orders_rejected():
+    q = Fraction(1, 2)
+    for fn in (alt_power_sum, alt_power_sum_closed, alt_power_sum_polyform):
+        for n, m in ((3, -1), (-2, 2), (-1, 0)):
+            with pytest.raises(OutOfDomain):
+                fn(n, m, q)
+    with pytest.raises(OutOfDomain):
+        fermionic_riemann(-1, QParam(Fraction(6), 5), 2)
+
+
+def test_euler_table_at_q_minus_one_exits_two(capsys):
+    code = main(["euler-table", "--q", "-1", "--max-m", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("invalid input:")
+
+
+def test_python_dash_m_runs_the_cli():
+    import qeuler
+
+    env = dict(os.environ, PYTHONPATH=str(Path(qeuler.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "qeuler", "euler-table", "--q", "-1", "--max-m", "3"]
+    bad = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert bad.returncode == 2 and bad.stderr.startswith("invalid input:")
+    argv[-3:] = ["6", "--max-m", "2"]
+    good = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert good.returncode == 0 and "5/259" in good.stdout
