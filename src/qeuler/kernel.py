@@ -34,6 +34,8 @@ def padic_valuation_int(n: int, p: int):
 
 def padic_valuation(x, p: int):
     """v_p of an exact int or Fraction; math.inf for zero."""
+    if p < 2:
+        raise OutOfDomain(f"a valuation needs a base p >= 2, got {p}")
     x = Fraction(x)
     if x == 0:
         return math.inf
@@ -136,6 +138,8 @@ def q_int(x: int, q: RationalLike) -> Fraction:
     qv = as_fraction(q)
     if qv == 1:
         return Fraction(x)
+    if qv == 0 and x < 0:
+        raise OutOfDomain(f"[{x}]_q needs q != 0")
     return (1 - qv**x) / (1 - qv)
 
 
@@ -152,6 +156,8 @@ def q_int_neg(x: int, q: RationalLike) -> Fraction:
         raise QIsOne("[x]_{-q} is reserved for q != 1")
     if qv == -1:
         raise OutOfDomain("[x]_{-q} is undefined at q = -1")
+    if qv == 0 and x < 0:
+        raise OutOfDomain(f"[{x}]_{{-q}} needs q != 0")
     return (1 - (-qv) ** x) / (1 + qv)
 
 

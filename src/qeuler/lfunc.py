@@ -14,11 +14,7 @@ from the integral recurrence
     (1 + Q^m) E_{m,Q} = 2 [m = 0] - sum_{k<m} binom(m, k) Q^k E_{k,Q},
 
 which divides only by 1 + Q^m == 2 (mod p) and serves q = 1 and q != 1
-alike.  The exact closed forms of the rational layer remain the oracles
-of the verification stages.  A Z_p exponent (a non-integer s) is the one
-exception: its p-adic binomial is multiplied by the exact rational
-scalar, which adds the scalar's valuation to the term's precision.
-Truncated series are certified by a stability window plus an audited
+alike.  Truncated series are certified by a stability window plus an audited
 geometric valuation gain per term; results are reported modulo
 p**target of their budget, never beyond what the certificate covers.
 
@@ -29,20 +25,24 @@ q, Q = q^F, the q-integers and the Euler numbers, that table holds the
 Teichmuller residues w(a), the 1-units <a> = [a]_q / w(a), and per (a, n)
 the coefficient row c_j = step(a)^j E_{j,Q} w_n(Q^j) of the H (n = 0,
 w_0 = 1) and K (w_n(x) = x^n - 1) series, built by running products.  An
-integer exponent steps its binomial through the row; <a>^(-s) and the
+integer exponent steps its exact binomial through the row, a Z_p exponent
+multiplies its p-adic binomial by the row's residue; <a>^(-s) and the
 regrouping stage's w(a)^(-r) read the same table.  Both character-sum
 assemblies sum sum_a w(a)^(-(r+k)) (H + K)(r+k, a) q^(ak) (or weight 1)
 on integer residues, at the precision min(precision, H.precision,
 K.precision) over the residues, then scale that one p-adic value by the
 exact coefficient of term k.  The engine's working precision must reach
 its target: below it no integer-exponent series can certify.
+The left-hand side and its per-residue block sums are signed sums over
+one table of [j]_q^(-r) mod p**N; the rational closed forms of both stay
+outside the engine, as the tests' oracles.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -97,7 +97,8 @@ class _TruncatedSeries:
     Stops once `window` consecutive terms have valuation >= target AND
     the audited bound v(term_k) >= k*gain - slack certifies that the
     entire dropped tail is negligible; raises TruncationNotConverged
-    when max_terms is exhausted first.
+    when max_terms is exhausted first.  The sum is reported modulo
+    p**target at most, the digits the certificate covers.
     """
 
     def __init__(self, p, precision, budget, gain, label):
@@ -134,21 +135,7 @@ class _TruncatedSeries:
                 f"series '{self.label}' not certified within {self.used + 1} terms "
                 f"(window {self.budget.window}, target {self.budget.target})"
             )
-        return PadicApprox(self.prime, self.residue, self.precision)
-
-
-def _euler_term(j: int, q: Fraction, f: int) -> Fraction:
-    """E_{j, q^f} exactly, with the classical Euler number serving q = 1."""
-    if q == 1:
-        return euler_number_classical(j)
-    return euler_number_q(j, q**f)
-
-
-def _euler_poly_term(n: int, a: int, f: int, q: Fraction) -> Fraction:
-    """E_{n, q^f}(a/f), classical at q = 1."""
-    if q == 1:
-        return euler_poly_classical(n, Fraction(a, f))
-    return euler_poly_q(n, PolyArg(a, f, q))
+        return PadicApprox(self.prime, self.residue, min(self.precision, self.budget.target))
 
 
 class _Residues:
@@ -235,12 +222,13 @@ def _residues(q: QParam, F: int, precision: int) -> _Residues:
     return _Residues(q, F, precision)
 
 
-def _series(label, s, start, gain, coeff, exact_coeff, p, precision, budget):
+def _series(label, s, start, gain, coeff, p, precision, budget):
     """The series kernel: sum_{j >= start} binom(-s, j) c_j, truncated per
     budget, where coeff(j) is c_j mod p**precision.  An integer s steps its
     binomial exactly, binom(-s, j+1) = binom(-s, j) (-s-j)/(j+1).  A Z_p
-    exponent s multiplies its p-adic binomial by the exact scalar
-    exact_coeff(j) instead, gaining v_p(c_j) digits.  Returns the
+    exponent s takes its p-adic binomial, which loses v_p(j!) digits to the
+    division by j!; v_p(c_j) >= j gain > v_p(j!) gives them back, so each
+    term is still known to the working precision.  Returns the
     _TruncatedSeries."""
     series = _TruncatedSeries(p, precision, budget, gain, label)
     mod = p**precision
@@ -250,7 +238,7 @@ def _series(label, s, start, gain, coeff, exact_coeff, p, precision, budget):
             done = series.add(j, b * coeff(j) % mod, precision)
             b = b * (-s - j) // (j + 1)
         else:
-            term = binom_zp(-s, j) * exact_coeff(j)
+            term = binom_zp(-s, j) * PadicApprox(p, coeff(j), precision)
             done = series.add(j, term.residue, term.precision)
         if done:
             break
@@ -319,16 +307,9 @@ def _partial(s, a, F, q: QParam, budget, precision, n) -> PadicApprox:
     def coeff(j):
         return res.coeff(a, n, j)
 
-    def exact_coeff(j):
-        qv = q.value
-        ratio = q_int(F, qv) / q_int(a, qv)
-        weight = qv ** (F * j * n) - 1 if n else 1
-        return (qv**a * ratio) ** j * _euler_term(j, qv, F) * weight
-
     label, start = (f"K(a={a})", 1) if n else (f"H(a={a})", 0)
-    series = _series(label, s, start, res.gain, coeff, exact_coeff, q.prime, precision, budget)
-    val = series.result() * _angle_power(res, a, s) * Fraction((-1) ** a, 2)
-    return val.reduce(min(val.precision, budget.target))
+    series = _series(label, s, start, res.gain, coeff, q.prime, precision, budget)
+    return series.result() * _angle_power(res, a, s) * Fraction((-1) ** a, 2)
 
 
 def H_pq(s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -372,12 +353,13 @@ def gen_euler_teich(n: int, chi: TeichChar, q: QParam, precision: int) -> PadicA
         raise OutOfDomain("character prime does not match q's prime context")
     qv = q.value
     if chi.is_trivial:
-        return embed(_euler_term(n, qv, 1), p, precision)
+        return embed(euler_number_classical(n) if qv == 1 else euler_number_q(n, qv), p, precision)
     total = PadicApprox.zero(p, precision)
     scale = q_int(p, qv) ** n
     for a in range(1, p):
         # scale * E is p-integral even at q = 1, where E_n(a/p) alone is not
-        term = embed(scale * _euler_poly_term(n, a, p, qv), p, precision)
+        e = euler_poly_classical(n, Fraction(a, p)) if qv == 1 else euler_poly_q(n, PolyArg(a, p, qv))
+        term = embed(scale * e, p, precision)
         total = total + chi.value(a, precision) * (-1) ** a * term
     return total
 
@@ -466,9 +448,35 @@ def theorem5_lhs_exact(r: int, n: int, q: QParam) -> Fraction:
     )
 
 
+def _inverse_powers(q: QParam, r: int, n: int, precision: int):
+    """{j: [j]_q^(-r) mod p**precision} over 1 <= j <= n*p coprime to p,
+    from [j+1]_q = 1 + q [j]_q on residues, and the (sign, index) pairs
+    ((-1)^j, j) of the alternating sum over them.  Each such [j]_q == j
+    (mod p) is a unit."""
+    p = q.prime
+    mod = p**precision
+    q_res = _residues(q, p, precision).q
+    table, b = {}, 0
+    for j in range(1, n * p + 1):
+        b = (1 + q_res * b) % mod
+        if j % p:
+            table[j] = pow(b, -r, mod)
+    return table, [((-1) ** j, j) for j in table]
+
+
+def _block_terms(a: int, n: int, F: int) -> list:
+    """The (sign, index) pairs ((-1)^(Fl+a), Fl+a), l < n, of the block sum
+    sum_{l<n} (-1)^(Fl+a) / [Fl+a]_q^r of residue a."""
+    return [((-1) ** (F * l + a), F * l + a) for l in range(n)]
+
+
 def theorem5_lhs(r: int, n: int, q: QParam, precision: int) -> PadicApprox:
-    """The exact alternating power sum embedded into Z_p."""
-    return embed(theorem5_lhs_exact(r, n, q), _require_prime(q), precision)
+    """The alternating power sum of :func:`theorem5_lhs_exact` in Z_p,
+    summed on residues mod p**precision."""
+    p = _check_point(r, n, q)
+    _validate_precision(precision)
+    powers, terms = _inverse_powers(q, r, n, precision)
+    return PadicApprox(p, 2 * sum(sign * powers[j] for sign, j in terms), precision)
 
 
 def _engine_precision(budget: SeriesBudget, precision) -> int:
@@ -513,8 +521,7 @@ def _theorem5_rhs(r, n, q, budget, precision, residue_weighted):
     t_chi = T_pq_chi(n, r, TeichChar(p, -r), p, q, budget, precision)
     if residue_weighted:
         t_chi = t_chi * Fraction(1, 2)
-    rhs = -tail - t_chi
-    return rhs.reduce(min(rhs.precision, budget.target)), series.used
+    return -tail - t_chi, series.used
 
 
 def theorem5_rhs(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -545,13 +552,6 @@ def theorem5_rhs_weighted(r: int, n: int, q: QParam, budget: SeriesBudget, preci
 # -- staged verification ----------------------------------------------------
 
 
-def _block_sum_exact(r: int, n: int, a: int, F: int, qv: Fraction) -> Fraction:
-    """sum_{l<n} (-1)^(Fl+a) / [Fl+a]_q^r, exactly."""
-    return sum(
-        Fraction((-1) ** (F * l + a), 1) / q_int(F * l + a, qv) ** r for l in range(n)
-    )
-
-
 def _block_series(r, n, a, q: QParam, F, budget, precision, label, power_tail):
     """Series expansion of the per-residue block sum (n even):
 
@@ -579,15 +579,7 @@ def _block_series(r, n, a, q: QParam, F, budget, precision, label, power_tail):
             c += ((-1) ** n * pow(q_n, s, mod) - 1) * res.euler(s)
         return unit * pow(step, s, mod) * c
 
-    return _series(label, r, 1, res.gain, coeff, None, p, precision, budget)
-
-
-def _block_sum_series(r, n, a, q: QParam, F, budget, precision):
-    """The block sum's Euler-series expansion (the odd-n boundary term
-    vanishes on this even-n engine), with its truncation index."""
-    series = _block_series(r, n, a, q, F, budget, precision, f"block expansion (a={a})", True)
-    total = series.result()
-    return total.reduce(min(total.precision, budget.target)), series.used
+    return _series(label, r, 1, res.gain, coeff, p, precision, budget)
 
 
 def _block_sum_t_form(r, n, a, q: QParam, F, budget, precision):
@@ -597,8 +589,7 @@ def _block_sum_t_form(r, n, a, q: QParam, F, budget, precision):
     res = _residues(q, F, precision)
     w_pow = PadicApprox(res.prime, pow(res.units(a)[0], -r, res.mod), precision)
     t_val = T_pq(n, r, a, F, q, budget, precision)
-    total = series.result() - w_pow * t_val * Fraction(1, 2)
-    return total.reduce(min(total.precision, budget.target))
+    return series.result() - w_pow * t_val * Fraction(1, 2)
 
 
 def _reindex_exact_check(r: int, depth: int) -> bool:
@@ -630,10 +621,14 @@ def _power_split_check(n, F, qv, l_max) -> bool:
     return True
 
 
-def _range_reindex_check(direct: Fraction, block_sums) -> bool:
-    """Exact check that the coprime-index sum equals its per-residue
-    double-sum rearrangement, 2 sum_a sum_{l<n} (-1)^(a+pl) / [a+pl]_q^r."""
-    return direct == 2 * sum(block_sums)
+def _index_range_check(lhs_terms, block_terms, lhs: int, blocks, mod: int) -> bool:
+    """The coprime-index sum equals its per-residue double-sum rearrangement
+    2 sum_a sum_{l<n} (-1)^(a+pl) / [a+pl]_q^r.  Exactly: (a, l) -> a + pl
+    maps the blocks' (sign, index) pairs one to one onto the alternating
+    sum's, which proves the rational identity term by term.  And on the
+    residues summed: lhs == 2 sum_a block (mod p**N)."""
+    paired = sorted(t for terms in block_terms for t in terms) == sorted(lhs_terms)
+    return paired and (lhs - 2 * sum(blocks)) % mod == 0
 
 
 @dataclass
@@ -651,17 +646,7 @@ class StageResult:
     detail: str = ""
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "description": self.description,
-            "passed": self.passed,
-            "agreement_valuation": self.agreement_valuation,
-            "saturated": self.saturated,
-            "lhs_digits": self.lhs_digits,
-            "rhs_digits": self.rhs_digits,
-            "diagnostic": self.diagnostic,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -806,15 +791,20 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     stages = []
     trunc = {}
 
-    block_sums = [_block_sum_exact(r, n, a, F, qv) for a in range(1, p)]
+    mod = p**precision
+    powers, lhs_terms = _inverse_powers(q, r, n, precision)
+    block_terms = [_block_terms(a, n, F) for a in range(1, p)]
+    blocks = [sum(sign * powers[j] for sign, j in terms) % mod for terms in block_terms]
+    lhs = PadicApprox(p, 2 * sum(sign * powers[j] for sign, j in lhs_terms), precision)
     pairs_series = []
     pairs_regroup = []
-    for a, block in enumerate(block_sums, start=1):
-        exact = embed(block, p, precision)
-        ser, used = _block_sum_series(r, n, a, q, F, budget, precision)
-        trunc[f"block-expansion/a={a}"] = used
-        pairs_series.append((f"a={a}", exact, ser))
-        pairs_regroup.append((f"a={a}", exact, _block_sum_t_form(r, n, a, q, F, budget, precision)))
+    for a, residue in enumerate(blocks, start=1):
+        block = PadicApprox(p, residue, precision)
+        # the odd-n boundary term of the expansion vanishes on this even-n engine
+        series = _block_series(r, n, a, q, F, budget, precision, f"block expansion (a={a})", True)
+        trunc[f"block-expansion/a={a}"] = series.used
+        pairs_series.append((f"a={a}", block, series.result()))
+        pairs_regroup.append((f"a={a}", block, _block_sum_t_form(r, n, a, q, F, budget, precision)))
     stages.append(
         _padic_stage(
             "alternating-block-series",
@@ -847,16 +837,14 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
             _power_split_check(n, F, qv, 10),
         )
     )
-    lhs_exact = theorem5_lhs_exact(r, n, q)
     stages.append(
         _exact_stage(
             "index-range-rearrangement",
             "coprime-index alternating sum equals its per-residue double sum",
-            _range_reindex_check(lhs_exact, block_sums),
+            _index_range_check(lhs_terms, block_terms, lhs.residue, blocks, mod),
         )
     )
 
-    lhs = embed(lhs_exact, p, precision)
     rhs, used = _theorem5_rhs(r, n, q, budget, precision, False)
     trunc["assembly"] = used
     val, sat = agreement(lhs, rhs)

@@ -114,6 +114,22 @@ def test_padic_valuation():
     assert padic_valuation(Fraction(0), 5) == math.inf
 
 
+@pytest.mark.parametrize("x", [0, 1, 7, Fraction(2, 3)])
+@pytest.mark.parametrize("p", [1, 0, -5])
+def test_padic_valuation_rejects_a_base_below_two(x, p):
+    # base 1 divides every integer forever; base 0 divides by zero
+    with pytest.raises(OutOfDomain):
+        padic_valuation(x, p)
+
+
+def test_negative_q_integers_reject_q_zero():
+    # [x]_q for x < 0 raises q to a negative power
+    for fn in (q_int, q_int_neg):
+        with pytest.raises(OutOfDomain):
+            fn(-2, 0)
+        assert fn(2, 0) == 1
+
+
 def _shift_grid(limit):
     for r in range(2, limit + 1):
         for j in range(limit + 1):

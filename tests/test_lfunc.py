@@ -303,18 +303,26 @@ def test_truncation_not_converged_is_raised():
 
 def test_series_cache_keeps_int_and_fraction_exponents_apart():
     # 2 == Fraction(2) and both hash alike, but an int exponent sums exact
-    # binomials while a Fraction one takes the Z_p path, which this budget
-    # cannot certify: the series cache must key them apart in either order
+    # binomials while a Fraction one takes the Z_p path: the series cache
+    # must key them apart in either order, and both paths give one value
     q, budget = QParam(1, 5), SeriesBudget(3)
     for order in ((2, Fraction(2)), (Fraction(2), 2)):
         _partial.cache_clear()
         for s in order:
-            if isinstance(s, int):
-                got = H_pq(s, 1, 5, q, budget, 3)
-                assert (got.residue, got.precision) == (122, 3)
-            else:
-                with pytest.raises(TruncationNotConverged):
-                    H_pq(s, 1, 5, q, budget, 3)
+            got = H_pq(s, 1, 5, q, budget, 3)
+            assert (got.residue, got.precision) == (122, 3), s
+        assert _partial.cache_info().currsize == 2, order
+
+
+def test_zp_exponent_at_q_one_certifies_without_a_precision_margin():
+    # the classical Euler numbers E_j vanish for even j >= 2; those terms
+    # are zero to the working precision, so they count as negligible and
+    # the series certifies every digit of the target
+    q1, budget = QParam(1, 5), SeriesBudget(3)
+    got = l_pq(Fraction(1, 2), TeichChar(5, 1), 5, q1, budget, 3)
+    assert got.render() == "...2 3 3 mod 5^3"
+    got = H_pq(Fraction(3, 2), 1, 5, q1, budget, 3)
+    assert got.render() == "...2 1 4 mod 5^3"
 
 
 def test_explicit_precision_below_one_rejected():

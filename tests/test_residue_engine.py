@@ -5,8 +5,9 @@ keep the exact-rational formulation as the reference: the closed-form
 q-Euler numbers for the recurrence table, direct modular powers and
 ``teichmuller``/``angle_bracket`` for the per-point tables, the
 Fraction-scalar series loop for H, T, K and l, the PadicApprox loop for
-the character-sum assembly, and the term-by-term double loop for the
-exact reindexing stage.
+the character-sum assembly, the term-by-term double loop for the exact
+reindexing stage, and the rational alternating sum and block sums for the
+[j]_q^(-r) table that the left-hand side and the block stages read.
 """
 
 import sys
@@ -225,10 +226,13 @@ def _outcome(compute):
         return "not converged"
 
 
-# (target, working precision): the default margin, and none at all, where
-# a Z_p exponent's p-adic binomial loses digits to v_p(j!) that an exactly
-# vanishing classical Euler number does not give back
+# (target, working precision): the default margin, and none at all.  With
+# no margin a Z_p exponent's p-adic binomial loses v_p(j!) digits; the
+# engine's term c_j, known mod p^N with v_p(c_j) >= j, gives them back,
+# but the oracle's exact scalar cannot when it vanishes (a classical Euler
+# number at q = 1): there the oracle runs with a wide margin instead
 BUDGETS = [(4, 10), (3, 3)]
+WIDE_ORACLE = (SeriesBudget(target=12), 30)
 
 
 @pytest.mark.parametrize("target, precision", BUDGETS)
@@ -240,13 +244,20 @@ def test_series_match_fraction_scalar_formula(p, qv, target, precision):
     budget = SeriesBudget(target=target)
     for n in (2, 4):
         for s in EXPONENTS:
+            wide = qv == 1 and not isinstance(s, int) and precision == target
             for a in (1, 2, p - 1):
                 for kind, fn in (("H", H_pq), ("T", T_pq), ("K", K_pq)):
                     args = (s, a, p, q, budget, precision)
                     if kind != "H":
                         args = (n, *args)
+                    got = _outcome(lambda: fn(*args))
+                    if wide:
+                        want = _fraction_series(kind, n, s, a, p, q, *WIDE_ORACLE)
+                        assert got[1] == target, (kind, n, s, a)
+                        assert _pair(want.reduce(target)) == got, (kind, n, s, a)
+                        continue
                     want = _outcome(lambda: _fraction_series(kind, n, s, a, p, q, budget, precision))
-                    assert _outcome(lambda: fn(*args)) == want, (kind, n, s, a)
+                    assert got == want, (kind, n, s, a)
 
 
 @pytest.mark.parametrize("p, qv", SERIES_POINTS)
@@ -419,3 +430,95 @@ def test_reindex_stage_fails_on_a_wrong_merge_coefficient(monkeypatch, error):
 def test_reindex_stage_passes_with_the_merge_identity():
     report = theorem5_verify(2, 2, QParam(Fraction(6), 5), SeriesBudget(target=4))
     assert _reindex_stage(report).passed is True
+
+
+# -- the left-hand side and block sums against their rational oracles -----
+
+
+def _block_sum_exact(r, n, a, F, qv):
+    """sum_{l<n} (-1)^(Fl+a) / [Fl+a]_q^r, exactly."""
+    return sum(Fraction((-1) ** (F * l + a), 1) / q_int(F * l + a, qv) ** r for l in range(n))
+
+
+LHS_POINTS = [
+    (5, Fraction(1)),
+    (5, Fraction(6)),
+    (5, Fraction(26)),
+    (5, Fraction(11, 6)),
+    (7, Fraction(8)),
+    (7, Fraction(15, 8)),
+    (31, Fraction(1)),
+    (31, Fraction(32)),
+]
+
+
+@pytest.mark.parametrize("p, qv", LHS_POINTS)
+def test_residue_lhs_and_blocks_match_the_rational_oracles(p, qv):
+    q, precision = QParam(qv, p), 12
+    mod = p**precision
+    for r in (1, 2, 3):
+        for n in (2, 4):
+            want = embed(lfunc.theorem5_lhs_exact(r, n, q), p, precision)
+            assert _pair(lfunc.theorem5_lhs(r, n, q, precision)) == _pair(want), (r, n)
+            powers, _ = lfunc._inverse_powers(q, r, n, precision)
+            for a in range(1, p):
+                block = sum(sign * powers[j] for sign, j in lfunc._block_terms(a, n, p)) % mod
+                assert block == embed(_block_sum_exact(r, n, a, p, qv), p, precision).residue, (r, n, a)
+
+
+@pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (7, Fraction(15, 8))])
+def test_verify_reports_the_oracle_lhs(p, qv):
+    q = QParam(qv, p)
+    report = theorem5_verify(2, 2, q, SeriesBudget(target=4))
+    assert _pair(report.lhs) == _pair(embed(lfunc.theorem5_lhs_exact(2, 2, q), p, 10))
+
+
+def _range_stage(report):
+    return next(s for s in report.stages if s.name == "index-range-rearrangement")
+
+
+def _drop_one(terms):
+    return terms[1:]
+
+
+def _shift_one(terms):
+    # stays within 1..np, so the block still reads a table entry
+    (sign, j), *rest = terms
+    return [(sign, j + 5), *rest]
+
+
+def _flip_one(terms):
+    (sign, j), *rest = terms
+    return [(-sign, j), *rest]
+
+
+@pytest.mark.parametrize("mutate", [_drop_one, _shift_one, _flip_one])
+def test_index_range_stage_fails_on_a_broken_block(monkeypatch, mutate):
+    right = lfunc._block_terms
+    q, budget = QParam(Fraction(6), 5), SeriesBudget(target=4)
+    assert _range_stage(theorem5_verify(2, 2, q, budget)).passed is True
+
+    def broken(a, n, F):
+        terms = right(a, n, F)
+        return mutate(terms) if a == 2 else terms
+
+    monkeypatch.setattr(lfunc, "_block_terms", broken)
+    stage = _range_stage(theorem5_verify(2, 2, q, budget))
+    assert stage.passed is False
+    assert stage.detail == "exact rational comparison"
+
+
+def test_index_range_check_needs_both_the_index_map_and_the_residues():
+    q, r, n, p, precision = QParam(Fraction(6), 5), 2, 2, 5, 10
+    mod = p**precision
+    powers, lhs_terms = lfunc._inverse_powers(q, r, n, precision)
+    block_terms = [lfunc._block_terms(a, n, p) for a in range(1, p)]
+    blocks = [sum(sign * powers[j] for sign, j in terms) % mod for terms in block_terms]
+    lhs = 2 * sum(sign * powers[j] for sign, j in lhs_terms) % mod
+    assert lfunc._index_range_check(lhs_terms, block_terms, lhs, blocks, mod) is True
+    # a broken index map fails even where the residues summed are right
+    for mutate in (_drop_one, _shift_one, _flip_one):
+        broken = [mutate(block_terms[0]), *block_terms[1:]]
+        assert lfunc._index_range_check(lhs_terms, broken, lhs, blocks, mod) is False, mutate
+    # and a wrong residue fails under the right index map
+    assert lfunc._index_range_check(lhs_terms, block_terms, lhs, [blocks[0] + 1, *blocks[1:]], mod) is False
