@@ -12,7 +12,11 @@ and writes to OUT, for every point of a fixed grid, either
 ``theorem5_verify(...).to_dict()`` (also at p = 101), and ``"num/den"`` of
 the exact ``euler_number_q``, ``euler_poly_q``, the three
 ``alt_power_sum`` forms, ``fermionic_riemann`` and ``theorem5_lhs_exact``
-on a grid of inputs that every revision accepts.  Two
+on a grid of inputs that every revision accepts.  The exact-identity
+suite's own grid adds the booleans of the three binomial predicates, the
+convolution right-hand side (``qeuler.suites.convolution_rhs`` where the
+checkout has it, else the per-term Fraction sum it replaced), both sides
+of every ``distribution_check``, and the suite's report lines.  Two
 checkouts compute the same values when their files are byte-identical,
 so running it on both sides of a change and comparing the sha256 printed
 at the end is an equivalence check.  Everything runs in one process, in
@@ -157,6 +161,51 @@ def exact_sweep(qe) -> dict:
     return out
 
 
+def convolution_rhs(qe, n, a, q):
+    """sum_j binom(n,j) q^(ja) E_{j,q} [a]_q^(n-j) as the suite computes it."""
+    integer_form = getattr(qe.suites, "convolution_rhs", None)
+    if integer_form is not None:
+        return Fraction(*integer_form(n, a, q))
+    return sum(
+        qe.binom_int(n, j) * q ** (j * a) * qe.euler_number_q(j, q) * qe.q_int(a, q) ** (n - j)
+        for j in range(n + 1)
+    )
+
+
+def identity_sweep(qe) -> dict:
+    out = {}
+
+    def put(name, value):
+        out[f"identities {name}"] = (
+            value if isinstance(value, (bool, str)) else f"{value.numerator}/{value.denominator}"
+        )
+
+    # binomial_identity_checks' grid, limit 10
+    for r in range(1, 11):
+        for j in range(11):
+            for k in range(11):
+                if r >= 2:
+                    put(f"merge r={r} j={j} k={k}", qe.binom_product_merge(r, j, k))
+                    if j + k > 0:
+                        put(f"shift r={r} j={j} k={k}", qe.binom_product_shift(r, j, k))
+                put(f"tail r={r} j={j} k={k}", qe.binom_tail_merge(r, j, k))
+    for qv in EXACT_QS:
+        for n in range(11):
+            for a in range(7):
+                put(f"q={qv} convolution_rhs n={n} a={a}", convolution_rhs(qe, n, a, qv))
+        for n in range(7):
+            for m in (1, 3, 5):
+                for a, f in ((0, 1), (1, 3), (2, 5)):
+                    rep = qe.distribution_check(n, m, qe.PolyArg(a, f, qv))
+                    at = f"q={qv} distribution n={n} m={m} x={a}/{f}"
+                    put(f"{at} passed", rep.passed)
+                    put(f"{at} lhs", rep.lhs)
+                    put(f"{at} rhs", rep.rhs)
+    for check in qe.suites.suite_exact_identities():
+        put(f"suite {check.name}", check.line())
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="directory that contains the qeuler package")
@@ -166,12 +215,14 @@ def main(argv=None) -> int:
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import qeuler as qe
+    import qeuler.suites  # binds qe.suites
 
     if Path(qe.__file__).resolve().parent != src / "qeuler":
         sys.exit(f"equivalence_sweep: imported {qe.__file__}, not the package under {src}")
     if hasattr(sys, "set_int_max_str_digits"):  # theorem5_lhs_exact runs to 40,000 digits
         sys.set_int_max_str_digits(0)
-    text = json.dumps(sweep(qe) | exact_sweep(qe), sort_keys=True, indent=0) + "\n"
+    values = sweep(qe) | exact_sweep(qe) | identity_sweep(qe)
+    text = json.dumps(values, sort_keys=True, indent=0) + "\n"
     Path(args.out).write_text(text)
     print(f"{hashlib.sha256(text.encode()).hexdigest()}  {args.out} ({text.count(chr(10)) - 1} lines)")
     return 0

@@ -14,6 +14,7 @@ so no fractional exponentiation is ever attempted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,6 +52,13 @@ def _reject_minus_one(qv: Fraction) -> None:
 def _check_orders(n: int, m: int) -> None:
     if n < 0 or m < 0:
         raise OutOfDomain(f"length and order must be >= 0, got n = {n}, m = {m}")
+
+
+def _over_lcm(values: list) -> tuple:
+    """Fractions as (numerators, den): integer numerators over den, the lcm
+    of their denominators, so sums of them are integer sums."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def euler_number_q(m: int, q) -> Fraction:
@@ -148,7 +156,8 @@ def alt_power_sum_closed(n: int, m: int, q) -> Fraction:
     With q^n = x/y, the denominator of [n]_q divides y, so [n]_q = w/y
     and the l-th summand is the integer binom(m,l) x^l w^(m-l) times
     E_{l,q}, over the one denominator y^m; the q^(nm) E_{m,q} part is the
-    summand at l = m.
+    summand at l = m.  The sum is one integer numerator over
+    y^m lcm(den E_l), divided once.
     """
     _check_orders(n, m)
     qv = as_fraction(q)
@@ -158,11 +167,10 @@ def alt_power_sum_closed(n: int, m: int, q) -> Fraction:
     qn, bn = qv**n, q_int(n, qv)
     x, y = qn.numerator, qn.denominator
     w = bn.numerator * (y // bn.denominator)
-    acc = sum(
-        binom_int(m, l) * x**l * w ** (m - l) * _euler_poly_q(l, 0, 1, qv)
-        for l in range(m + 1)
-    )
-    return Fraction((-1) ** (n + 1), y**m) * acc + _euler_poly_q(m, 0, 1, qv)
+    nums, den = _over_lcm([_euler_poly_q(l, 0, 1, qv) for l in range(m + 1)])
+    acc = sum(math.comb(m, l) * x**l * w ** (m - l) * e for l, e in enumerate(nums))
+    ym = y**m
+    return Fraction((-1) ** (n + 1) * acc + nums[m] * ym, den * ym)
 
 
 def alt_power_sum_polyform(n: int, m: int, q) -> Fraction:
@@ -199,12 +207,16 @@ def distribution_check(n: int, m: int, arg: PolyArg) -> DistributionCheck:
     if m < 1 or m % 2 == 0:
         raise OutOfDomain(f"modulus m must be odd and positive, got {m}")
     lhs = euler_poly_q(n, arg)
-    base = arg.q**arg.f
-    rhs = q_int(m, base) ** n * sum(
-        (-1) ** j * euler_poly_q(n, PolyArg(j * arg.f + arg.a, m * arg.f, arg.q))
-        for j in range(m)
+    nums, den = _over_lcm(
+        [euler_poly_q(n, PolyArg(j * arg.f + arg.a, m * arg.f, arg.q)) for j in range(m)]
     )
-    return DistributionCheck(lhs == rhs, lhs, rhs)
+    # one numerator over lcm(den) times [m]_{q'}^n, compared cross-multiplied
+    num = sum((-1) ** j * t for j, t in enumerate(nums))
+    qm = q_int(m, arg.q**arg.f)
+    num, den = num * qm.numerator**n, den * qm.denominator**n
+    passed = lhs.numerator * den == num * lhs.denominator
+    # equal values have one reduced form, so a passing rhs is lhs itself
+    return DistributionCheck(passed, lhs, lhs if passed else Fraction(num, den))
 
 
 def fermionic_riemann(m: int, q: QParam, level: int) -> Fraction:

@@ -309,7 +309,10 @@ def _partial(s, a, F, q: QParam, budget, precision, n) -> PadicApprox:
 
     label, start = (f"K(a={a})", 1) if n else (f"H(a={a})", 0)
     series = _series(label, s, start, res.gain, coeff, q.prime, precision, budget)
-    return series.result() * _angle_power(res, a, s) * Fraction((-1) ** a, 2)
+    value = series.result() * _angle_power(res, a, s)
+    # (-1)^a / 2 is a unit, so the product keeps value's precision
+    half = pow(2, -1, value.modulus)
+    return PadicApprox(q.prime, (-half if a % 2 else half) * value.residue, value.precision)
 
 
 def H_pq(s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:

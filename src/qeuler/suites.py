@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import QEulerError
 from .euler import (
     PolyArg,
+    _over_lcm,
     alt_power_sum,
     alt_power_sum_closed,
     alt_power_sum_polyform,
@@ -83,19 +84,36 @@ def alternating_sum_checks(max_n=12, max_m=10, qs=(Fraction(1, 2), Fraction(2, 3
     return out
 
 
+def convolution_rhs(n: int, a: int, q) -> tuple:
+    """sum_{j<=n} binom(n,j) q^(ja) E_{j,q} [a]_q^(n-j) as an unreduced
+    (numerator, denominator) pair of ints, for a >= 0.
+
+    With q = u/v, [a]_q v^a is an integer (v^(a-1) clears the denominator
+    of 1 + q + ... + q^(a-1)) and q^(ja) = u^(ja) / v^(ja), so
+    v^(an) q^(ja) [a]_q^(n-j) is the integer u^(ja) ([a]_q v^a)^(n-j), and
+    every term lies over v^(an) lcm(den E_j).
+    """
+    qv = Fraction(q)
+    u, v = qv.numerator, qv.denominator
+    nums, den = _over_lcm([euler_number_q(j, qv) for j in range(n + 1)])
+    vb = (q_int(a, qv) * v**a).numerator
+    num = sum(
+        binom_int(n, j) * u ** (j * a) * vb ** (n - j) * e for j, e in enumerate(nums)
+    )
+    return num, v ** (a * n) * den
+
+
 def convolution_checks(max_n=10, max_a=6, qs=(Fraction(1, 2), Fraction(6))):
-    """Euler polynomial at integer points == its binomial convolution."""
+    """Euler polynomial at integer points == its binomial convolution,
+    compared cross-multiplied."""
     out = []
     for qv in qs:
         bad = []
         for n in range(max_n + 1):
             for a in range(max_a + 1):
                 lhs = euler_poly_q(n, PolyArg(a, 1, qv))
-                rhs = sum(
-                    binom_int(n, j) * qv ** (j * a) * euler_number_q(j, qv) * q_int(a, qv) ** (n - j)
-                    for j in range(n + 1)
-                )
-                if lhs != rhs:
+                num, den = convolution_rhs(n, a, qv)
+                if lhs.numerator * den != num * lhs.denominator:
                     bad.append((n, a))
         out.append(
             _check(

@@ -269,6 +269,23 @@ def _same(got, want):
     return isinstance(got, Fraction) and got == want
 
 
+def _closed_fraction_sum(n, m, q):
+    """The closed form as one Fraction product and add per term, each an
+    integer times E_{l,q}, over y^m."""
+    qn, bn = q**n, q_int(n, q)
+    x, y = qn.numerator, qn.denominator
+    w = bn.numerator * (y // bn.denominator)
+    acc = sum(binom_int(m, l) * x**l * w ** (m - l) * euler_number_q(l, q) for l in range(m + 1))
+    return Fraction((-1) ** (n + 1), y**m) * acc + euler_number_q(m, q)
+
+
+def _distribution_fraction_rhs(n, m, arg, poly=euler_poly_q):
+    """[m]_{q'}^n sum_j (-1)^j E_{n,q'^m}((j + x)/m), one Fraction at a time."""
+    return q_int(m, arg.q**arg.f) ** n * sum(
+        (-1) ** j * poly(n, PolyArg(j * arg.f + arg.a, m * arg.f, arg.q)) for j in range(m)
+    )
+
+
 @pytest.mark.parametrize("q", ORACLE_QS, ids=str)
 def test_euler_numbers_match_loop_oracle(q):
     for m in range(15):
@@ -293,6 +310,41 @@ def test_alternating_sums_match_loop_oracles(q):
             if q != 1:
                 assert _same(alt_power_sum_closed(n, m, q), _closed_loop(n, m, q)), (n, m)
                 assert _same(alt_power_sum_polyform(n, m, q), _polyform_loop(n, m, q)), (n, m)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS, ids=str)
+def test_closed_form_matches_fraction_sum(q):
+    for n in range(15):
+        for m in range(21):
+            assert _same(alt_power_sum_closed(n, m, q), _closed_fraction_sum(n, m, q)), (n, m)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS, ids=str)
+def test_distribution_matches_fraction_sum(q):
+    for n in range(8):
+        for m in (1, 3, 5, 7):
+            for a, f in ((0, 1), (1, 3), (2, 5), (4, 3)):
+                arg = PolyArg(a, f, q)
+                rep = distribution_check(n, m, arg)
+                assert _same(rep.lhs, euler_poly_q(n, arg)), (n, m, a, f)
+                assert _same(rep.rhs, _distribution_fraction_rhs(n, m, arg)), (n, m, a, f)
+                assert rep.passed is (rep.lhs == rep.rhs) is True
+
+
+def test_failing_distribution_reports_its_rhs(monkeypatch):
+    # negate the j = 1 term of m = 5 at x = 2/5: E_{n,q^25}(7/25)
+    import qeuler.euler
+
+    def flipped(n, arg):
+        value = euler_poly_q(n, arg)
+        return -value if (arg.a, arg.f) == (7, 25) else value
+
+    monkeypatch.setattr(qeuler.euler, "euler_poly_q", flipped)
+    for n in range(4):
+        arg = PolyArg(2, 5, Fraction(6))
+        rep = distribution_check(n, 5, arg)
+        assert not rep.passed and rep.lhs != rep.rhs
+        assert _same(rep.rhs, _distribution_fraction_rhs(n, 5, arg, flipped))
 
 
 def test_fermionic_matches_loop_oracle_at_non_integral_q():

@@ -1,0 +1,78 @@
+"""The exact-identity suite: its integer forms against the Fraction
+formulations they replace, and mutations that must each turn the matching
+`qeuler verify exact-identities` line to FAIL."""
+
+from fractions import Fraction
+
+import pytest
+
+from qeuler import PolyArg, binom_int, euler, euler_number_q, euler_poly_q, kernel, q_int, suites
+from qeuler.cli import main
+
+QS = (Fraction(1, 2), Fraction(6), Fraction(2, 3), Fraction(-3, 7), Fraction(32, 31), Fraction(0))
+
+
+def _convolution_fraction_rhs(n, a, q):
+    """sum_j binom(n,j) q^(ja) E_{j,q} [a]_q^(n-j), one Fraction at a time."""
+    return sum(
+        binom_int(n, j) * q ** (j * a) * euler_number_q(j, q) * q_int(a, q) ** (n - j)
+        for j in range(n + 1)
+    )
+
+
+@pytest.mark.parametrize("q", QS, ids=str)
+def test_convolution_rhs_matches_fraction_sum(q):
+    for n in range(13):
+        for a in range(8):
+            num, den = suites.convolution_rhs(n, a, q)
+            want = _convolution_fraction_rhs(n, a, q)
+            assert Fraction(num, den) == want == euler_poly_q(n, PolyArg(a, 1, q)), (n, a)
+
+
+def _failing(capsys):
+    """Names of the FAIL lines of `verify exact-identities`, after checking
+    that the exit code says the same."""
+    code = main(["verify", "exact-identities"])
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert len(rows) == 10
+    failing = sorted(name for verdict, name, *_ in rows if verdict == "FAIL")
+    assert code == (1 if failing else 0)
+    return failing
+
+
+def test_unmutated_suite_passes(capsys):
+    assert _failing(capsys) == []
+
+
+def _wrong_binomial(n, k):
+    return binom_int(n, k) + ((n, k) == (5, 2))
+
+
+def test_a_wrong_binomial_fails_the_convolution(monkeypatch, capsys):
+    monkeypatch.setattr(suites, "binom_int", _wrong_binomial)
+    assert _failing(capsys) == ["euler-convolution[q=1/2]", "euler-convolution[q=6]"]
+
+
+def test_a_wrong_binomial_fails_the_identities(monkeypatch, capsys):
+    # the identity predicates read their binomials from the kernel's memo
+    monkeypatch.setattr(kernel, "_binom", _wrong_binomial)
+    assert _failing(capsys) == ["binom-product-merge", "binom-product-shift", "binom-tail-merge"]
+
+
+def test_a_wrong_euler_number_fails_its_convolution(monkeypatch, capsys):
+    def wrong(m, q):
+        value = euler_number_q(m, q)
+        return value + 1 if (m, q) == (3, Fraction(6)) else value
+
+    monkeypatch.setattr(suites, "euler_number_q", wrong)
+    assert _failing(capsys) == ["euler-convolution[q=6]"]
+
+
+def test_a_flipped_distribution_sign_fails_its_relation(monkeypatch, capsys):
+    # the j = 1 term of m = 5 at x = 2/5 is E_{n,q^25}(7/25)
+    def flipped(n, arg):
+        value = euler_poly_q(n, arg)
+        return -value if (arg.a, arg.f, arg.q) == (7, 25, Fraction(6)) else value
+
+    monkeypatch.setattr(euler, "euler_poly_q", flipped)
+    assert _failing(capsys) == ["distribution-relation[q=6]"]

@@ -2,8 +2,10 @@
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import pytest
+import sympy
 
 from qeuler import (
     ComplexChar,
@@ -22,6 +24,7 @@ from qeuler import (
     q_int,
     q_int_neg,
 )
+from qeuler import kernel, suites
 from qeuler.kernel import _is_odd_prime
 
 
@@ -167,6 +170,77 @@ def test_identity_domain_guards():
         binom_product_merge(1, 2, 2)  # r < 2
     with pytest.raises(OutOfDomain):
         binom_tail_merge(0, 1, 1)  # r < 1
+
+
+# -- sympy oracle: both sides of each identity as sympy Rationals, over
+# r, j, k <= 14 and past every edge of each domain
+
+
+@cache
+def _sym_binom(n, k):
+    return sympy.binomial(n, k)
+
+
+def _shift_sides(r, j, k):
+    lhs = _sym_binom(-r, k) * _sym_binom(1 - r - k, j) / sympy.Integer(r + k - 1)
+    rhs = -_sym_binom(-r, k + j - 1) * _sym_binom(k + j, j) / sympy.Integer(j + k)
+    return lhs, rhs
+
+
+def _merge_sides(r, j, k):
+    lhs = _sym_binom(-r, k) * _sym_binom(1 - r - k, j) / sympy.Integer(r + k - 1)
+    rhs = _sym_binom(-r + 1, k + j) * _sym_binom(k + j, j) / sympy.Integer(r - 1)
+    return lhs, rhs
+
+
+def _tail_sides(r, j, k):
+    lhs = sympy.Rational(r, r + k) * _sym_binom(-r - 1, k) * _sym_binom(-r - k, j)
+    return lhs, _sym_binom(-r, k + j) * _sym_binom(k + j, j)
+
+
+# (predicate, its two sides, its domain)
+IDENTITY_ORACLES = [
+    (binom_product_shift, _shift_sides, lambda r, j, k: min(j, k) >= 0 < j + k and r != 1 - k),
+    (binom_product_merge, _merge_sides, lambda r, j, k: r >= 2 and min(j, k) >= 0),
+    (binom_tail_merge, _tail_sides, lambda r, j, k: r >= 1 and min(j, k) >= 0),
+]
+
+
+@pytest.mark.parametrize(
+    "predicate, sides, in_domain", IDENTITY_ORACLES, ids=["shift", "merge", "tail"]
+)
+def test_binom_identities_match_sympy(predicate, sides, in_domain):
+    checked = 0
+    for r in range(-3, 15):
+        for j in range(-1, 15):
+            for k in range(-1, 15):
+                if not in_domain(r, j, k):
+                    with pytest.raises(OutOfDomain):
+                        predicate(r, j, k)
+                    continue
+                lhs, rhs = sides(r, j, k)
+                assert predicate(r, j, k) is (lhs == rhs), (r, j, k)
+                checked += 1
+    assert checked > 2500
+
+
+def test_binom_memo_holds_the_suite_grid():
+    # a bounded memo that the suite's grid overflows would evict on every call
+    kernel._binom.cache_clear()
+    assert all(check.passed for check in suites.binomial_identity_checks())
+    info = kernel._binom.cache_info()
+    assert info.currsize == 441 < info.maxsize
+
+
+def test_binom_identities_fail_on_a_wrong_binomial(monkeypatch):
+    # one wrong value (binom(5, 2) = 11) breaks each identity somewhere
+    def wrong(n, k):
+        return 11 if (n, k) == (5, 2) else binom_int(n, k)
+
+    monkeypatch.setattr(kernel, "_binom", wrong)
+    assert not all(binom_product_shift(r, j, k) for r, j, k in _shift_grid(10))
+    assert not all(binom_product_merge(r, 2, 3) for r in range(2, 11))
+    assert not all(binom_tail_merge(r, 2, 3) for r in range(1, 11))
 
 
 def test_odd_prime_check_matches_trial_division():
