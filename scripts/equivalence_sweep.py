@@ -15,11 +15,12 @@ the exact ``euler_number_q``, ``euler_poly_q``, the three
 on a grid of inputs that every revision accepts.  The exact-identity
 suite's own grid adds the booleans of the three binomial predicates, the
 convolution right-hand side (``qeuler.suites.convolution_rhs`` where the
-checkout has it, else the per-term Fraction sum it replaced), both sides
-of every ``distribution_check``, and the suite's report lines.  Two
-checkouts compute the same values when their files are byte-identical,
-so running it on both sides of a change and comparing the sha256 printed
-at the end is an equivalence check.  Everything runs in one process, in
+checkout has it, else the per-term Fraction sum it replaced) and both
+sides of every ``distribution_check``.  Last come the report lines of
+every suite in ``qeuler.suites.SUITES``, read through ``run_suite``.
+Two checkouts compute the same values when their files are
+byte-identical, so running it on both sides of a change and comparing
+the sha256 printed at the end is an equivalence check.  Everything runs in one process, in
 a fixed order, so the per-process series caches fill the same way on both
 sides.  Nothing outside SRC and OUT is read or written.
 """
@@ -201,9 +202,15 @@ def identity_sweep(qe) -> dict:
                     put(f"{at} passed", rep.passed)
                     put(f"{at} lhs", rep.lhs)
                     put(f"{at} rhs", rep.rhs)
-    for check in qe.suites.suite_exact_identities():
-        put(f"suite {check.name}", check.line())
     return out
+
+
+def suite_sweep(qe) -> dict:
+    return {
+        f"suite {name} {check.name}": check.line()
+        for name in qe.suites.SUITES
+        for check in qe.suites.run_suite(name)
+    }
 
 
 def main(argv=None) -> int:
@@ -221,7 +228,7 @@ def main(argv=None) -> int:
         sys.exit(f"equivalence_sweep: imported {qe.__file__}, not the package under {src}")
     if hasattr(sys, "set_int_max_str_digits"):  # theorem5_lhs_exact runs to 40,000 digits
         sys.set_int_max_str_digits(0)
-    values = sweep(qe) | exact_sweep(qe) | identity_sweep(qe)
+    values = sweep(qe) | exact_sweep(qe) | identity_sweep(qe) | suite_sweep(qe)
     text = json.dumps(values, sort_keys=True, indent=0) + "\n"
     Path(args.out).write_text(text)
     print(f"{hashlib.sha256(text.encode()).hexdigest()}  {args.out} ({text.count(chr(10)) - 1} lines)")

@@ -26,7 +26,7 @@ from .euler import euler_number_classical, euler_number_q
 from .kernel import QParam
 from .lfunc import SeriesBudget, l_pq, padic_to_dict, theorem5_verify
 from .padic import TeichChar, embed
-from .suites import run_suite, theorem5_checks
+from .suites import SUITES, run_suite, theorem5_checks
 from .zeta import ArchParams, ComplexChar, l_q_complex, zeta_Eq
 
 
@@ -94,21 +94,21 @@ def build_parser() -> argparse.ArgumentParser:
     lv = sub.add_parser("lvalue", help="one l-function value (p-adic or complex)")
     lv.add_argument("--side", choices=("padic", "complex"), required=True)
     lv.add_argument("--s", required=True, help="exact rational for padic, float for complex")
-    lv.add_argument("--s-im", type=float, default=0.0, help="imaginary part (complex side)")
-    lv.add_argument("--t", type=int, default=0, help="Teichmuller exponent (padic side)")
-    lv.add_argument("--p", type=int, default=5)
+    lv.add_argument("--s-im", type=float, help="imaginary part (complex side; default 0)")
+    lv.add_argument("--t", type=int, help="Teichmuller exponent (padic side; default 0)")
+    lv.add_argument("--p", type=int, help="odd prime (padic side; default 5)")
     lv.add_argument("--q", required=True, help="NUM/DEN (padic) or float (complex)")
-    lv.add_argument("--F", type=int, default=None, help="odd multiple of p (default p)")
-    lv.add_argument("--N", type=int, default=None, help="working precision")
-    lv.add_argument("--M", type=int, default=4, help="target precision")
-    lv.add_argument("--kmax", type=int, default=60)
-    lv.add_argument("--chi", default="trivial", help="trivial or quad:F (complex side)")
-    lv.add_argument("--eps", type=float, default=1e-13)
+    lv.add_argument("--F", type=int, help="odd multiple of p (padic side; default p)")
+    lv.add_argument("--N", type=int, help="working precision (padic side)")
+    lv.add_argument("--M", type=int, help="target precision (padic side; default 4)")
+    lv.add_argument("--kmax", type=int, help="series term cap (padic side; default 60)")
+    lv.add_argument("--chi", help="trivial or quad:F (complex side; default trivial)")
+    lv.add_argument("--eps", type=float, help="stopping tolerance (complex side; default 1e-13)")
     lv.add_argument("--format", choices=("json", "text"), default="text")
     lv.add_argument("--out", default=None)
 
     v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument("suite", choices=("exact-identities", "complex", "padic", "theorem5", "all"))
+    v.add_argument("suite", choices=(*SUITES, "all"))
     v.add_argument("--r", type=int, default=None, help="restrict the theorem5 suite to one power")
     v.add_argument("--n", type=int, default=None, help="restrict the theorem5 suite to one block count")
     v.add_argument("--p", type=int, default=None, help="odd prime (theorem5 suite; default 5)")
@@ -200,7 +200,20 @@ def _parse_chi(text: str) -> ComplexChar:
     raise QEulerError(f"unknown character {text!r}; use 'trivial' or 'quad:F'")
 
 
+# the lvalue flags that belong to one side only, with their defaults
+_LVALUE_FLAGS = {
+    "padic": {"t": 0, "p": 5, "F": None, "N": None, "M": 4, "kmax": 60},
+    "complex": {"s_im": 0.0, "chi": "trivial", "eps": 1e-13},
+}
+
+
 def _cmd_lvalue(args) -> int:
+    for side, flags in _LVALUE_FLAGS.items():
+        for name, default in flags.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif side != args.side:
+                raise QEulerError(f"--{name.replace('_', '-')} applies only to the {side} side")
     if args.side == "padic":
         q = QParam(_parse(Fraction, args.q, "rational number"), args.p)
         s_frac = _parse(Fraction, args.s, "rational number")

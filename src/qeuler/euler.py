@@ -72,17 +72,16 @@ def euler_number_q(m: int, q) -> Fraction:
     if qv == 1:
         raise QIsOne("use euler_number_classical for q = 1")
     _reject_minus_one(qv)
-    return _euler_poly_q(m, 0, 1, qv)
+    return _euler_poly_q(m, 0, 1, qv.numerator, qv.denominator)
 
 
 @lru_cache(maxsize=None)
-def _euler_poly_q(n: int, a: int, f: int, q: Fraction) -> Fraction:
+def _euler_poly_q(n: int, a: int, f: int, u: int, v: int) -> Fraction:
+    # Keyed on q = u/v in lowest terms, so a hit hashes ints, not a Fraction.
     # With Q = q^f = U/V and q^a = x/y, y^n times the k-th summand is the
     # small fraction binom(n,k) (-x)^k y^(n-k) V^k / (V^k + U^k); the sum
     # is scaled once by 2 V^n / ((V - U)^n y^n).
-    qf, qa = q**f, q**a
-    U, V = qf.numerator, qf.denominator
-    x, y = qa.numerator, qa.denominator
+    U, V, x, y = u**f, v**f, u**a, v**a
     total = sum(
         Fraction(binom_int(n, k) * (-x) ** k * y ** (n - k) * V**k, V**k + U**k)
         for k in range(n + 1)
@@ -101,7 +100,7 @@ def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
     if arg.q == 1:
         raise QIsOne("use euler_poly_classical for q = 1")
     _reject_minus_one(arg.q)
-    return _euler_poly_q(n, arg.a, arg.f, arg.q)
+    return _euler_poly_q(n, arg.a, arg.f, arg.q.numerator, arg.q.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +166,8 @@ def alt_power_sum_closed(n: int, m: int, q) -> Fraction:
     qn, bn = qv**n, q_int(n, qv)
     x, y = qn.numerator, qn.denominator
     w = bn.numerator * (y // bn.denominator)
-    nums, den = _over_lcm([_euler_poly_q(l, 0, 1, qv) for l in range(m + 1)])
+    u, v = qv.numerator, qv.denominator
+    nums, den = _over_lcm([_euler_poly_q(l, 0, 1, u, v) for l in range(m + 1)])
     acc = sum(math.comb(m, l) * x**l * w ** (m - l) * e for l, e in enumerate(nums))
     ym = y**m
     return Fraction((-1) ** (n + 1) * acc + nums[m] * ym, den * ym)
@@ -185,7 +185,8 @@ def alt_power_sum_polyform(n: int, m: int, q) -> Fraction:
     if qv == 1:
         raise QIsOne("polynomial form needs q != 1")
     _reject_minus_one(qv)
-    return (-1) ** (n + 1) * _euler_poly_q(m, n, 1, qv) + _euler_poly_q(m, 0, 1, qv)
+    u, v = qv.numerator, qv.denominator
+    return (-1) ** (n + 1) * _euler_poly_q(m, n, 1, u, v) + _euler_poly_q(m, 0, 1, u, v)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,20 @@
 """Named verification suites driven by the CLI and the acceptance tests.
 
-Each suite function returns a list of :class:`CheckResult`; a check
-compares an implementation path against an independent oracle (direct
-summation, exact identity, higher-precision recomputation, doubled
-truncation limit) and records a one-line outcome.  Grid iteration order
-is deterministic, so output ordering is stable regardless of how the
-checks are scheduled.
+:data:`SUITES` maps each suite name to its check functions, in order.
+Each check function runs a fixed grid and returns a list of
+:class:`CheckResult`; a check compares an implementation path against an
+independent oracle (direct summation, exact identity, higher-precision
+recomputation, doubled truncation limit) and records a one-line outcome.
+Only :func:`theorem5_checks` takes its grid as arguments.  Grid iteration
+order is deterministic, so output ordering is stable regardless of how
+the checks are scheduled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import QEulerError
 from .euler import (
@@ -63,25 +66,33 @@ def _check(name, passed, detail="") -> CheckResult:
 # -- exact identity suite ---------------------------------------------------
 
 
-def alternating_sum_checks(max_n=12, max_m=10, qs=(Fraction(1, 2), Fraction(2, 3), Fraction(6))):
-    """Direct alternating power sum == closed form == polynomial form,
-    exactly, over the whole grid."""
+def _grid_checks(name, qs, points, holds, detail):
+    """One check per q in qs: holds(q, *point) at every grid point, with
+    the failing points listed in grid order."""
     out = []
     for qv in qs:
-        bad = []
-        for n in range(1, max_n + 1):
-            for m in range(1, max_m + 1):
-                direct = alt_power_sum(n, m, qv)
-                if direct != alt_power_sum_closed(n, m, qv) or direct != alt_power_sum_polyform(n, m, qv):
-                    bad.append((n, m))
+        bad = [point for point in points if not holds(qv, *point)]
         out.append(
-            _check(
-                f"alternating-sum-forms[q={qv}]",
-                not bad,
-                f"n<={max_n}, m<={max_m}" + (f", failures: {bad}" if bad else ""),
-            )
+            _check(f"{name}[q={qv}]", not bad, detail + (f", failures: {bad}" if bad else ""))
         )
     return out
+
+
+def _forms_agree(qv, n, m):
+    direct = alt_power_sum(n, m, qv)
+    return direct == alt_power_sum_closed(n, m, qv) and direct == alt_power_sum_polyform(n, m, qv)
+
+
+def alternating_sum_checks():
+    """Direct alternating power sum == closed form == polynomial form,
+    exactly, over the whole grid."""
+    return _grid_checks(
+        "alternating-sum-forms",
+        (Fraction(1, 2), Fraction(2, 3), Fraction(6)),
+        [(n, m) for n in range(1, 13) for m in range(1, 11)],
+        _forms_agree,
+        "n<=12, m<=10",
+    )
 
 
 def convolution_rhs(n: int, a: int, q) -> tuple:
@@ -103,267 +114,199 @@ def convolution_rhs(n: int, a: int, q) -> tuple:
     return num, v ** (a * n) * den
 
 
-def convolution_checks(max_n=10, max_a=6, qs=(Fraction(1, 2), Fraction(6))):
+def _convolution_holds(qv, n, a):
+    lhs = euler_poly_q(n, PolyArg(a, 1, qv))
+    num, den = convolution_rhs(n, a, qv)
+    return lhs.numerator * den == num * lhs.denominator
+
+
+def convolution_checks():
     """Euler polynomial at integer points == its binomial convolution,
     compared cross-multiplied."""
-    out = []
-    for qv in qs:
-        bad = []
-        for n in range(max_n + 1):
-            for a in range(max_a + 1):
-                lhs = euler_poly_q(n, PolyArg(a, 1, qv))
-                num, den = convolution_rhs(n, a, qv)
-                if lhs.numerator * den != num * lhs.denominator:
-                    bad.append((n, a))
-        out.append(
-            _check(
-                f"euler-convolution[q={qv}]",
-                not bad,
-                f"n<={max_n}, a<={max_a}" + (f", failures: {bad}" if bad else ""),
-            )
-        )
-    return out
+    return _grid_checks(
+        "euler-convolution",
+        (Fraction(1, 2), Fraction(6)),
+        [(n, a) for n in range(11) for a in range(7)],
+        _convolution_holds,
+        "n<=10, a<=6",
+    )
 
 
-def binomial_identity_checks(limit=10):
+def binomial_identity_checks():
     """The three named binomial-coefficient identities on exhaustive grids."""
-    shift_ok = all(
-        binom_product_shift(r, j, k)
-        for r in range(2, limit + 1)
-        for j in range(limit + 1)
-        for k in range(limit + 1)
-        if j + k > 0 and r != 1 - k
-    )
-    merge_ok = all(
-        binom_product_merge(r, j, k)
-        for r in range(2, limit + 1)
-        for j in range(limit + 1)
-        for k in range(limit + 1)
-    )
-    tail_ok = all(
-        binom_tail_merge(r, j, k)
-        for r in range(1, limit + 1)
-        for j in range(limit + 1)
-        for k in range(limit + 1)
-    )
+    grid = [(r, j, k) for r in range(1, 11) for j in range(11) for k in range(11)]
+    shift_ok = all(binom_product_shift(r, j, k) for r, j, k in grid if r > 1 and j + k > 0)
+    merge_ok = all(binom_product_merge(r, j, k) for r, j, k in grid if r > 1)
+    tail_ok = all(binom_tail_merge(r, j, k) for r, j, k in grid)
     return [
-        _check("binom-product-shift", shift_ok, f"r,j,k <= {limit}"),
-        _check("binom-product-merge", merge_ok, f"r,j,k <= {limit}"),
-        _check("binom-tail-merge", tail_ok, f"r,j,k <= {limit}"),
+        _check("binom-product-shift", shift_ok, "r,j,k <= 10"),
+        _check("binom-product-merge", merge_ok, "r,j,k <= 10"),
+        _check("binom-tail-merge", tail_ok, "r,j,k <= 10"),
     ]
 
 
-def distribution_checks(max_n=6, ms=(1, 3, 5), qs=(Fraction(1, 2), Fraction(6))):
+def distribution_checks():
     """Multiplication theorem, exactly, at x in {0, 1/3, 2/5}."""
-    out = []
-    for qv in qs:
-        bad = []
-        for n in range(max_n + 1):
-            for m in ms:
-                for (a, f) in ((0, 1), (1, 3), (2, 5)):
-                    rep = distribution_check(n, m, PolyArg(a, f, qv))
-                    if not rep.passed:
-                        bad.append((n, m, a, f))
-        out.append(
-            _check(
-                f"distribution-relation[q={qv}]",
-                not bad,
-                f"n<={max_n}, m in {ms}, x in {{0, 1/3, 2/5}}"
-                + (f", failures: {bad}" if bad else ""),
-            )
-        )
-    return out
-
-
-def suite_exact_identities():
-    return (
-        alternating_sum_checks()
-        + convolution_checks()
-        + binomial_identity_checks()
-        + distribution_checks()
+    return _grid_checks(
+        "distribution-relation",
+        (Fraction(1, 2), Fraction(6)),
+        [(n, m, a, f) for n in range(7) for m in (1, 3, 5) for a, f in ((0, 1), (1, 3), (2, 5))],
+        lambda qv, n, m, a, f: distribution_check(n, m, PolyArg(a, f, qv)).passed,
+        "n<=6, m in (1, 3, 5), x in {0, 1/3, 2/5}",
     )
 
 
 # -- complex suite ----------------------------------------------------------
 
+TOL = 1e-8
 
-def zeta_interpolation_checks(tol=1e-8):
+
+def zeta_interpolation_checks():
     """Regularized zeta at negative integers vs exact Euler polynomials,
     plus one fractional-shift case with an exactly representable base."""
     out = []
     for qv in (Fraction(1, 2), Fraction(1, 4)):
         params = ArchParams(q=float(qv))
-        worst = 0.0
-        for k in range(7):
-            for x in (1, 2):
-                exact = float(euler_poly_q(k, PolyArg(x, 1, qv)))
-                approx = zeta_Eq(-k, float(x), params)
-                worst = max(worst, abs(approx - exact))
+        errors = [
+            abs(float(euler_poly_q(k, PolyArg(x, 1, qv))) - zeta_Eq(-k, float(x), params))
+            for k in range(7)
+            for x in (1, 2)
+        ]
+        worst = max(0.0, *errors)
         out.append(
             _check(
                 f"zeta-negative-integers[q={qv}]",
-                worst < tol,
+                worst < TOL,
                 f"k<=6, x in {{1,2}}, worst |err| = {worst:.2e}",
             )
         )
-    base = Fraction(1, 2)
-    exact = float(euler_poly_q(2, PolyArg(1, 3, base)))
-    approx = zeta_Eq(-2, 1 / 3, ArchParams(q=float(base) ** 3))
-    err = abs(approx - exact)
-    out.append(_check("zeta-fractional-shift", err < tol, f"x=1/3, base q^3, |err| = {err:.2e}"))
+    exact = float(euler_poly_q(2, PolyArg(1, 3, Fraction(1, 2))))
+    err = abs(zeta_Eq(-2, 1 / 3, ArchParams(q=0.5**3)) - exact)
+    out.append(_check("zeta-fractional-shift", err < TOL, f"x=1/3, base q^3, |err| = {err:.2e}"))
     return out
 
 
-def l_value_checks(tol=1e-8):
+def l_value_checks():
     """l-values at negative integers vs the generalized Euler numbers."""
+    params = ArchParams(q=0.5)
     out = []
-    qv = Fraction(1, 2)
-    params = ArchParams(q=float(qv))
     for chi, label in ((ComplexChar.trivial(), "trivial"), (ComplexChar.quadratic(3), "quad3")):
-        worst = 0.0
-        for k in range(1, 6):
-            approx = l_q_complex(-k, chi, params)
-            exact = gen_euler_complex(k, chi, qv)
-            worst = max(worst, abs(approx - exact))
+        errors = [
+            abs(l_q_complex(-k, chi, params) - gen_euler_complex(k, chi, Fraction(1, 2)))
+            for k in range(1, 6)
+        ]
+        worst = max(0.0, *errors)
         out.append(
             _check(
                 f"l-value-interpolation[{label}]",
-                worst < tol,
+                worst < TOL,
                 f"k in 1..5, q=1/2, worst |err| = {worst:.2e}",
             )
         )
     return out
 
 
-def suite_complex():
-    return zeta_interpolation_checks() + l_value_checks()
-
-
 # -- p-adic suite -----------------------------------------------------------
 
+# every p-adic check runs at the one point p = 5, q = 6
+P, Q = 5, Fraction(6)
 
-def fermionic_checks(p=5, qnum=6, max_m=4, levels=(2, 3, 4)):
+
+def fermionic_checks():
     """Riemann sums of the alternating-measure integral converge to the
     q-Euler numbers with p-adic gap >= level - 1."""
-    q = QParam(Fraction(qnum), p)
+    q = QParam(Q, P)
     out = []
-    for m in range(max_m + 1):
-        target = euler_number_q(m, q.value)
-        gaps = []
-        ok = True
-        for level in levels:
-            gap = padic_valuation(fermionic_riemann(m, q, level) - target, p)
-            gaps.append(gap)
-            if gap < level - 1:
-                ok = False
-        out.append(
-            _check(
-                f"fermionic-oracle[m={m}]",
-                ok,
-                "v_gap per level " + str(dict(zip(levels, gaps))),
-            )
-        )
+    for m in range(5):
+        target = euler_number_q(m, Q)
+        gaps = {
+            level: padic_valuation(fermionic_riemann(m, q, level) - target, P)
+            for level in (2, 3, 4)
+        }
+        ok = all(gap >= level - 1 for level, gap in gaps.items())
+        out.append(_check(f"fermionic-oracle[m={m}]", ok, f"v_gap per level {gaps}"))
     return out
 
 
-def interpolation_checks(p=5, qnum=6, max_n=4, target=6, precision=12):
+def _agreement_check(name, target, pairs, detail):
+    """Passes when every (lhs, rhs) pair agrees to p^(target-1); the detail
+    names the worst agreement."""
+    sat, val = min((sat, val) for val, sat in (agreement(lhs, rhs) for lhs, rhs in pairs))
+    return _check(
+        name, sat or val >= target - 1, f"{detail}; worst agreement {'>=' if sat else '='}{val}"
+    )
+
+
+def interpolation_checks():
     """Negative-integer values of the p-adic partial function and
     l-function vs their exact q-Euler counterparts."""
-    q = QParam(Fraction(qnum), p)
+    q = QParam(Q, P)
+    target, precision = 6, 12
     budget = SeriesBudget(target=target)
-    out = []
-    worst = None
-    for n in range(1, max_n + 1):
-        for a in range(1, p):
-            lhs = H_pq(-n, a, p, q, budget, precision)
-            hq = Fraction((-1) ** a, 2) * q_int(p, q.value) ** n * euler_poly_q(n, PolyArg(a, p, q.value))
-            rhs = teichmuller(a, p, precision) ** (-n) * embed(hq, p, precision)
-            val, sat = agreement(lhs, rhs)
-            if worst is None or (sat, val) < worst:
-                worst = (sat, val)
-    sat, val = worst
-    out.append(
-        _check(
-            "partial-function-interpolation",
-            sat or val >= target - 1,
-            f"n<=4, all residues; worst agreement {'>=' if sat else '='}{val}",
-        )
-    )
-    worst = None
-    for n in range(1, max_n + 1):
-        chi = TeichChar(p, n)
-        lhs = l_pq(-n, chi, p, q, budget, precision)
-        rhs = embed(
-            euler_number_q(n, q.value) - q_int(p, q.value) ** n * euler_number_q(n, q.value**p),
-            p,
-            precision,
-        ).reduce(target)
-        val, sat = agreement(lhs, rhs)
-        if worst is None or (sat, val) < worst:
-            worst = (sat, val)
-    sat, val = worst
-    out.append(
-        _check(
-            "l-function-interpolation",
-            sat or val >= target - 1,
-            f"n<=4, exponent n mod {p - 1}; worst agreement {'>=' if sat else '='}{val}",
-        )
-    )
-    return out
 
+    def partial_values(n, a):
+        lhs = H_pq(-n, a, P, q, budget, precision)
+        hq = Fraction((-1) ** a, 2) * q_int(P, Q) ** n * euler_poly_q(n, PolyArg(a, P, Q))
+        return lhs, teichmuller(a, P, precision) ** (-n) * embed(hq, P, precision)
 
-def congruence_checks(p=5, qnum=6, target=4, precision=None):
-    """Unit-exponent l-values: integrality, constancy mod p, and the
-    shift-by-p congruence."""
-    q = QParam(Fraction(qnum), p)
-    budget = SeriesBudget(target=target)
-    chi = TeichChar(p, 0)
-    samples = [0, 1, 5, Fraction(3, 2), Fraction(1, 2)]
-    values = [l_pq(s, chi, p, q, budget, precision) for s in samples]
-    integral = all(v.valuation_at_least(0) for v in values)
-    congruent = all(
-        agreement(values[0].reduce(1), v.reduce(1))[1] for v in values[1:]
-    )
-    shift_ok = True
-    for k in (1, 2, 3):
-        va = l_pq(k, chi, p, q, budget, precision)
-        vb = l_pq(k + p, chi, p, q, budget, precision)
-        if not agreement(va.reduce(1), vb.reduce(1))[1]:
-            shift_ok = False
+    def l_value(n):
+        lhs = l_pq(-n, TeichChar(P, n), P, q, budget, precision)
+        exact = euler_number_q(n, Q) - q_int(P, Q) ** n * euler_number_q(n, Q**P)
+        return lhs, embed(exact, P, precision).reduce(target)
+
     return [
-        _check("l-values-integral", integral, f"s in {samples}"),
-        _check("l-values-constant-mod-p", congruent, "pairwise congruent mod p"),
-        _check("l-values-shift-congruence", shift_ok, f"l(k) == l(k+{p}) mod {p}, k in 1..3"),
+        _agreement_check(
+            "partial-function-interpolation",
+            target,
+            (partial_values(n, a) for n in range(1, 5) for a in range(1, P)),
+            "n<=4, all residues",
+        ),
+        _agreement_check(
+            "l-function-interpolation",
+            target,
+            (l_value(n) for n in range(1, 5)),
+            f"n<=4, exponent n mod {P - 1}",
+        ),
     ]
 
 
-def truncation_soundness_checks(p=5, qnum=6, target=4):
+def congruence_checks():
+    """Unit-exponent l-values: integrality, constancy mod p, and the
+    shift-by-p congruence."""
+    q = QParam(Q, P)
+    budget = SeriesBudget(target=4)
+    chi = TeichChar(P, 0)
+    samples = [0, 1, 5, Fraction(3, 2), Fraction(1, 2)]
+    values = [l_pq(s, chi, P, q, budget) for s in samples]
+    integral = all(v.valuation_at_least(0) for v in values)
+    congruent = all(agreement(values[0].reduce(1), v.reduce(1))[1] for v in values[1:])
+    shifts = [
+        agreement(l_pq(k, chi, P, q, budget).reduce(1), l_pq(k + P, chi, P, q, budget).reduce(1))[1]
+        for k in (1, 2, 3)
+    ]
+    return [
+        _check("l-values-integral", integral, f"s in {samples}"),
+        _check("l-values-constant-mod-p", congruent, "pairwise congruent mod p"),
+        _check("l-values-shift-congruence", all(shifts), f"l(k) == l(k+{P}) mod {P}, k in 1..3"),
+    ]
+
+
+def truncation_soundness_checks():
     """Doubling the hard truncation limit must not change any reported
     value modulo its reported precision."""
-    q = QParam(Fraction(qnum), p)
-    base = SeriesBudget(target=target, max_terms=60)
-    doubled = SeriesBudget(target=target, max_terms=120)
-    bad = []
-    for s in (1, 2, 3, Fraction(1, 2)):
-        chi = TeichChar(p, 2)
-        a = agreement(l_pq(s, chi, p, q, base), l_pq(s, chi, p, q, doubled))
-        if not a[1]:
-            bad.append(f"l(s={s})")
-    for (n, s) in ((2, 1), (2, 3), (4, 2)):
-        chi = TeichChar(p, -s)
-        if not agreement(
-            T_pq_chi(n, s, chi, p, q, base), T_pq_chi(n, s, chi, p, q, doubled)
-        )[1]:
-            bad.append(f"T(n={n},s={s})")
-        if not agreement(
-            K_pq_chi(n, s, chi, p, q, base), K_pq_chi(n, s, chi, p, q, doubled)
-        )[1]:
-            bad.append(f"K(n={n},s={s})")
-    for a in range(1, p):
-        if not agreement(
-            H_pq(2, a, p, q, base), H_pq(2, a, p, q, doubled)
-        )[1]:
-            bad.append(f"H(a={a})")
+    q = QParam(Q, P)
+    # (label, value as a function of the budget)
+    values = [
+        (f"l(s={s})", partial(l_pq, s, TeichChar(P, 2), P, q)) for s in (1, 2, 3, Fraction(1, 2))
+    ]
+    values += [
+        (f"{name}(n={n},s={s})", partial(series, n, s, TeichChar(P, -s), P, q))
+        for n, s in ((2, 1), (2, 3), (4, 2))
+        for name, series in (("T", T_pq_chi), ("K", K_pq_chi))
+    ]
+    values += [(f"H(a={a})", partial(H_pq, 2, a, P, q)) for a in range(1, P)]
+    base, doubled = SeriesBudget(target=4, max_terms=60), SeriesBudget(target=4, max_terms=120)
+    bad = [label for label, at in values if not agreement(at(base), at(doubled))[1]]
     return [
         _check(
             "truncation-soundness",
@@ -371,15 +314,6 @@ def truncation_soundness_checks(p=5, qnum=6, target=4):
             "doubled max_terms" + (f", changed: {bad}" if bad else ", all values stable"),
         )
     ]
-
-
-def suite_padic():
-    return (
-        fermionic_checks()
-        + interpolation_checks()
-        + congruence_checks()
-        + truncation_soundness_checks()
-    )
 
 
 # -- expansion engine suite -------------------------------------------------
@@ -418,26 +352,28 @@ def theorem5_checks(p=5, qnum=6, rs=(1, 2, 3), ns=(2, 4), target=4, max_terms=60
     return out
 
 
-def suite_theorem5():
-    # the default grid, then its q = 1 degeneration (the classical path)
-    return theorem5_checks() + theorem5_checks(qnum=1, rs=(2,), ns=(2,))
-
-
 SUITES = {
-    "exact-identities": suite_exact_identities,
-    "complex": suite_complex,
-    "padic": suite_padic,
-    "theorem5": suite_theorem5,
+    "exact-identities": (
+        alternating_sum_checks,
+        convolution_checks,
+        binomial_identity_checks,
+        distribution_checks,
+    ),
+    "complex": (zeta_interpolation_checks, l_value_checks),
+    "padic": (
+        fermionic_checks,
+        interpolation_checks,
+        congruence_checks,
+        truncation_soundness_checks,
+    ),
+    # the default grid, then its q = 1 degeneration (the classical path)
+    "theorem5": (theorem5_checks, partial(theorem5_checks, qnum=1, rs=(2,), ns=(2,))),
 }
 
 
 def run_suite(name: str):
-    """Run one named suite, or all of them."""
-    if name == "all":
-        out = []
-        for key in ("exact-identities", "complex", "padic", "theorem5"):
-            out.extend(SUITES[key]())
-        return out
-    if name not in SUITES:
+    """Run one named suite, or all of them in registry order."""
+    if name != "all" and name not in SUITES:
         raise QEulerError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name]()
+    names = SUITES if name == "all" else (name,)
+    return [check for key in names for checks in SUITES[key] for check in checks()]

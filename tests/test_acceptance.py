@@ -56,7 +56,7 @@ def test_criterion_01_exact_identity_suite():
     _run_checks(
         1,
         "alternating-sum identities and convolution (exact)",
-        lambda: alternating_sum_checks(max_n=12, max_m=10) + convolution_checks(),
+        lambda: alternating_sum_checks() + convolution_checks(),
         time_limit=10.0,
     )
 
@@ -65,7 +65,7 @@ def test_criterion_02_binomial_identities():
     _run_checks(
         2,
         "binomial-coefficient identities (exhaustive, r,j,k <= 10)",
-        lambda: binomial_identity_checks(limit=10),
+        binomial_identity_checks,
         time_limit=1.0,
     )
 
@@ -78,7 +78,7 @@ def test_criterion_04_fermionic_oracle():
     _run_checks(
         4,
         "fermionic Riemann-sum oracle, gap valuation >= level - 1",
-        lambda: fermionic_checks(max_m=4, levels=(2, 3, 4)),
+        fermionic_checks,
     )
 
 
@@ -99,7 +99,7 @@ def test_criterion_07_padic_interpolation():
     _run_checks(
         7,
         "p-adic interpolation, agreement >= M-1 at M=6, N=12",
-        lambda: interpolation_checks(max_n=4, target=6, precision=12),
+        interpolation_checks,
         time_limit=30.0,
     )
 

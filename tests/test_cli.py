@@ -240,6 +240,15 @@ def test_verify_other_suites_reject_grid_flags(capsys):
         ["lvalue", "--side", "padic", "--s", "1", "--q", "6", "--F", "-5"],
         ["theorem5", "--r", "1", "--n", "2", "--p", "5", "--q", "6", "--M", "4", "--N", "2"],
         ["theorem5", "--r", "1", "--n", "2", "--p", "5", "--q", "6", "--M", "4", "--N", "3"],
+        # a flag of the other lvalue side is invalid input, not ignored
+        ["lvalue", "--side", "padic", "--s", "1", "--s-im", "2", "--q", "6/1", "--p", "5"],
+        ["lvalue", "--side", "padic", "--s", "1", "--q", "6", "--chi", "trivial"],
+        ["lvalue", "--side", "padic", "--s", "1", "--q", "6", "--eps", "1e-9"],
+        ["lvalue", "--side", "complex", "--s", "1", "--q", "0.5", "--p", "7", "--t", "3", "--M", "9"],
+        ["lvalue", "--side", "complex", "--s", "1", "--q", "0.5", "--t", "0"],
+        ["lvalue", "--side", "complex", "--s", "1", "--q", "0.5", "--F", "5"],
+        ["lvalue", "--side", "complex", "--s", "1", "--q", "0.5", "--N", "6"],
+        ["lvalue", "--side", "complex", "--s", "1", "--q", "0.5", "--kmax", "60"],
     ],
 )
 def test_malformed_input_exits_two(capsys, argv):

@@ -1,0 +1,62 @@
+"""Failure paths of the verification suites: one mutation each, seen by
+`suites`, must turn exactly the named `qeuler verify <suite>` lines to
+FAIL, with these detail strings."""
+
+from fractions import Fraction
+
+from qeuler import alt_power_sum_polyform, l_pq, suites, teichmuller, zeta_Eq
+from qeuler.cli import main
+
+
+def _fail_lines(capsys, suite):
+    """The FAIL lines of `verify <suite>`, after checking that the summary
+    line and the exit code say the same."""
+    code = main(["verify", suite])
+    *lines, summary = capsys.readouterr().out.splitlines()
+    failing = [line for line in lines if line.startswith("FAIL")]
+    assert summary == f"FAILED: {len(lines) - len(failing)}/{len(lines)} checks passed"
+    assert code == 1
+    return failing
+
+
+def test_grid_failures_are_listed_in_grid_order(monkeypatch, capsys):
+    def off(n, m, q):
+        return alt_power_sum_polyform(n, m, q) + ((n, m) in {(7, 3), (2, 9)})
+
+    monkeypatch.setattr(suites, "alt_power_sum_polyform", off)
+    assert _fail_lines(capsys, "exact-identities") == [
+        f"FAIL  alternating-sum-forms[q={q}]  n<=12, m<=10, failures: [(2, 9), (7, 3)]"
+        for q in ("1/2", "2/3", "6")
+    ]
+
+
+def test_a_perturbed_zeta_fails_only_the_zeta_lines(monkeypatch, capsys):
+    monkeypatch.setattr(suites, "zeta_Eq", lambda s, x, params: zeta_Eq(s, x, params) + 1e-6)
+    assert _fail_lines(capsys, "complex") == [
+        "FAIL  zeta-negative-integers[q=1/2]  k<=6, x in {1,2}, worst |err| = 1.00e-06",
+        "FAIL  zeta-negative-integers[q=1/4]  k<=6, x in {1,2}, worst |err| = 1.00e-06",
+        "FAIL  zeta-fractional-shift  x=1/3, base q^3, |err| = 1.00e-06",
+    ]
+
+
+def test_a_wrong_teichmuller_value_fails_partial_interpolation(monkeypatch, capsys):
+    # w(2) off by p^3: every n <= 4 is a p-unit, so w(2)^(-n) agrees to v = 3
+    def wrong(a, p, precision):
+        return teichmuller(a, p, precision) + (p**3 if a == 2 else 0)
+
+    monkeypatch.setattr(suites, "teichmuller", wrong)
+    assert _fail_lines(capsys, "padic") == [
+        "FAIL  partial-function-interpolation  n<=4, all residues; worst agreement =3",
+    ]
+
+
+def test_a_truncation_dependent_l_value_is_named(monkeypatch, capsys):
+    # only the doubled budget moves, so the congruence checks still pass
+    def drifting(s, chi, F, q, budget, precision=None):
+        value = l_pq(s, chi, F, q, budget, precision)
+        return value + 1 if s == Fraction(1, 2) and budget.max_terms == 120 else value
+
+    monkeypatch.setattr(suites, "l_pq", drifting)
+    assert _fail_lines(capsys, "padic") == [
+        "FAIL  truncation-soundness  doubled max_terms, changed: ['l(s=1/2)']",
+    ]
