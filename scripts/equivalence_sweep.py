@@ -9,7 +9,8 @@ and writes to OUT, for every point of a fixed grid, either
 ``[residue, precision]`` or ``{"raised": <exception type>}`` of ``H_pq``,
 ``K_pq``, ``T_pq``, ``l_pq``, ``K_pq_chi``, ``theorem5_lhs``,
 ``theorem5_rhs`` and ``theorem5_rhs_weighted``, plus
-``theorem5_verify(...).to_dict()`` (also at p = 101), and ``"num/den"`` of
+``theorem5_verify(...).to_dict()`` (also at p = 101, and at p = 5 to
+target 20), and ``"num/den"`` of
 the exact ``euler_number_q``, ``euler_poly_q``, the three
 ``alt_power_sum`` forms, ``fermionic_riemann`` and ``theorem5_lhs_exact``
 on a grid of inputs that every revision accepts.  The exact-identity
@@ -49,8 +50,13 @@ POINTS = [
 BUDGETS = [(4, None, 60, 5), (3, 3, 60, 5), (4, 10, 8, 5), (6, 6, 4, 3)]
 EXPANSION_POINTS = [(1, 2), (2, 2), (2, 4), (3, 4)]
 # (p, q, r, n, target): a large prime, where the engine's left-hand side
-# and block sums run over 200 terms
-LARGE_POINTS = [(101, Fraction(102), 2, 2, 4)]
+# and block sums run over 200 terms, and a deep target, where the series
+# terms carry residues of high valuation
+ENGINE_POINTS = [
+    (101, Fraction(102), 2, 2, 4),
+    (5, Fraction(6), 2, 2, 20),
+    (5, Fraction(1), 2, 2, 20),
+]
 # exact layer: negative, zero, near-one, integral and non-integral q
 EXACT_QS = [Fraction(1, 2), Fraction(2, 3), Fraction(6), Fraction(-3, 7),
             Fraction(32, 31), Fraction(0), Fraction(26), Fraction(31, 6)]
@@ -117,7 +123,7 @@ def sweep(qe) -> dict:
         out[f"{at} H a=p"] = outcome(qe, lambda: qe.H_pq(1, p, 3 * p, q, budget))
         out[f"{at} H F=2p"] = outcome(qe, lambda: qe.H_pq(1, 1, 2 * p, q, budget))
         out[f"{at} rhs N=0"] = outcome(qe, lambda: qe.theorem5_rhs(2, 2, q, budget, 0))
-    for p, qv, r, n, target in LARGE_POINTS:
+    for p, qv, r, n, target in ENGINE_POINTS:
         q, budget = qe.QParam(qv, p), qe.SeriesBudget(target)
         out[f"p={p} q={qv} budget={target} verify r={r} n={n}"] = outcome(
             qe, lambda: qe.theorem5_verify(r, n, q, budget))

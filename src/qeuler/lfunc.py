@@ -19,20 +19,23 @@ geometric valuation gain per term; results are reported modulo
 p**target of their budget, never beyond what the certificate covers.
 
 All computation is pure; verification grids can be evaluated in any
-order and merged.  H/K series values are cached per process, and every
+order and merged.  H/K series values are cached per process (at an
+integer exponent as a (residue, precision) pair of ints), and every
 series at one (q, F, precision) reads one shared residue table.  Besides
 q, Q = q^F, the q-integers and the Euler numbers, that table holds the
-Teichmuller residues w(a), the 1-units <a> = [a]_q / w(a), and per (a, n)
+Teichmuller residues w(a), the 1-units <a> = [a]_q / w(a), per (a, n)
 the coefficient row c_j = step(a)^j E_{j,Q} w_n(Q^j) of the H (n = 0,
-w_0 = 1) and K (w_n(x) = x^n - 1) series, built by running products.  An
-integer exponent steps its exact binomial through the row, a Z_p exponent
-multiplies its p-adic binomial by the row's residue; <a>^(-s) and the
-regrouping stage's w(a)^(-r) read the same table.  Both character-sum
-assemblies sum sum_a w(a)^(-(r+k)) (H + K)(r+k, a) q^(ak) (or weight 1)
-on integer residues, at the precision min(precision, H.precision,
-K.precision) over the residues, then scale that one p-adic value by the
-exact coefficient of term k.  The engine's working precision must reach
-its target: below it no integer-exponent series can certify.
+w_0 = 1) and K (w_n(x) = x^n - 1) series, built by running products, and
+per n the residue-independent factor of the block series' coefficients.
+The series kernel walks a row as a list.  An integer exponent steps its
+exact binomial through the row, a Z_p exponent multiplies its p-adic
+binomial by the row's residue; <a>^(-s) and the regrouping stage's
+w(a)^(-r) read the same table.  Both character-sum assemblies sum
+sum_a w(a)^(-(r+k)) (H + K)(r+k, a) q^(ak) (or weight 1) over the H and
+K pairs, at the precision min(precision, H.precision, K.precision) over
+the residues, then scale that one p-adic value by the exact coefficient
+of term k.  The engine's working precision must reach its target: below
+it no integer-exponent series can certify.
 The left-hand side and its per-residue block sums are signed sums over
 one table of [j]_q^(-r) mod p**N; the rational closed forms of both stay
 outside the engine, as the tests' oracles.
@@ -44,7 +47,7 @@ import math
 import threading
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import OutOfDomain, TruncationNotConverged
 from .euler import (
@@ -108,7 +111,8 @@ class _TruncatedSeries:
         self.gain = gain
         self.label = label
         self.prime = p
-        self.residue = 0  # reduced once, by result()
+        self._target_modulus = p**budget.target
+        self.residue = 0  # reduced once, by certified()
         self.precision = precision
         self.quiet = 0
         self.slack = 0
@@ -116,35 +120,48 @@ class _TruncatedSeries:
         self.done = False
 
     def add(self, index: int, residue: int, precision: int) -> bool:
-        """Add term `index`, known as `residue` (already reduced) mod p**precision."""
+        """Add term `index`, known as `residue` (already reduced) mod p**precision.
+
+        A nonzero term is negligible when p**target divides it, a zero one
+        when its precision reaches the target.  Its valuation v moves the
+        slack only when v < index*gain - slack, that is when
+        p**(index*gain - slack) does not divide it; only then is v taken."""
         self.residue += residue
         self.precision = min(self.precision, precision)
         self.used = index
-        v = padic_valuation_int(residue, self.prime) if residue else None
-        if v is not None:
-            self.slack = max(self.slack, index * self.gain - v)
-        negligible = (precision if v is None else v) >= self.budget.target
+        if residue:
+            negligible = residue % self._target_modulus == 0
+            floor = index * self.gain - self.slack
+            if floor > 0 and residue % self.prime**floor:
+                self.slack = index * self.gain - padic_valuation_int(residue, self.prime)
+        else:
+            negligible = precision >= self.budget.target
         self.quiet = self.quiet + 1 if negligible else 0
         tail_ok = (index + 1) * self.gain - self.slack >= self.budget.target
         self.done = self.quiet >= self.budget.window and tail_ok
         return self.done
 
-    def result(self) -> PadicApprox:
+    def certified(self) -> tuple:
+        """(residue, precision) of the sum, the precision capped at the target."""
         if not self.done:
             raise TruncationNotConverged(
                 f"series '{self.label}' not certified within {self.used + 1} terms "
                 f"(window {self.budget.window}, target {self.budget.target})"
             )
-        return PadicApprox(self.prime, self.residue, min(self.precision, self.budget.target))
+        precision = min(self.precision, self.budget.target)
+        return self.residue % self.prime**precision, precision
+
+    def result(self) -> PadicApprox:
+        return PadicApprox(self.prime, *self.certified())
 
 
 class _Residues:
     """Residues mod p**precision of what every series here is built from,
     at one (q, F): q itself, Q = q^F and the q-integers [a]_q for a <= F,
-    and three tables that grow on demand under one lock: the q-Euler
+    and tables that grow on demand under one lock: the q-Euler
     numbers E_{j,Q} (by the integral recurrence of the module docstring),
     the Teichmuller residues w(a) with the 1-units <a> = [a]_q / w(a), and
-    the coefficient rows of the H and K series.
+    the coefficient rows of the H and K series and of the block series.
     """
 
     def __init__(self, q: QParam, F: int, precision: int):
@@ -166,6 +183,7 @@ class _Residues:
         self._q_powers = []
         self._units = {}
         self._rows = {}
+        self._doubles = {}
         # _residues shares one table per point; reentrant, since a row
         # extends the Euler table while it grows
         self._lock = threading.RLock()
@@ -195,25 +213,57 @@ class _Residues:
                 pair = self._units[a] = (w, self.q_ints[a] * pow(w, -1, self.mod) % self.mod)
         return pair
 
-    def coeff(self, a: int, n: int, j: int) -> int:
-        """c_j = step(a)^j E_{j,Q} w_n(Q^j) mod p**precision, where w_0 = 1
-        (the H series) and w_n(x) = x^n - 1 for even n (the K series)."""
+    def row(self, a: int, n: int, stop: int) -> list:
+        """The coefficient row c_0, c_1, ..., grown to at least `stop`
+        entries: c_j = step(a)^j E_{j,Q} w_n(Q^j) mod p**precision, where
+        w_0 = 1 (the H series) and w_n(x) = x^n - 1 for even n (the K
+        series)."""
+        return self._grown(self._rows, (a, n), lambda: self._row(a, n), stop)
+
+    def double_row(self, n: int, power_tail: bool, stop: int) -> list:
+        """The factor d_s of the block series' coefficients that does not
+        depend on the residue a, grown to at least `stop` entries:
+
+            d_s = (-1)^n sum_{l<s} binom(s, l) Q^(nl) E_{l,Q} [n]_Q^(s-l)
+                  (+ ((-1)^n Q^(ns) - 1) E_{s,Q} when power_tail)."""
+        key = (n, power_tail)
+        return self._grown(self._doubles, key, lambda: self._double_row(n, power_tail), stop)
+
+    def _grown(self, table: dict, key, terms, stop: int) -> list:
+        """table[key]'s values, drawn from its generator terms() until there
+        are `stop`.  A values list only ever grows, so its first `stop`
+        entries stay valid to read without the lock."""
         with self._lock:
-            row = self._rows.get((a, n))
+            row = table.get(key)
             if row is None:
-                row = self._rows[a, n] = ([], self._row(a, n))
-            values, terms = row
-            while len(values) <= j:
-                values.append(next(terms))
-        return values[j]
+                row = table[key] = ([], terms())
+            values, source = row
+            while len(values) < stop:
+                values.append(next(source))
+        return values
 
     def _row(self, a: int, n: int):
-        """The c_j of coeff(a, n, .) in order, by running products."""
+        """The c_j of row(a, n, .) in order, by running products."""
         mod, step, Qn = self.mod, self.step(a), pow(self.Q, n, self.mod)
         power, Qnj, j = 1, 1, 0
         while True:
             yield power * self.euler(j) * (Qnj - 1 if n else 1) % mod
             power, Qnj, j = power * step % mod, Qnj * Qn % mod, j + 1
+
+    def _double_row(self, n: int, power_tail: bool):
+        """The d_s of double_row(n, power_tail, .) in order."""
+        mod, sign = self.mod, (-1) ** n
+        Qn = pow(self.Q, n, mod)
+        h = sum(pow(self.Q, i, mod) for i in range(n)) % mod  # [n]_Q
+        lead, h_pows, s = [], [1], 0  # Q^(nl) E_{l,Q} and [n]_Q^i
+        while True:
+            c = sign * sum(math.comb(s, l) * lead[l] * h_pows[s - l] for l in range(s))
+            if power_tail:
+                c += (sign * pow(Qn, s, mod) - 1) * self.euler(s)
+            yield c % mod
+            lead.append(pow(Qn, s, mod) * self.euler(s) % mod)
+            h_pows.append(h_pows[-1] * h % mod)
+            s += 1
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -222,26 +272,33 @@ def _residues(q: QParam, F: int, precision: int) -> _Residues:
     return _Residues(q, F, precision)
 
 
-def _series(label, s, start, gain, coeff, p, precision, budget):
+def _series(label, s, start, gain, row, p, precision, budget):
     """The series kernel: sum_{j >= start} binom(-s, j) c_j, truncated per
-    budget, where coeff(j) is c_j mod p**precision.  An integer s steps its
-    binomial exactly, binom(-s, j+1) = binom(-s, j) (-s-j)/(j+1).  A Z_p
-    exponent s takes its p-adic binomial, which loses v_p(j!) digits to the
-    division by j!; v_p(c_j) >= j gain > v_p(j!) gives them back, so each
-    term is still known to the working precision.  Returns the
-    _TruncatedSeries."""
+    budget, where row(stop) lists c_0, c_1, ... mod p**precision to at
+    least `stop` entries.  The row is asked first for the terms up to the
+    earliest index that could certify, then `window` terms at a time.  An
+    integer s steps its binomial exactly, binom(-s, j+1) = binom(-s, j)
+    (-s-j)/(j+1).  A Z_p exponent s takes its p-adic binomial, which loses
+    v_p(j!) digits to the division by j!; v_p(c_j) >= j gain > v_p(j!)
+    gives them back, so each term is still known to the working precision.
+    Returns the _TruncatedSeries."""
     series = _TruncatedSeries(p, precision, budget, gain, label)
     mod = p**precision
     b = binom_int(-s, start) if isinstance(s, int) else None
-    for j in range(start, budget.max_terms + 1):
-        if b is not None:
-            done = series.add(j, b * coeff(j) % mod, precision)
-            b = b * (-s - j) // (j + 1)
-        else:
-            term = binom_zp(-s, j) * PadicApprox(p, coeff(j), precision)
-            done = series.add(j, term.residue, term.precision)
-        if done:
-            break
+    j, stop = start, max(start + budget.window, -(-budget.target // gain))
+    while j <= budget.max_terms:
+        stop = min(stop, budget.max_terms + 1)
+        coeffs = row(stop)
+        for j in range(j, stop):
+            if b is not None:
+                done = series.add(j, b * coeffs[j] % mod, precision)
+                b = b * (-s - j) // (j + 1)
+            else:
+                term = binom_zp(-s, j) * PadicApprox(p, coeffs[j], precision)
+                done = series.add(j, term.residue, term.precision)
+            if done:
+                return series
+        j, stop = stop, stop + budget.window
     return series
 
 
@@ -264,14 +321,6 @@ def _check_residue(a: int, F: int, p: int) -> None:
     _check_modulus(F, p)
 
 
-def _angle_power(res: _Residues, a: int, s) -> PadicApprox:
-    """<a>^(-s) from the table; exact modular power for integer s, exp/log otherwise."""
-    ang = PadicApprox(res.prime, res.units(a)[1], res.precision)
-    if isinstance(s, int):
-        return ang ** (-s)
-    return power_zp(ang, -s)
-
-
 def _as_exponent(s, p: int, precision: int):
     """Normalize a series exponent: ints stay exact, rationals embed."""
     if isinstance(s, int):
@@ -292,6 +341,29 @@ def _default_precision(budget: SeriesBudget, precision) -> int:
     return precision
 
 
+def _partial_series(res: _Residues, s, a, n, budget) -> _TruncatedSeries:
+    """The series of _partial, summed on the table res."""
+    label, start = (f"K(a={a})", 1) if n else (f"H(a={a})", 0)
+    return _series(label, s, start, res.gain, partial(res.row, a, n), res.prime, res.precision, budget)
+
+
+def _signed_half(a: int, modulus: int) -> int:
+    """(-1)^a / 2 mod modulus."""
+    half = pow(2, -1, modulus)
+    return -half if a % 2 else half
+
+
+@lru_cache(maxsize=None, typed=True)
+def _partial_int(s: int, a, F, q: QParam, budget, precision, n) -> tuple:
+    """_partial at an integer exponent s, as (residue, precision) on ints.
+    <a>^(-s) and (-1)^a / 2 are units, so the product with the certified
+    sum is known to the sum's precision."""
+    res = _residues(q, F, precision)
+    total, t = _partial_series(res, s, a, n, budget).certified()
+    mod = q.prime**t
+    return _signed_half(a, mod) * total * pow(res.units(a)[1], -s, mod) % mod, t
+
+
 @lru_cache(maxsize=None, typed=True)
 def _partial(s, a, F, q: QParam, budget, precision, n) -> PadicApprox:
     """The body shared by H (n = 0) and K (n even, n >= 2):
@@ -300,19 +372,23 @@ def _partial(s, a, F, q: QParam, budget, precision, n) -> PadicApprox:
             (q^a [F]_q/[a]_q)^j E_{j,q^F} weight(q^(Fj)),
 
     (start, weight) = (0, 1) for H and (1, x^n - 1) for K, reported modulo
-    p**budget.target.  Typed: s = 2 and Fraction(2) take different paths."""
+    p**budget.target.  Typed: s = 2 and Fraction(2) take different paths,
+    the integer one through _partial_int."""
+    if isinstance(s, int):
+        return PadicApprox(q.prime, *_partial_int(s, a, F, q, budget, precision, n))
     s = _as_exponent(s, q.prime, precision)
     res = _residues(q, F, precision)
+    angle = PadicApprox(q.prime, res.units(a)[1], precision)
+    value = _partial_series(res, s, a, n, budget).result() * power_zp(angle, -s)
+    return PadicApprox(q.prime, _signed_half(a, value.modulus) * value.residue, value.precision)
 
-    def coeff(j):
-        return res.coeff(a, n, j)
 
-    label, start = (f"K(a={a})", 1) if n else (f"H(a={a})", 0)
-    series = _series(label, s, start, res.gain, coeff, q.prime, precision, budget)
-    value = series.result() * _angle_power(res, a, s)
-    # (-1)^a / 2 is a unit, so the product keeps value's precision
-    half = pow(2, -1, value.modulus)
-    return PadicApprox(q.prime, (-half if a % 2 else half) * value.residue, value.precision)
+def _k_int(n: int, s: int, a: int, F: int, q: QParam, budget, precision) -> tuple:
+    """K_pq at a checked point and an integer exponent, as (residue,
+    precision): (0, target) at q = 1, where K vanishes."""
+    if q.is_one:
+        return 0, budget.target
+    return _partial_int(s, a, F, q, budget, precision, n)
 
 
 def H_pq(s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -499,8 +575,9 @@ def _theorem5_rhs(r, n, q, budget, precision, residue_weighted):
     """The plain or residue-weighted expansion side at a checked point,
     with the assembly tail's truncation index.  The weighted assembly
     keeps q^(ak) on each residue's term and halves the T term.  Each
-    term's character sum runs on integer residues at the precision
-    min(precision, H.precision, K.precision) of its summands."""
+    term's character sum runs on the (residue, precision) pairs of H and
+    K, at the precision min(precision, H.precision, K.precision) of its
+    summands; so does T(r, w^(-r)) = 4 sum_a w(a)^(-r) K(r, a)."""
     p = q.prime
     precision = _engine_precision(budget, precision)
     res = _residues(q, p, precision)
@@ -513,18 +590,21 @@ def _theorem5_rhs(r, n, q, budget, precision, residue_weighted):
         q_k = pow(res.q, k, mod) if residue_weighted else 1
         inner, low, weight = 0, precision, 1
         for a in range(1, p):
-            h, kk = H_pq(s, a, p, q, budget, precision), K_pq(n, s, a, p, q, budget, precision)
+            h, h_low = _partial_int(s, a, p, q, budget, precision, 0)
+            kk, k_low = _k_int(n, s, a, p, q, budget, precision)
             weight = weight * q_k % mod  # q^(ak) or 1
-            inner += pow(res.units(a)[0], chi, mod) * (h.residue + kk.residue) * weight
-            low = min(low, h.precision, kk.precision)
+            inner += pow(res.units(a)[0], chi, mod) * (h + kk) * weight
+            low = min(low, h_low, k_low)
         term = PadicApprox(p, 2 * inner, low) * (_merge_coefficient(r, k) * (-1) ** n) * pn_q**k
         if series.add(k, term.residue, term.precision):
             break
-    tail = series.result()
-    t_chi = T_pq_chi(n, r, TeichChar(p, -r), p, q, budget, precision)
-    if residue_weighted:
-        t_chi = t_chi * Fraction(1, 2)
-    return -tail - t_chi, series.used
+    tail, low = series.certified()
+    t_chi, chi = 0, -r % (p - 1)
+    for a in range(1, p):
+        kk, k_low = _k_int(n, r, a, p, q, budget, precision)
+        t_chi += pow(res.units(a)[0], chi, mod) * kk
+        low = min(low, k_low)
+    return PadicApprox(p, -tail - (2 if residue_weighted else 4) * t_chi, low), series.used
 
 
 def theorem5_rhs(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -563,36 +643,32 @@ def _block_series(r, n, a, q: QParam, F, budget, precision, label, power_tail):
               + ((-1)^n q^(nFs) - 1) E_{s,q^F} ],
 
     the double Euler series plus, when power_tail, the power-difference
-    series.  Returns the _TruncatedSeries."""
+    series.  The bracket does not depend on a; the table keeps it once
+    per (n, power_tail).  Returns the _TruncatedSeries."""
     res = _residues(q, F, precision)
-    p, mod = res.prime, res.mod
-    step = res.step(a)
+    mod, step = res.mod, res.step(a)
     unit = -((-1) ** a) * pow(2 * pow(res.q_ints[a], r, mod), -1, mod)
-    q_n = pow(res.Q, n, mod)
-    h = sum(pow(res.Q, i, mod) for i in range(n)) % mod
-    lead, h_pows = [], [1]  # q^(nFl) E_{l,q^F} and [n]_{q^F}^i
+    coeffs = []
 
-    def coeff(s):
-        while len(lead) < s:
-            lead.append(pow(q_n, len(lead), mod) * res.euler(len(lead)) % mod)
-            h_pows.append(h_pows[-1] * h % mod)
-        double = sum(math.comb(s, l) * lead[l] * h_pows[s - l] for l in range(s))
-        c = (-1) ** n * double
-        if power_tail:
-            c += ((-1) ** n * pow(q_n, s, mod) - 1) * res.euler(s)
-        return unit * pow(step, s, mod) * c
+    def row(stop):
+        doubles = res.double_row(n, power_tail, stop)
+        for s in range(len(coeffs), stop):
+            coeffs.append(unit * pow(step, s, mod) * doubles[s] % mod)
+        return coeffs
 
-    return _series(label, r, 1, res.gain, coeff, p, precision, budget)
+    return _series(label, r, 1, res.gain, row, res.prime, precision, budget)
 
 
 def _block_sum_t_form(r, n, a, q: QParam, F, budget, precision):
     """The regrouped expansion: double Euler series plus the closed
-    correction series T in place of the power-difference tail."""
+    correction series T in place of the power-difference tail, here
+    halved and weighted by w(a)^(-r): w(a)^(-r) T / 2 = w(a)^(-r) K."""
     series = _block_series(r, n, a, q, F, budget, precision, f"regrouped expansion (a={a})", False)
+    total, low = series.certified()
+    kk, k_low = _k_int(n, r, a, F, q, budget, precision)
     res = _residues(q, F, precision)
-    w_pow = PadicApprox(res.prime, pow(res.units(a)[0], -r, res.mod), precision)
-    t_val = T_pq(n, r, a, F, q, budget, precision)
-    return series.result() - w_pow * t_val * Fraction(1, 2)
+    w_pow = pow(res.units(a)[0], -r, res.mod)
+    return PadicApprox(res.prime, total - w_pow * kk, min(low, k_low))
 
 
 def _reindex_exact_check(r: int, depth: int) -> bool:

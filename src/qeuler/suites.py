@@ -12,6 +12,7 @@ the checks are scheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -161,6 +162,12 @@ def distribution_checks():
 TOL = 1e-8
 
 
+def _worst(errors) -> float:
+    """The largest error, or nan when any error is nan (max() would drop
+    it), so that a nan anywhere fails the `worst < TOL` test."""
+    return math.nan if any(math.isnan(e) for e in errors) else max(0.0, *errors)
+
+
 def zeta_interpolation_checks():
     """Regularized zeta at negative integers vs exact Euler polynomials,
     plus one fractional-shift case with an exactly representable base."""
@@ -172,7 +179,7 @@ def zeta_interpolation_checks():
             for k in range(7)
             for x in (1, 2)
         ]
-        worst = max(0.0, *errors)
+        worst = _worst(errors)
         out.append(
             _check(
                 f"zeta-negative-integers[q={qv}]",
@@ -195,7 +202,7 @@ def l_value_checks():
             abs(l_q_complex(-k, chi, params) - gen_euler_complex(k, chi, Fraction(1, 2)))
             for k in range(1, 6)
         ]
-        worst = max(0.0, *errors)
+        worst = _worst(errors)
         out.append(
             _check(
                 f"l-value-interpolation[{label}]",

@@ -15,6 +15,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeuler import (
     PadicApprox,
@@ -32,9 +34,11 @@ from qeuler import (
     power_zp,
     q_int,
     teichmuller,
+    theorem5_rhs,
     theorem5_verify,
 )
 from qeuler import lfunc
+from qeuler.kernel import padic_valuation_int
 from qeuler.lfunc import (
     H_pq,
     K_pq,
@@ -134,7 +138,25 @@ def test_coefficient_rows_match_direct_powers(p, qv, F_over_p):
 
             for j in range(30):
                 want = pow(step, j, mod) * table.euler(j) * w(pow(table.Q, j, mod)) % mod
-                assert table.coeff(a, n, j) == want, (a, n, j)
+                assert table.row(a, n, j + 1)[j] == want, (a, n, j)
+
+
+@pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(1)), (7, Fraction(50))])
+def test_double_rows_match_the_direct_sum(p, qv):
+    # the block series' a-independent factor, summed afresh for each s
+    table = _Residues(QParam(qv, p), p, 10)
+    mod, Q = table.mod, table.Q
+    for n in (2, 4):
+        h = sum(pow(Q, i, mod) for i in range(n))
+        for power_tail in (False, True):
+            for s in range(20):
+                want = sum(
+                    binom_int(s, l) * pow(Q, n * l, mod) * table.euler(l) * h ** (s - l)
+                    for l in range(s)
+                )
+                if power_tail:
+                    want += (pow(Q, n * s, mod) - 1) * table.euler(s)
+                assert table.double_row(n, power_tail, s + 1)[s] == want % mod, (n, power_tail, s)
 
 
 @pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(1)), (7, Fraction(50)), (31, Fraction(32))])
@@ -155,13 +177,15 @@ def test_coefficient_rows_grow_consistently_across_threads():
     def extend():
         for j in range(depth):
             for a, n in rows:
-                shared.coeff(a, n, j)
+                shared.row(a, n, j + 1)
+                shared.double_row(n, a == 1, j + 1)
             shared.units(1 + j % 30)
 
     _grow_in_threads(extend)
     serial = _Residues(q, 31, 12)
     for a, n in rows:
-        assert shared._rows[a, n][0] == [serial.coeff(a, n, j) for j in range(depth)], (a, n)
+        assert shared._rows[a, n][0] == serial.row(a, n, depth), (a, n)
+        assert shared._doubles[n, a == 1][0] == serial.double_row(n, a == 1, depth), (a, n)
     assert shared._units == {a: serial.units(a) for a in range(1, 31)}
 
 
@@ -273,6 +297,92 @@ def test_l_value_matches_fraction_scalar_formula(p, qv):
         assert _pair(l_pq(s, chi, p, q, budget, 10)) == _pair(want), s
 
 
+# -- the integer exponent path against the Z_p one --------------------------
+
+# q = 1 at p = 5 only; v_p(q - 1) = 1 and 2, and non-integral q, at both
+EXPONENT_PATH_POINTS = [
+    (5, Fraction(6)),
+    (5, Fraction(26)),
+    (5, Fraction(11, 6)),
+    (5, Fraction(1)),
+    (7, Fraction(8)),
+    (7, Fraction(15, 8)),
+]
+
+
+@pytest.mark.parametrize("p, qv", EXPONENT_PATH_POINTS)
+def test_integer_exponents_agree_with_the_zp_binomial_path(p, qv):
+    # an int s runs on exact binomials and a modular power of <a>, and
+    # Fraction(s) on binom_zp and exp(s log <a>): one residue, one precision
+    q, budget = QParam(qv, p), SeriesBudget(target=4)
+    for s in (-2, 1, 2, 3, 5):
+        for a in range(1, p):
+            assert _pair(H_pq(s, a, p, q, budget)) == _pair(H_pq(Fraction(s), a, p, q, budget)), (s, a)
+            assert _pair(K_pq(2, s, a, p, q, budget)) == _pair(K_pq(2, Fraction(s), a, p, q, budget)), (s, a)
+
+
+# -- the certificate's valuation shortcut ------------------------------------
+
+
+class _EveryValuation:
+    """The reference rule of the series certificate: it takes the exact
+    valuation of every nonzero term, whether or not it can move the slack."""
+
+    def __init__(self, p, precision, budget, gain):
+        self.prime, self.precision, self.budget, self.gain = p, precision, budget, gain
+        self.residue = self.quiet = self.slack = self.used = 0
+        self.done = False
+
+    def add(self, index, residue, precision):
+        self.residue += residue
+        self.precision = min(self.precision, precision)
+        self.used = index
+        v = padic_valuation_int(residue, self.prime) if residue else None
+        if v is not None:
+            self.slack = max(self.slack, index * self.gain - v)
+        negligible = (precision if v is None else v) >= self.budget.target
+        self.quiet = self.quiet + 1 if negligible else 0
+        tail_ok = (index + 1) * self.gain - self.slack >= self.budget.target
+        self.done = self.quiet >= self.budget.window and tail_ok
+        return self.done
+
+
+def _state(series):
+    return series.done, series.used, series.slack, series.quiet, series.residue, series.precision
+
+
+@st.composite
+def _terms(draw, p):
+    """(residue, precision) terms: zeros, p**e times a unit for e up to the
+    term's precision (so also unreduced multiples of p**precision), units."""
+    terms = []
+    for _ in range(draw(st.integers(1, 24))):
+        precision = draw(st.integers(1, 8))
+        kind = draw(st.sampled_from(("zero", "multiple", "unit")))
+        unit = draw(st.integers(1, p**precision).filter(lambda u: u % p))
+        if kind == "zero":
+            terms.append((0, precision))
+        elif kind == "multiple":
+            terms.append((p ** draw(st.integers(1, precision)) * unit, precision))
+        else:
+            terms.append((unit, precision))
+    return terms
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([3, 5, 7]), st.integers(1, 2), st.integers(0, 1))
+def test_certificate_shortcut_keeps_the_every_valuation_rule(data, p, gain, start):
+    target = data.draw(st.integers(1, 8))
+    window = data.draw(st.integers(3, 5))
+    budget = SeriesBudget(target, 60, window)
+    precision = data.draw(st.integers(1, 10))
+    series = lfunc._TruncatedSeries(p, precision, budget, gain, "property")
+    oracle = _EveryValuation(p, precision, budget, gain)
+    for index, (residue, term_precision) in enumerate(data.draw(_terms(p)), start=start):
+        assert series.add(index, residue, term_precision) == oracle.add(index, residue, term_precision)
+        assert _state(series) == _state(oracle), index
+
+
 # -- the character-sum assembly, as the engine computed it before ----------
 
 
@@ -344,6 +454,14 @@ def test_assembly_matches_the_padic_loop(monkeypatch, p, qv):
                     args = (r, n, q, budget, precision, weighted)
                     want = _assembly_outcome(lambda: _padic_assembly(*args))
                     assert _assembly_outcome(lambda: _theorem5_rhs(*args)) == want, args
+
+
+def test_assembly_names_the_series_that_did_not_certify():
+    # at target 6 with 6 working digits, H(r + 1 = 3, a = 1) has no margin
+    # left and runs out of its 7 terms before the assembly tail can certify
+    with pytest.raises(TruncationNotConverged) as err:
+        theorem5_rhs(2, 2, QParam(6, 5), SeriesBudget(6, 6, 3))
+    assert str(err.value) == "series 'H(a=1)' not certified within 7 terms (window 3, target 6)"
 
 
 # -- the exact reindexing oracle -------------------------------------------

@@ -2,9 +2,10 @@
 `suites`, must turn exactly the named `qeuler verify <suite>` lines to
 FAIL, with these detail strings."""
 
+import math
 from fractions import Fraction
 
-from qeuler import alt_power_sum_polyform, l_pq, suites, teichmuller, zeta_Eq
+from qeuler import alt_power_sum_polyform, l_pq, l_q_complex, suites, teichmuller, zeta_Eq
 from qeuler.cli import main
 
 
@@ -59,4 +60,23 @@ def test_a_truncation_dependent_l_value_is_named(monkeypatch, capsys):
     monkeypatch.setattr(suites, "l_pq", drifting)
     assert _fail_lines(capsys, "padic") == [
         "FAIL  truncation-soundness  doubled max_terms, changed: ['l(s=1/2)']",
+    ]
+
+
+def test_a_nan_error_fails_instead_of_vanishing_from_the_worst(monkeypatch, capsys):
+    # max() drops a nan that is not its first argument, which would report
+    # worst |err| = 0 and PASS; one nan point must fail its whole check
+    def zeta_nan(s, x, params):
+        return math.nan if s == -3 else zeta_Eq(s, x, params)
+
+    def l_nan(s, chi, params):
+        return complex(math.nan, 0.0) if s == -2 else l_q_complex(s, chi, params)
+
+    monkeypatch.setattr(suites, "zeta_Eq", zeta_nan)
+    monkeypatch.setattr(suites, "l_q_complex", l_nan)
+    assert _fail_lines(capsys, "complex") == [
+        "FAIL  zeta-negative-integers[q=1/2]  k<=6, x in {1,2}, worst |err| = nan",
+        "FAIL  zeta-negative-integers[q=1/4]  k<=6, x in {1,2}, worst |err| = nan",
+        "FAIL  l-value-interpolation[trivial]  k in 1..5, q=1/2, worst |err| = nan",
+        "FAIL  l-value-interpolation[quad3]  k in 1..5, q=1/2, worst |err| = nan",
     ]
