@@ -7,8 +7,10 @@ Usage:
 imports ``qeuler`` from the directory SRC (the ``src`` of some checkout)
 and writes to OUT, for every point of a fixed grid, either
 ``[residue, precision]`` or ``{"raised": <exception type>}`` of ``H_pq``,
-``K_pq``, ``T_pq``, ``l_pq``, ``K_pq_chi``, ``theorem5_lhs``,
-``theorem5_rhs`` and ``theorem5_rhs_weighted``, plus
+``K_pq``, ``T_pq``, ``l_pq`` and ``K_pq_chi`` (at F = p and 3p, and with a
+character over another prime), ``gen_euler_teich`` (every character,
+n <= 8, precision 1, 3 and 8), ``theorem5_lhs``, ``theorem5_rhs`` and
+``theorem5_rhs_weighted``, plus
 ``theorem5_verify(...).to_dict()`` (also at p = 101, and at p = 5 to
 target 20), and ``"num/den"`` of
 the exact ``euler_number_q``, ``euler_poly_q``, the three
@@ -103,13 +105,14 @@ def sweep(qe) -> dict:
                                 lambda: qe.K_pq(n, s, a, F, q, budget, precision))
                             put(f"T n={n} s={s} a={a} F={F}",
                                 lambda: qe.T_pq(n, s, a, F, q, budget, precision))
-            for s in exponents(qe, p):
-                for t in (0, 1, 2):
-                    chi = qe.TeichChar(p, t)
-                    put(f"l s={s} t={t}", lambda: qe.l_pq(s, chi, p, q, budget, precision))
-                    for n in (2, 4):
-                        put(f"K_chi n={n} s={s} t={t}",
-                            lambda: qe.K_pq_chi(n, s, chi, p, q, budget, precision))
+            for F in (p, 3 * p):
+                for s in exponents(qe, p):
+                    for t in (0, 1, 2):
+                        chi = qe.TeichChar(p, t)
+                        put(f"l s={s} t={t} F={F}", lambda: qe.l_pq(s, chi, F, q, budget, precision))
+                        for n in (2, 4):
+                            put(f"K_chi n={n} s={s} t={t} F={F}",
+                                lambda: qe.K_pq_chi(n, s, chi, F, q, budget, precision))
             for r, n in EXPANSION_POINTS:
                 put(f"lhs r={r} n={n}", lambda: qe.theorem5_lhs(
                     r, n, q, target + 6 if precision is None else precision))
@@ -117,12 +120,25 @@ def sweep(qe) -> dict:
                 put(f"rhs_weighted r={r} n={n}",
                     lambda: qe.theorem5_rhs_weighted(r, n, q, budget, precision))
                 put(f"verify r={r} n={n}", lambda: qe.theorem5_verify(r, n, q, budget, precision))
-        # invalid input: a residue at p, an even F, no working digit
+        for precision in (1, 3, 8):
+            for t in range(p - 1):
+                for n in range(9):
+                    out[f"p={p} q={qv} gen_euler N={precision} t={t} n={n}"] = outcome(
+                        qe, lambda: qe.gen_euler_teich(n, qe.TeichChar(p, t), q, precision))
+        # invalid input: a residue at p, an even F, no working digit, and a
+        # character over another prime (at a budget where every series
+        # certifies, so the character is the only fault)
         budget = qe.SeriesBudget(4)
         at = f"p={p} q={qv} invalid"
         out[f"{at} H a=p"] = outcome(qe, lambda: qe.H_pq(1, p, 3 * p, q, budget))
         out[f"{at} H F=2p"] = outcome(qe, lambda: qe.H_pq(1, 1, 2 * p, q, budget))
         out[f"{at} rhs N=0"] = outcome(qe, lambda: qe.theorem5_rhs(2, 2, q, budget, 0))
+        for t in (0, 2):
+            chi = qe.TeichChar(7 if p != 7 else 5, t)
+            out[f"{at} l chi over another prime t={t}"] = outcome(
+                qe, lambda: qe.l_pq(2, chi, p, q, budget))
+            out[f"{at} K_chi chi over another prime t={t}"] = outcome(
+                qe, lambda: qe.K_pq_chi(2, 2, chi, p, q, budget))
     for p, qv, r, n, target in ENGINE_POINTS:
         q, budget = qe.QParam(qv, p), qe.SeriesBudget(target)
         out[f"p={p} q={qv} budget={target} verify r={r} n={n}"] = outcome(

@@ -19,9 +19,10 @@ geometric valuation gain per term; results are reported modulo
 p**target of their budget, never beyond what the certificate covers.
 
 All computation is pure; verification grids can be evaluated in any
-order and merged.  H/K series values are cached per process (at an
-integer exponent as a (residue, precision) pair of ints), and every
-series at one (q, F, precision) reads one shared residue table.  Besides
+order and merged.  Each H/K series value is cached per process as one
+(residue, precision) pair of ints, at every exponent (K at q = 1 is
+(0, target)); H_pq and K_pq wrap it in a PadicApprox.  Every series at
+one (q, F, precision) reads one shared residue table.  Besides
 q, Q = q^F, the q-integers and the Euler numbers, that table holds the
 Teichmuller residues w(a), the 1-units <a> = [a]_q / w(a), per (a, n)
 the coefficient row c_j = step(a)^j E_{j,Q} w_n(Q^j) of the H (n = 0,
@@ -30,14 +31,18 @@ per n the residue-independent factor of the block series' coefficients.
 The series kernel walks a row as a list.  An integer exponent steps its
 exact binomial through the row, a Z_p exponent multiplies its p-adic
 binomial by the row's residue; <a>^(-s) and the regrouping stage's
-w(a)^(-r) read the same table.  Both character-sum assemblies sum
-sum_a w(a)^(-(r+k)) (H + K)(r+k, a) q^(ak) (or weight 1) over the H and
-K pairs, at the precision min(precision, H.precision, K.precision) over
-the residues, then scale that one p-adic value by the exact coefficient
-of term k.  The engine's working precision must reach its target: below
-it no integer-exponent series can certify.
-The left-hand side and its per-residue block sums are signed sums over
-one table of [j]_q^(-r) mod p**N; the rational closed forms of both stay
+w(a)^(-r) read the same table.
+
+There is one character sum, sum_a w(a)^t v_a over (residue, precision)
+pairs, known to the least precision of the table and the summands (w(a)
+is a unit).  l_pq and K_pq_chi sum H or K pairs through it,
+gen_euler_teich its embedded Euler-polynomial values, and each assembly
+term of the engine (H + K)(r+k, a) q^(ak) (or weight 1) before scaling
+by the exact coefficient of term k; so does the tail term T(r, w^(-r)) =
+4 sum_a w(a)^(-r) K(r, a).  The engine's working precision must reach
+its target: below it no integer-exponent series can certify.  The
+left-hand side and its per-residue block sums are signed sums over one
+table of [j]_q^(-r) mod p**N; the rational closed forms of both stay
 outside the engine, as the tests' oracles.
 """
 
@@ -321,17 +326,22 @@ def _check_residue(a: int, F: int, p: int) -> None:
     _check_modulus(F, p)
 
 
+def _check_exponent(s, p: int) -> None:
+    # before s joins the _partial cache key, where a list raises a bare TypeError
+    if not isinstance(s, (int, Fraction, PadicApprox)):
+        raise OutOfDomain(f"unsupported exponent type {type(s).__name__}")
+    if isinstance(s, PadicApprox) and s.prime != p:
+        raise OutOfDomain("exponent lives over a different prime")
+
+
+def _check_character(chi: TeichChar, p: int) -> None:
+    if chi.prime != p:
+        raise OutOfDomain("character prime does not match q's prime context")
+
+
 def _as_exponent(s, p: int, precision: int):
-    """Normalize a series exponent: ints stay exact, rationals embed."""
-    if isinstance(s, int):
-        return s
-    if isinstance(s, Fraction):
-        return embed(s, p, precision)
-    if isinstance(s, PadicApprox):
-        if s.prime != p:
-            raise OutOfDomain("exponent lives over a different prime")
-        return s
-    raise OutOfDomain(f"unsupported exponent type {type(s).__name__}")
+    """A checked series exponent: ints stay exact, rationals embed."""
+    return embed(s, p, precision) if isinstance(s, Fraction) else s
 
 
 def _default_precision(budget: SeriesBudget, precision) -> int:
@@ -354,41 +364,31 @@ def _signed_half(a: int, modulus: int) -> int:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _partial_int(s: int, a, F, q: QParam, budget, precision, n) -> tuple:
-    """_partial at an integer exponent s, as (residue, precision) on ints.
-    <a>^(-s) and (-1)^a / 2 are units, so the product with the certified
-    sum is known to the sum's precision."""
-    res = _residues(q, F, precision)
-    total, t = _partial_series(res, s, a, n, budget).certified()
-    mod = q.prime**t
-    return _signed_half(a, mod) * total * pow(res.units(a)[1], -s, mod) % mod, t
-
-
-@lru_cache(maxsize=None, typed=True)
-def _partial(s, a, F, q: QParam, budget, precision, n) -> PadicApprox:
-    """The body shared by H (n = 0) and K (n even, n >= 2):
+def _partial(s, a, F, q: QParam, budget, precision, n) -> tuple:
+    """The body shared by H (n = 0) and K (n even, n >= 2), as (residue,
+    precision) on ints:
 
         ((-1)^a / 2) <a>^(-s) sum_{j >= start} binom(-s, j)
             (q^a [F]_q/[a]_q)^j E_{j,q^F} weight(q^(Fj)),
 
     (start, weight) = (0, 1) for H and (1, x^n - 1) for K, reported modulo
-    p**budget.target.  Typed: s = 2 and Fraction(2) take different paths,
-    the integer one through _partial_int."""
-    if isinstance(s, int):
-        return PadicApprox(q.prime, *_partial_int(s, a, F, q, budget, precision, n))
-    s = _as_exponent(s, q.prime, precision)
-    res = _residues(q, F, precision)
-    angle = PadicApprox(q.prime, res.units(a)[1], precision)
-    value = _partial_series(res, s, a, n, budget).result() * power_zp(angle, -s)
-    return PadicApprox(q.prime, _signed_half(a, value.modulus) * value.residue, value.precision)
-
-
-def _k_int(n: int, s: int, a: int, F: int, q: QParam, budget, precision) -> tuple:
-    """K_pq at a checked point and an integer exponent, as (residue,
-    precision): (0, target) at q = 1, where K vanishes."""
-    if q.is_one:
+    p**budget.target at most; K vanishes at q = 1, (0, target).  At an
+    integer s, <a>^(-s) and (-1)^a / 2 are units, so the product with the
+    certified sum is known to the sum's precision; any other s is embedded
+    in Z_p and <a>^(-s) taken by PadicApprox arithmetic.  Typed: s = 2 and
+    Fraction(2) take different paths."""
+    if n and q.is_one:
         return 0, budget.target
-    return _partial_int(s, a, F, q, budget, precision, n)
+    p = q.prime
+    res = _residues(q, F, precision)
+    if isinstance(s, int):
+        total, t = _partial_series(res, s, a, n, budget).certified()
+        mod = p**t
+        return _signed_half(a, mod) * total * pow(res.units(a)[1], -s, mod) % mod, t
+    s = _as_exponent(s, p, precision)
+    angle = PadicApprox(p, res.units(a)[1], precision)
+    value = _partial_series(res, s, a, n, budget).result() * power_zp(angle, -s)
+    return _signed_half(a, value.modulus) * value.residue % value.modulus, value.precision
 
 
 def H_pq(s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -402,21 +402,34 @@ def H_pq(s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> 
     Result reported modulo p**budget.target.
     """
     _check_residue(a, F, _require_prime(q))
-    return _partial(s, a, F, q, budget, _default_precision(budget, precision), 0)
+    _check_exponent(s, q.prime)
+    return PadicApprox(q.prime, *_partial(s, a, F, q, budget, _default_precision(budget, precision), 0))
+
+
+def _char_sum(res: _Residues, exponent: int, values) -> tuple:
+    """(sum_a w(a)^exponent v_a mod p**low, low) over the pairs
+    (a, (v_a, precision of v_a)) in `values`, where low is the least
+    precision of the table res and of the summands: w(a) is a unit, so each
+    product is known to its summand's precision."""
+    mod, e = res.mod, exponent % (res.prime - 1)
+    total, low = 0, res.precision
+    for a, (v, t) in values:
+        total += pow(res.units(a)[0], e, mod) * v
+        low = min(low, t)
+    return total % res.prime**low, low
 
 
 def l_pq(s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
     """The p-adic l-value 2 sum_{a<=F, (a,p)=1} chi(a) H(s, a:F) for a
     Teichmuller-power character chi."""
     p = _require_prime(q)
-    if chi.prime != p:
-        raise OutOfDomain("character prime does not match q's prime context")
+    _check_character(chi, p)
     _check_modulus(F, p)
     precision = _default_precision(budget, precision)
-    residues = [a for a in range(1, F + 1) if math.gcd(a, p) == 1]
-    return _char_sum(
-        lambda a: H_pq(s, a, F, q, budget, precision), chi, residues, p, precision, budget.target
-    )
+    _check_exponent(s, p)
+    values = [(a, _partial(s, a, F, q, budget, precision, 0)) for a in range(1, F) if a % p]
+    total, low = _char_sum(_residues(q, F, precision), chi.exponent, values)
+    return PadicApprox(p, 2 * total, low)
 
 
 def gen_euler_teich(n: int, chi: TeichChar, q: QParam, precision: int) -> PadicApprox:
@@ -428,19 +441,18 @@ def gen_euler_teich(n: int, chi: TeichChar, q: QParam, precision: int) -> PadicA
     weights.  The trivial character gives E_{n,q} itself.
     """
     p = _require_prime(q)
-    if chi.prime != p:
-        raise OutOfDomain("character prime does not match q's prime context")
+    _check_character(chi, p)
     qv = q.value
     if chi.is_trivial:
         return embed(euler_number_classical(n) if qv == 1 else euler_number_q(n, qv), p, precision)
-    total = PadicApprox.zero(p, precision)
+    _validate_precision(precision)
     scale = q_int(p, qv) ** n
+    values = []
     for a in range(1, p):
         # scale * E is p-integral even at q = 1, where E_n(a/p) alone is not
         e = euler_poly_classical(n, Fraction(a, p)) if qv == 1 else euler_poly_q(n, PolyArg(a, p, qv))
-        term = embed(scale * e, p, precision)
-        total = total + chi.value(a, precision) * (-1) ** a * term
-    return total
+        values.append((a, ((-1) ** a * embed(scale * e, p, precision).residue, precision)))
+    return PadicApprox(p, *_char_sum(_residues(q, p, precision), chi.exponent, values))
 
 
 def _check_even(n: int) -> None:
@@ -482,18 +494,8 @@ def K_pq(n: int, s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=N
     """
     _check_residue(a, F, _require_prime(q))
     _check_even(n)
-    if q.is_one:
-        return PadicApprox.zero(q.prime, budget.target)
-    return _partial(s, a, F, q, budget, _default_precision(budget, precision), n)
-
-
-def _char_sum(fn, chi: TeichChar, residues, p: int, precision: int, target: int) -> PadicApprox:
-    """2 sum_a chi(a) fn(a) over the given residues, reported modulo p**target."""
-    total = PadicApprox.zero(p, precision)
-    for a in residues:
-        total = total + chi.value(a, precision) * fn(a)
-    total = 2 * total
-    return total.reduce(min(total.precision, target))
+    _check_exponent(s, q.prime)
+    return PadicApprox(q.prime, *_partial(s, a, F, q, budget, _default_precision(budget, precision), n))
 
 
 def T_pq_chi(n: int, s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -505,10 +507,13 @@ def K_pq_chi(n: int, s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget,
     """Character sum 2 sum_{a<p} chi(a) K(s, a:F)."""
     p = _require_prime(q)
     precision = _default_precision(budget, precision)
-    return _char_sum(
-        lambda a: K_pq(n, s, a, F, q, budget, precision),
-        chi, range(1, p), p, precision, budget.target,
-    )
+    _check_modulus(F, p)
+    _check_even(n)
+    _check_character(chi, p)
+    _check_exponent(s, p)
+    values = [(a, _partial(s, a, F, q, budget, precision, n)) for a in range(1, p)]
+    total, low = _char_sum(_residues(q, F, precision), chi.exponent, values)
+    return PadicApprox(p, 2 * total, low)
 
 
 # -- the expansion identity ------------------------------------------------
@@ -575,9 +580,8 @@ def _theorem5_rhs(r, n, q, budget, precision, residue_weighted):
     """The plain or residue-weighted expansion side at a checked point,
     with the assembly tail's truncation index.  The weighted assembly
     keeps q^(ak) on each residue's term and halves the T term.  Each
-    term's character sum runs on the (residue, precision) pairs of H and
-    K, at the precision min(precision, H.precision, K.precision) of its
-    summands; so does T(r, w^(-r)) = 4 sum_a w(a)^(-r) K(r, a)."""
+    term is one _char_sum over the H and K pairs, and so is
+    T(r, w^(-r)) = 4 sum_a w(a)^(-r) K(r, a)."""
     p = q.prime
     precision = _engine_precision(budget, precision)
     res = _residues(q, p, precision)
@@ -586,25 +590,20 @@ def _theorem5_rhs(r, n, q, budget, precision, residue_weighted):
     gain = int(padic_valuation(pn_q, p))
     series = _TruncatedSeries(p, precision, budget, gain, "assembly tail")
     for k in range(1, budget.max_terms + 1):
-        s, chi = r + k, -(r + k) % (p - 1)
+        s = r + k
         q_k = pow(res.q, k, mod) if residue_weighted else 1
-        inner, low, weight = 0, precision, 1
+        values = []
         for a in range(1, p):
-            h, h_low = _partial_int(s, a, p, q, budget, precision, 0)
-            kk, k_low = _k_int(n, s, a, p, q, budget, precision)
-            weight = weight * q_k % mod  # q^(ak) or 1
-            inner += pow(res.units(a)[0], chi, mod) * (h + kk) * weight
-            low = min(low, h_low, k_low)
+            h, h_low = _partial(s, a, p, q, budget, precision, 0)
+            kk, k_low = _partial(s, a, p, q, budget, precision, n)
+            values.append((a, ((h + kk) * pow(q_k, a, mod), min(h_low, k_low))))  # q^(ak) or 1
+        inner, low = _char_sum(res, -s, values)
         term = PadicApprox(p, 2 * inner, low) * (_merge_coefficient(r, k) * (-1) ** n) * pn_q**k
         if series.add(k, term.residue, term.precision):
             break
     tail, low = series.certified()
-    t_chi, chi = 0, -r % (p - 1)
-    for a in range(1, p):
-        kk, k_low = _k_int(n, r, a, p, q, budget, precision)
-        t_chi += pow(res.units(a)[0], chi, mod) * kk
-        low = min(low, k_low)
-    return PadicApprox(p, -tail - (2 if residue_weighted else 4) * t_chi, low), series.used
+    t_chi, t_low = _char_sum(res, -r, [(a, _partial(r, a, p, q, budget, precision, n)) for a in range(1, p)])
+    return PadicApprox(p, -tail - (2 if residue_weighted else 4) * t_chi, min(low, t_low)), series.used
 
 
 def theorem5_rhs(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -665,7 +664,7 @@ def _block_sum_t_form(r, n, a, q: QParam, F, budget, precision):
     halved and weighted by w(a)^(-r): w(a)^(-r) T / 2 = w(a)^(-r) K."""
     series = _block_series(r, n, a, q, F, budget, precision, f"regrouped expansion (a={a})", False)
     total, low = series.certified()
-    kk, k_low = _k_int(n, r, a, F, q, budget, precision)
+    kk, k_low = _partial(r, a, F, q, budget, precision, n)
     res = _residues(q, F, precision)
     w_pow = pow(res.units(a)[0], -r, res.mod)
     return PadicApprox(res.prime, total - w_pow * kk, min(low, k_low))

@@ -39,6 +39,9 @@ def _validate_prime(p: int) -> None:
 
 
 def _validate_precision(precision: int) -> None:
+    # a float or bool precision would reach pow() as a modulus exponent
+    if type(precision) is not int:
+        raise OutOfDomain(f"precision must be an int, got {precision!r}")
     if precision < 1:
         raise PrecisionExhausted(f"cannot represent a value with {precision} guaranteed digits")
 

@@ -9,6 +9,7 @@ from qeuler import (
     K_pq,
     K_pq_chi,
     OutOfDomain,
+    PadicApprox,
     PolyArg,
     PrecisionExhausted,
     QParam,
@@ -196,6 +197,36 @@ def test_correction_series_need_even_order():
         T_pq(3, 1, 1, 5, Q6, BUDGET)
     with pytest.raises(OutOfDomain):
         K_pq(1, 1, 1, 5, Q6, BUDGET)
+    # n = 0 is H's series, not a K value, in the character sums as well
+    for q in (Q6, QParam(1, 5)):
+        for n in (0, 3, -2):
+            for fn in (K_pq_chi, T_pq_chi):
+                with pytest.raises(OutOfDomain):
+                    fn(n, 1, TeichChar(5, 2), 5, q, BUDGET)
+
+
+def test_character_sum_checks_precision_before_modulus():
+    for fn in (K_pq_chi, T_pq_chi):
+        with pytest.raises(PrecisionExhausted):
+            fn(2, 1, TeichChar(5, 2), 10, Q6, BUDGET, 0)
+
+
+@pytest.mark.parametrize("s", [[1], {1: 2}, 1.0, PadicApprox(7, 8, 6)])
+def test_unsupported_exponent_rejected(s):
+    # K and T vanish at q = 1, but their exponent is still checked, and an
+    # unhashable one is rejected before it reaches the series cache
+    chi = TeichChar(5, 2)
+    for q in (Q6, QParam(1, 5)):
+        for compute in (
+            lambda: H_pq(s, 1, 5, q, BUDGET),
+            lambda: K_pq(2, s, 1, 5, q, BUDGET),
+            lambda: T_pq(2, s, 1, 5, q, BUDGET),
+            lambda: l_pq(s, chi, 5, q, BUDGET),
+            lambda: K_pq_chi(2, s, chi, 5, q, BUDGET),
+            lambda: T_pq_chi(2, s, chi, 5, q, BUDGET),
+        ):
+            with pytest.raises(OutOfDomain):
+                compute()
 
 
 def test_alternating_sum_lhs_regression():
@@ -333,6 +364,41 @@ def test_explicit_precision_below_one_rejected():
             l_pq(1, TeichChar(5, 2), 5, Q6, BUDGET, precision)
         with pytest.raises(PrecisionExhausted):
             theorem5_verify(2, 2, Q6, BUDGET, precision)
+        # K and T vanish at q = 1, but their working precision is still checked
+        for fn in (K_pq, T_pq):
+            with pytest.raises(PrecisionExhausted):
+                fn(2, 1, 1, 5, QParam(1, 5), BUDGET, precision)
+
+
+# every public entry point that takes a working precision, at q = 6 and 1
+PRECISION_ENTRY_POINTS = {
+    "H_pq": lambda q, N: H_pq(1, 1, 5, q, BUDGET, N),
+    "K_pq": lambda q, N: K_pq(2, 1, 1, 5, q, BUDGET, N),
+    "T_pq": lambda q, N: T_pq(2, 1, 1, 5, q, BUDGET, N),
+    "l_pq": lambda q, N: l_pq(1, TeichChar(5, 2), 5, q, BUDGET, N),
+    "K_pq_chi": lambda q, N: K_pq_chi(2, 1, TeichChar(5, 2), 5, q, BUDGET, N),
+    "T_pq_chi": lambda q, N: T_pq_chi(2, 1, TeichChar(5, 2), 5, q, BUDGET, N),
+    "gen_euler_teich": lambda q, N: gen_euler_teich(2, TeichChar(5, 2), q, N),
+    "gen_euler_teich trivial": lambda q, N: gen_euler_teich(2, TeichChar(5, 0), q, N),
+    "theorem5_lhs": lambda q, N: theorem5_lhs(1, 2, q, N),
+    "theorem5_rhs": lambda q, N: theorem5_rhs(1, 2, q, BUDGET, N),
+    "theorem5_rhs_weighted": lambda q, N: theorem5_rhs_weighted(1, 2, q, BUDGET, N),
+    "theorem5_verify": lambda q, N: theorem5_verify(1, 2, q, BUDGET, N),
+    "embed": lambda q, N: embed(q.value, 5, N),
+    "teichmuller": lambda q, N: teichmuller(2, 5, N),
+    "PadicApprox": lambda q, N: PadicApprox(5, 2, N),
+}
+
+
+@pytest.mark.parametrize("name", PRECISION_ENTRY_POINTS)
+def test_non_int_precision_rejected(name):
+    # 4.0 and True compare like ints but would reach pow() or a rendering
+    # as a float or a bool ("mod 5^True")
+    for q in (Q6, QParam(1, 5)):
+        for precision in (2.5, 4.0, True, Fraction(4)):
+            with pytest.raises(OutOfDomain):
+                PRECISION_ENTRY_POINTS[name](q, precision)
+        PRECISION_ENTRY_POINTS[name](q, 6)
 
 
 def test_engine_precision_below_target_rejected():

@@ -4,10 +4,10 @@ Every series in ``lfunc`` runs on integer residues mod p^N.  These tests
 keep the exact-rational formulation as the reference: the closed-form
 q-Euler numbers for the recurrence table, direct modular powers and
 ``teichmuller``/``angle_bracket`` for the per-point tables, the
-Fraction-scalar series loop for H, T, K and l, the PadicApprox loop for
-the character-sum assembly, the term-by-term double loop for the exact
-reindexing stage, and the rational alternating sum and block sums for the
-[j]_q^(-r) table that the left-hand side and the block stages read.
+Fraction-scalar series loop for H, T, K and l, the PadicApprox loops for
+the character sums and the assembly, the term-by-term double loop for the
+exact reindexing stage, and the rational alternating sum and block sums for
+the [j]_q^(-r) table that the left-hand side and the block stages read.
 """
 
 import sys
@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler import (
+    OutOfDomain,
     PadicApprox,
+    PolyArg,
     QParam,
     SeriesBudget,
     TeichChar,
@@ -30,6 +32,9 @@ from qeuler import (
     embed,
     euler_number_classical,
     euler_number_q,
+    euler_poly_classical,
+    euler_poly_q,
+    gen_euler_teich,
     padic_valuation,
     power_zp,
     q_int,
@@ -42,6 +47,7 @@ from qeuler.kernel import padic_valuation_int
 from qeuler.lfunc import (
     H_pq,
     K_pq,
+    K_pq_chi,
     T_pq,
     T_pq_chi,
     _as_exponent,
@@ -295,6 +301,112 @@ def test_l_value_matches_fraction_scalar_formula(p, qv):
             total = total + chi.value(a, 10) * _fraction_series("H", 0, s, a, p, q, budget, 10)
         want = (2 * total).reduce(min(total.precision, 4))
         assert _pair(l_pq(s, chi, p, q, budget, 10)) == _pair(want), s
+
+
+# -- the one character sum, against the PadicApprox loops it replaced -------
+
+
+def _padic_char_sum(fn, chi, residues, p, precision, target):
+    """2 sum_a chi(a) fn(a) on PadicApprox values, reduced to the target."""
+    total = PadicApprox.zero(p, precision)
+    for a in residues:
+        total = total + chi.value(a, precision) * fn(a)
+    total = 2 * total
+    return total.reduce(min(total.precision, target))
+
+
+def _padic_gen_euler(n, chi, q, precision):
+    """gen_euler_teich as a PadicApprox loop over chi.value."""
+    p, qv = q.prime, q.value
+    if chi.is_trivial:
+        return embed(euler_number_classical(n) if qv == 1 else euler_number_q(n, qv), p, precision)
+    total = PadicApprox.zero(p, precision)
+    scale = q_int(p, qv) ** n
+    for a in range(1, p):
+        e = euler_poly_classical(n, Fraction(a, p)) if qv == 1 else euler_poly_q(n, PolyArg(a, p, qv))
+        total = total + chi.value(a, precision) * (-1) ** a * embed(scale * e, p, precision)
+    return total
+
+
+def _sum_outcome(compute):
+    try:
+        return _pair(compute())
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc).__name__
+
+
+CHAR_QS = [Fraction(6), Fraction(1), Fraction(11, 6)]
+# (budget, working precision): the default margin, none, a short tail, a
+# precision below the target (only K at q = 1 certifies, to 2 digits), and
+# a term limit that no series meets
+CHAR_BUDGETS = [
+    (SeriesBudget(4), None),
+    (SeriesBudget(3), 3),
+    (SeriesBudget(4, 10), 6),
+    (SeriesBudget(4), 2),
+    (SeriesBudget(6, 4, 3), 6),
+]
+
+
+@pytest.mark.parametrize("F", [5, 15])
+@pytest.mark.parametrize("qv", CHAR_QS)
+def test_character_sums_match_the_padic_loop(qv, F):
+    p, q = 5, QParam(qv, 5)
+    for budget, precision in CHAR_BUDGETS:
+        working = budget.target + 6 if precision is None else precision
+        for s in (-2, 1, 3, Fraction(1, 2), Fraction(-3, 2), PadicApprox(5, 6, 6)):
+            for t in (0, 1, 2, 3):
+                chi, at = TeichChar(p, t), (budget, precision, s, t)
+                want = _sum_outcome(lambda: _padic_char_sum(
+                    lambda a: H_pq(s, a, F, q, budget, working),
+                    chi, [a for a in range(1, F) if a % p], p, working, budget.target))
+                assert _sum_outcome(lambda: l_pq(s, chi, F, q, budget, precision)) == want, at
+                for n in (2, 4):
+                    want = _sum_outcome(lambda: _padic_char_sum(
+                        lambda a: K_pq(n, s, a, F, q, budget, working),
+                        chi, range(1, p), p, working, budget.target))
+                    assert _sum_outcome(lambda: K_pq_chi(n, s, chi, F, q, budget, precision)) == want, at
+                    if not isinstance(want, str):
+                        want = _pair(2 * PadicApprox(p, *want))
+                    assert _sum_outcome(lambda: T_pq_chi(n, s, chi, F, q, budget, precision)) == want, at
+
+
+@pytest.mark.parametrize("qv", CHAR_QS)
+def test_generalized_euler_numbers_match_the_padic_loop(qv):
+    q = QParam(qv, 5)
+    for precision in (1, 3, 8):
+        for t in range(4):
+            for n in range(9):
+                want = _pair(_padic_gen_euler(n, TeichChar(5, t), q, precision))
+                assert _pair(gen_euler_teich(n, TeichChar(5, t), q, precision)) == want, (precision, t, n)
+
+
+@pytest.mark.parametrize("qv", [Fraction(6), Fraction(1)])
+def test_a_character_over_another_prime_is_rejected(qv):
+    # the character sum reads w(a) from the table over q's prime, so only
+    # the explicit check keeps a w over 7 out of a sum over 5; the short
+    # budget, whose series do not certify, must not get there first
+    q = QParam(qv, 5)
+    for budget, precision in ((SeriesBudget(4), None), (SeriesBudget(6, 4, 3), 6)):
+        for chi in (TeichChar(7, 0), TeichChar(7, 2)):
+            with pytest.raises(OutOfDomain):
+                l_pq(1, chi, 5, q, budget, precision)
+            for fn in (K_pq_chi, T_pq_chi):
+                with pytest.raises(OutOfDomain):
+                    fn(2, 1, chi, 5, q, budget, precision)
+        with pytest.raises(OutOfDomain):
+            gen_euler_teich(2, TeichChar(7, 2), q, 4)
+
+
+def test_equal_qparams_share_one_residue_table():
+    lfunc._residues.cache_clear()
+    first = lfunc._residues(QParam(6, 5), 5, 4)
+    assert lfunc._residues(QParam(Fraction(6), 5), 5, 4) is first
+    assert lfunc._residues(QParam(Fraction(12, 2), 5), 5, 4) is first
+    assert lfunc._residues.cache_info().currsize == 1
+    # q = 36 lies over 5 and 7 alike (35 = 5 * 7): the prime keys tables apart
+    assert lfunc._residues(QParam(36, 5), 35, 4) is not lfunc._residues(QParam(36, 7), 35, 4)
+    assert lfunc._residues.cache_info().currsize == 3
 
 
 # -- the integer exponent path against the Z_p one --------------------------
