@@ -12,7 +12,8 @@ character over another prime), ``gen_euler_teich`` (every character,
 n <= 8, precision 1, 3 and 8), ``theorem5_lhs``, ``theorem5_rhs`` and
 ``theorem5_rhs_weighted``, plus
 ``theorem5_verify(...).to_dict()`` (also at p = 101, and at p = 5 to
-target 20), and ``"num/den"`` of
+target 20, and the type and message of what it raises under two term
+limits too short for its series), and ``"num/den"`` of
 the exact ``euler_number_q``, ``euler_poly_q``, the three
 ``alt_power_sum`` forms, ``fermionic_riemann`` and ``theorem5_lhs_exact``
 on a grid of inputs that every revision accepts.  The exact-identity
@@ -59,6 +60,9 @@ ENGINE_POINTS = [
     (5, Fraction(6), 2, 2, 20),
     (5, Fraction(1), 2, 2, 20),
 ]
+# (target, working precision, max_terms, window): term limits at which the
+# block series of theorem5_verify certify at no point, and at some only
+SHORT_BUDGETS = [(6, 6, 4, 3), (4, 4, 5, 3)]
 # exact layer: negative, zero, near-one, integral and non-integral q
 EXACT_QS = [Fraction(1, 2), Fraction(2, 3), Fraction(6), Fraction(-3, 7),
             Fraction(32, 31), Fraction(0), Fraction(26), Fraction(31, 6)]
@@ -75,10 +79,12 @@ def residues(F, p):
     return [a for a in (1, 2, F - 2, F - 1) if a % p] if F == p else [1, 2, p + 1, F - 1]
 
 
-def outcome(qe, compute):
+def outcome(qe, compute, message=False):
     try:
         value = compute()
     except qe.QEulerError as exc:
+        if message:
+            return {"raised": type(exc).__name__, "message": str(exc)}
         return {"raised": type(exc).__name__}
     if isinstance(value, qe.PadicApprox):
         return [value.residue, value.precision]
@@ -143,6 +149,14 @@ def sweep(qe) -> dict:
         q, budget = qe.QParam(qv, p), qe.SeriesBudget(target)
         out[f"p={p} q={qv} budget={target} verify r={r} n={n}"] = outcome(
             qe, lambda: qe.theorem5_verify(r, n, q, budget))
+    for p, qv in POINTS:
+        q = qe.QParam(qv, p)
+        for target, precision, max_terms, window in SHORT_BUDGETS:
+            budget = qe.SeriesBudget(target, max_terms, window)
+            at = f"p={p} q={qv} budget={target},{precision},{max_terms},{window}"
+            for r, n in EXPANSION_POINTS:
+                out[f"{at} verify message r={r} n={n}"] = outcome(
+                    qe, lambda: qe.theorem5_verify(r, n, q, budget, precision), message=True)
     return out
 
 

@@ -19,18 +19,20 @@ geometric valuation gain per term; results are reported modulo
 p**target of their budget, never beyond what the certificate covers.
 
 All computation is pure; verification grids can be evaluated in any
-order and merged.  Each H/K series value is cached per process as one
-(residue, precision) pair of ints, at every exponent (K at q = 1 is
-(0, target)); H_pq and K_pq wrap it in a PadicApprox.  Every series at
-one (q, F, precision) reads one shared residue table.  Besides
-q, Q = q^F, the q-integers and the Euler numbers, that table holds the
-Teichmuller residues w(a), the 1-units <a> = [a]_q / w(a), per (a, n)
-the coefficient row c_j = step(a)^j E_{j,Q} w_n(Q^j) of the H (n = 0,
-w_0 = 1) and K (w_n(x) = x^n - 1) series, built by running products, and
-per n the residue-independent factor of the block series' coefficients.
-The series kernel walks a row as a list.  An integer exponent steps its
-exact binomial through the row, a Z_p exponent multiplies its p-adic
-binomial by the row's residue; <a>^(-s) and the regrouping stage's
+order and merged.  Every series is one cached _partial value, a (residue,
+precision, terms used) triple of ints, at every exponent: H and K, which
+H_pq and K_pq wrap in a PadicApprox (K at q = 1 is (0, target, 0)), and
+the verifier's two per-residue expansions of the block sum, which it
+scales by -w(a)^(-r).  Every series at one (q, F, precision) reads one
+shared residue table.  Besides q, Q = q^F, the q-integers and the Euler
+numbers, that table holds the Teichmuller residues w(a), the 1-units
+<a> = [a]_q / w(a), one residue-independent base row b_j per (kind, n),
+E_{j,Q} for H, (Q^(nj) - 1) E_{j,Q} for K, the double Euler row d_j for
+the regrouped expansion and d_j plus K's row for the block expansion, and
+per (a, kind, n) the row c_j = step(a)^j b_j, each built by running
+products.  The series kernel walks a row as a list.  An integer exponent
+steps its exact binomial through the row, a Z_p exponent multiplies its
+p-adic binomial by the row's residue; <a>^(-s) and the block stages'
 w(a)^(-r) read the same table.
 
 There is one character sum, sum_a w(a)^t v_a over (residue, precision)
@@ -52,7 +54,7 @@ import math
 import threading
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import OutOfDomain, TruncationNotConverged
 from .euler import (
@@ -156,17 +158,15 @@ class _TruncatedSeries:
         precision = min(self.precision, self.budget.target)
         return self.residue % self.prime**precision, precision
 
-    def result(self) -> PadicApprox:
-        return PadicApprox(self.prime, *self.certified())
-
 
 class _Residues:
     """Residues mod p**precision of what every series here is built from,
     at one (q, F): q itself, Q = q^F and the q-integers [a]_q for a <= F,
     and tables that grow on demand under one lock: the q-Euler
     numbers E_{j,Q} (by the integral recurrence of the module docstring),
-    the Teichmuller residues w(a) with the 1-units <a> = [a]_q / w(a), and
-    the coefficient rows of the H and K series and of the block series.
+    the Teichmuller residues w(a) with the 1-units <a> = [a]_q / w(a), one
+    base row per series kind and n, and one coefficient row per residue,
+    kind and n.
     """
 
     def __init__(self, q: QParam, F: int, precision: int):
@@ -187,10 +187,10 @@ class _Residues:
         self._euler = []
         self._q_powers = []
         self._units = {}
+        self._bases = {}
         self._rows = {}
-        self._doubles = {}
         # _residues shares one table per point; reentrant, since a row
-        # extends the Euler table while it grows
+        # extends its base row, and a base row the Euler table, while it grows
         self._lock = threading.RLock()
 
     def step(self, a: int) -> int:
@@ -218,21 +218,21 @@ class _Residues:
                 pair = self._units[a] = (w, self.q_ints[a] * pow(w, -1, self.mod) % self.mod)
         return pair
 
-    def row(self, a: int, n: int, stop: int) -> list:
-        """The coefficient row c_0, c_1, ..., grown to at least `stop`
-        entries: c_j = step(a)^j E_{j,Q} w_n(Q^j) mod p**precision, where
-        w_0 = 1 (the H series) and w_n(x) = x^n - 1 for even n (the K
-        series)."""
-        return self._grown(self._rows, (a, n), lambda: self._row(a, n), stop)
+    def row(self, a: int, kind: str, n: int, stop: int) -> list:
+        """The coefficient row c_0, c_1, ... of residue a, grown to at least
+        `stop` entries: c_j = step(a)^j b_j mod p**precision, where b_j is
+        base(kind, n, .)'s entry, by a running product."""
+        return self._grown(self._rows, (a, kind, n), lambda: self._row(a, kind, n), stop)
 
-    def double_row(self, n: int, power_tail: bool, stop: int) -> list:
-        """The factor d_s of the block series' coefficients that does not
-        depend on the residue a, grown to at least `stop` entries:
+    def base(self, kind: str, n: int, stop: int) -> list:
+        """The residue-independent row b_0, b_1, ... of a series kind, grown
+        to at least `stop` entries, mod p**precision:
 
-            d_s = (-1)^n sum_{l<s} binom(s, l) Q^(nl) E_{l,Q} [n]_Q^(s-l)
-                  (+ ((-1)^n Q^(ns) - 1) E_{s,Q} when power_tail)."""
-        key = (n, power_tail)
-        return self._grown(self._doubles, key, lambda: self._double_row(n, power_tail), stop)
+            H       E_{j,Q}                                       (n = 0)
+            K       (Q^(nj) - 1) E_{j,Q}
+            double  d_j = sum_{l<j} binom(j, l) Q^(nl) E_{l,Q} [n]_Q^(j-l)
+            block   d_j + (Q^(nj) - 1) E_{j,Q}, the double row plus K's."""
+        return self._grown(self._bases, (kind, n), lambda: self._base(kind, n), stop)
 
     def _grown(self, table: dict, key, terms, stop: int) -> list:
         """table[key]'s values, drawn from its generator terms() until there
@@ -247,28 +247,34 @@ class _Residues:
                 values.append(next(source))
         return values
 
-    def _row(self, a: int, n: int):
-        """The c_j of row(a, n, .) in order, by running products."""
-        mod, step, Qn = self.mod, self.step(a), pow(self.Q, n, self.mod)
-        power, Qnj, j = 1, 1, 0
+    def _row(self, a: int, kind: str, n: int):
+        """The c_j of row(a, kind, n, .) in order."""
+        mod, step, power, j = self.mod, self.step(a), 1, 0
+        base = self.base(kind, n, 0)  # its values list, which only grows
         while True:
-            yield power * self.euler(j) * (Qnj - 1 if n else 1) % mod
-            power, Qnj, j = power * step % mod, Qnj * Qn % mod, j + 1
+            if len(base) <= j:
+                self.base(kind, n, j + 1)
+            yield power * base[j] % mod
+            power, j = power * step % mod, j + 1
 
-    def _double_row(self, n: int, power_tail: bool):
-        """The d_s of double_row(n, power_tail, .) in order."""
-        mod, sign = self.mod, (-1) ** n
-        Qn = pow(self.Q, n, mod)
+    def _base(self, kind: str, n: int):
+        """The b_j of base(kind, n, .) in order, by running products."""
+        mod, Qn = self.mod, pow(self.Q, n, self.mod)
         h = sum(pow(self.Q, i, mod) for i in range(n)) % mod  # [n]_Q
-        lead, h_pows, s = [], [1], 0  # Q^(nl) E_{l,Q} and [n]_Q^i
+        Qnj, lead, h_pows, j = 1, [], [1], 0  # Q^(nj), Q^(nl) E_{l,Q}, [n]_Q^i
         while True:
-            c = sign * sum(math.comb(s, l) * lead[l] * h_pows[s - l] for l in range(s))
-            if power_tail:
-                c += (sign * pow(Qn, s, mod) - 1) * self.euler(s)
-            yield c % mod
-            lead.append(pow(Qn, s, mod) * self.euler(s) % mod)
-            h_pows.append(h_pows[-1] * h % mod)
-            s += 1
+            e = self.euler(j)
+            if kind == "H":
+                yield e
+            elif kind == "K":
+                yield (Qnj - 1) * e % mod
+            elif kind == "double":
+                yield sum(math.comb(j, l) * lead[l] * h_pows[j - l] for l in range(j)) % mod
+                lead.append(Qnj * e % mod)
+                h_pows.append(h_pows[-1] * h % mod)
+            else:  # block: n is even, so the expansion's (-1)^n signs are 1
+                yield (self.base("double", n, j + 1)[j] + self.base("K", n, j + 1)[j]) % mod
+            Qnj, j = Qnj * Qn % mod, j + 1
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -277,23 +283,35 @@ def _residues(q: QParam, F: int, precision: int) -> _Residues:
     return _Residues(q, F, precision)
 
 
-def _series(label, s, start, gain, row, p, precision, budget):
+# per series kind: its label, and the first index summed (the K, double
+# and block base rows vanish at j = 0)
+_KINDS = {
+    "H": ("H(a={})", 0),
+    "K": ("K(a={})", 1),
+    "double": ("regrouped expansion (a={})", 1),
+    "block": ("block expansion (a={})", 1),
+}
+
+
+def _series(res: _Residues, s, a: int, kind: str, n: int, budget):
     """The series kernel: sum_{j >= start} binom(-s, j) c_j, truncated per
-    budget, where row(stop) lists c_0, c_1, ... mod p**precision to at
-    least `stop` entries.  The row is asked first for the terms up to the
-    earliest index that could certify, then `window` terms at a time.  An
-    integer s steps its binomial exactly, binom(-s, j+1) = binom(-s, j)
-    (-s-j)/(j+1).  A Z_p exponent s takes its p-adic binomial, which loses
-    v_p(j!) digits to the division by j!; v_p(c_j) >= j gain > v_p(j!)
-    gives them back, so each term is still known to the working precision.
-    Returns the _TruncatedSeries."""
-    series = _TruncatedSeries(p, precision, budget, gain, label)
-    mod = p**precision
+    budget, over the row c_j = res.row(a, kind, n, .) mod p**precision.
+    The row is asked first for the terms up to the earliest index that
+    could certify, then `window` terms at a time.  An integer s steps its
+    binomial exactly, binom(-s, j+1) = binom(-s, j) (-s-j)/(j+1).  A Z_p
+    exponent s takes its p-adic binomial, which loses v_p(j!) digits to the
+    division by j!; v_p(c_j) >= j gain > v_p(j!) gives them back, so each
+    term is still known to the working precision.  Returns the
+    _TruncatedSeries."""
+    label, start = _KINDS[kind]
+    p, precision, gain = res.prime, res.precision, res.gain
+    series = _TruncatedSeries(p, precision, budget, gain, label.format(a))
+    mod = res.mod
     b = binom_int(-s, start) if isinstance(s, int) else None
     j, stop = start, max(start + budget.window, -(-budget.target // gain))
     while j <= budget.max_terms:
         stop = min(stop, budget.max_terms + 1)
-        coeffs = row(stop)
+        coeffs = res.row(a, kind, n, stop)
         for j in range(j, stop):
             if b is not None:
                 done = series.add(j, b * coeffs[j] % mod, precision)
@@ -313,12 +331,21 @@ def _require_prime(q: QParam) -> int:
     return q.prime
 
 
+def _check_int(name: str, x) -> None:
+    # a float or bool would pass the range checks, then reach range() or
+    # pow() as a bare TypeError or key a cache alike with the int
+    if type(x) is not int:
+        raise OutOfDomain(f"{name} must be an int, got {x!r}")
+
+
 def _check_modulus(F: int, p: int) -> None:
+    _check_int("F", F)
     if F < 1 or F % p != 0 or F % 2 == 0:
         raise OutOfDomain(f"F must be an odd positive multiple of {p}, got {F}")
 
 
 def _check_residue(a: int, F: int, p: int) -> None:
+    _check_int("residue a", a)
     if not 0 < a < F:
         raise OutOfDomain(f"need 0 < a < F, got a={a}, F={F}")
     if math.gcd(a, p) != 1:
@@ -351,12 +378,6 @@ def _default_precision(budget: SeriesBudget, precision) -> int:
     return precision
 
 
-def _partial_series(res: _Residues, s, a, n, budget) -> _TruncatedSeries:
-    """The series of _partial, summed on the table res."""
-    label, start = (f"K(a={a})", 1) if n else (f"H(a={a})", 0)
-    return _series(label, s, start, res.gain, partial(res.row, a, n), res.prime, res.precision, budget)
-
-
 def _signed_half(a: int, modulus: int) -> int:
     """(-1)^a / 2 mod modulus."""
     half = pow(2, -1, modulus)
@@ -364,31 +385,34 @@ def _signed_half(a: int, modulus: int) -> int:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _partial(s, a, F, q: QParam, budget, precision, n) -> tuple:
-    """The body shared by H (n = 0) and K (n even, n >= 2), as (residue,
-    precision) on ints:
+def _partial(s, a, F, q: QParam, budget, precision, kind, n) -> tuple:
+    """Every series here, as (residue, precision, terms used) on ints:
 
         ((-1)^a / 2) <a>^(-s) sum_{j >= start} binom(-s, j)
-            (q^a [F]_q/[a]_q)^j E_{j,q^F} weight(q^(Fj)),
+            (q^a [F]_q/[a]_q)^j b_j,
 
-    (start, weight) = (0, 1) for H and (1, x^n - 1) for K, reported modulo
-    p**budget.target at most; K vanishes at q = 1, (0, target).  At an
-    integer s, <a>^(-s) and (-1)^a / 2 are units, so the product with the
-    certified sum is known to the sum's precision; any other s is embedded
-    in Z_p and <a>^(-s) taken by PadicApprox arithmetic.  Typed: s = 2 and
-    Fraction(2) take different paths."""
-    if n and q.is_one:
-        return 0, budget.target
+    b_j the base row of `kind` (_Residues.base): H (n = 0), K (n even) and,
+    at s = r, block and double.  As [a]_q^(-r) = w(a)^(-r) <a>^(-r),
+    -w(a)^(-r) times the block value expands the block sum
+    sum_{l<n} (-1)^(a+Fl) [a+Fl]_q^(-r), and times the double value gives
+    its double Euler series.  Reported modulo p**budget.target at most; K
+    vanishes at q = 1, (0, target, 0).  At an integer s, <a>^(-s) and
+    (-1)^a / 2 are units, so the product with the certified sum is known to
+    the sum's precision; any other s is embedded in Z_p and <a>^(-s) taken
+    by PadicApprox arithmetic.  Typed: s = 2 and Fraction(2) take different
+    paths."""
+    if kind == "K" and q.is_one:
+        return 0, budget.target, 0
     p = q.prime
     res = _residues(q, F, precision)
-    if isinstance(s, int):
-        total, t = _partial_series(res, s, a, n, budget).certified()
-        mod = p**t
-        return _signed_half(a, mod) * total * pow(res.units(a)[1], -s, mod) % mod, t
     s = _as_exponent(s, p, precision)
-    angle = PadicApprox(p, res.units(a)[1], precision)
-    value = _partial_series(res, s, a, n, budget).result() * power_zp(angle, -s)
-    return _signed_half(a, value.modulus) * value.residue % value.modulus, value.precision
+    series = _series(res, s, a, kind, n, budget)
+    total, t = series.certified()
+    if isinstance(s, int):
+        mod = p**t
+        return _signed_half(a, mod) * total * pow(res.units(a)[1], -s, mod) % mod, t, series.used
+    value = PadicApprox(p, total, t) * power_zp(PadicApprox(p, res.units(a)[1], precision), -s)
+    return _signed_half(a, value.modulus) * value.residue % value.modulus, value.precision, series.used
 
 
 def H_pq(s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -403,17 +427,18 @@ def H_pq(s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> 
     """
     _check_residue(a, F, _require_prime(q))
     _check_exponent(s, q.prime)
-    return PadicApprox(q.prime, *_partial(s, a, F, q, budget, _default_precision(budget, precision), 0))
+    value, low, _ = _partial(s, a, F, q, budget, _default_precision(budget, precision), "H", 0)
+    return PadicApprox(q.prime, value, low)
 
 
 def _char_sum(res: _Residues, exponent: int, values) -> tuple:
     """(sum_a w(a)^exponent v_a mod p**low, low) over the pairs
-    (a, (v_a, precision of v_a)) in `values`, where low is the least
+    (a, (v_a, precision of v_a, ...)) in `values`, where low is the least
     precision of the table res and of the summands: w(a) is a unit, so each
     product is known to its summand's precision."""
     mod, e = res.mod, exponent % (res.prime - 1)
     total, low = 0, res.precision
-    for a, (v, t) in values:
+    for a, (v, t, *_) in values:
         total += pow(res.units(a)[0], e, mod) * v
         low = min(low, t)
     return total % res.prime**low, low
@@ -427,7 +452,7 @@ def l_pq(s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget, precision=N
     _check_modulus(F, p)
     precision = _default_precision(budget, precision)
     _check_exponent(s, p)
-    values = [(a, _partial(s, a, F, q, budget, precision, 0)) for a in range(1, F) if a % p]
+    values = [(a, _partial(s, a, F, q, budget, precision, "H", 0)) for a in range(1, F) if a % p]
     total, low = _char_sum(_residues(q, F, precision), chi.exponent, values)
     return PadicApprox(p, 2 * total, low)
 
@@ -442,6 +467,7 @@ def gen_euler_teich(n: int, chi: TeichChar, q: QParam, precision: int) -> PadicA
     """
     p = _require_prime(q)
     _check_character(chi, p)
+    _check_int("n", n)
     qv = q.value
     if chi.is_trivial:
         return embed(euler_number_classical(n) if qv == 1 else euler_number_q(n, qv), p, precision)
@@ -456,6 +482,7 @@ def gen_euler_teich(n: int, chi: TeichChar, q: QParam, precision: int) -> PadicA
 
 
 def _check_even(n: int) -> None:
+    _check_int("n", n)
     if n < 2 or n % 2 != 0:
         raise OutOfDomain(f"n must be a positive even integer, got {n}")
 
@@ -463,6 +490,7 @@ def _check_even(n: int) -> None:
 def _check_point(r: int, n: int, q: QParam) -> int:
     """Validate an (r, n) point of the expansion identity; returns p."""
     p = _require_prime(q)
+    _check_int("power r", r)
     if r < 1:
         raise OutOfDomain("power r must be >= 1")
     _check_even(n)
@@ -495,7 +523,8 @@ def K_pq(n: int, s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=N
     _check_residue(a, F, _require_prime(q))
     _check_even(n)
     _check_exponent(s, q.prime)
-    return PadicApprox(q.prime, *_partial(s, a, F, q, budget, _default_precision(budget, precision), n))
+    value, low, _ = _partial(s, a, F, q, budget, _default_precision(budget, precision), "K", n)
+    return PadicApprox(q.prime, value, low)
 
 
 def T_pq_chi(n: int, s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -511,7 +540,7 @@ def K_pq_chi(n: int, s, chi: TeichChar, F: int, q: QParam, budget: SeriesBudget,
     _check_even(n)
     _check_character(chi, p)
     _check_exponent(s, p)
-    values = [(a, _partial(s, a, F, q, budget, precision, n)) for a in range(1, p)]
+    values = [(a, _partial(s, a, F, q, budget, precision, "K", n)) for a in range(1, p)]
     total, low = _char_sum(_residues(q, F, precision), chi.exponent, values)
     return PadicApprox(p, 2 * total, low)
 
@@ -594,15 +623,15 @@ def _theorem5_rhs(r, n, q, budget, precision, residue_weighted):
         q_k = pow(res.q, k, mod) if residue_weighted else 1
         values = []
         for a in range(1, p):
-            h, h_low = _partial(s, a, p, q, budget, precision, 0)
-            kk, k_low = _partial(s, a, p, q, budget, precision, n)
+            h, h_low, _ = _partial(s, a, p, q, budget, precision, "H", 0)
+            kk, k_low, _ = _partial(s, a, p, q, budget, precision, "K", n)
             values.append((a, ((h + kk) * pow(q_k, a, mod), min(h_low, k_low))))  # q^(ak) or 1
         inner, low = _char_sum(res, -s, values)
         term = PadicApprox(p, 2 * inner, low) * (_merge_coefficient(r, k) * (-1) ** n) * pn_q**k
         if series.add(k, term.residue, term.precision):
             break
     tail, low = series.certified()
-    t_chi, t_low = _char_sum(res, -r, [(a, _partial(r, a, p, q, budget, precision, n)) for a in range(1, p)])
+    t_chi, t_low = _char_sum(res, -r, [(a, _partial(r, a, p, q, budget, precision, "K", n)) for a in range(1, p)])
     return PadicApprox(p, -tail - (2 if residue_weighted else 4) * t_chi, min(low, t_low)), series.used
 
 
@@ -632,42 +661,6 @@ def theorem5_rhs_weighted(r: int, n: int, q: QParam, budget: SeriesBudget, preci
 
 
 # -- staged verification ----------------------------------------------------
-
-
-def _block_series(r, n, a, q: QParam, F, budget, precision, label, power_tail):
-    """Series expansion of the per-residue block sum (n even):
-
-        -((-1)^a / (2 [a]_q^r)) sum_{s>=1} binom(-r, s) (q^a [F]_q/[a]_q)^s
-            [ (-1)^n sum_{l<s} binom(s, l) q^(nFl) E_{l,q^F} [n]_{q^F}^(s-l)
-              + ((-1)^n q^(nFs) - 1) E_{s,q^F} ],
-
-    the double Euler series plus, when power_tail, the power-difference
-    series.  The bracket does not depend on a; the table keeps it once
-    per (n, power_tail).  Returns the _TruncatedSeries."""
-    res = _residues(q, F, precision)
-    mod, step = res.mod, res.step(a)
-    unit = -((-1) ** a) * pow(2 * pow(res.q_ints[a], r, mod), -1, mod)
-    coeffs = []
-
-    def row(stop):
-        doubles = res.double_row(n, power_tail, stop)
-        for s in range(len(coeffs), stop):
-            coeffs.append(unit * pow(step, s, mod) * doubles[s] % mod)
-        return coeffs
-
-    return _series(label, r, 1, res.gain, row, res.prime, precision, budget)
-
-
-def _block_sum_t_form(r, n, a, q: QParam, F, budget, precision):
-    """The regrouped expansion: double Euler series plus the closed
-    correction series T in place of the power-difference tail, here
-    halved and weighted by w(a)^(-r): w(a)^(-r) T / 2 = w(a)^(-r) K."""
-    series = _block_series(r, n, a, q, F, budget, precision, f"regrouped expansion (a={a})", False)
-    total, low = series.certified()
-    kk, k_low = _partial(r, a, F, q, budget, precision, n)
-    res = _residues(q, F, precision)
-    w_pow = pow(res.units(a)[0], -r, res.mod)
-    return PadicApprox(res.prime, total - w_pow * kk, min(low, k_low))
 
 
 def _reindex_exact_check(r: int, depth: int) -> bool:
@@ -869,7 +862,8 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     stages = []
     trunc = {}
 
-    mod = p**precision
+    res = _residues(q, p, precision)
+    mod = res.mod
     powers, lhs_terms = _inverse_powers(q, r, n, precision)
     block_terms = [_block_terms(a, n, F) for a in range(1, p)]
     blocks = [sum(sign * powers[j] for sign, j in terms) % mod for terms in block_terms]
@@ -878,11 +872,15 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     pairs_regroup = []
     for a, residue in enumerate(blocks, start=1):
         block = PadicApprox(p, residue, precision)
-        # the odd-n boundary term of the expansion vanishes on this even-n engine
-        series = _block_series(r, n, a, q, F, budget, precision, f"block expansion (a={a})", True)
-        trunc[f"block-expansion/a={a}"] = series.used
-        pairs_series.append((f"a={a}", block, series.result()))
-        pairs_regroup.append((f"a={a}", block, _block_sum_t_form(r, n, a, q, F, budget, precision)))
+        # the block sum's expansion, and its regrouping into the double series
+        # plus w(a)^(-r) T / 2 = w(a)^(-r) K (the odd-n boundary term vanishes)
+        scale = -pow(res.units(a)[0], -r, mod)
+        value, low, used = _partial(r, a, F, q, budget, precision, "block", n)
+        trunc[f"block-expansion/a={a}"] = used
+        pairs_series.append((f"a={a}", block, PadicApprox(p, scale * value, low)))
+        double, d_low, _ = _partial(r, a, F, q, budget, precision, "double", n)
+        kk, k_low, _ = _partial(r, a, F, q, budget, precision, "K", n)
+        pairs_regroup.append((f"a={a}", block, PadicApprox(p, scale * (double + kk), min(d_low, k_low))))
     stages.append(
         _padic_stage(
             "alternating-block-series",

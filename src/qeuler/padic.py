@@ -63,6 +63,8 @@ class PadicApprox:
     def __post_init__(self):
         _validate_prime(self.prime)
         _validate_precision(self.precision)
+        if type(self.residue) is not int:  # a float residue would print as digits
+            raise OutOfDomain(f"residue must be an int, got {self.residue!r}")
         object.__setattr__(self, "residue", self.residue % self.modulus)
 
     # -- structure ---------------------------------------------------
@@ -413,6 +415,8 @@ class TeichChar:
 
     def __post_init__(self):
         _validate_prime(self.prime)
+        if type(self.exponent) is not int:
+            raise OutOfDomain(f"character exponent must be an int, got {self.exponent!r}")
         object.__setattr__(self, "exponent", self.exponent % (self.prime - 1))
 
     @property

@@ -401,6 +401,50 @@ def test_non_int_precision_rejected(name):
         PRECISION_ENTRY_POINTS[name](q, 6)
 
 
+# every integer argument of a public lfunc entry point: (its valid value,
+# the call with that argument set to x), at q = 6 and 1
+INT_ARGUMENTS = {
+    "H_pq a": (1, lambda q, x: H_pq(2, x, 5, q, BUDGET)),
+    "H_pq F": (5, lambda q, x: H_pq(2, 1, x, q, BUDGET)),
+    "K_pq n": (2, lambda q, x: K_pq(x, 2, 1, 5, q, BUDGET)),
+    "K_pq a": (1, lambda q, x: K_pq(2, 2, x, 5, q, BUDGET)),
+    "K_pq F": (5, lambda q, x: K_pq(2, 2, 1, x, q, BUDGET)),
+    "T_pq n": (2, lambda q, x: T_pq(x, 2, 1, 5, q, BUDGET)),
+    "T_pq a": (1, lambda q, x: T_pq(2, 2, x, 5, q, BUDGET)),
+    "T_pq F": (5, lambda q, x: T_pq(2, 2, 1, x, q, BUDGET)),
+    "l_pq F": (15, lambda q, x: l_pq(2, TeichChar(5, 2), x, q, BUDGET)),
+    "K_pq_chi n": (2, lambda q, x: K_pq_chi(x, 2, TeichChar(5, 2), 5, q, BUDGET)),
+    "K_pq_chi F": (5, lambda q, x: K_pq_chi(2, 2, TeichChar(5, 2), x, q, BUDGET)),
+    "T_pq_chi n": (2, lambda q, x: T_pq_chi(x, 2, TeichChar(5, 2), 5, q, BUDGET)),
+    "T_pq_chi F": (5, lambda q, x: T_pq_chi(2, 2, TeichChar(5, 2), x, q, BUDGET)),
+    "gen_euler_teich n": (1, lambda q, x: gen_euler_teich(x, TeichChar(5, 1), q, 4)),
+    "gen_euler_teich trivial n": (1, lambda q, x: gen_euler_teich(x, TeichChar(5, 0), q, 4)),
+    "theorem5_lhs r": (1, lambda q, x: theorem5_lhs(x, 2, q, 4)),
+    "theorem5_lhs n": (2, lambda q, x: theorem5_lhs(2, x, q, 4)),
+    "theorem5_lhs_exact r": (1, lambda q, x: theorem5_lhs_exact(x, 2, q)),
+    "theorem5_lhs_exact n": (2, lambda q, x: theorem5_lhs_exact(2, x, q)),
+    "theorem5_rhs r": (1, lambda q, x: theorem5_rhs(x, 2, q, BUDGET)),
+    "theorem5_rhs n": (2, lambda q, x: theorem5_rhs(2, x, q, BUDGET)),
+    "theorem5_rhs_weighted r": (1, lambda q, x: theorem5_rhs_weighted(x, 2, q, BUDGET)),
+    "theorem5_rhs_weighted n": (2, lambda q, x: theorem5_rhs_weighted(2, x, q, BUDGET)),
+    "theorem5_verify r": (1, lambda q, x: theorem5_verify(x, 2, q, BUDGET)),
+    "theorem5_verify n": (2, lambda q, x: theorem5_verify(2, x, q, BUDGET)),
+}
+
+
+def test_non_int_integer_arguments_rejected():
+    # 2.0 and True compare like ints: they passed the range checks, then
+    # raised a bare TypeError from range() or pow(), reported "r": true, or
+    # read a row cached under the equal int; 1.5 gave theorem5_lhs_exact a
+    # float sum.  The valid value runs first, so its cache entries exist.
+    for q in (Q6, QParam(1, 5)):
+        for name, (valid, call) in INT_ARGUMENTS.items():
+            call(q, valid)
+            for x in (float(valid), valid + 0.5, True, Fraction(valid)):
+                with pytest.raises(OutOfDomain):
+                    call(q, x)
+
+
 def test_engine_precision_below_target_rejected():
     # every series of the expansion engine has an integer exponent, whose
     # terms carry exactly the working precision, so none certifies below

@@ -274,6 +274,18 @@ def test_teich_char_values():
     assert TeichChar(5, 6).exponent == 2  # exponent reduced mod p-1
 
 
+def test_non_int_residue_and_exponent_rejected():
+    # a float residue rendered as "...1.5 0.0 0.0 0.0 mod 5^4", and a float
+    # character exponent reached the character sum's pow() as a bare TypeError
+    for x in (1.5, 2.0, True, Fraction(2)):
+        with pytest.raises(OutOfDomain):
+            PadicApprox(5, x, 4)
+        with pytest.raises(OutOfDomain):
+            TeichChar(5, x)
+    assert PadicApprox(5, -1, 2).residue == 24
+    assert TeichChar(5, -2).exponent == 2
+
+
 def test_composite_primes_rejected_at_every_boundary():
     composite = 1009 * 1013  # no factor below 1000
     with pytest.raises(OutOfDomain):

@@ -1,13 +1,18 @@
 """The residue engine of the expansion layer against its exact oracles.
 
-Every series in ``lfunc`` runs on integer residues mod p^N.  These tests
+Every series in ``lfunc`` is one ``_partial`` value on integer residues
+mod p^N, summed over a coefficient row step(a)^j b_j whose base row b_j
+has one of four kinds: H, K, the double Euler row of the regrouped
+expansion, and that row plus K's for the block expansion.  These tests
 keep the exact-rational formulation as the reference: the closed-form
-q-Euler numbers for the recurrence table, direct modular powers and
-``teichmuller``/``angle_bracket`` for the per-point tables, the
-Fraction-scalar series loop for H, T, K and l, the PadicApprox loops for
-the character sums and the assembly, the term-by-term double loop for the
-exact reindexing stage, and the rational alternating sum and block sums for
-the [j]_q^(-r) table that the left-hand side and the block stages read.
+q-Euler numbers for the recurrence table, direct modular powers and sums
+for the rows, ``teichmuller``/``angle_bracket`` for the per-point tables,
+the Fraction-scalar series loop for H, T, K and l, the loop that
+multiplies the unit -(-1)^a / (2 [a]_q^r) into every block-series term
+for the two block stages, the PadicApprox loops for the character sums
+and the assembly, the term-by-term double loop for the exact reindexing
+stage, and the rational alternating sum and block sums for the
+[j]_q^(-r) table that the left-hand side and the block stages read.
 """
 
 import sys
@@ -142,19 +147,22 @@ def test_coefficient_rows_match_direct_powers(p, qv, F_over_p):
             def w(x):
                 return pow(x, n, mod) - 1 if n else 1
 
+            kind = "K" if n else "H"
             for j in range(30):
                 want = pow(step, j, mod) * table.euler(j) * w(pow(table.Q, j, mod)) % mod
-                assert table.row(a, n, j + 1)[j] == want, (a, n, j)
+                assert table.row(a, kind, n, j + 1)[j] == want, (a, n, j)
 
 
 @pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(1)), (7, Fraction(50))])
 def test_double_rows_match_the_direct_sum(p, qv):
-    # the block series' a-independent factor, summed afresh for each s
+    # the block series' base rows, summed afresh for each s, and their
+    # per-residue rows against a modular power of the step
     table = _Residues(QParam(qv, p), p, 10)
     mod, Q = table.mod, table.Q
     for n in (2, 4):
         h = sum(pow(Q, i, mod) for i in range(n))
         for power_tail in (False, True):
+            kind = "block" if power_tail else "double"
             for s in range(20):
                 want = sum(
                     binom_int(s, l) * pow(Q, n * l, mod) * table.euler(l) * h ** (s - l)
@@ -162,7 +170,10 @@ def test_double_rows_match_the_direct_sum(p, qv):
                 )
                 if power_tail:
                     want += (pow(Q, n * s, mod) - 1) * table.euler(s)
-                assert table.double_row(n, power_tail, s + 1)[s] == want % mod, (n, power_tail, s)
+                assert table.base(kind, n, s + 1)[s] == want % mod, (n, power_tail, s)
+                for a in (1, p - 1):
+                    row = table.row(a, kind, n, s + 1)[s]
+                    assert row == pow(table.step(a), s, mod) * want % mod, (n, power_tail, s, a)
 
 
 @pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(1)), (7, Fraction(50)), (31, Fraction(32))])
@@ -176,22 +187,28 @@ def test_unit_table_matches_teichmuller_and_angle_bracket(p, qv):
 
 
 def test_coefficient_rows_grow_consistently_across_threads():
+    # each residue's H or K row, and its double (block at a = 1) row,
+    # which grows the base rows of double and K under it
     q, depth = QParam(Fraction(32), 31), 40
-    rows = [(a, n) for a in (1, 2, 30) for n in (0, 2, 4)]
+    rows = [
+        (a, kind, n)
+        for a in (1, 2, 30)
+        for n in (0, 2, 4)
+        for kind in ("K" if n else "H", "block" if a == 1 else "double")
+    ]
     shared = _Residues(q, 31, 12)
 
     def extend():
         for j in range(depth):
-            for a, n in rows:
-                shared.row(a, n, j + 1)
-                shared.double_row(n, a == 1, j + 1)
+            for a, kind, n in rows:
+                shared.row(a, kind, n, j + 1)
             shared.units(1 + j % 30)
 
     _grow_in_threads(extend)
     serial = _Residues(q, 31, 12)
-    for a, n in rows:
-        assert shared._rows[a, n][0] == serial.row(a, n, depth), (a, n)
-        assert shared._doubles[n, a == 1][0] == serial.double_row(n, a == 1, depth), (a, n)
+    for a, kind, n in rows:
+        assert shared._rows[a, kind, n][0] == serial.row(a, kind, n, depth), (a, kind, n)
+        assert shared._bases[kind, n][0] == serial.base(kind, n, depth), (a, kind, n)
     assert shared._units == {a: serial.units(a) for a in range(1, 31)}
 
 
@@ -516,7 +533,7 @@ def _padic_assembly(r, n, q, budget, precision, residue_weighted):
         term = 2 * inner * (_merge_coefficient(r, k) * (-1) ** n) * pn_q**k
         if series.add(k, term.residue, term.precision):
             break
-    tail = series.result()
+    tail = PadicApprox(p, *series.certified())
     t_chi = T_pq_chi(n, r, TeichChar(p, -r), p, q, budget, precision)
     if residue_weighted:
         t_chi = t_chi * Fraction(1, 2)
@@ -574,6 +591,138 @@ def test_assembly_names_the_series_that_did_not_certify():
     with pytest.raises(TruncationNotConverged) as err:
         theorem5_rhs(2, 2, QParam(6, 5), SeriesBudget(6, 6, 3))
     assert str(err.value) == "series 'H(a=1)' not certified within 7 terms (window 3, target 6)"
+
+
+# -- the block stages, as the engine summed them before --------------------
+
+
+def _direct_doubles(res, n, power_tail, depth):
+    """The block series' a-independent factor d_0..d_depth, each summed
+    afresh (the power-difference row added when power_tail)."""
+    mod, Q = res.mod, res.Q
+    h = sum(pow(Q, i, mod) for i in range(n))
+    out = []
+    for s in range(depth + 1):
+        d = sum(binom_int(s, l) * pow(Q, n * l, mod) * res.euler(l) * h ** (s - l) for l in range(s))
+        if power_tail:
+            d += (pow(Q, n * s, mod) - 1) * res.euler(s)
+        out.append(d % mod)
+    return out
+
+
+def _unit_block_series(r, n, a, q, budget, precision, label, power_tail, doubles):
+    """The block expansion as a loop that multiplies the unit
+    -(-1)^a / (2 [a]_q^r) into every term, binom(-r, s) stepped exactly,
+    under the engine's stopping rule; returns the accumulator."""
+    res = _Residues(q, q.prime, precision)
+    mod, step = res.mod, res.step(a)
+    unit = -((-1) ** a) * pow(2 * pow(res.q_ints[a], r, mod), -1, mod)
+    series = lfunc._TruncatedSeries(q.prime, precision, budget, res.gain, label)
+    b = binom_int(-r, 1)
+    for s in range(1, budget.max_terms + 1):
+        if series.add(s, b * unit * pow(step, s, mod) * doubles[s] % mod, precision):
+            break
+        b = b * (-r - s) // (s + 1)
+    return series
+
+
+def _stage_outcome(compute):
+    """compute()'s (residue, precision, terms used), or the type and
+    message of the TruncationNotConverged it raised."""
+    try:
+        return compute()
+    except TruncationNotConverged as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _block_stage_oracle(r, n, a, q, budget, precision, doubles):
+    """Both block stages of residue a by the loop: the outcome of the block
+    expansion, and of the regrouped expansion, the double series plus
+    -w(a)^(-r) K."""
+    p = q.prime
+
+    def block():
+        series = _unit_block_series(
+            r, n, a, q, budget, precision, f"block expansion (a={a})", True, doubles[True])
+        return (*series.certified(), series.used)
+
+    def regrouped():
+        series = _unit_block_series(
+            r, n, a, q, budget, precision, f"regrouped expansion (a={a})", False, doubles[False])
+        total, low = series.certified()
+        kk = K_pq(n, r, a, p, q, budget, precision)
+        w_pow = pow(teichmuller(a, p, precision).residue, -r, p**precision)
+        low = min(low, kk.precision)
+        return (total - w_pow * kk.residue) % p**low, low, series.used
+
+    return _stage_outcome(block), _stage_outcome(regrouped)
+
+
+def _block_stage_engine(r, n, a, q, budget, precision):
+    """The same two outcomes from the engine's cached _partial, scaled by
+    -w(a)^(-r) as theorem5_verify scales them."""
+    p = q.prime
+    unit = -pow(teichmuller(a, p, precision).residue, -r, p**precision)
+
+    def block():
+        value, low, used = lfunc._partial(r, a, p, q, budget, precision, "block", n)
+        return unit * value % p**low, low, used
+
+    def regrouped():
+        double, d_low, used = lfunc._partial(r, a, p, q, budget, precision, "double", n)
+        kk, k_low, _ = lfunc._partial(r, a, p, q, budget, precision, "K", n)
+        low = min(d_low, k_low)
+        return unit * (double + kk) % p**low, low, used
+
+    return _stage_outcome(block), _stage_outcome(regrouped)
+
+
+# q = p + 1, q = 1 and a non-integral q with v_p(q - 1) >= 1 at each prime
+BLOCK_POINTS = [
+    (5, Fraction(6)), (5, Fraction(1)), (5, Fraction(31, 6)),
+    (7, Fraction(8)), (7, Fraction(1)), (7, Fraction(15, 8)),
+    (31, Fraction(32)), (31, Fraction(1)), (31, Fraction(63, 32)),
+]
+# (budget, working precision): the default margin, none, a short tail, a
+# term limit that the block series meet at some points only, and one that
+# none meets
+BLOCK_BUDGETS = [
+    (SeriesBudget(4), None),
+    (SeriesBudget(3), 3),
+    (SeriesBudget(4, 10), 4),
+    (SeriesBudget(4, 5, 3), 4),
+    (SeriesBudget(6, 4, 3), 6),
+]
+
+
+@pytest.mark.parametrize("p, qv", BLOCK_POINTS)
+def test_block_stages_match_the_unit_loop(p, qv):
+    q = QParam(qv, p)
+    for budget, precision in BLOCK_BUDGETS:
+        working = budget.target + 6 if precision is None else precision
+        res = _Residues(q, p, working)
+        for n in (2, 4):
+            doubles = {tail: _direct_doubles(res, n, tail, budget.max_terms) for tail in (False, True)}
+            for r in (1, 2, 3):
+                wants = [_block_stage_oracle(r, n, a, q, budget, working, doubles) for a in range(1, p)]
+                for a, want in enumerate(wants, start=1):
+                    assert _block_stage_engine(r, n, a, q, budget, working) == want, (budget, r, n, a)
+                # the verifier raises the first failure, block stage before
+                # regrouping stage at each residue, or reports the block
+                # expansions' terms used (unless a series of its assembly,
+                # summed after the blocks, falls short)
+                failures = [want for pair in wants for want in pair if isinstance(want[0], str)]
+                try:
+                    trunc = theorem5_verify(r, n, q, budget, precision).truncation_indices
+                    got = [trunc[f"block-expansion/a={a}"] for a in range(1, p)]
+                except TruncationNotConverged as exc:
+                    got = (type(exc).__name__, str(exc))
+                if failures:
+                    assert got == failures[0], (budget, r, n)
+                elif isinstance(got, tuple):
+                    assert got[1].startswith(("series 'H(", "series 'K(", "series 'assembly tail'")), got
+                else:
+                    assert got == [block[2] for block, _ in wants], (budget, r, n)
 
 
 # -- the exact reindexing oracle -------------------------------------------
