@@ -9,7 +9,8 @@ and writes to OUT, for every point of a fixed grid, either
 ``[residue, precision]`` or ``{"raised": <exception type>}`` of ``H_pq``,
 ``K_pq``, ``T_pq``, ``l_pq`` and ``K_pq_chi`` (at F = p and 3p, and with a
 character over another prime), ``gen_euler_teich`` (every character,
-n <= 8, precision 1, 3 and 8), ``theorem5_lhs``, ``theorem5_rhs`` and
+-1 <= n <= 15, precision 0, 1, 3 and 8, so that a negative order and a
+precision of no digit meet in both orders of its checks), ``theorem5_lhs``, ``theorem5_rhs`` and
 ``theorem5_rhs_weighted``, plus
 ``theorem5_verify(...).to_dict()`` (also at p = 101, and at p = 5 to
 target 20, and the type and message of what it raises under two term
@@ -69,8 +70,8 @@ EXACT_QS = [Fraction(1, 2), Fraction(2, 3), Fraction(6), Fraction(-3, 7),
 
 
 def exponents(qe, p):
-    """Integer, Fraction and PadicApprox exponents; 2 and Fraction(2) take
-    different paths."""
+    """Integer, Fraction and PadicApprox exponents; 2 and Fraction(2) share
+    one series cache entry, so the one that comes first fills it."""
     return [-2, 1, 2, 3, Fraction(2), Fraction(1, 2), Fraction(-3, 2),
             qe.embed(Fraction(1, 3), p, 10), qe.PadicApprox(p, 1 + p, 6)]
 
@@ -126,9 +127,9 @@ def sweep(qe) -> dict:
                 put(f"rhs_weighted r={r} n={n}",
                     lambda: qe.theorem5_rhs_weighted(r, n, q, budget, precision))
                 put(f"verify r={r} n={n}", lambda: qe.theorem5_verify(r, n, q, budget, precision))
-        for precision in (1, 3, 8):
+        for precision in (0, 1, 3, 8):
             for t in range(p - 1):
-                for n in range(9):
+                for n in range(-1, 16):
                     out[f"p={p} q={qv} gen_euler N={precision} t={t} n={n}"] = outcome(
                         qe, lambda: qe.gen_euler_teich(n, qe.TeichChar(p, t), q, precision))
         # invalid input: a residue at p, an even F, no working digit, and a

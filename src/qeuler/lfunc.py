@@ -30,22 +30,28 @@ numbers, that table holds the Teichmuller residues w(a), the 1-units
 E_{j,Q} for H, (Q^(nj) - 1) E_{j,Q} for K, the double Euler row d_j for
 the regrouped expansion and d_j plus K's row for the block expansion, and
 per (a, kind, n) the row c_j = step(a)^j b_j, each built by running
-products.  The series kernel walks a row as a list.  An integer exponent
-steps its exact binomial through the row, a Z_p exponent multiplies its
-p-adic binomial by the row's residue; <a>^(-s) and the block stages'
-w(a)^(-r) read the same table.
+products.  The series kernel walks a row as a list and steps an exact
+binomial binom(-r, j) through it, at an integer exponent r.  A Z_p
+exponent s (a Fraction or a PadicApprox) is summed as the integer
+r == s (mod p**sigma), sigma the least of the working precision and s's
+own, with every term taken mod p**sigma: binom(-s, j) == binom(-r, j)
+(mod p**(sigma - v_p(j!))) while v_p(c_j) >= j > v_p(j!), and
+<a>^(p**sigma) == 1 (mod p**(sigma+1)).  <a>^(-r) and the block stages'
+w(a)^(-r) read the same table.  So no exponent certifies a target above
+its sigma: there each series but K at q = 1 raises TruncationNotConverged.
 
 There is one character sum, sum_a w(a)^t v_a over (residue, precision)
 pairs, known to the least precision of the table and the summands (w(a)
 is a unit).  l_pq and K_pq_chi sum H or K pairs through it,
-gen_euler_teich its embedded Euler-polynomial values, and each assembly
-term of the engine (H + K)(r+k, a) q^(ak) (or weight 1) before scaling
-by the exact coefficient of term k; so does the tail term T(r, w^(-r)) =
-4 sum_a w(a)^(-r) K(r, a).  The engine's working precision must reach
-its target: below it no integer-exponent series can certify.  The
-left-hand side and its per-residue block sums are signed sums over one
-table of [j]_q^(-r) mod p**N; the rational closed forms of both stay
-outside the engine, as the tests' oracles.
+gen_euler_teich the Euler-polynomial values it reads from the H rows,
+and each assembly term of the engine (H + K)(r+k, a) q^(ak) (or weight
+1) before scaling by the exact coefficient of term k; so does the tail
+term T(r, w^(-r)) = 4 sum_a w(a)^(-r) K(r, a).  The engine's working
+precision must reach its target, below which none of its series can
+certify.  The left-hand side and its per-residue block sums are signed
+sums over one table of [j]_q^(-r) mod p**N.  The exact Euler numbers and
+polynomials, and the rational closed forms of both sums, stay outside
+the engine, as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -57,25 +63,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OutOfDomain, TruncationNotConverged
-from .euler import (
-    PolyArg,
-    euler_number_classical,
-    euler_number_q,
-    euler_poly_classical,
-    euler_poly_q,
-)
 from .kernel import QParam, binom_int, padic_valuation, padic_valuation_int, q_int
 from .kernel import tail_merge_coefficient as _merge_coefficient
-from .padic import (
-    PadicApprox,
-    TeichChar,
-    _validate_precision,
-    agreement,
-    binom_zp,
-    embed,
-    power_zp,
-    teichmuller,
-)
+from .padic import PadicApprox, TeichChar, _validate_precision, agreement, embed, teichmuller
 
 
 @dataclass(frozen=True)
@@ -293,32 +283,25 @@ _KINDS = {
 }
 
 
-def _series(res: _Residues, s, a: int, kind: str, n: int, budget):
-    """The series kernel: sum_{j >= start} binom(-s, j) c_j, truncated per
-    budget, over the row c_j = res.row(a, kind, n, .) mod p**precision.
-    The row is asked first for the terms up to the earliest index that
-    could certify, then `window` terms at a time.  An integer s steps its
-    binomial exactly, binom(-s, j+1) = binom(-s, j) (-s-j)/(j+1).  A Z_p
-    exponent s takes its p-adic binomial, which loses v_p(j!) digits to the
-    division by j!; v_p(c_j) >= j gain > v_p(j!) gives them back, so each
-    term is still known to the working precision.  Returns the
-    _TruncatedSeries."""
+def _series(res: _Residues, s: int, a: int, kind: str, n: int, budget, precision: int):
+    """The series kernel: sum_{j >= start} binom(-s, j) c_j mod p**precision,
+    truncated per budget, over the row c_j = res.row(a, kind, n, .), for an
+    integer s and precision <= res.precision.  The row is asked first for
+    the terms up to the earliest index that could certify, then `window`
+    terms at a time, and the binomial steps exactly, binom(-s, j+1) =
+    binom(-s, j) (-s-j)/(j+1).  Returns the _TruncatedSeries."""
     label, start = _KINDS[kind]
-    p, precision, gain = res.prime, res.precision, res.gain
-    series = _TruncatedSeries(p, precision, budget, gain, label.format(a))
-    mod = res.mod
-    b = binom_int(-s, start) if isinstance(s, int) else None
+    gain = res.gain
+    series = _TruncatedSeries(res.prime, precision, budget, gain, label.format(a))
+    mod = res.prime**precision
+    b = binom_int(-s, start)
     j, stop = start, max(start + budget.window, -(-budget.target // gain))
     while j <= budget.max_terms:
         stop = min(stop, budget.max_terms + 1)
         coeffs = res.row(a, kind, n, stop)
         for j in range(j, stop):
-            if b is not None:
-                done = series.add(j, b * coeffs[j] % mod, precision)
-                b = b * (-s - j) // (j + 1)
-            else:
-                term = binom_zp(-s, j) * PadicApprox(p, coeffs[j], precision)
-                done = series.add(j, term.residue, term.precision)
+            done = series.add(j, b * coeffs[j] % mod, precision)
+            b = b * (-s - j) // (j + 1)
             if done:
                 return series
         j, stop = stop, stop + budget.window
@@ -366,9 +349,16 @@ def _check_character(chi: TeichChar, p: int) -> None:
         raise OutOfDomain("character prime does not match q's prime context")
 
 
-def _as_exponent(s, p: int, precision: int):
-    """A checked series exponent: ints stay exact, rationals embed."""
-    return embed(s, p, precision) if isinstance(s, Fraction) else s
+def _representative(s, p: int, precision: int) -> tuple:
+    """(r, sigma) for a checked exponent s: an int r == s (mod p**sigma),
+    where sigma is the least of the working precision and s's own.  An
+    int is its own representative."""
+    if isinstance(s, int):
+        return s, precision
+    if isinstance(s, Fraction):
+        return embed(s, p, precision).residue, precision
+    sigma = min(precision, s.precision)
+    return s.residue % p**sigma, sigma
 
 
 def _default_precision(budget: SeriesBudget, precision) -> int:
@@ -384,7 +374,7 @@ def _signed_half(a: int, modulus: int) -> int:
     return -half if a % 2 else half
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _partial(s, a, F, q: QParam, budget, precision, kind, n) -> tuple:
     """Every series here, as (residue, precision, terms used) on ints:
 
@@ -396,23 +386,20 @@ def _partial(s, a, F, q: QParam, budget, precision, kind, n) -> tuple:
     -w(a)^(-r) times the block value expands the block sum
     sum_{l<n} (-1)^(a+Fl) [a+Fl]_q^(-r), and times the double value gives
     its double Euler series.  Reported modulo p**budget.target at most; K
-    vanishes at q = 1, (0, target, 0).  At an integer s, <a>^(-s) and
-    (-1)^a / 2 are units, so the product with the certified sum is known to
-    the sum's precision; any other s is embedded in Z_p and <a>^(-s) taken
-    by PadicApprox arithmetic.  Typed: s = 2 and Fraction(2) take different
-    paths."""
+    vanishes at q = 1, (0, target, 0).  Every s is summed as its integer
+    representative r mod p**sigma (_representative, exact by the module
+    docstring's two congruences); (-1)^a / 2 and <a>^(-r) are units, so the
+    product with the certified sum is known to the sum's precision.  Equal
+    exponents, such as 1, Fraction(1) and True, share one entry."""
     if kind == "K" and q.is_one:
         return 0, budget.target, 0
     p = q.prime
     res = _residues(q, F, precision)
-    s = _as_exponent(s, p, precision)
-    series = _series(res, s, a, kind, n, budget)
+    r, sigma = _representative(s, p, precision)
+    series = _series(res, r, a, kind, n, budget, sigma)
     total, t = series.certified()
-    if isinstance(s, int):
-        mod = p**t
-        return _signed_half(a, mod) * total * pow(res.units(a)[1], -s, mod) % mod, t, series.used
-    value = PadicApprox(p, total, t) * power_zp(PadicApprox(p, res.units(a)[1], precision), -s)
-    return _signed_half(a, value.modulus) * value.residue % value.modulus, value.precision, series.used
+    mod = p**t
+    return _signed_half(a, mod) * total * pow(res.units(a)[1], -r, mod) % mod, t, series.used
 
 
 def H_pq(s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -462,23 +449,28 @@ def gen_euler_teich(n: int, chi: TeichChar, q: QParam, precision: int) -> PadicA
 
         [p]_q^n sum_{a<p} chi(a) (-1)^a E_{n, q^p}(a/p),
 
-    a finite sum of exact Euler-polynomial values with p-adic character
-    weights.  The trivial character gives E_{n,q} itself.
+    read from the residue table: the trivial character gives E_{n,q}
+    itself, and otherwise [p]_q^n E_{n,q^p}(a/p) = [a]_q^n sum_{k<=n}
+    binom(n, k) c_k over residue a's H row c_k = (q^a [p]_q/[a]_q)^k
+    E_{k,q^p}, each summand known mod p**precision.
     """
     p = _require_prime(q)
     _check_character(chi, p)
     _check_int("n", n)
-    qv = q.value
-    if chi.is_trivial:
-        return embed(euler_number_classical(n) if qv == 1 else euler_number_q(n, qv), p, precision)
+    if not chi.is_trivial:  # checks the precision before the order
+        _validate_precision(precision)
+    if n < 0:
+        raise OutOfDomain("order must be >= 0")
     _validate_precision(precision)
-    scale = q_int(p, qv) ** n
+    if chi.is_trivial:
+        return PadicApprox(p, _residues(q, 1, precision).euler(n), precision)
+    res = _residues(q, p, precision)
     values = []
     for a in range(1, p):
-        # scale * E is p-integral even at q = 1, where E_n(a/p) alone is not
-        e = euler_poly_classical(n, Fraction(a, p)) if qv == 1 else euler_poly_q(n, PolyArg(a, p, qv))
-        values.append((a, ((-1) ** a * embed(scale * e, p, precision).residue, precision)))
-    return PadicApprox(p, *_char_sum(_residues(q, p, precision), chi.exponent, values))
+        row = res.row(a, "H", 0, n + 1)
+        e = pow(res.q_ints[a], n, res.mod) * sum(math.comb(n, k) * row[k] for k in range(n + 1))
+        values.append((a, ((-1) ** a * e, precision)))
+    return PadicApprox(p, *_char_sum(res, chi.exponent, values))
 
 
 def _check_even(n: int) -> None:

@@ -38,6 +38,12 @@ def _validate_prime(p: int) -> None:
         raise OutOfDomain(f"only odd primes are supported, got {p}")
 
 
+def _validate_residue(a) -> None:
+    # a float residue would print as digits or reach math.gcd as a bare TypeError
+    if type(a) is not int:
+        raise OutOfDomain(f"residue must be an int, got {a!r}")
+
+
 def _validate_precision(precision: int) -> None:
     # a float or bool precision would reach pow() as a modulus exponent
     if type(precision) is not int:
@@ -63,8 +69,7 @@ class PadicApprox:
     def __post_init__(self):
         _validate_prime(self.prime)
         _validate_precision(self.precision)
-        if type(self.residue) is not int:  # a float residue would print as digits
-            raise OutOfDomain(f"residue must be an int, got {self.residue!r}")
+        _validate_residue(self.residue)
         object.__setattr__(self, "residue", self.residue % self.modulus)
 
     # -- structure ---------------------------------------------------
@@ -297,6 +302,7 @@ def teichmuller(a: int, p: int, precision: int) -> PadicApprox:
     """
     _validate_prime(p)
     _validate_precision(precision)
+    _validate_residue(a)
     if math.gcd(a, p) != 1:
         raise NotCoprime(f"{a} is divisible by {p}")
     mod = p**precision
@@ -428,6 +434,7 @@ class TeichChar:
         return self.exponent == 0
 
     def value(self, a: int, precision: int) -> PadicApprox:
+        _validate_residue(a)
         if self.is_trivial:
             return PadicApprox.one(self.prime, precision)
         if math.gcd(a, self.prime) != 1:

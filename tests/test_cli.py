@@ -100,6 +100,17 @@ def test_lvalue_padic_matches_library(capsys):
     assert record["value"]["residue"] == str(embed(exact, 5, want.precision).residue)
 
 
+@pytest.mark.parametrize("s", ["2", "1/2"])
+def test_lvalue_below_the_target_exits_one(capsys, s):
+    # working precision 3 below the target 4: no exponent's series certifies
+    code, out, err = run(
+        capsys, "lvalue", "--side", "padic", "--s", s, "--t", "1", "--p", "5",
+        "--q", "6/1", "--N", "3", "--M", "4",
+    )
+    assert code == 1 and out == ""
+    assert "not certified" in err
+
+
 def test_lvalue_complex(capsys):
     code, out, _ = run(
         capsys, "lvalue", "--side", "complex", "--s", "-1", "--chi", "trivial",

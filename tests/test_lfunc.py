@@ -332,17 +332,21 @@ def test_truncation_not_converged_is_raised():
         H_pq(2, 1, 5, Q6, tight)
 
 
-def test_series_cache_keeps_int_and_fraction_exponents_apart():
-    # 2 == Fraction(2) and both hash alike, but an int exponent sums exact
-    # binomials while a Fraction one takes the Z_p path: the series cache
-    # must key them apart in either order, and both paths give one value
+def test_series_cache_shares_one_entry_for_equal_exponents():
+    # 2 == Fraction(2) and 1 == Fraction(1) == True, each hashing alike;
+    # every exponent is summed through its integer representative, so equal
+    # exponents share one series entry in any order, with one value
     q, budget = QParam(1, 5), SeriesBudget(3)
     for order in ((2, Fraction(2)), (Fraction(2), 2)):
         _partial.cache_clear()
         for s in order:
             got = H_pq(s, 1, 5, q, budget, 3)
             assert (got.residue, got.precision) == (122, 3), s
-        assert _partial.cache_info().currsize == 2, order
+        assert _partial.cache_info().currsize == 1, order
+    for order in ((1, True, Fraction(1)), (True, Fraction(1), 1)):
+        _partial.cache_clear()
+        assert {H_pq(s, 1, 5, q, budget, 3).render() for s in order} == {"...2 3 3 mod 5^3"}, order
+        assert _partial.cache_info().currsize == 1, order
 
 
 def test_zp_exponent_at_q_one_certifies_without_a_precision_margin():
@@ -443,6 +447,38 @@ def test_non_int_integer_arguments_rejected():
             for x in (float(valid), valid + 0.5, True, Fraction(valid)):
                 with pytest.raises(OutOfDomain):
                     call(q, x)
+
+
+def test_zp_exponents_below_the_target_do_not_converge():
+    # a Z_p exponent is summed as an integer representative to the least of
+    # the working precision and its own, so like an int exponent it cannot
+    # certify the target below either; K at q = 1 is still (0, target)
+    budget = SeriesBudget(target=4)
+    for q in (Q6, QParam(1, 5)):
+        for s, precision in (
+            (Fraction(1, 2), 3),
+            (PadicApprox(5, 6, 6), 3),
+            (PadicApprox(5, 6, 3), None),
+            (PadicApprox(5, 6, 3), 10),
+        ):
+            calls = [
+                lambda: H_pq(s, 1, 5, q, budget, precision),
+                lambda: l_pq(s, TeichChar(5, 1), 5, q, budget, precision),
+            ]
+            if not q.is_one:
+                calls.append(lambda: K_pq_chi(2, s, TeichChar(5, 1), 5, q, budget, precision))
+            for call in calls:
+                with pytest.raises(TruncationNotConverged):
+                    call()
+            if q.is_one:
+                for fn in (K_pq, T_pq):
+                    got = fn(2, s, 1, 5, q, budget, precision)
+                    assert (got.residue, got.precision) == (0, 4), (s, precision)
+                got = K_pq_chi(2, s, TeichChar(5, 1), 5, q, budget, precision)
+                assert (got.residue, got.precision) == (0, 3 if precision == 3 else 4), (s, precision)
+    # at or above the target the same exponents certify every digit
+    assert H_pq(PadicApprox(5, 6, 4), 1, 5, Q6, budget, 4).precision == 4
+    assert H_pq(Fraction(1, 2), 1, 5, Q6, budget, 4).precision == 4
 
 
 def test_engine_precision_below_target_rejected():

@@ -286,6 +286,20 @@ def test_non_int_residue_and_exponent_rejected():
     assert TeichChar(5, -2).exponent == 2
 
 
+def test_non_int_teichmuller_residue_rejected():
+    # a float residue reached math.gcd as a bare TypeError, and the trivial
+    # character and a bool residue returned values
+    for x in (2.5, 2.0, True, Fraction(2)):
+        with pytest.raises(OutOfDomain):
+            teichmuller(x, 5, 4)
+        for t in (0, 1):
+            with pytest.raises(OutOfDomain):
+                TeichChar(5, t).value(x, 4)
+    assert teichmuller(2, 5, 4).residue == 182
+    assert TeichChar(5, 0).value(2, 4).residue == 1
+    assert TeichChar(5, 1).value(10, 4).residue == 0
+
+
 def test_composite_primes_rejected_at_every_boundary():
     composite = 1009 * 1013  # no factor below 1000
     with pytest.raises(OutOfDomain):

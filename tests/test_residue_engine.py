@@ -7,7 +7,9 @@ expansion, and that row plus K's for the block expansion.  These tests
 keep the exact-rational formulation as the reference: the closed-form
 q-Euler numbers for the recurrence table, direct modular powers and sums
 for the rows, ``teichmuller``/``angle_bracket`` for the per-point tables,
-the Fraction-scalar series loop for H, T, K and l, the loop that
+the Fraction-scalar series loop for H, T, K and l (``binom_zp`` and
+``power_zp`` for a Z_p exponent, which the engine sums through an integer
+representative), the loop that
 multiplies the unit -(-1)^a / (2 [a]_q^r) into every block-series term
 for the two block stages, the PadicApprox loops for the character sums
 and the assembly, the term-by-term double loop for the exact reindexing
@@ -55,7 +57,6 @@ from qeuler.lfunc import (
     K_pq_chi,
     T_pq,
     T_pq_chi,
-    _as_exponent,
     _merge_coefficient,
     _Residues,
     _theorem5_rhs,
@@ -236,7 +237,7 @@ def _fraction_series(kind, n, s, a, F, q, budget, precision):
     p = q.prime
     if kind != "H" and q.value == 1:
         return embed(0, p, budget.target)
-    s = _as_exponent(s, p, precision)
+    s = embed(s, p, precision) if isinstance(s, Fraction) else s
     gain = int(padic_valuation(q_int(F, q.value) / q_int(a, q.value), p))
     total, quiet, slack, done = embed(0, p, precision), 0, 0, False
     for j in range(0 if kind == "H" else 1, budget.max_terms + 1):
@@ -441,13 +442,18 @@ EXPONENT_PATH_POINTS = [
 
 @pytest.mark.parametrize("p, qv", EXPONENT_PATH_POINTS)
 def test_integer_exponents_agree_with_the_zp_binomial_path(p, qv):
-    # an int s runs on exact binomials and a modular power of <a>, and
-    # Fraction(s) on binom_zp and exp(s log <a>): one residue, one precision
+    # the engine sums every exponent on exact binomials and a modular power
+    # of <a>; the oracle sums Fraction(s), and s embedded as a PadicApprox
+    # beyond and below the working precision 10, on binom_zp and
+    # exp(s log <a>): one residue, one precision
     q, budget = QParam(qv, p), SeriesBudget(target=4)
     for s in (-2, 1, 2, 3, 5):
-        for a in range(1, p):
-            assert _pair(H_pq(s, a, p, q, budget)) == _pair(H_pq(Fraction(s), a, p, q, budget)), (s, a)
-            assert _pair(K_pq(2, s, a, p, q, budget)) == _pair(K_pq(2, Fraction(s), a, p, q, budget)), (s, a)
+        for zp in (Fraction(s), embed(s, p, 12), embed(s, p, 5)):
+            for a in range(1, p):
+                for kind, fn in (("H", H_pq), ("K", lambda *args: K_pq(2, *args))):
+                    want = _pair(_fraction_series(kind, 2, zp, a, p, q, budget, 10))
+                    assert _pair(fn(s, a, p, q, budget)) == want, (kind, s, zp, a)
+                    assert _pair(fn(zp, a, p, q, budget)) == want, (kind, s, zp, a)
 
 
 # -- the certificate's valuation shortcut ------------------------------------
