@@ -22,7 +22,11 @@ suite's own grid adds the booleans of the three binomial predicates, the
 convolution right-hand side (``qeuler.suites.convolution_rhs`` where the
 checkout has it, else the per-term Fraction sum it replaced) and both
 sides of every ``distribution_check``.  Last come the report lines of
-every suite in ``qeuler.suites.SUITES``, read through ``run_suite``.
+every suite in ``qeuler.suites.SUITES``, read through ``run_suite``, and
+the exit code and stdout of ``qeuler.cli.main`` for every subcommand in
+each of its --format choices, one run that exits 1 and two that exit 2
+(stderr is not recorded, so a reworded error message leaves the hash
+alone).
 Two checkouts compute the same values when their files are
 byte-identical, so running it on both sides of a change and comparing
 the sha256 printed at the end is an equivalence check.  Everything runs in one process, in
@@ -33,7 +37,9 @@ sides.  Nothing outside SRC and OUT is read or written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -250,6 +256,40 @@ def suite_sweep(qe) -> dict:
     }
 
 
+CLI_RUNS = [
+    *(["euler-table", "--q", "6/1", "--max-m", "4", "--format", f] for f in ("text", "json", "csv")),
+    *(["euler-table", "--q", "1/1", "--max-m", "3", "--p", "5", "--N", "4", "--format", f]
+      for f in ("text", "json", "csv")),
+    *(["zeta", "--s", "-1", "--x", "1.0", "--q", "0.5", "--format", f] for f in ("text", "json")),
+    *(["lvalue", "--side", "padic", "--s", "-2", "--t", "2", "--p", "5", "--q", "6/1", "--M", "4",
+       "--format", f] for f in ("text", "json")),
+    *(["lvalue", "--side", "complex", "--s", "-1", "--q", "0.5", "--format", f]
+      for f in ("text", "json")),
+    *(["verify", "exact-identities", "--format", f] for f in ("text", "json", "csv")),
+    *(["verify", "theorem5", "--r", "2", "--n", "2", "--format", f] for f in ("text", "json", "csv")),
+    *(["theorem5", "--r", "2", "--n", "2", "--format", f] for f in ("text", "json")),
+    # below the target: exits 1
+    ["lvalue", "--side", "padic", "--s", "2", "--t", "1", "--p", "5", "--q", "6/1", "--N", "3",
+     "--M", "4"],
+    # invalid input: a grid flag on another suite, and a --format choice argparse rejects
+    ["verify", "padic", "--p", "7"],
+    ["zeta", "--s", "0", "--x", "1.0", "--q", "0.5", "--format", "csv"],
+]
+
+
+def cli_sweep(qe) -> dict:
+    out = {}
+    for argv in CLI_RUNS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = qe.cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out[f"cli {' '.join(argv)}"] = {"exit": code, "stdout": stdout.getvalue()}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="directory that contains the qeuler package")
@@ -259,13 +299,14 @@ def main(argv=None) -> int:
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import qeuler as qe
+    import qeuler.cli  # binds qe.cli
     import qeuler.suites  # binds qe.suites
 
     if Path(qe.__file__).resolve().parent != src / "qeuler":
         sys.exit(f"equivalence_sweep: imported {qe.__file__}, not the package under {src}")
     if hasattr(sys, "set_int_max_str_digits"):  # theorem5_lhs_exact runs to 40,000 digits
         sys.set_int_max_str_digits(0)
-    values = sweep(qe) | exact_sweep(qe) | identity_sweep(qe) | suite_sweep(qe)
+    values = sweep(qe) | exact_sweep(qe) | identity_sweep(qe) | suite_sweep(qe) | cli_sweep(qe)
     text = json.dumps(values, sort_keys=True, indent=0) + "\n"
     Path(args.out).write_text(text)
     print(f"{hashlib.sha256(text.encode()).hexdigest()}  {args.out} ({text.count(chr(10)) - 1} lines)")

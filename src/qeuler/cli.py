@@ -6,9 +6,12 @@ accepted only for s, x, q on the archimedean side.  Exit codes: 0 all
 checks pass / value computed, 1 verification failure or non-convergence,
 2 invalid input.
 
-Serialization rules: rationals as "num/den" strings (never floats),
-p-adic values as {"residue", "mod", "valuation"}, complex values as
-{"re", "im"} float strings.  JSON output is key-sorted so identical
+Each handler builds its result three ways: a JSON record, a text
+report and, for euler-table and verify, a CSV table.  One writer,
+``_emit``, picks the one that --format names and writes it to --out or
+to stdout.  Serialization rules: rationals as "num/den" strings (never
+floats), p-adic values as {"residue", "mod", "valuation"}, complex values
+as {"re", "im"} float strings.  JSON output is key-sorted so identical
 configurations reproduce byte-identical records.
 """
 
@@ -53,16 +56,21 @@ def _fmt_complex(z: complex) -> dict:
     return {"re": repr(float(z.real)), "im": repr(float(z.imag))}
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
+def _emit(args, record, text: str, table=None) -> None:
+    """Write a command's result as --format asks, to --out or to stdout:
+    the record as key-sorted JSON, the table (a header row, then one row
+    per line) as CSV, or the text as it stands."""
+    if args.format == "json":
+        text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(table)
+        text = buf.getvalue()
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(record, out_path) -> None:
-    _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", out_path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,21 +157,12 @@ def _cmd_euler_table(args) -> int:
         "p": args.p,
         "N": args.N if args.p is not None else None,
     }
-    if args.format == "json":
-        _emit_json({"config": config, "rows": rows}, args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        fields = list(rows[0].keys())
-        writer = csv.DictWriter(buf, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-        _emit(buf.getvalue(), args.out)
-    else:
-        lines = [f"q-Euler numbers for q = {_fmt_rational(args.q)}"]
-        for row in rows:
-            extra = f"  ({row['residue']} mod {row['mod']})" if "residue" in row else ""
-            lines.append(f"  m={row['m']}: {row['value']}{extra}")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [f"q-Euler numbers for q = {_fmt_rational(args.q)}"]
+    for row in rows:
+        extra = f"  ({row['residue']} mod {row['mod']})" if "residue" in row else ""
+        lines.append(f"  m={row['m']}: {row['value']}{extra}")
+    table = [list(rows[0]), *(list(row.values()) for row in rows)]
+    _emit(args, {"config": config, "rows": rows}, "\n".join(lines) + "\n", table)
     return 0
 
 
@@ -185,10 +184,7 @@ def _cmd_zeta(args) -> int:
         },
         "value": _fmt_complex(value),
     }
-    if args.format == "json":
-        _emit_json(record, args.out)
-    else:
-        _emit(f"zeta({s}, x={args.x}; q={args.q}) = {value}\n", args.out)
+    _emit(args, record, f"zeta({s}, x={args.x}; q={args.q}) = {value}\n")
     return 0
 
 
@@ -261,10 +257,7 @@ def _cmd_lvalue(args) -> int:
             "value": _fmt_complex(value),
         }
         text = f"l(s={s}, chi={args.chi}; q={args.q}) = {value}\n"
-    if args.format == "json":
-        _emit_json(record, args.out)
-    else:
-        _emit(text, args.out)
+    _emit(args, record, text)
     return 0
 
 
@@ -285,26 +278,15 @@ def _cmd_verify(args) -> int:
     else:
         raise QEulerError("--r, --n, --p, --q, --M and --kmax apply only to the theorem5 suite")
     passed = all(c.passed for c in checks)
-    if args.format == "json":
-        record = {
-            "suite": args.suite,
-            "passed": passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-            ],
-        }
-        _emit_json(record, args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["name", "passed", "detail"])
-        for c in checks:
-            writer.writerow([c.name, c.passed, c.detail])
-        _emit(buf.getvalue(), args.out)
-    else:
-        lines = [c.line() for c in checks]
-        lines.append(f"{'OK' if passed else 'FAILED'}: {sum(c.passed for c in checks)}/{len(checks)} checks passed")
-        _emit("\n".join(lines) + "\n", args.out)
+    record = {
+        "suite": args.suite,
+        "passed": passed,
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+    }
+    lines = [c.line() for c in checks]
+    lines.append(f"{'OK' if passed else 'FAILED'}: {sum(c.passed for c in checks)}/{len(checks)} checks passed")
+    table = [["name", "passed", "detail"], *([c.name, c.passed, c.detail] for c in checks)]
+    _emit(args, record, "\n".join(lines) + "\n", table)
     return 0 if passed else 1
 
 
@@ -337,14 +319,8 @@ def _cmd_theorem5(args) -> int:
     ns = [args.n] if args.n is not None else [2, 4]
     reports = [theorem5_verify(r, n, q, budget, args.N) for r in rs for n in ns]
     ok = all(rep.acceptable for rep in reports)
-    if args.format == "json":
-        record = {
-            "acceptable": ok,
-            "reports": [rep.to_dict() for rep in reports],
-        }
-        _emit_json(record, args.out)
-    else:
-        _emit("".join(_report_text(rep) for rep in reports), args.out)
+    record = {"acceptable": ok, "reports": [rep.to_dict() for rep in reports]}
+    _emit(args, record, "".join(_report_text(rep) for rep in reports))
     return 0 if ok else 1
 
 

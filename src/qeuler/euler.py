@@ -9,7 +9,9 @@ by (1 - q).
 
 Fractional arguments only ever occur in the combination E_{n, q^f}(a/f),
 where q^{f * (a/f)} = q^a is exact; :class:`PolyArg` packages that shape
-so no fractional exponentiation is ever attempted.
+so no fractional exponentiation is ever attempted.  Orders, lengths,
+moduli, levels and a PolyArg's a and f must be ints (``OutOfDomain``
+otherwise, by the kernel's ``_check_int``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OutOfDomain, QIsOne
-from .kernel import QParam, as_fraction, binom_int, q_int, q_int_neg
+from .kernel import QParam, _check_int, as_fraction, binom_int, q_int, q_int_neg
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,8 @@ class PolyArg:
 
     def __post_init__(self):
         object.__setattr__(self, "q", Fraction(self.q))
+        _check_int("numerator a", self.a)
+        _check_int("denominator f", self.f)
         if self.a < 0:
             raise OutOfDomain(f"numerator a must be >= 0, got {self.a}")
         if self.f < 1 or self.f % 2 == 0:
@@ -49,7 +53,15 @@ def _reject_minus_one(qv: Fraction) -> None:
         raise OutOfDomain("q = -1 is outside the domain: 1 + q vanishes")
 
 
+def _check_order(n: int) -> None:
+    _check_int("order", n)
+    if n < 0:
+        raise OutOfDomain("order must be >= 0")
+
+
 def _check_orders(n: int, m: int) -> None:
+    _check_int("length n", n)
+    _check_int("order m", m)
     if n < 0 or m < 0:
         raise OutOfDomain(f"length and order must be >= 0, got n = {n}, m = {m}")
 
@@ -66,8 +78,7 @@ def euler_number_q(m: int, q) -> Fraction:
 
     E_{m,q} = 2 (1/(1-q))^m sum_{i<=m} binom(m,i) (-1)^i / (1 + q^i).
     """
-    if m < 0:
-        raise OutOfDomain("order must be >= 0")
+    _check_order(m)
     qv = as_fraction(q)
     if qv == 1:
         raise QIsOne("use euler_number_classical for q = 1")
@@ -95,8 +106,7 @@ def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
     E_{n,q'}(x) = 2 (1/(1-q'))^n sum_k binom(n,k) (-q'^x)^k / (1 + q'^k)
     with q' = q**f and q'^x = q**a.
     """
-    if n < 0:
-        raise OutOfDomain("order must be >= 0")
+    _check_order(n)
     if arg.q == 1:
         raise QIsOne("use euler_poly_classical for q = 1")
     _reject_minus_one(arg.q)
@@ -116,8 +126,7 @@ def _euler_poly_classical(n: int, x: Fraction) -> Fraction:
 def euler_poly_classical(n: int, x) -> Fraction:
     """Classical Euler polynomial E_n(x), defined through the contract
     E_n(x+1) + E_n(x) = 2 x^n with E_0 = 1."""
-    if n < 0:
-        raise OutOfDomain("order must be >= 0")
+    _check_order(n)
     return _euler_poly_classical(n, Fraction(x))
 
 
@@ -205,6 +214,8 @@ def distribution_check(n: int, m: int, arg: PolyArg) -> DistributionCheck:
     The inner arguments (a + x)/m have denominator m*arg.f and are formed
     by PolyArg composition, so both sides stay exact rationals.
     """
+    _check_order(n)
+    _check_int("modulus m", m)
     if m < 1 or m % 2 == 0:
         raise OutOfDomain(f"modulus m must be odd and positive, got {m}")
     lhs = euler_poly_q(n, arg)
@@ -230,10 +241,10 @@ def fermionic_riemann(m: int, q: QParam, level: int) -> Fraction:
     """
     if q.prime is None:
         raise OutOfDomain("fermionic_riemann needs a QParam with prime context")
+    _check_int("level", level)
     if level < 1:
         raise OutOfDomain("level must be >= 1")
-    if m < 0:
-        raise OutOfDomain("order must be >= 0")
+    _check_order(m)
     qv = q.value
     count = q.prime**level
     # q^(-x) (-q)^x collapses to (-1)^x, so the sum is alt_power_sum / 2

@@ -4,7 +4,9 @@ Binomial coefficients with arbitrary (possibly negative) upper index,
 q-integers and their alternating variant, p-adic valuations of exact
 numbers, and the deformation-parameter container ``QParam``.  Everything
 here is pure and exact: inputs and outputs are ints or Fractions, never
-floats, and no operation rounds.
+floats, and no operation rounds.  An argument that must be an integer
+must be an int (``_check_int``): a float, bool or Fraction is rejected
+with ``OutOfDomain``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ from typing import Union
 from .errors import OutOfDomain, QIsOne
 
 RationalLike = Union[int, Fraction, "QParam"]
+
+
+def _check_int(name: str, x) -> None:
+    # a float or bool would pass the range checks, then reach range() or
+    # pow() as a bare TypeError or key a cache alike with the int
+    if type(x) is not int:
+        raise OutOfDomain(f"{name} must be an int, got {x!r}")
 
 
 def padic_valuation_int(n: int, p: int):
@@ -82,6 +91,9 @@ def binom_int(n: int, k: int) -> int:
     binom(-r, k) = (-1)^k binom(r+k-1, k) stays a genuine test rather
     than the definition.
     """
+    if type(n) is not int or type(k) is not int:  # one test on the hot path
+        _check_int("binomial upper index", n)
+        _check_int("binomial lower index", k)
     if k < 0:
         raise OutOfDomain(f"binomial lower index must be >= 0, got {k}")
     num = 1
@@ -135,6 +147,7 @@ def q_int(x: int, q: RationalLike) -> Fraction:
 
     Degenerates to x itself at q = 1.
     """
+    _check_int("x", x)
     qv = as_fraction(q)
     if qv == 1:
         return Fraction(x)
@@ -151,6 +164,7 @@ def q_int_neg(x: int, q: RationalLike) -> Fraction:
     caller of this quantity lives on the q-deformed side.  So is q = -1,
     where 1 + q vanishes.
     """
+    _check_int("x", x)
     qv = as_fraction(q)
     if qv == 1:
         raise QIsOne("[x]_{-q} is reserved for q != 1")

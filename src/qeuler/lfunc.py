@@ -63,7 +63,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OutOfDomain, TruncationNotConverged
-from .kernel import QParam, binom_int, padic_valuation, padic_valuation_int, q_int
+from .kernel import QParam, _check_int, binom_int, padic_valuation, padic_valuation_int, q_int
 from .kernel import tail_merge_coefficient as _merge_coefficient
 from .padic import PadicApprox, TeichChar, _validate_precision, agreement, embed, teichmuller
 
@@ -289,10 +289,17 @@ def _series(res: _Residues, s: int, a: int, kind: str, n: int, budget, precision
     integer s and precision <= res.precision.  The row is asked first for
     the terms up to the earliest index that could certify, then `window`
     terms at a time, and the binomial steps exactly, binom(-s, j+1) =
-    binom(-s, j) (-s-j)/(j+1).  Returns the _TruncatedSeries."""
+    binom(-s, j) (-s-j)/(j+1).  Returns the _TruncatedSeries.  Below the
+    target no term can be negligible, so that raises TruncationNotConverged
+    before any row is read."""
     label, start = _KINDS[kind]
     gain = res.gain
     series = _TruncatedSeries(res.prime, precision, budget, gain, label.format(a))
+    if precision < budget.target:
+        raise TruncationNotConverged(
+            f"series '{series.label}' not certified: precision {precision} is below "
+            f"the target {budget.target}"
+        )
     mod = res.prime**precision
     b = binom_int(-s, start)
     j, stop = start, max(start + budget.window, -(-budget.target // gain))
@@ -312,13 +319,6 @@ def _require_prime(q: QParam) -> int:
     if q.prime is None:
         raise OutOfDomain("this operation needs a QParam with prime context")
     return q.prime
-
-
-def _check_int(name: str, x) -> None:
-    # a float or bool would pass the range checks, then reach range() or
-    # pow() as a bare TypeError or key a cache alike with the int
-    if type(x) is not int:
-        raise OutOfDomain(f"{name} must be an int, got {x!r}")
 
 
 def _check_modulus(F: int, p: int) -> None:

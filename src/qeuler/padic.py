@@ -30,7 +30,7 @@ from .errors import (
     OutOfDomain,
     PrecisionExhausted,
 )
-from .kernel import QParam, _is_odd_prime, padic_valuation_int, q_int
+from .kernel import QParam, _check_int, _is_odd_prime, padic_valuation_int, q_int
 
 
 def _validate_prime(p: int) -> None:
@@ -38,16 +38,8 @@ def _validate_prime(p: int) -> None:
         raise OutOfDomain(f"only odd primes are supported, got {p}")
 
 
-def _validate_residue(a) -> None:
-    # a float residue would print as digits or reach math.gcd as a bare TypeError
-    if type(a) is not int:
-        raise OutOfDomain(f"residue must be an int, got {a!r}")
-
-
 def _validate_precision(precision: int) -> None:
-    # a float or bool precision would reach pow() as a modulus exponent
-    if type(precision) is not int:
-        raise OutOfDomain(f"precision must be an int, got {precision!r}")
+    _check_int("precision", precision)
     if precision < 1:
         raise PrecisionExhausted(f"cannot represent a value with {precision} guaranteed digits")
 
@@ -69,7 +61,7 @@ class PadicApprox:
     def __post_init__(self):
         _validate_prime(self.prime)
         _validate_precision(self.precision)
-        _validate_residue(self.residue)
+        _check_int("residue", self.residue)
         object.__setattr__(self, "residue", self.residue % self.modulus)
 
     # -- structure ---------------------------------------------------
@@ -236,31 +228,22 @@ class PadicApprox:
         return NotImplemented
 
     def __pow__(self, k: int):
+        """x**k for an int k, x a unit when k < 0.  With x = p^v u, u known
+        mod p^(N-v), x^k = p^(kv) u^k is known mod p^(N + (k-1)v) for k >= 1;
+        v is N for a zero residue, and 0 after inverting a unit."""
         if not isinstance(k, int):
             return NotImplemented
-        if k == 0:
-            return PadicApprox.one(self.prime, self.precision)
+        base = self
         if k < 0:
             if self.valuation != 0:
                 raise OutOfDomain(
                     f"cannot invert a value of valuation {self.valuation_label}"
                 )
-            base = PadicApprox(
-                self.prime, pow(self.residue, -1, self.modulus), self.precision
-            )
+            base = PadicApprox(self.prime, pow(self.residue, -1, self.modulus), self.precision)
             k = -k
-        else:
-            base = self
-        if base.residue % base.prime:
-            # a unit keeps its precision through every product
-            return PadicApprox(base.prime, pow(base.residue, k, base.modulus), base.precision)
-        acc = PadicApprox.one(self.prime, base.precision)
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+        v = base.precision if base.residue == 0 else base.valuation
+        precision = base.precision + max(k - 1, 0) * v
+        return PadicApprox(base.prime, pow(base.residue, k, base.prime**precision), precision)
 
 
 def agreement(x: PadicApprox, y: PadicApprox):
@@ -302,7 +285,7 @@ def teichmuller(a: int, p: int, precision: int) -> PadicApprox:
     """
     _validate_prime(p)
     _validate_precision(precision)
-    _validate_residue(a)
+    _check_int("residue", a)
     if math.gcd(a, p) != 1:
         raise NotCoprime(f"{a} is divisible by {p}")
     mod = p**precision
@@ -421,8 +404,7 @@ class TeichChar:
 
     def __post_init__(self):
         _validate_prime(self.prime)
-        if type(self.exponent) is not int:
-            raise OutOfDomain(f"character exponent must be an int, got {self.exponent!r}")
+        _check_int("character exponent", self.exponent)
         object.__setattr__(self, "exponent", self.exponent % (self.prime - 1))
 
     @property
@@ -434,7 +416,7 @@ class TeichChar:
         return self.exponent == 0
 
     def value(self, a: int, precision: int) -> PadicApprox:
-        _validate_residue(a)
+        _check_int("residue", a)
         if self.is_trivial:
             return PadicApprox.one(self.prime, precision)
         if math.gcd(a, self.prime) != 1:

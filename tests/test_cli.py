@@ -192,6 +192,30 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["rows"][1]["value"] == "-1/7"
 
 
+# every subcommand with each of its --format choices
+OUT_RUNS = [
+    (["euler-table", "--q", "6/1", "--max-m", "3", "--p", "5", "--N", "4"], ("text", "json", "csv")),
+    (["zeta", "--s", "-1", "--x", "1.0", "--q", "0.5"], ("text", "json")),
+    (["lvalue", "--side", "padic", "--s", "-2", "--t", "2", "--p", "5", "--q", "6/1"], ("text", "json")),
+    (["lvalue", "--side", "complex", "--s", "-1", "--q", "0.5"], ("text", "json")),
+    (["verify", "exact-identities"], ("text", "json", "csv")),
+    (["theorem5", "--r", "2", "--n", "2"], ("text", "json")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*argv, "--format", f] for argv, formats in OUT_RUNS for f in formats],
+    ids=lambda argv: " ".join(argv[:1] + argv[-1:]),
+)
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "result"
+    code_out, out_out, _ = run(capsys, *argv, "--out", str(target))
+    assert code_out == code == 0 and out_out == ""
+    assert target.read_bytes() == out.encode()
+
+
 def test_composite_prime_exits_two_at_once(capsys):
     # 1022117 = 1009 * 1013 has no factor below 1000
     start = time.perf_counter()

@@ -225,6 +225,41 @@ def test_fermionic_requires_prime_context():
         fermionic_riemann(1, QParam(Fraction(6)), 2)
 
 
+# every integer argument of the exact layer: (its valid value, the call
+# with that argument set to x)
+EXACT_INT_ARGUMENTS = {
+    "binom_int n": (5, lambda x: binom_int(x, 2)),
+    "binom_int k": (2, lambda x: binom_int(5, x)),
+    "q_int x": (2, lambda x: q_int(x, Fraction(6))),
+    "q_int_neg x": (2, lambda x: q_int_neg(x, Fraction(6))),
+    "euler_number_q m": (2, lambda x: euler_number_q(x, Fraction(6))),
+    "euler_number_classical n": (2, lambda x: euler_number_classical(x)),
+    "euler_poly_classical n": (2, lambda x: euler_poly_classical(x, 1)),
+    "euler_poly_q n": (2, lambda x: euler_poly_q(x, PolyArg(1, 1, Fraction(1, 2)))),
+    "PolyArg a": (1, lambda x: PolyArg(x, 1, Fraction(1, 2))),
+    "PolyArg f": (3, lambda x: PolyArg(1, x, Fraction(1, 2))),
+    "alt_power_sum n": (2, lambda x: alt_power_sum(x, 2, Fraction(1, 2))),
+    "alt_power_sum m": (2, lambda x: alt_power_sum(2, x, Fraction(1, 2))),
+    "alt_power_sum_closed n": (2, lambda x: alt_power_sum_closed(x, 2, Fraction(1, 2))),
+    "alt_power_sum_polyform m": (2, lambda x: alt_power_sum_polyform(2, x, Fraction(1, 2))),
+    "distribution_check n": (2, lambda x: distribution_check(x, 3, PolyArg(1, 1, Fraction(1, 2)))),
+    "distribution_check m": (3, lambda x: distribution_check(2, x, PolyArg(1, 1, Fraction(1, 2)))),
+    "fermionic_riemann m": (2, lambda x: fermionic_riemann(x, QParam(Fraction(6), 5), 1)),
+    "fermionic_riemann level": (1, lambda x: fermionic_riemann(2, QParam(Fraction(6), 5), x)),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_INT_ARGUMENTS)
+def test_non_int_integer_arguments_rejected(name):
+    # 2.5 gave q_int a float and q_int_neg a complex, True gave q_int 1,
+    # binom_int(2.5, 2) failed an assert and the rest raised a bare TypeError
+    valid, call = EXACT_INT_ARGUMENTS[name]
+    call(valid)
+    for x in (valid + 0.5, float(valid), True, Fraction(valid), Fraction(2 * valid + 1, 2)):
+        with pytest.raises(OutOfDomain, match="must be an int"):
+            call(x)
+
+
 # -- reference oracles: the defining formulas, summed one Fraction term at a
 # time, against which the integer-numerator sums are checked exactly
 

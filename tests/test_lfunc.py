@@ -34,7 +34,7 @@ from qeuler import (
     theorem5_rhs_weighted,
     theorem5_verify,
 )
-from qeuler.lfunc import _partial
+from qeuler.lfunc import _partial, _Residues
 
 Q6 = QParam(Fraction(6), 5)
 BUDGET = SeriesBudget(target=4)
@@ -479,6 +479,21 @@ def test_zp_exponents_below_the_target_do_not_converge():
     # at or above the target the same exponents certify every digit
     assert H_pq(PadicApprox(5, 6, 4), 1, 5, Q6, budget, 4).precision == 4
     assert H_pq(Fraction(1, 2), 1, 5, Q6, budget, 4).precision == 4
+
+
+def test_below_the_target_fails_before_any_term(monkeypatch):
+    # no term of a series below the target can be negligible, so it fails
+    # before reading a coefficient row, not after max_terms of them
+    def no_row(*args):
+        raise AssertionError("a coefficient row was read")
+
+    monkeypatch.setattr(_Residues, "row", no_row)
+    budget = SeriesBudget(target=5, max_terms=40)
+    for s in (2, -3, Fraction(1, 2), PadicApprox(5, 6, 3)):
+        with pytest.raises(TruncationNotConverged, match="precision 3 is below the target 5"):
+            H_pq(s, 2, 5, Q6, budget, 3)
+        with pytest.raises(TruncationNotConverged, match="^series 'K\\(a=2\\)' not certified"):
+            K_pq(2, s, 2, 5, Q6, budget, 3)
 
 
 def test_engine_precision_below_target_rejected():

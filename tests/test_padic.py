@@ -382,6 +382,22 @@ def test_integer_powers_agree_with_exact(data, p, n, k):
     _congruent(power_zp(x, k), a**k)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_integer_powers_match_repeated_products(p):
+    # x**k keeps exactly the (residue, precision) that k - 1 products
+    # give, zero, unit and non-unit residues alike
+    for n in range(1, 7):
+        mod = p**n
+        for r in {0, 1, 2, p - 1, p, 2 * p + 1, p * p % mod, mod - p, mod - 1}:
+            x = PadicApprox(p, r, n)
+            assert ((x**0).residue, (x**0).precision) == (1, n)
+            acc = x
+            for k in range(1, 9):
+                y = x**k
+                assert (y.residue, y.precision) == (acc.residue, acc.precision), (r, n, k)
+                acc = acc * x
+
+
 def _log_series(z, terms):
     return sum(Fraction((-1) ** (i + 1), i) * z**i for i in range(1, terms))
 
