@@ -26,7 +26,10 @@ every suite in ``qeuler.suites.SUITES``, read through ``run_suite``, and
 the exit code and stdout of ``qeuler.cli.main`` for every subcommand in
 each of its --format choices, one run that exits 1 and two that exit 2
 (stderr is not recorded, so a reworded error message leaves the hash
-alone).
+alone).  The archimedean section records the ``repr`` of ``zeta_Eq``,
+``partial_zeta_Hq``, ``partial_zeta_Hq_series``, ``l_q_complex`` and
+``gen_euler_complex`` (or the type of what they raise) on a grid of
+valid inputs, so a change to ``zeta`` can show its floats bit for bit.
 Two checkouts compute the same values when their files are
 byte-identical, so running it on both sides of a change and comparing
 the sha256 printed at the end is an equivalence check.  Everything runs in one process, in
@@ -73,6 +76,13 @@ SHORT_BUDGETS = [(6, 6, 4, 3), (4, 4, 5, 3)]
 # exact layer: negative, zero, near-one, integral and non-integral q
 EXACT_QS = [Fraction(1, 2), Fraction(2, 3), Fraction(6), Fraction(-3, 7),
             Fraction(32, 31), Fraction(0), Fraction(26), Fraction(31, 6)]
+# archimedean layer: q from the head-only regime to near one, negative
+# integer, zero, half-integer and complex s, shifts, classes and characters
+ARCH_QS = [Fraction(1, 2), Fraction(1, 4), Fraction(9, 10), Fraction(99, 100)]
+ARCH_SS = [-3, -2, -1, 0, 0.5, 1.5, complex(0.5, 14)]
+ARCH_XS = [1.0, 1 / 3, 2.0]
+ARCH_CLASSES = [(1, 3), (2, 3), (1, 5), (4, 5)]
+ARCH_CHARS = ["trivial", "quad:3", "quad:7"]
 
 
 def exponents(qe, p):
@@ -277,6 +287,37 @@ CLI_RUNS = [
 ]
 
 
+def arch_sweep(qe) -> dict:
+    out = {}
+
+    def put(name, compute):
+        try:
+            value = repr(compute())
+        except qe.QEulerError as exc:
+            value = {"raised": type(exc).__name__}
+        out[f"arch {name}"] = value
+
+    def character(name):
+        return qe.ComplexChar.trivial() if name == "trivial" else qe.ComplexChar.quadratic(int(name[5:]))
+
+    for qv in ARCH_QS:
+        params = qe.ArchParams(float(qv))
+        for s in ARCH_SS:
+            for x in ARCH_XS:
+                put(f"q={qv} zeta s={s} x={x!r}", lambda: qe.zeta_Eq(s, x, params))
+            for a, f in ARCH_CLASSES:
+                put(f"q={qv} H s={s} a={a} f={f}", lambda: qe.partial_zeta_Hq(s, a, f, params))
+                put(f"q={qv} H_series s={s} a={a} f={f}",
+                    lambda: qe.partial_zeta_Hq_series(s, a, f, params))
+            for chi in ARCH_CHARS:
+                put(f"q={qv} l s={s} chi={chi}", lambda: qe.l_q_complex(s, character(chi), params))
+        for k in range(4):
+            for chi in ARCH_CHARS:
+                put(f"q={qv} gen_euler k={k} chi={chi}",
+                    lambda: qe.gen_euler_complex(k, character(chi), qv))
+    return out
+
+
 def cli_sweep(qe) -> dict:
     out = {}
     for argv in CLI_RUNS:
@@ -306,7 +347,8 @@ def main(argv=None) -> int:
         sys.exit(f"equivalence_sweep: imported {qe.__file__}, not the package under {src}")
     if hasattr(sys, "set_int_max_str_digits"):  # theorem5_lhs_exact runs to 40,000 digits
         sys.set_int_max_str_digits(0)
-    values = sweep(qe) | exact_sweep(qe) | identity_sweep(qe) | suite_sweep(qe) | cli_sweep(qe)
+    values = (sweep(qe) | exact_sweep(qe) | identity_sweep(qe) | suite_sweep(qe) | cli_sweep(qe)
+              | arch_sweep(qe))
     text = json.dumps(values, sort_keys=True, indent=0) + "\n"
     Path(args.out).write_text(text)
     print(f"{hashlib.sha256(text.encode()).hexdigest()}  {args.out} ({text.count(chr(10)) - 1} lines)")

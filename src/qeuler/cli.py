@@ -212,8 +212,7 @@ def _cmd_lvalue(args) -> int:
                 raise QEulerError(f"--{name.replace('_', '-')} applies only to the {side} side")
     if args.side == "padic":
         q = QParam(_parse(Fraction, args.q, "rational number"), args.p)
-        s_frac = _parse(Fraction, args.s, "rational number")
-        s = int(s_frac) if s_frac.denominator == 1 else s_frac
+        s = _parse(Fraction, args.s, "rational number")
         F = args.F if args.F is not None else args.p
         budget = SeriesBudget(target=args.M, max_terms=args.kmax)
         chi = TeichChar(args.p, args.t)
@@ -222,7 +221,7 @@ def _cmd_lvalue(args) -> int:
             "config": {
                 "command": "lvalue",
                 "side": "padic",
-                "s": _fmt_rational(s_frac),
+                "s": _fmt_rational(s),
                 "t": args.t,
                 "p": args.p,
                 "q": _fmt_rational(q.value),
@@ -234,7 +233,7 @@ def _cmd_lvalue(args) -> int:
             "value": padic_to_dict(value),
             "precision": value.precision,
         }
-        text = f"l_p(s={_fmt_rational(s_frac)}, w^{chi.exponent}; p={args.p}, q={_fmt_rational(q.value)}) = {value.render()}\n"
+        text = f"l_p(s={_fmt_rational(s)}, w^{chi.exponent}; p={args.p}, q={_fmt_rational(q.value)}) = {value.render()}\n"
     else:
         s_re = _parse(float, args.s, "real number")
         q_re = _parse(float, args.q, "real number")

@@ -738,12 +738,13 @@ class VerificationReport:
     def identity_holds(self) -> bool:
         return self.agreement_saturated or self.agreement_valuation >= self.target
 
+    def _first_failure(self):
+        return next((s for s in self.stages if not s.diagnostic and not s.passed), None)
+
     @property
     def first_failing_stage(self):
-        for stage in self.stages:
-            if not stage.diagnostic and not stage.passed:
-                return stage.name
-        return None
+        stage = self._first_failure()
+        return None if stage is None else stage.name
 
     @property
     def acceptable(self) -> bool:
@@ -752,11 +753,8 @@ class VerificationReport:
         on record (a documented discrepancy, not a silent one)."""
         if self.identity_holds:
             return True
-        name = self.first_failing_stage
-        if name is None:
-            return False
-        stage = next(s for s in self.stages if s.name == name)
-        return stage.lhs_digits is not None and stage.rhs_digits is not None
+        stage = self._first_failure()
+        return stage is not None and stage.lhs_digits is not None and stage.rhs_digits is not None
 
     def localization_note(self):
         if self.identity_holds:
@@ -807,12 +805,14 @@ def padic_to_dict(x: PadicApprox) -> dict:
 
 def _padic_stage(name, description, pairs, target, diagnostic=False):
     """Build a StageResult from (label, lhs, rhs) p-adic comparisons,
-    keeping the digits of the worst-agreeing pair."""
+    keeping the digits of the worst-agreeing pair; a comparison labeled
+    None adds nothing to the detail."""
     worst = None
     details = []
     for label, lhs, rhs in pairs:
         val, sat = agreement(lhs, rhs)
-        details.append(f"{label}: v>={val}" if sat else f"{label}: v={val}")
+        if label is not None:
+            details.append(f"{label}: v>={val}" if sat else f"{label}: v={val}")
         key = (sat, val)
         if worst is None or key < worst[0]:
             worst = (key, lhs, rhs)
@@ -915,18 +915,13 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
 
     rhs, used = _theorem5_rhs(r, n, q, budget, precision, False)
     trunc["assembly"] = used
-    val, sat = agreement(lhs, rhs)
-    stages.append(
-        StageResult(
-            name="character-sum-assembly",
-            description="alternating power sum vs the assembled l-value expansion",
-            passed=sat or val >= target,
-            agreement_valuation=val,
-            saturated=sat,
-            lhs_digits=lhs.render(),
-            rhs_digits=rhs.render(),
-        )
+    assembly = _padic_stage(
+        "character-sum-assembly",
+        "alternating power sum vs the assembled l-value expansion",
+        [(None, lhs, rhs)],
+        target,
     )
+    stages.append(assembly)
     rhs_w, used_w = _theorem5_rhs(r, n, q, budget, precision, True)
     trunc["assembly-weighted"] = used_w
     stages.append(
@@ -949,8 +944,8 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
         working_precision=precision,
         lhs=lhs,
         rhs=rhs,
-        agreement_valuation=val,
-        agreement_saturated=sat,
+        agreement_valuation=assembly.agreement_valuation,
+        agreement_saturated=assembly.saturated,
         stages=stages,
         truncation_indices=trunc,
     )

@@ -280,22 +280,15 @@ def embed(r, p: int, precision: int) -> PadicApprox:
 
 def teichmuller(a: int, p: int, precision: int) -> PadicApprox:
     """The Teichmuller representative w(a): the (p-1)-th root of unity
-    congruent to a mod p, computed by iterating x -> x^p mod p^N to its
-    fixed point (at most N iterations, branch-free).
+    congruent to a mod p, in closed form w(a) = a^(p^(N-1)) mod p^N
+    (a = w(a) u with u == 1 mod p, and u^(p^(N-1)) == 1 mod p^N).
     """
     _validate_prime(p)
     _validate_precision(precision)
     _check_int("residue", a)
     if math.gcd(a, p) != 1:
         raise NotCoprime(f"{a} is divisible by {p}")
-    mod = p**precision
-    x = a % mod
-    for _ in range(precision + 1):
-        y = pow(x, p, mod)
-        if y == x:
-            return PadicApprox(p, x, precision)
-        x = y
-    raise AssertionError("Teichmuller iteration failed to stabilize")
+    return PadicApprox(p, pow(a, p ** (precision - 1), p**precision), precision)
 
 
 def padic_log(u: PadicApprox) -> PadicApprox:

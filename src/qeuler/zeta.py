@@ -25,6 +25,11 @@ terms ~ q^(f m).  This is what makes the zeta and l-function definitions
 meaningful and computable at arbitrary complex s.  q is restricted to
 real values in (0, 1): all bases [A + f m]_q are then positive reals and
 complex powers use the principal branch with no cut ambiguity.
+
+An integer argument (a partial zeta's residue a and modulus f,
+``ArchParams.max_terms``, a ``ComplexChar``'s conductor and the residue
+of ``ComplexChar.value``) must be an int, as in the exact layer
+(``kernel._check_int``): a float, bool or Fraction raises ``OutOfDomain``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from fractions import Fraction
 
 from .errors import NoConvergence, OutOfDomain
 from .euler import PolyArg, euler_number_q, euler_poly_q
-from .kernel import _is_odd_prime, q_int
+from .kernel import _check_int, _is_odd_prime, q_int
 
 # The head always sums at least this many terms before the closed-form tail
 # may take over, so every value the direct loop reaches within _HEAD_MIN
@@ -58,6 +63,7 @@ class ArchParams:
             raise OutOfDomain(f"q must lie strictly in (0, 1), got {self.q}")
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise OutOfDomain(f"tail threshold must be positive and finite, got {self.eps}")
+        _check_int("max_terms", self.max_terms)
         if self.max_terms < 3:
             # the tail test starts at n = 2
             raise OutOfDomain(f"max_terms must be >= 3, got {self.max_terms}")
@@ -115,6 +121,13 @@ def _check_s(s) -> None:
         raise OutOfDomain(f"exponent s must be finite, got {s}")
 
 
+def _check_class(a, f) -> None:
+    _check_int("residue", a)
+    _check_int("modulus", f)
+    if not 0 < a < f or f % 2 == 0:
+        raise OutOfDomain("need 0 < a < f with f odd")
+
+
 def zeta_Eq(s, x: float, params: ArchParams) -> complex:
     """The alternating q-zeta value 2 sum'_{n>=0} (-1)^n [n+x]_q^(-s).
 
@@ -134,8 +147,7 @@ def zeta_Eq(s, x: float, params: ArchParams) -> complex:
 def partial_zeta_Hq(s, a: int, f: int, params: ArchParams) -> complex:
     """Partial q-zeta H_q(s, a:f) over the congruence class a mod f,
     via its reduction (-1)^a [f]_q^(-s) zeta(s, a/f; base q^f) / 2."""
-    if not 0 < a < f or f % 2 == 0:
-        raise OutOfDomain("need 0 < a < f with f odd")
+    _check_class(a, f)
     q = params.q
     inner = zeta_Eq(s, a / f, replace(params, q=q**f))
     return (-1) ** a * complex(_q_int_real(f, q)) ** (-s) / 2.0 * inner
@@ -145,8 +157,7 @@ def partial_zeta_Hq_series(s, a: int, f: int, params: ArchParams) -> complex:
     """The same partial q-zeta from its defining congruence-class series
     sum_{m == a mod f, m > 0} (-1)^m [m]_q^(-s), regularized directly;
     kept as an independent cross-check of the reduction form."""
-    if not 0 < a < f or f % 2 == 0:
-        raise OutOfDomain("need 0 < a < f with f odd")
+    _check_class(a, f)
     _check_s(s)
     return (-1) ** a * _alternating_regularized(s, a, f, params)
 
@@ -164,6 +175,7 @@ class ComplexChar:
 
     def __post_init__(self):
         f = self.conductor
+        _check_int("conductor", f)
         if f < 1 or f % 2 == 0:
             raise OutOfDomain(f"conductor must be odd and positive, got {f}")
         if len(self.values) != f:
@@ -202,6 +214,7 @@ class ComplexChar:
         return cls(f, tuple(vals))
 
     def value(self, a: int) -> complex:
+        _check_int("residue", a)
         return self.values[a % self.conductor]
 
 

@@ -296,6 +296,7 @@ def test_verification_report_structure_and_audit():
     # agreement valuation never exceeds the compared precisions
     assert report.agreement_valuation <= min(report.lhs.precision, report.rhs.precision)
     assert report.truncation_indices
+    _assert_headline_is_the_assembly_stage(report)
     # audit outcome: either the printed identity holds at target precision
     # or the report localizes the first failing stage with digits
     if not report.identity_holds:
@@ -312,6 +313,16 @@ def test_verification_report_classical_limit():
     report = theorem5_verify(2, 2, QParam(Fraction(1), 5), BUDGET)
     assert report.identity_holds
     assert all(s.passed for s in report.stages)
+    _assert_headline_is_the_assembly_stage(report)
+
+
+def _assert_headline_is_the_assembly_stage(report):
+    # the report's agreement is the character-sum-assembly stage's record
+    stage = next(s for s in report.stages if s.name == "character-sum-assembly")
+    assert report.agreement_valuation == stage.agreement_valuation
+    assert report.agreement_saturated == stage.saturated
+    assert report.identity_holds == stage.passed
+    assert stage.detail == ""
 
 
 def test_report_serialization_round_trip():

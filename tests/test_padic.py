@@ -63,11 +63,18 @@ def test_teichmuller_values():
 
 
 def test_teichmuller_defining_properties():
-    for p, n in ((5, 6), (7, 4)):
-        for a in range(1, p):
+    for p, n in ((5, 6), (7, 4), (5, 1), (11, 1)):
+        mod = p**n
+        # negative residues and residues at or above p^N lift to the same
+        # root of unity as their class mod p
+        for a in (*range(1, p), *range(-p + 1, 0), mod + 1, mod + p - 1, 3 * mod + 2):
+            if a % p == 0:
+                continue
             w = teichmuller(a, p, n)
+            assert w.precision == n and 0 <= w.residue < mod
             assert w.residue % p == a % p
-            assert pow(w.residue, p - 1, p**n) == 1
+            assert pow(w.residue, p - 1, mod) == 1
+            assert w.residue == teichmuller(a % p, p, n).residue
 
 
 def test_teichmuller_rejects_multiples():

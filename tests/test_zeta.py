@@ -161,6 +161,30 @@ def test_character_validation():
             ComplexChar.quadratic(f)
 
 
+def test_integer_arguments_must_be_ints():
+    # a float or bool residue, modulus, term cap, conductor or character
+    # argument is OutOfDomain, as in the exact layer, and no value or bare
+    # TypeError comes back
+    params = ArchParams(0.5)
+    for partial in (partial_zeta_Hq, partial_zeta_Hq_series):
+        for a, f in ((1.5, 3), (1, 3.0), (True, 3), (1.0, 3), (Fraction(1), 3)):
+            with pytest.raises(OutOfDomain):
+                partial(1, a, f, params)
+    for call in (
+        lambda: ArchParams(0.5, max_terms=100.5),
+        lambda: ArchParams(0.5, max_terms=True),
+        lambda: ComplexChar(3.0, (0, 1, -1)),
+        lambda: ComplexChar(True, (1.0,)),
+        lambda: ComplexChar.quadratic(3).value(1.5),
+        lambda: ComplexChar.quadratic(3).value(True),
+    ):
+        with pytest.raises(OutOfDomain):
+            call()
+    # the int forms are accepted
+    assert ArchParams(0.5, max_terms=100).max_terms == 100
+    assert ComplexChar(3, (0, 1, -1)).value(-1) == -1
+
+
 def _abel_limit(term, r_values, tail_constant):
     """Independent second regularizer: direct evaluation of
     sum (-1)^n t_n r^n for r < 1 (with the eventually-constant tail summed
