@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OutOfDomain, QIsOne
-from .kernel import QParam, _check_int, as_fraction, binom_int, q_int, q_int_neg
+from .kernel import QParam, _check_int, as_fraction, q_int, q_int_neg
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,19 @@ def _over_lcm(values: list) -> tuple:
     """Fractions as (numerators, den): integer numerators over den, the lcm
     of their denominators, so sums of them are integer sums."""
     den = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
+
+
+def _tree_sum(terms: list) -> tuple:
+    """The sum of (numerator, denominator) int pairs, added pairwise in a
+    balanced tree and never reduced, so each addition multiplies operands
+    of like size and no gcd is taken on the way."""
+    while len(terms) > 1:
+        pairs = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(terms[::2], terms[1::2])]
+        if len(terms) % 2:
+            pairs.append(terms[-1])
+        terms = pairs
+    return terms[0]
 
 
 def euler_number_q(m: int, q) -> Fraction:
@@ -90,14 +102,13 @@ def euler_number_q(m: int, q) -> Fraction:
 def _euler_poly_q(n: int, a: int, f: int, u: int, v: int) -> Fraction:
     # Keyed on q = u/v in lowest terms, so a hit hashes ints, not a Fraction.
     # With Q = q^f = U/V and q^a = x/y, y^n times the k-th summand is the
-    # small fraction binom(n,k) (-x)^k y^(n-k) V^k / (V^k + U^k); the sum
-    # is scaled once by 2 V^n / ((V - U)^n y^n).
+    # pair binom(n,k) (-x)^k y^(n-k) V^k / (V^k + U^k); the pairs are summed
+    # unreduced and the sum is scaled by 2 V^n / ((V - U)^n y^n), reduced once.
     U, V, x, y = u**f, v**f, u**a, v**a
-    total = sum(
-        Fraction(binom_int(n, k) * (-x) ** k * y ** (n - k) * V**k, V**k + U**k)
-        for k in range(n + 1)
+    num, den = _tree_sum(
+        [(math.comb(n, k) * (-x) ** k * y ** (n - k) * V**k, V**k + U**k) for k in range(n + 1)]
     )
-    return Fraction(2 * V**n, (V - U) ** n * y**n) * total
+    return Fraction(2 * V**n * num, (V - U) ** n * y**n * den)
 
 
 def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
@@ -119,7 +130,7 @@ def _euler_poly_classical(n: int, x: Fraction) -> Fraction:
         return Fraction(1)
     acc = Fraction(0)
     for k in range(n):
-        acc += binom_int(n, k) * _euler_poly_classical(k, x)
+        acc += math.comb(n, k) * _euler_poly_classical(k, x)
     return x**n - acc / 2
 
 
@@ -155,28 +166,34 @@ def alt_power_sum(n: int, m: int, q) -> Fraction:
     return Fraction(2 * acc, v ** (max(n - 2, 0) * m))
 
 
+@lru_cache(maxsize=None)
+def _euler_numbers_over_lcm(m: int, u: int, v: int) -> tuple:
+    """E_{0,q}..E_{m,q} at q = u/v as (numerators, den) over their lcm."""
+    return _over_lcm([_euler_poly_q(l, 0, 1, u, v) for l in range(m + 1)])
+
+
 def alt_power_sum_closed(n: int, m: int, q) -> Fraction:
     """Closed form of the alternating power sum through q-Euler numbers:
 
     (-1)^(n+1) sum_{l<m} binom(m,l) q^(nl) E_{l,q} [n]_q^(m-l)
         + ((-1)^(n+1) q^(nm) + 1) E_{m,q}.
 
-    With q^n = x/y, the denominator of [n]_q divides y, so [n]_q = w/y
-    and the l-th summand is the integer binom(m,l) x^l w^(m-l) times
-    E_{l,q}, over the one denominator y^m; the q^(nm) E_{m,q} part is the
-    summand at l = m.  The sum is one integer numerator over
-    y^m lcm(den E_l), divided once.
+    With q = u/v, q^n = x/y for x = u^n, y = v^n, and [n]_q = w/y for the
+    integer w = v (u^n - v^n)/(u - v) = v sum_{i<n} u^i v^(n-1-i), so the
+    l-th summand is the integer binom(m,l) x^l w^(m-l) times E_{l,q}, over
+    the one denominator y^m; the q^(nm) E_{m,q} part is the summand at
+    l = m.  The sum is one integer numerator over y^m lcm(den E_l),
+    divided once.
     """
     _check_orders(n, m)
     qv = as_fraction(q)
     if qv == 1:
         raise QIsOne("closed form needs q != 1")
     _reject_minus_one(qv)
-    qn, bn = qv**n, q_int(n, qv)
-    x, y = qn.numerator, qn.denominator
-    w = bn.numerator * (y // bn.denominator)
     u, v = qv.numerator, qv.denominator
-    nums, den = _over_lcm([_euler_poly_q(l, 0, 1, u, v) for l in range(m + 1)])
+    x, y = u**n, v**n
+    w = v * ((x - y) // (u - v))
+    nums, den = _euler_numbers_over_lcm(m, u, v)
     acc = sum(math.comb(m, l) * x**l * w ** (m - l) * e for l, e in enumerate(nums))
     ym = y**m
     return Fraction((-1) ** (n + 1) * acc + nums[m] * ym, den * ym)

@@ -129,6 +129,12 @@ class QParam:
                 raise OutOfDomain(
                     f"q = {self.value} violates v_{p}(q - 1) >= 1"
                 )
+        # the series caches hash a QParam on every lookup; Fraction.__hash__
+        # is not cached, so the field hash is taken once here
+        object.__setattr__(self, "_hash", hash((self.value, self.prime)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_one(self) -> bool:

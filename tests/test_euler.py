@@ -336,6 +336,35 @@ def test_euler_polys_match_loop_oracle(q):
                 assert _same(got, _euler_poly_loop(n, a, f, q)), (n, a, f)
 
 
+def _euler_poly_fraction_sum(n, a, f, q):
+    """E_{n,q^f}(a/f) as the sum of its n+1 summands, one reduced Fraction
+    added at a time, with Q = q^f = U/V and q^a = x/y."""
+    U, V, x, y = q.numerator**f, q.denominator**f, q.numerator**a, q.denominator**a
+    total = sum(
+        Fraction(math.comb(n, k) * (-x) ** k * y ** (n - k) * V**k, V**k + U**k)
+        for k in range(n + 1)
+    )
+    return Fraction(2 * V**n, (V - U) ** n * y**n) * total
+
+
+TREE_QS = (Fraction(0), Fraction(-3, 7), Fraction(2, 3), Fraction(6), Fraction(31, 6))
+
+
+@pytest.mark.parametrize("q", TREE_QS, ids=str)
+def test_euler_poly_tree_sum_matches_fraction_sum(q):
+    # the unreduced balanced-tree sum reduces to the per-term Fraction sum
+    for f in (1, 3, 5):
+        for a in range(15):
+            for n in range(21):
+                got = euler_poly_q(n, PolyArg(a, f, q))
+                assert _same(got, _euler_poly_fraction_sum(n, a, f, q)), (n, a, f)
+
+
+def test_euler_poly_tree_sum_matches_fraction_sum_at_order_60():
+    q = Fraction(31, 6)
+    assert _same(euler_poly_q(60, PolyArg(7, 3, q)), _euler_poly_fraction_sum(60, 7, 3, q))
+
+
 @pytest.mark.parametrize("q", ORACLE_QS + (Fraction(1),), ids=str)
 def test_alternating_sums_match_loop_oracles(q):
     for n in range(15):

@@ -111,6 +111,14 @@ def test_qparam_validation():
         QParam(Fraction(6), 4)  # not an odd prime
 
 
+def test_qparam_hash_follows_equality():
+    # the hash is taken once, from the normalized value
+    assert QParam(6, 5) == QParam(Fraction(12, 2), 5)
+    assert hash(QParam(6, 5)) == hash(QParam(Fraction(12, 2), 5))
+    assert hash(QParam(Fraction(11, 6))) == hash(QParam(Fraction(22, 12), None))
+    assert len({QParam(6, 5), QParam(Fraction(12, 2), 5), QParam(6), QParam(Fraction(11, 6), 5)}) == 3
+
+
 def test_padic_valuation():
     assert padic_valuation(50, 5) == 2
     assert padic_valuation(Fraction(4, 25), 5) == -2

@@ -34,7 +34,8 @@ from qeuler import (
     theorem5_rhs_weighted,
     theorem5_verify,
 )
-from qeuler.lfunc import _partial, _Residues
+from qeuler import lfunc
+from qeuler.lfunc import _partial, _power_split_check, _Residues
 
 Q6 = QParam(Fraction(6), 5)
 BUDGET = SeriesBudget(target=4)
@@ -316,12 +317,48 @@ def test_verification_report_classical_limit():
     _assert_headline_is_the_assembly_stage(report)
 
 
+def _power_split_fraction(n, F, qv, l_max, binom=binom_int):
+    """q^(nFl) = 1 + sum_{j<=l} binom(l,j) [nF]_q^j (q-1)^j in Fractions."""
+    nf = q_int(n * F, qv)
+    return all(
+        qv ** (n * F * l) == 1 + sum(binom(l, j) * nf**j * (qv - 1) ** j for j in range(1, l + 1))
+        for l in range(1, l_max + 1)
+    )
+
+
+def _binom_off_at(row):
+    return lambda n, k: binom_int(n, k) + ((n, k) == row)
+
+
+POWER_SPLIT_QS = (Fraction(1), Fraction(6), Fraction(26), Fraction(31, 6), Fraction(8))
+
+
+@pytest.mark.parametrize("qv", POWER_SPLIT_QS, ids=str)
+def test_power_split_ints_match_the_fraction_identity(qv, monkeypatch):
+    for n, F in ((2, 3), (2, 5), (4, 7)):
+        assert _power_split_check(n, F, qv, 10) is _power_split_fraction(n, F, qv, 10) is True
+    # one wrong binomial fails both forms, except at q = 1, where its
+    # term carries the factor (q - 1)^1 = 0
+    monkeypatch.setattr(lfunc, "binom_int", _binom_off_at((3, 1)))
+    assert _power_split_check(2, 5, qv, 10) is (qv == 1)
+    assert _power_split_fraction(2, 5, qv, 10, _binom_off_at((3, 1))) is (qv == 1)
+
+
+@pytest.mark.parametrize("row", [(1, 0), (3, 1), (10, 10)])
+def test_power_split_stage_fails_on_a_wrong_binomial(monkeypatch, row):
+    monkeypatch.setattr(lfunc, "binom_int", _binom_off_at(row))
+    report = theorem5_verify(2, 2, Q6, BUDGET)
+    failed = [s.name for s in report.stages[:5] if not s.passed]
+    assert failed == ["geometric-power-splitting"]
+
+
 def _assert_headline_is_the_assembly_stage(report):
     # the report's agreement is the character-sum-assembly stage's record
     stage = next(s for s in report.stages if s.name == "character-sum-assembly")
     assert report.agreement_valuation == stage.agreement_valuation
     assert report.agreement_saturated == stage.saturated
     assert report.identity_holds == stage.passed
+    assert stage.passed == (stage.saturated or stage.agreement_valuation >= report.target)
     assert stage.detail == ""
 
 
