@@ -61,7 +61,8 @@ POINTS = [
 # (target, working precision, max_terms, window): the default margin, no
 # margin, a short term limit, and a high target that few series reach
 BUDGETS = [(4, None, 60, 5), (3, 3, 60, 5), (4, 10, 8, 5), (6, 6, 4, 3)]
-EXPANSION_POINTS = [(1, 2), (2, 2), (2, 4), (3, 4)]
+# (r, n): n = 10 gives [pn]_q the valuation 2 at p = 5
+EXPANSION_POINTS = [(1, 2), (2, 2), (2, 4), (3, 4), (1, 10)]
 # (p, q, r, n, target): a large prime, where the engine's left-hand side
 # and block sums run over 200 terms, and a deep target, where the series
 # terms carry residues of high valuation

@@ -47,10 +47,16 @@ class PolyArg:
             raise OutOfDomain(f"denominator f must be odd and positive, got {self.f}")
 
 
-def _reject_minus_one(qv: Fraction) -> None:
-    """q = -1 makes 1 + q^i vanish at every odd i."""
+def _deformed(q, message: str) -> Fraction:
+    """q as a Fraction, for a q-deformed form: q = 1 raises QIsOne with
+    `message`, and q = -1, where 1 + q^i vanishes at every odd i,
+    OutOfDomain."""
+    qv = as_fraction(q)
+    if qv == 1:
+        raise QIsOne(message)
     if qv == -1:
         raise OutOfDomain("q = -1 is outside the domain: 1 + q vanishes")
+    return qv
 
 
 def _check_order(n: int) -> None:
@@ -91,10 +97,7 @@ def euler_number_q(m: int, q) -> Fraction:
     E_{m,q} = 2 (1/(1-q))^m sum_{i<=m} binom(m,i) (-1)^i / (1 + q^i).
     """
     _check_order(m)
-    qv = as_fraction(q)
-    if qv == 1:
-        raise QIsOne("use euler_number_classical for q = 1")
-    _reject_minus_one(qv)
+    qv = _deformed(q, "use euler_number_classical for q = 1")
     return _euler_poly_q(m, 0, 1, qv.numerator, qv.denominator)
 
 
@@ -118,9 +121,7 @@ def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
     with q' = q**f and q'^x = q**a.
     """
     _check_order(n)
-    if arg.q == 1:
-        raise QIsOne("use euler_poly_classical for q = 1")
-    _reject_minus_one(arg.q)
+    _deformed(arg.q, "use euler_poly_classical for q = 1")
     return _euler_poly_q(n, arg.a, arg.f, arg.q.numerator, arg.q.denominator)
 
 
@@ -186,10 +187,7 @@ def alt_power_sum_closed(n: int, m: int, q) -> Fraction:
     divided once.
     """
     _check_orders(n, m)
-    qv = as_fraction(q)
-    if qv == 1:
-        raise QIsOne("closed form needs q != 1")
-    _reject_minus_one(qv)
+    qv = _deformed(q, "closed form needs q != 1")
     u, v = qv.numerator, qv.denominator
     x, y = u**n, v**n
     w = v * ((x - y) // (u - v))
@@ -207,10 +205,7 @@ def alt_power_sum_polyform(n: int, m: int, q) -> Fraction:
     the tail-splitting of the regularized alternating series at n.
     """
     _check_orders(n, m)
-    qv = as_fraction(q)
-    if qv == 1:
-        raise QIsOne("polynomial form needs q != 1")
-    _reject_minus_one(qv)
+    qv = _deformed(q, "polynomial form needs q != 1")
     u, v = qv.numerator, qv.denominator
     return (-1) ** (n + 1) * _euler_poly_q(m, n, 1, u, v) + _euler_poly_q(m, 0, 1, u, v)
 

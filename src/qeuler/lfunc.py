@@ -44,9 +44,9 @@ There is one character sum, sum_a w(a)^t v_a over (residue, precision)
 pairs, known to the least precision of the table and the summands (w(a)
 is a unit).  l_pq and K_pq_chi sum H or K pairs through it,
 gen_euler_teich the Euler-polynomial values it reads from the H rows,
-and each assembly term of the engine (H + K)(r+k, a) q^(ak) (or weight
-1) before scaling by the exact coefficient of term k; so does the tail
-term T(r, w^(-r)) = 4 sum_a w(a)^(-r) K(r, a).  The engine's working
+and the engine's one assembly pass each (H + K)(r+k, a) pair twice, with
+weights 1 and q^(ak), scaling both sums by 2 c_k [pn]_q^k on ints, and
+the tail sum_a w(a)^(-r) K(r, a) once for both sides.  The engine's working
 precision must reach its target, below which none of its series can
 certify.  The left-hand side and its per-residue block sums are signed
 sums over one table of [j]_q^(-r) mod p**N.  The exact Euler numbers and
@@ -63,7 +63,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OutOfDomain, TruncationNotConverged
-from .kernel import QParam, _check_int, binom_int, padic_valuation, padic_valuation_int, q_int
+from .kernel import QParam, _check_int, binom_int, padic_valuation_int, q_int
 from .kernel import tail_merge_coefficient as _merge_coefficient
 from .padic import PadicApprox, TeichChar, _validate_precision, agreement, embed, teichmuller
 
@@ -597,34 +597,41 @@ def _engine_precision(budget: SeriesBudget, precision) -> int:
     return precision
 
 
-def _theorem5_rhs(r, n, q, budget, precision, residue_weighted):
-    """The plain or residue-weighted expansion side at a checked point,
-    with the assembly tail's truncation index.  The weighted assembly
-    keeps q^(ak) on each residue's term and halves the T term.  Each
-    term is one _char_sum over the H and K pairs, and so is
-    T(r, w^(-r)) = 4 sum_a w(a)^(-r) K(r, a)."""
+def _theorem5_sides(r, n, q, budget, precision, tail=None):
+    """The plain and the residue-weighted expansion side at a checked point,
+    each as (value, truncation index), from one pass over k that reads each
+    (H + K)(r + k, a) once.  A side that has not certified sums them with
+    weight 1 or q^(ak), and scales the sum by 2 c_k [pn]_q^k on ints.  T's
+    sum over `tail`, the pairs (a, K(r, a)), is taken once: the plain side
+    subtracts it four times, T(r, w^(-r)), and the weighted side twice."""
     p = q.prime
     precision = _engine_precision(budget, precision)
     res = _residues(q, p, precision)
-    mod = res.mod
-    pn_q = q_int(p * n, q.value)
-    gain = int(padic_valuation(pn_q, p))
-    series = _TruncatedSeries(p, precision, budget, gain, "assembly tail")
+    mod, g = res.mod, padic_valuation_int(p * n, p)  # g = v_p([pn]_q), as q == 1 (mod p)
+    num, den = q_int(p * n, q.value).as_integer_ratio()
+    u = num // p**g * pow(den, -1, mod)  # [pn]_q = p^g u
+    sides = [_TruncatedSeries(p, precision, budget, g, "assembly tail") for _ in range(2)]
     for k in range(1, budget.max_terms + 1):
-        s = r + k
-        q_k = pow(res.q, k, mod) if residue_weighted else 1
-        values = []
+        parts = []
         for a in range(1, p):
-            h, h_low, _ = _partial(s, a, p, q, budget, precision, "H", 0)
-            kk, k_low, _ = _partial(s, a, p, q, budget, precision, "K", n)
-            values.append((a, ((h + kk) * pow(q_k, a, mod), min(h_low, k_low))))  # q^(ak) or 1
-        inner, low = _char_sum(res, -s, values)
-        term = PadicApprox(p, 2 * inner, low) * (_merge_coefficient(r, k) * (-1) ** n) * pn_q**k
-        if series.add(k, term.residue, term.precision):
+            h, h_low, _ = _partial(r + k, a, p, q, budget, precision, "H", 0)
+            kk, k_low, _ = _partial(r + k, a, p, q, budget, precision, "K", n)
+            parts.append((a, h + kk, min(h_low, k_low)))
+        c = _merge_coefficient(r, k)  # c_k = p^m c', with (-1)^n = 1 for even n
+        m = padic_valuation_int(c.numerator, p)
+        scale = 2 * (c.numerator // p**m) * pow(c.denominator, -1, mod) * pow(u, k, mod)
+        for side, weight in zip(sides, (1, pow(res.q, k, mod))):
+            if not side.done:  # term k: 2 c' u^k inner mod p^low, times p^(m + kg)
+                values = [(a, (v * pow(weight, a, mod), t)) for a, v, t in parts]
+                inner, low = _char_sum(res, -r - k, values)
+                side.add(k, scale * inner % p**low * p ** (m + k * g), low + m + k * g)
+        if all(side.done for side in sides):
             break
-    tail, low = series.certified()
-    t_chi, t_low = _char_sum(res, -r, [(a, _partial(r, a, p, q, budget, precision, "K", n)) for a in range(1, p)])
-    return PadicApprox(p, -tail - (2 if residue_weighted else 4) * t_chi, min(low, t_low)), series.used
+    sums = [side.certified() for side in sides]
+    tail = tail or [(a, _partial(r, a, p, q, budget, precision, "K", n)) for a in range(1, p)]
+    t_sum, t_low = _char_sum(res, -r, tail)
+    return [(PadicApprox(p, -v - x * t_sum, min(low, t_low)), side.used)
+            for (v, low), side, x in zip(sums, sides, (4, 2))]
 
 
 def theorem5_rhs(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -637,8 +644,7 @@ def theorem5_rhs(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None
     At q = 1 the correction sums vanish and only the l-series remains.
     """
     _check_point(r, n, q)
-    val, _ = _theorem5_rhs(r, n, q, budget, precision, False)
-    return val
+    return _theorem5_sides(r, n, q, budget, precision)[0][0]
 
 
 def theorem5_rhs_weighted(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -648,8 +654,7 @@ def theorem5_rhs_weighted(r: int, n: int, q: QParam, budget: SeriesBudget, preci
     per-residue expansion supports exactly.  Coincides with
     :func:`theorem5_rhs` at q = 1."""
     _check_point(r, n, q)
-    val, _ = _theorem5_rhs(r, n, q, budget, precision, True)
-    return val
+    return _theorem5_sides(r, n, q, budget, precision)[1][0]
 
 
 # -- staged verification ----------------------------------------------------
@@ -680,13 +685,13 @@ def _reindex_exact_check(r: int, depth: int) -> bool:
 def _power_split_check(n, F, qv, l_max) -> bool:
     """Exact check of q^(nFl) = 1 + sum_{j<=l} binom(l,j) [nF]_q^j (q-1)^j.
 
-    With q = u/v and e = nF, [e]_q (q - 1) = W (u - v) / v^e for the
-    integer W = [e]_q v^(e-1) = sum_{i<e} u^i v^(e-1-i), so v^(el) times
-    the identity is u^(el) = sum_{j<=l} binom(l,j) (W (u-v))^j v^(e(l-j)),
-    compared as ints.
+    With q = u/v and e = nF, [e]_q (q - 1) = W (u - v) / v^e for the integer
+    W = [e]_q v^(e-1) = (u^e - v^e)/(u - v) (e v^(e-1) at u = v), so v^(el)
+    times the identity is u^(el) = sum_{j<=l} binom(l,j) (W (u-v))^j
+    v^(e(l-j)), compared as ints.
     """
     u, v, e = qv.numerator, qv.denominator, n * F
-    W = sum(u**i * v ** (e - 1 - i) for i in range(e))
+    W = (u**e - v**e) // (u - v) if u != v else e * v ** (e - 1)
     d, ve = W * (u - v), v**e
     for l in range(1, l_max + 1):
         rhs = sum(binom_int(l, j) * d**j * ve ** (l - j) for j in range(l + 1))
@@ -872,8 +877,7 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     block_terms = [_block_terms(a, n, F) for a in range(1, p)]
     blocks = [sum(sign * powers[j] for sign, j in terms) % mod for terms in block_terms]
     lhs = PadicApprox(p, 2 * sum(sign * powers[j] for sign, j in lhs_terms), precision)
-    pairs_series = []
-    pairs_regroup = []
+    pairs_series, pairs_regroup, tail = [], [], []  # tail: (a, K(r, a)), for T's sum too
     for a, residue in enumerate(blocks, start=1):
         block = PadicApprox(p, residue, precision)
         # the block sum's expansion, and its regrouping into the double series
@@ -883,7 +887,8 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
         trunc[f"block-expansion/a={a}"] = used
         pairs_series.append((f"a={a}", block, PadicApprox(p, scale * value, low)))
         double, d_low, _ = _partial(r, a, F, q, budget, precision, "double", n)
-        kk, k_low, _ = _partial(r, a, F, q, budget, precision, "K", n)
+        tail.append((a, _partial(r, a, F, q, budget, precision, "K", n)))
+        kk, k_low, _ = tail[-1][1]
         pairs_regroup.append((f"a={a}", block, PadicApprox(p, scale * (double + kk), min(d_low, k_low))))
     stages.append(
         _padic_stage(
@@ -925,8 +930,8 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
         )
     )
 
-    rhs, used = _theorem5_rhs(r, n, q, budget, precision, False)
-    trunc["assembly"] = used
+    sides = _theorem5_sides(r, n, q, budget, precision, tail)
+    (rhs, trunc["assembly"]), (rhs_w, trunc["assembly-weighted"]) = sides
     assembly = _padic_stage(
         "character-sum-assembly",
         "alternating power sum vs the assembled l-value expansion",
@@ -934,8 +939,6 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
         target,
     )
     stages.append(assembly)
-    rhs_w, used_w = _theorem5_rhs(r, n, q, budget, precision, True)
-    trunc["assembly-weighted"] = used_w
     stages.append(
         _padic_stage(
             "residue-weighted-assembly",

@@ -20,7 +20,8 @@ from functools import partial
 from .errors import QEulerError
 from .euler import (
     PolyArg,
-    _over_lcm,
+    _deformed,
+    _euler_numbers_over_lcm,
     alt_power_sum,
     alt_power_sum_closed,
     alt_power_sum_polyform,
@@ -103,11 +104,11 @@ def convolution_rhs(n: int, a: int, q) -> tuple:
     With q = u/v, [a]_q v^a is an integer (v^(a-1) clears the denominator
     of 1 + q + ... + q^(a-1)) and q^(ja) = u^(ja) / v^(ja), so
     v^(an) q^(ja) [a]_q^(n-j) is the integer u^(ja) ([a]_q v^a)^(n-j), and
-    every term lies over v^(an) lcm(den E_j).
+    every term lies over v^(an) lcm(den E_j), the Euler layer's cached table.
     """
-    qv = Fraction(q)
+    qv = _deformed(q, "use euler_number_classical for q = 1")
     u, v = qv.numerator, qv.denominator
-    nums, den = _over_lcm([euler_number_q(j, qv) for j in range(n + 1)])
+    nums, den = _euler_numbers_over_lcm(n, u, v)
     vb = (q_int(a, qv) * v**a).numerator
     num = sum(
         binom_int(n, j) * u ** (j * a) * vb ** (n - j) * e for j, e in enumerate(nums)

@@ -6,7 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from qeuler import PolyArg, binom_int, euler, euler_number_q, euler_poly_q, kernel, q_int, suites
+from qeuler import (
+    OutOfDomain,
+    PolyArg,
+    QIsOne,
+    binom_int,
+    euler,
+    euler_number_q,
+    euler_poly_q,
+    kernel,
+    q_int,
+    suites,
+)
 from qeuler.cli import main
 
 QS = (Fraction(1, 2), Fraction(6), Fraction(2, 3), Fraction(-3, 7), Fraction(32, 31), Fraction(0))
@@ -60,12 +71,27 @@ def test_a_wrong_binomial_fails_the_identities(monkeypatch, capsys):
 
 
 def test_a_wrong_euler_number_fails_its_convolution(monkeypatch, capsys):
-    def wrong(m, q):
-        value = euler_number_q(m, q)
-        return value + 1 if (m, q) == (3, Fraction(6)) else value
+    # the convolution reads E_0..E_n over their lcm from the Euler layer's table
+    right = suites._euler_numbers_over_lcm
 
-    monkeypatch.setattr(suites, "euler_number_q", wrong)
+    def wrong(n, u, v):
+        nums, den = right(n, u, v)
+        if n >= 3 and (u, v) == (6, 1):  # E_{3,6} + 1
+            nums = nums[:3] + (nums[3] + den,) + nums[4:]
+        return nums, den
+
+    monkeypatch.setattr(suites, "_euler_numbers_over_lcm", wrong)
     assert _failing(capsys) == ["euler-convolution[q=6]"]
+
+
+@pytest.mark.parametrize("q, error", [(1, QIsOne), (-1, OutOfDomain)])
+def test_convolution_rhs_checks_q_before_the_table(monkeypatch, q, error):
+    def unread(*args):
+        raise AssertionError("table read")
+
+    monkeypatch.setattr(suites, "_euler_numbers_over_lcm", unread)
+    with pytest.raises(error):
+        suites.convolution_rhs(3, 2, q)
 
 
 def test_a_flipped_distribution_sign_fails_its_relation(monkeypatch, capsys):

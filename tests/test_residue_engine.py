@@ -59,7 +59,7 @@ from qeuler.lfunc import (
     T_pq_chi,
     _merge_coefficient,
     _Residues,
-    _theorem5_rhs,
+    _theorem5_sides,
     l_pq,
 )
 
@@ -548,27 +548,32 @@ def _padic_assembly(r, n, q, budget, precision, residue_weighted):
 
 
 class _TermLog(lfunc._TruncatedSeries):
-    """The series accumulator, logging every assembly-tail term it is given:
-    each term gains at least one digit from [pn]_q^k, so the reported value
-    alone cannot show a term's precision off by one."""
+    """The series accumulator, logging the terms each assembly-tail instance
+    is given: each term gains at least one digit from [pn]_q^k, so the
+    reported value alone cannot show a term's precision off by one."""
 
-    log = []
+    logs = []  # one list per assembly-tail instance, in creation order
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = []
+        if self.label == "assembly tail":
+            self.logs.append(self.log)
 
     def add(self, index, residue, precision):
-        if self.label == "assembly tail":
-            self.log.append((index, residue, precision))
+        self.log.append((index, residue, precision))
         return super().add(index, residue, precision)
 
 
 def _assembly_outcome(compute):
-    """(residue, precision, truncation index) or the exception type, and
-    the terms summed on the way."""
-    _TermLog.log = []
+    """[(residue, precision, truncation index)] per side, or the exception
+    type, and the terms each side's series was given."""
+    _TermLog.logs = []
     try:
-        value, used = compute()
+        sides = compute()
     except Exception as exc:  # the exception type is part of the contract
-        return type(exc).__name__, _TermLog.log
-    return (value.residue, value.precision, used), _TermLog.log
+        return type(exc).__name__, _TermLog.logs
+    return [(value.residue, value.precision, used) for value, used in sides], _TermLog.logs
 
 
 # (budget, working precision): the default margin, none, and a short tail
@@ -580,15 +585,48 @@ ASSEMBLY_BUDGETS = [(SeriesBudget(4), None), (SeriesBudget(3), 3), (SeriesBudget
     [(5, Fraction(6)), (5, Fraction(1)), (5, Fraction(31, 6)), (7, Fraction(50)), (31, Fraction(32))],
 )
 def test_assembly_matches_the_padic_loop(monkeypatch, p, qv):
+    # both sides of the one pass against the loop run once per side; at
+    # p = 5, n = 10 gives [pn]_q the valuation g = 2
     monkeypatch.setattr(lfunc, "_TruncatedSeries", _TermLog)
     q = QParam(qv, p)
     for budget, precision in ASSEMBLY_BUDGETS:
         for r in (1, 2, 3):
-            for n in (2, 4):
-                for weighted in (False, True):
-                    args = (r, n, q, budget, precision, weighted)
-                    want = _assembly_outcome(lambda: _padic_assembly(*args))
-                    assert _assembly_outcome(lambda: _theorem5_rhs(*args)) == want, args
+            for n in (2, 4, 10) if p == 5 else (2, 4):
+                args = (r, n, q, budget, precision)
+                plain, plain_log = _assembly_outcome(lambda: [_padic_assembly(*args, False)])
+                weighted, weighted_log = _assembly_outcome(lambda: [_padic_assembly(*args, True)])
+                if isinstance(plain, str) or isinstance(weighted, str):
+                    # a side that raises makes the pass raise, with the same type
+                    assert plain == weighted, args
+                    want = plain
+                else:
+                    want = plain + weighted
+                assert _assembly_outcome(lambda: _theorem5_sides(*args)) == (want, plain_log + weighted_log), args
+
+
+def test_one_verify_evaluates_each_series_once(monkeypatch):
+    requests, tail_sums = [], []
+    partial, char_sum = lfunc._partial, lfunc._char_sum
+
+    def counted_partial(s, a, F, q, budget, precision, kind, n):
+        requests.append((s, a, kind, n))
+        return partial(s, a, F, q, budget, precision, kind, n)
+
+    def counted_char_sum(res, exponent, values):
+        if exponent == -r:  # T's sum; term k's sums take -(r + k)
+            tail_sums.append(exponent)
+        return char_sum(res, exponent, values)
+
+    monkeypatch.setattr(lfunc, "_partial", counted_partial)
+    monkeypatch.setattr(lfunc, "_char_sum", counted_char_sum)
+    for r, n, q in [(2, 2, QParam(6, 5)), (1, 4, QParam(Fraction(31, 6), 5)), (3, 2, QParam(1, 7))]:
+        requests.clear()
+        tail_sums.clear()
+        report = theorem5_verify(r, n, q, SeriesBudget(4))
+        assert report.truncation_indices["assembly"] > 1
+        assert len(requests) == len(set(requests)), (r, n, q)
+        assert (r + 1, 1, "H", 0) in requests
+        assert tail_sums == [-r], (r, n, q)
 
 
 def test_assembly_names_the_series_that_did_not_certify():
