@@ -79,7 +79,7 @@ EXACT_QS = [Fraction(1, 2), Fraction(2, 3), Fraction(6), Fraction(-3, 7),
             Fraction(32, 31), Fraction(0), Fraction(26), Fraction(31, 6)]
 # archimedean layer: q from the head-only regime to near one, negative
 # integer, zero, half-integer and complex s, shifts, classes and characters
-ARCH_QS = [Fraction(1, 2), Fraction(1, 4), Fraction(9, 10), Fraction(99, 100)]
+ARCH_QS = [Fraction(1, 2), Fraction(1, 4), Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000)]
 ARCH_SS = [-3, -2, -1, 0, 0.5, 1.5, complex(0.5, 14)]
 ARCH_XS = [1.0, 1 / 3, 2.0]
 ARCH_CLASSES = [(1, 3), (2, 3), (1, 5), (4, 5)]

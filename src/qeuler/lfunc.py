@@ -154,9 +154,9 @@ class _Residues:
     at one (q, F): q itself, Q = q^F and the q-integers [a]_q for a <= F,
     and tables that grow on demand under one lock: the q-Euler
     numbers E_{j,Q} (by the integral recurrence of the module docstring),
-    the Teichmuller residues w(a) with the 1-units <a> = [a]_q / w(a), one
-    base row per series kind and n, and one coefficient row per residue,
-    kind and n.
+    the Teichmuller residues w(a) with the 1-units <a> = [a]_q / w(a), the
+    common ratio step(a) of each residue, one base row per series kind and
+    n, and one coefficient row per residue, kind and n.
     """
 
     def __init__(self, q: QParam, F: int, precision: int):
@@ -177,6 +177,7 @@ class _Residues:
         self._euler = []
         self._q_powers = []
         self._units = {}
+        self._steps = {}
         self._bases = {}
         self._rows = {}
         # _residues shares one table per point; reentrant, since a row
@@ -185,8 +186,13 @@ class _Residues:
 
     def step(self, a: int) -> int:
         """q^a [F]_q / [a]_q, the common ratio of every series at residue a."""
-        mod = self.mod
-        return pow(self.q, a, mod) * self.q_ints[-1] * pow(self.q_ints[a], -1, mod) % mod
+        with self._lock:
+            ratio = self._steps.get(a)
+            if ratio is None:
+                mod = self.mod
+                ratio = pow(self.q, a, mod) * self.q_ints[-1] * pow(self.q_ints[a], -1, mod) % mod
+                self._steps[a] = ratio
+        return ratio
 
     def euler(self, m: int) -> int:
         """E_{m,Q} mod p**precision."""
@@ -600,8 +606,9 @@ def _engine_precision(budget: SeriesBudget, precision) -> int:
 def _theorem5_sides(r, n, q, budget, precision, tail=None):
     """The plain and the residue-weighted expansion side at a checked point,
     each as (value, truncation index), from one pass over k that reads each
-    (H + K)(r + k, a) once.  A side that has not certified sums them with
-    weight 1 or q^(ak), and scales the sum by 2 c_k [pn]_q^k on ints.  T's
+    (H + K)(r + k, a) once and raises each w(a)^(-(r+k)) once, for both
+    character sums, with weight 1 and q^(ak).  A side that has not
+    certified scales its sum by 2 c_k [pn]_q^k on ints.  T's
     sum over `tail`, the pairs (a, K(r, a)), is taken once: the plain side
     subtracts it four times, T(r, w^(-r)), and the weighted side twice."""
     p = q.prime
@@ -612,18 +619,23 @@ def _theorem5_sides(r, n, q, budget, precision, tail=None):
     u = num // p**g * pow(den, -1, mod)  # [pn]_q = p^g u
     sides = [_TruncatedSeries(p, precision, budget, g, "assembly tail") for _ in range(2)]
     for k in range(1, budget.max_terms + 1):
-        parts = []
+        # sum_a w(a)^(-(r+k)) (H + K)(r + k, a), plain and weighted by q^(ak)
+        e, q_k, q_ak = (-r - k) % (p - 1), pow(res.q, k, mod), 1
+        plain = weighted = 0
+        low = precision
         for a in range(1, p):
             h, h_low, _ = _partial(r + k, a, p, q, budget, precision, "H", 0)
             kk, k_low, _ = _partial(r + k, a, p, q, budget, precision, "K", n)
-            parts.append((a, h + kk, min(h_low, k_low)))
+            term = pow(res.units(a)[0], e, mod) * (h + kk)
+            q_ak = q_ak * q_k % mod
+            plain += term
+            weighted += term * q_ak
+            low = min(low, h_low, k_low)
         c = _merge_coefficient(r, k)  # c_k = p^m c', with (-1)^n = 1 for even n
         m = padic_valuation_int(c.numerator, p)
         scale = 2 * (c.numerator // p**m) * pow(c.denominator, -1, mod) * pow(u, k, mod)
-        for side, weight in zip(sides, (1, pow(res.q, k, mod))):
+        for side, inner in zip(sides, (plain, weighted)):
             if not side.done:  # term k: 2 c' u^k inner mod p^low, times p^(m + kg)
-                values = [(a, (v * pow(weight, a, mod), t)) for a, v, t in parts]
-                inner, low = _char_sum(res, -r - k, values)
                 side.add(k, scale * inner % p**low * p ** (m + k * g), low + m + k * g)
         if all(side.done for side in sides):
             break

@@ -154,6 +154,23 @@ def test_coefficient_rows_match_direct_powers(p, qv, F_over_p):
                 assert table.row(a, kind, n, j + 1)[j] == want, (a, n, j)
 
 
+@pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(31, 6)), (7, Fraction(50))])
+def test_cached_step_keeps_every_row(p, qv):
+    # step(a) is taken once per residue; every kind's row is still its base
+    # row times powers of q^a [F]_q / [a]_q, read afresh for each entry
+    F = 3 * p
+    table = _Residues(QParam(qv, p), F, 8)
+    mod, units = table.mod, [a for a in range(1, F) if a % p]
+    for a in units:
+        ratio = pow(table.q, a, mod) * table.q_ints[F] * pow(table.q_ints[a], -1, mod) % mod
+        for kind, n in (("H", 0), ("K", 2), ("double", 2), ("block", 4)):
+            base = table.base(kind, n, 12)[:12]
+            want = [pow(ratio, j, mod) * b % mod for j, b in enumerate(base)]
+            assert table.row(a, kind, n, 12)[:12] == want, (a, kind, n)
+        assert table.step(a) == ratio
+    assert sorted(table._steps) == units
+
+
 @pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(1)), (7, Fraction(50))])
 def test_double_rows_match_the_direct_sum(p, qv):
     # the block series' base rows, summed afresh for each s, and their

@@ -1,6 +1,7 @@
 """Regularized complex zeta/l-values against the exact rational layer."""
 
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -15,6 +16,7 @@ from qeuler import (
     OutOfDomain,
     PolyArg,
     euler_number_q,
+    euler_poly_classical,
     euler_poly_q,
     gen_euler_complex,
     l_q_complex,
@@ -318,9 +320,15 @@ def test_cli_zeta_near_one_converges(capsys):
 
 
 def test_head_and_tail_share_the_term_cap():
-    # q = 1 - 1e-6 needs about 693,000 head terms before y <= 1/2
+    # q = 1 - 1e-6 would need about 693,000 limit-subtracted head terms
+    # before y <= 1/2; the Euler-Boole route answers within a cap of 1000
+    q = 1 - 1e-6
+    want = 2 * _mp_boole(0.5, q, 1.0, 1)
+    assert abs(zeta_Eq(0.5, 1.0, ArchParams(q=q, max_terms=1000)) - want) <= 1e-9 * abs(want)
+    # its head of 16 terms and the tail's first few share a cap of 20,
+    # which runs out before the tail's terms fall below eps
     with pytest.raises(NoConvergence):
-        zeta_Eq(0.5, 1.0, ArchParams(q=1 - 1e-6, max_terms=1000))
+        zeta_Eq(0.5, 1.0, ArchParams(q=q, max_terms=20))
     # q = 9/10 reaches the tail at n = 64 (y = 0.0012), which then needs a
     # few more terms than the one a cap of 65 leaves
     with pytest.raises(NoConvergence):
@@ -369,3 +377,143 @@ def test_tail_matches_direct_loop_complex_s(q, re, im, x):
     got = zeta_module._alternating_regularized(s, x, 1, params)
     scale = max(abs(want), abs(complex(1.0 - q) ** s))
     assert abs(got - want) <= 1e-9 * scale
+
+
+# -- the Euler-Boole route near q = 1 -------------------------------------------
+
+_EULER_AT_ZERO = {}
+
+
+def _mp_boole(s, q, A, f, dps=30):
+    """mpmath value of sum_{m>=0} (-1)^m [A + f m]_q^(-s) by the Euler-Boole
+    formula at `dps` digits: a head of 60 + 3|s| terms, then
+    (-1)^N (1/2) sum_k E_k(0) w_k with the weights from mpmath's own Euler
+    polynomials and the w_k by Miller's recurrence, summed until a term is
+    10^-(dps+5) of the first.  Its head is long enough that the tail's odd
+    terms shrink at least tenfold each; test_mp_boole_is_the_split_oracle
+    checks it against the direct-plus-binomial oracle where that one is
+    affordable."""
+    head = 60 + 3 * int(abs(s))
+    with mpmath.workdps(dps + 10):
+        s, q, A = mpmath.mpc(s), mpmath.mpf(q), mpmath.mpf(A)
+        log_q = mpmath.log(q)
+        total = mpmath.mpc(0)
+        for m in range(head):
+            total += (-1) ** m * (-mpmath.expm1((A + f * m) * log_q) / (1 - q)) ** (-s)
+        x = (A + f * head) * log_q
+        u = [-mpmath.expm1(x) / (1 - q)]
+        w = [u[0] ** (-s)]
+        tail, c, k = w[0] / 2, -mpmath.exp(x) / (1 - q), 0
+        tiny = mpmath.mpf(10) ** (-dps - 5) * abs(w[0])
+        while True:
+            k += 1
+            c *= f * log_q / k
+            u.append(c)
+            acc = mpmath.fsum(((1 - s) * j - k) * u[j] * w[k - j] for j in range(1, k + 1))
+            w.append(acc / (k * u[0]))
+            if k % 2:
+                if k not in _EULER_AT_ZERO:
+                    _EULER_AT_ZERO[k] = mpmath.eulerpoly(k, 0)
+                term = _EULER_AT_ZERO[k] * w[k] / 2
+                tail += term
+                if abs(term) < tiny:
+                    return complex(total + (-1) ** head * tail)
+
+
+def test_mp_boole_is_the_split_oracle():
+    for q in (0.9, 0.99):
+        for s in (0.5, -2, 0.5 + 14j, -4 + 30j, 3 - 50j):
+            for A, f in ((1 / 3, 1), (4, 5)):
+                split = _mp_abel(s, q, A, f, 0.25 / max(1, abs(s)))
+                assert abs(_mp_boole(s, q, A, f) - split) <= 1e-25 * abs(split)
+
+
+def test_benchmark_points_near_one():
+    # the five values the parent returned wrong with exit 0, off by a
+    # relative 2e-8 to 5.5e-5: the exact layer gives them at x = 1 and
+    # 50-digit mpmath at x = 1/3
+    q = 0.999
+    params = ArchParams(q=q)
+    for k in (2, 3):
+        exact = float(euler_poly_q(k, PolyArg(1, 1, Fraction(q))))
+        got = zeta_Eq(-k, 1.0, params)
+        assert abs(got - exact) <= 1e-9 * abs(exact)
+        want = 2 * _mp_boole(-k, q, 1 / 3, 1, dps=50)
+        assert abs(zeta_Eq(-k, 1 / 3, params) - want) <= 1e-9 * abs(want)
+    # the conductor-1 l-value is -zeta(s, 1)
+    exact = -float(euler_poly_q(2, PolyArg(1, 1, Fraction(q))))
+    got = l_q_complex(-2, ComplexChar.trivial(), params)
+    assert abs(got - exact) <= 1e-9 * abs(exact)
+
+
+@pytest.mark.parametrize("q", [0.999, 0.9999])
+def test_negative_real_part_near_one(q):
+    # |c| = |(1-q)^s| is 1e12 to 1e16 here: the limit-subtracted loop was off
+    # by a relative 1.0e-5 to 1.5
+    params = ArchParams(q=q)
+    s = -4 + 30j
+    for x in (1.0, 1 / 3):
+        want = 2 * _mp_boole(s, q, x, 1, dps=50)
+        assert abs(zeta_Eq(s, x, params) - want) <= 1e-9 * abs(want)
+
+
+def test_boole_weights_are_the_euler_values():
+    weights = zeta_module._boole_weights()
+    assert len(weights) == 64
+    for k, weight in enumerate(weights):
+        assert weight == float(euler_poly_classical(k, Fraction(0)))
+
+
+@pytest.mark.parametrize("q", [0.999, 0.9999])
+def test_head_must_grow_with_s(q):
+    # at |s| ~ 100 the rule's head N + A/f >= 16 + |s| reaches the bound;
+    # the head the rule gives at s = 0, and half its head here, leave a
+    # tail whose terms stop shrinking above eps
+    s, params = -3 + 100j, ArchParams(q=q)
+    want = _mp_boole(s, q, 1.0, 1)
+    head = zeta_module._boole_head(s, 1.0, 1, q)
+    assert head == 116
+    got = zeta_module._euler_boole(s, 1.0, 1, params, head)
+    assert abs(got - want) <= 1e-9 * abs(want)
+    for short in (zeta_module._boole_head(0, 1.0, 1, q), head // 2):
+        with pytest.raises(NoConvergence, match="smallest term"):
+            zeta_module._euler_boole(s, 1.0, 1, params, short)
+
+
+def _q_int_float(x, q):
+    return -math.expm1(x * math.log(q)) / (1 - q)
+
+
+@pytest.mark.parametrize("s", [0.5 + 450j, -4 + 5000j])
+def test_head_stops_at_the_binomial_handover(s):
+    # at q = 9/10 and |s| > 400 the route is taken, but its head stops where
+    # y max(1, |s|) <= 1/2, as the binomial route's would, not at 16 + |s|
+    q = 0.9
+    params = ArchParams(q=q)
+    for x in (1.0, 1 / 3):
+        assert zeta_module._boole_head(s, x, 1, q) < 100
+        want = 2 * _mp_abel(s, q, x, 1, 0.25 / abs(s))
+        assert abs(zeta_Eq(s, x, params) - want) <= 1e-9 * abs(want)
+
+
+GRID_QS = (0.97, 0.99, 0.999, 0.9999, 0.99999)
+GRID_CLASSES = ((1e-3, 1), (1 / 3, 1), (1, 1), (3, 1), (1, 3), (4, 5))
+GRID_S = (-4 + 120j, 4 - 120j, -3.76 + 95.9j, -4, 2.5 + 30j, -1 - 7j)
+
+
+@pytest.mark.parametrize("q", GRID_QS)
+def test_near_one_grid_against_mpmath(q):
+    # Error bound 1e-10, scaled by the larger of |value| and the head's last
+    # term |[A + f N]_q^(-s)|: for Re s < 0 the float head sums terms that
+    # large, so a value near a zero (x = 1, s = -4, where E_{4,q}(1) is
+    # O(1 - q)) keeps only that absolute accuracy.  Points where the direct
+    # head still hands over at n = 64 (q = 0.97 with f = 3 or 5) check the
+    # binomial route on the same scale.
+    params = ArchParams(q=q)
+    for i, (A, f) in enumerate(GRID_CLASSES):
+        for s in GRID_S[i % 2 :: 2]:
+            want = _mp_boole(s, q, A, f)
+            got = zeta_module._alternating_regularized(s, A, f, params)
+            head = zeta_module._boole_head(s, A, f, q)
+            last = abs(complex(_q_int_float(A + f * head, q)) ** (-s))
+            assert abs(got - want) <= 1e-10 * max(abs(want), last), (A, f, s)
