@@ -78,9 +78,11 @@ SHORT_BUDGETS = [(6, 6, 4, 3), (4, 4, 5, 3)]
 EXACT_QS = [Fraction(1, 2), Fraction(2, 3), Fraction(6), Fraction(-3, 7),
             Fraction(32, 31), Fraction(0), Fraction(26), Fraction(31, 6)]
 # archimedean layer: q from the head-only regime to near one, negative
-# integer, zero, half-integer and complex s, shifts, classes and characters
+# integer, zero, half-integer and complex s, shifts, classes and characters;
+# s = -30 (|c| = 1e30 at q = 9/10) and 0.5 + 300i reach the tail after the
+# limit-subtracted head's _HEAD_MIN terms
 ARCH_QS = [Fraction(1, 2), Fraction(1, 4), Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000)]
-ARCH_SS = [-3, -2, -1, 0, 0.5, 1.5, complex(0.5, 14)]
+ARCH_SS = [-3, -2, -1, 0, 0.5, 1.5, complex(0.5, 14), -30, complex(0.5, 300)]
 ARCH_XS = [1.0, 1 / 3, 2.0]
 ARCH_CLASSES = [(1, 3), (2, 3), (1, 5), (4, 5)]
 ARCH_CHARS = ["trivial", "quad:3", "quad:7"]

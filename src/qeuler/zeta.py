@@ -3,51 +3,44 @@
 Every infinite series on this side is an alternating series
 sum'_{m>=0} (-1)^m t_m with t_m = [A + f m]_q^(-s), whose terms tend
 geometrically (rate q^(f m)) to the constant c = (1-q)^s; its value is
-*defined* as the Abel value.  Two routes evaluate it.
-
-Where the head below can hand over by n = _HEAD_MIN (at q <= 9/10, every
-point with |s| < 400), it is the exact limit-subtraction
-
-    sum'_{m>=0} (-1)^m t_m  :=  c/2 + sum_{m>=0} (-1)^m (t_m - c),
-
-summed term by term.  Once y = q^(A + f n) satisfies y max(1, |s|) <= 1/2
-(and at least _HEAD_MIN terms are in), the rest is summed in closed form:
-t_m = c (1 - y q^(f (m-n)))^(-s) expands binomially, and summing over m
-first gives the exact tail
-
-    (-1)^n c sum_{j>=1} binom(-s, j) (-y)^j / (1 + q^(f j)),
-
-which ends at j = k when s = -k.  As |binom(-s, j+1) / binom(-s, j)| <=
-max(1, |s|), the bounds |binom(-s, j)| y^j at least halve from j = 1 on:
-no tail term exceeds |c|/2 in size, so float rounding stays at the scale
-of |c|.  (At y <= 1/2 alone, s = 1/2 + 100i would sum terms near 1e17 |c|
-that cancel to O(|c|).)
-
-Nearer q = 1 that head would run about log(2 max(1, |s|)) / log(1/q)
-terms, and for Re s < 0 it cancels terms of size |c|, which is huge there.
-So where q^(A + f _HEAD_MIN) max(1, |s|) > 1/2 the series is summed as a
-plain head of N terms, [x]_q = -expm1(x log q) / (1 - q), with no limit
-subtracted, and the alternating Euler-Maclaurin (Euler-Boole) tail of
-Borwein, Calkin and Manna ("Euler-Boole summation revisited", Amer. Math.
-Monthly 116, 2009):
+*defined* as the Abel value.  A head of N terms is summed directly, and
+one tail finishes every sum the head leaves open: the alternating
+Euler-Maclaurin (Euler-Boole) formula of Borwein, Calkin and Manna
+("Euler-Boole summation revisited", Amer. Math. Monthly 116, 2009),
 
     sum'_{m>=0} (-1)^m t_{N+m}  =  (1/2) sum_{k>=0} E_k(0) w_k,
 
 w_k the Taylor coefficients at 0 of [A + f N + f t]_q^(-s), from Miller's
 power recurrence (Knuth, TAOCP vol. 2, 4.7), and E_k(0) the Euler
 polynomials at 0, read from the tangent numbers.  The tail is asymptotic:
-near q = 1 its k-th term is about (|s| / (pi (N + A/f)))^k of its first,
-and its smallest about e^(-pi (N + A/f)), so N + A/f >= 16 + |s| reaches
-the tail threshold with room to spare: about 16 + |s| head terms (never
-more than the binomial route's head would need) and, over Re s in [-4, 4]
-and |Im s| <= 120, 6 to 42 tail terms (median 16), whatever q.  The route
-costs the same at q = 1 - 1e-6 as at q = 0.99, and rounds at the scale of
-the head's terms rather than |c|.
+it stops at its first term below eps, and raises NoConvergence if its
+terms grow again first.
+
+Two heads feed it.  Where q^(A + f _HEAD_MIN) max(1, |s|) <= 1/2 (at
+q <= 9/10, every point with |s| < 400), the head is the exact
+limit-subtraction
+
+    sum'_{m>=0} (-1)^m t_m  :=  c/2 + sum_{m>=0} (-1)^m (t_m - c),
+
+summed term by term until a term is below eps, for at most _HEAD_MIN
+terms (every q <= 1/2 point of the complex suite stops there).  As
+_HEAD_MIN is even, that head less c/2 is the plain sum of its terms, and
+the tail at N = _HEAD_MIN adds the rest.  Both round at the scale of |c|,
+which is huge for Re s << 0: there the tail may not meet the absolute eps
+(NoConvergence), and a value it does return is good to about 1e-14 |c|.
+
+Everywhere else, nearer q = 1, where that head would cancel terms of size
+|c|, it is N = _boole_head terms summed plainly, [x]_q = -expm1(x log q)
+/ (1 - q): about 16 + |s| head terms and, over Re s in [-4, 4] and
+|Im s| <= 120, 6 to 42 tail terms (median 16), whatever q, rounding at
+the scale of the head's terms rather than |c|.
 
 This is what makes the zeta and l-function definitions meaningful and
 computable at arbitrary complex s.  q is restricted to real values in
 (0, 1): all bases [A + f m]_q are then positive reals and complex powers
-use the principal branch with no cut ambiguity.
+use the principal branch with no cut ambiguity.  A power that leaves the
+float range (a base [x]_q that rounds to 0, or a value past 1e308) raises
+OutOfDomain.
 
 An integer argument (a partial zeta's residue a and modulus f,
 ``ArchParams.max_terms``, a ``ComplexChar``'s conductor and the residue
@@ -66,10 +59,12 @@ from .errors import NoConvergence, OutOfDomain
 from .euler import PolyArg, euler_number_q, euler_poly_q
 from .kernel import _check_int, _is_odd_prime, q_int
 
-# The head always sums at least this many terms before the closed-form tail
-# may take over, so every value the direct loop reaches within _HEAD_MIN
-# terms (every q <= 1/2 point of the complex suite) is unchanged bit for bit.
+# The limit-subtracted head sums at most this many terms (an even number)
+# before the tail takes over; every value it finishes within them (every
+# q <= 1/2 point of the complex suite) is the direct loop's bit for bit.
 _HEAD_MIN = 64
+# The tail's weights E_k(0), k < _BOOLE_TERMS, bound its length.
+_BOOLE_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -96,72 +91,85 @@ def _q_int_real(x: float, q: float) -> float:
     return (1.0 - q**x) / (1.0 - q)
 
 
+def _float_range(exc: ArithmeticError, q: float, s) -> OutOfDomain:
+    return OutOfDomain(f"a power at q = {q}, s = {s} leaves the float range: {exc}")
+
+
 def _alternating_regularized(s, A, f, params: ArchParams) -> complex:
     """Abel value of sum_{m>=0} (-1)^m [A + f m]_q^(-s): the
-    limit-subtracted head, then the closed-form binomial tail, or, where
-    that head could not hand over at n = _HEAD_MIN, the plain head and the
-    Euler-Boole tail (see the module docstring).  Head and tail terms
+    limit-subtracted head of at most _HEAD_MIN terms, or, where it would
+    not end by then, the plain head of _boole_head terms, each finished by
+    the Euler-Boole tail (see the module docstring).  Head and tail terms
     together count against params.max_terms."""
     q, eps, max_terms = params.q, params.eps, params.max_terms
-    size = max(1.0, abs(s))
-    if q ** (A + f * _HEAD_MIN) * size > 0.5:
-        return _euler_boole(s, A, f, params, _boole_head(s, A, f, q))
-    limit = complex(1.0 - q) ** s
-    total = limit / 2.0
-    for n in range(max_terms):
-        y = q ** (A + f * n)
-        if n >= _HEAD_MIN and y * size <= 0.5:
-            tail = _binomial_tail(s, y, q**f, limit, eps, max_terms - n)
-            return total + (-1) ** n * limit * tail
-        delta = complex((1.0 - y) / (1.0 - q)) ** (-s) - limit
-        total += (-1) ** n * delta
-        if n >= 2 and abs(delta) < eps:
-            return total
-    raise NoConvergence(f"tail threshold {eps} not reached within {max_terms} terms")
+    try:
+        if q ** (A + f * _HEAD_MIN) * max(1.0, abs(s)) > 0.5:
+            return _euler_boole(s, A, f, params, _boole_head(s, A, f, q))
+        limit = complex(1.0 - q) ** s
+        total = limit / 2.0
+        for n in range(min(_HEAD_MIN, max_terms)):
+            y = q ** (A + f * n)
+            delta = complex((1.0 - y) / (1.0 - q)) ** (-s) - limit
+            total += (-1) ** n * delta
+            if n >= 2 and abs(delta) < eps:
+                return total
+        return total - limit / 2.0 + _boole_tail(s, A, f, params, _HEAD_MIN)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _float_range(exc, q, s) from exc
 
 
 def _boole_head(s, A, f, q: float) -> int:
-    """Head length N of the Euler-Boole route: N + A/f >= 16 + |s|, or,
-    if that is earlier, the first n with q^(A + f n) max(1, |s|) <= 1/2.
+    """Head length N of the plain head: N + A/f >= 16 + |s|, or, if that
+    is earlier, the first n with y = q^(A + f n) and y max(1, |s|) <= 1/2.
 
     Near q = 1 each odd tail term is about |(s + k)(s + k + 1)| /
     (pi (N + A/f))^2 of the one before, so at most 1/pi^2 for k < 16; and
     the smallest term, about e^(-pi (N + A/f - |Im s| / 2)) of the first,
     is below 1e-21 of it.  Further from q = 1 (|s| > 400 at q = 9/10) the
-    binomial handover comes first: there the tail's expansion in
-    y e^(lam t) shrinks by halves (module docstring), and the Boole terms
-    of each e^(j lam t) fall like (j |lam| / pi)^k, so the head need not
-    grow with |s| beyond log(2 |s|) / log(1/q) terms."""
+    second bound, which the limit-subtracted head meets by _HEAD_MIN, comes
+    first: u(t)^(-s) = c sum_j binom(-s, j) (-y)^j e^(j lam t) then has
+    terms that at least halve in j, and the Boole terms of each
+    e^(j lam t) fall like (j |lam| / pi)^k, so the head need not grow with
+    |s| beyond log(2 |s|) / log(1/q) terms."""
     handover = math.ceil((math.log(0.5 / max(1.0, abs(s))) / math.log(q) - A) / f)
     return max(0, min(math.ceil(16 + abs(s) - A / f), handover))
 
 
 def _euler_boole(s, A, f, params: ArchParams, head: int) -> complex:
-    """sum_{m<N} (-1)^m [A + f m]_q^(-s) + (-1)^N (1/2) sum_k E_k(0) w_k,
-    N = head, with w_k the Taylor coefficients at 0 of u(t)^(-s),
-    u(t) = [A + f N + f t]_q = (1 - y e^(lam t)) / (1 - q), y = q^(A + f N),
-    lam = f log q, by Miller's power recurrence
-    w_k = (1 / (k u_0)) sum_{j=1}^k ((1 - s) j - k) u_j w_{k-j}.  The tail
-    stops at its first term below eps; if its terms grow again before that,
-    or the term cap or the weights run out, NoConvergence names its
-    smallest term."""
+    """sum_{m<N} (-1)^m [A + f m]_q^(-s) plus the Euler-Boole tail at
+    N = head, with [x]_q = -expm1(x log q) / (1 - q)."""
+    tail = _boole_tail(s, A, f, params, head)  # checks the term cap first
+    log_q = math.log(params.q)
+    total = 0j
+    for m in reversed(range(head)):
+        total = complex(-math.expm1((A + f * m) * log_q) / (1.0 - params.q)) ** (-s) - total
+    return total + tail
+
+
+def _boole_tail(s, A, f, params: ArchParams, head: int) -> complex:
+    """(-1)^N (1/2) sum_k E_k(0) w_k, N = head, with w_k the Taylor
+    coefficients at 0 of u(t)^(-s), u(t) = [A + f N + f t]_q =
+    (1 - y e^(lam t)) / (1 - q), y = q^(A + f N), lam = f log q, by Miller's
+    power recurrence w_k = (1 / (k u_0)) sum_{j=1}^k ((1 - s) j - k) u_j w_{k-j}.
+    The tail stops at its first term below eps; if its terms grow again
+    before that, or the term cap (head terms included) or the weights run
+    out, NoConvergence names its smallest term."""
     q, eps, max_terms = params.q, params.eps, params.max_terms
     if head >= max_terms:
         raise NoConvergence(f"Euler-Boole head of {head} terms exceeds max_terms = {max_terms}")
     log_q = math.log(q)
-    total = 0j
-    for m in reversed(range(head)):
-        total = complex(-math.expm1((A + f * m) * log_q) / (1.0 - q)) ** (-s) - total
     x = (A + f * head) * log_q
     gap = -math.expm1(x)  # 1 - y
     w0 = complex(gap / (1.0 - q)) ** (-s)
     size0 = abs(w0)
-    weights = _boole_weights()
+    weights = _boole_weights(16)
     lam, one_s = f * log_q, 1.0 - s
     u = -math.exp(x) / gap  # u_j / u_0 = -y lam^j / (j! (1 - y)) for j >= 1
     us, ws = [1.0], [1.0 + 0j]  # u_j / u_0 and w_j / w_0
     tail, smallest = 0.5, math.inf
-    for k in range(1, min(len(weights), max_terms - head)):
+    for k in range(1, min(_BOOLE_TERMS, max_terms - head)):
+        if k == len(weights):
+            weights = _boole_weights(2 * k)
         u *= lam / k
         us.append(u)
         acc = 0j
@@ -173,7 +181,7 @@ def _euler_boole(s, A, f, params: ArchParams, head: int) -> complex:
             tail += term
             bound = abs(term) * size0
             if bound < eps:
-                return total + (-1) ** head * w0 * tail
+                return (-1) ** head * w0 * tail
             if bound >= smallest:
                 raise NoConvergence(
                     f"Euler-Boole tail: its smallest term {smallest:.3g} "
@@ -182,20 +190,24 @@ def _euler_boole(s, A, f, params: ArchParams, head: int) -> complex:
             smallest = bound
     raise NoConvergence(
         f"Euler-Boole tail: tail threshold {eps} not reached within {max_terms} terms "
-        f"({head} in the head) or {len(weights)} weights; smallest term {smallest:.3g}"
+        f"({head} in the head) or {_BOOLE_TERMS} weights; smallest term {smallest:.3g}"
     )
 
 
-_boole_table = None  # E_k(0) for k <= 63, filled on first use
+_boole_table = ()  # E_k(0), grown by doubling on first use of each k
 
 
-def _boole_weights() -> tuple:
-    """The Euler-Boole weights E_k(0) as floats, k <= 63: 1 at k = 0, 0 at
-    even k > 0, and (-1)^((k+1)/2) T_k / 2^k at odd k, with the tangent
-    numbers T_k from their integer recurrence (Knuth and Buckholtz)."""
+def _boole_weights(count: int = _BOOLE_TERMS) -> tuple:
+    """The Euler-Boole weights E_k(0) as floats, k < count at least (the
+    table doubles from 16 up to _BOOLE_TERMS as the tail reaches further):
+    1 at k = 0, 0 at even k > 0, and (-1)^((k+1)/2) T_k / 2^k at odd k,
+    with the tangent numbers T_k from their integer recurrence (Knuth and
+    Buckholtz)."""
     global _boole_table
-    if _boole_table is None:
-        n = 32
+    if len(_boole_table) < count:
+        n = 8
+        while 2 * n < count:
+            n *= 2
         t = [0, 1] + [0] * (n - 1)  # t[i] = T_{2i-1}
         for i in range(2, n + 1):
             t[i] = (i - 1) * t[i - 1]
@@ -207,28 +219,6 @@ def _boole_weights() -> tuple:
             weights[2 * i - 1] = (-1) ** i * math.ldexp(float(t[i]), 1 - 2 * i)
         _boole_table = tuple(weights)
     return _boole_table
-
-
-def _binomial_tail(s, y: float, qf: float, c: complex, eps: float, budget: int) -> complex:
-    """sum_{j>=1} binom(-s, j) (-y)^j / (1 + qf^j) for y max(1, |s|) <= 1/2,
-    to within eps / |c|, in at most `budget` terms.
-
-    The bounds |binom(-s, j)| y^j at least halve at each step, so the
-    terms after j add up to at most |binom(-s, j)| y^j."""
-    tail = 0j
-    b = 1.0  # binom(-s, j)
-    power = 1.0  # (-y)^j
-    qf_j = 1.0  # qf^j
-    for j in range(1, budget + 1):
-        b *= (-s - j + 1) / j
-        if b == 0:
-            return tail  # s = -k: the series ended at j = k
-        power *= -y
-        qf_j *= qf
-        tail += b * power / (1.0 + qf_j)
-        if abs(c * b) * abs(power) < eps:
-            return tail
-    raise NoConvergence(f"tail threshold {eps} not reached within {budget} tail terms")
 
 
 def _check_s(s) -> None:
@@ -253,9 +243,6 @@ def zeta_Eq(s, x: float, params: ArchParams) -> complex:
     if not (math.isfinite(x) and x > 0):
         raise OutOfDomain(f"shift x must be positive and finite, got {x}")
     _check_s(s)
-    if params.q**x == 1.0 and (complex(s).real > 0 or complex(s).imag != 0):
-        # [x]_q = (1 - q**x) / (1 - q) rounds to 0, which has no power -s
-        raise OutOfDomain(f"shift x = {x} is too small for q = {params.q}: [x]_q rounds to 0")
     return 2.0 * _alternating_regularized(s, x, 1, params)
 
 
@@ -265,7 +252,11 @@ def partial_zeta_Hq(s, a: int, f: int, params: ArchParams) -> complex:
     _check_class(a, f)
     q = params.q
     inner = zeta_Eq(s, a / f, replace(params, q=q**f))
-    return (-1) ** a * complex(_q_int_real(f, q)) ** (-s) / 2.0 * inner
+    try:
+        factor = complex(_q_int_real(f, q)) ** (-s)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _float_range(exc, q, s) from exc
+    return (-1) ** a * factor / 2.0 * inner
 
 
 def partial_zeta_Hq_series(s, a: int, f: int, params: ArchParams) -> complex:

@@ -87,7 +87,7 @@ def test_shift_below_float_resolution():
 
 
 def test_partial_zeta_two_forms_agree():
-    # near q = 1 both forms end in the closed-form tail: the reduction with
+    # near q = 1 both forms end in the Euler-Boole tail: the reduction with
     # step 1 in base q^3, the congruence-class series with step 3 in base q
     for q in (0.5, 0.99, 0.999):
         params = ArchParams(q=q)
@@ -222,13 +222,13 @@ def test_regularization_against_abel_limit(s):
     assert abs(abel - direct) < 1e-6
 
 
-# -- the closed-form tail against the direct loop and mpmath ------------------
+# -- the tail against the direct loop and mpmath -------------------------------
 
 
 def _direct_loop(s, A, f, params):
     """The limit-subtracted loop alone, summed term by term until
-    |t_n - c| < eps: the summation the closed-form tail replaces, kept as
-    the oracle of everything the head reaches on its own."""
+    |t_n - c| < eps: the summation the tail shortens, kept as the oracle
+    of everything the head reaches on its own."""
     q = params.q
     limit = complex(1.0 - q) ** s
     total = limit / 2.0
@@ -300,12 +300,17 @@ def test_mp_oracle_split_is_exact():
 @pytest.mark.parametrize("s", [0.5, 1.5, 0.5 + 14j, -1, 0.5 + 60j, 0.5 + 100j])
 def test_near_one_against_mpmath(q, s):
     # At large |s| the tail must wait until its terms shrink from the start:
-    # switching at y <= 1/2 alone, 0.5 + 100i sums binomial terms near
-    # 1e17 |c| that cancel to O(|c|) and no digit survives.  The oracle
-    # splits where its own tail is as well conditioned.
+    # a tail taken at y <= 1/2 alone, at 0.5 + 100i, would sum terms near
+    # 1e17 |c| that cancel to O(|c|), and no digit would survive.  The
+    # direct-plus-binomial oracle splits where its own tail is as well
+    # conditioned; at q = 0.999, where it would sum thousands of terms, the
+    # Euler-Boole oracle gives the same value (test_mp_boole_is_the_split_oracle).
     params = ArchParams(q=q)
     for x in (1.0, 1 / 3):
-        want = 2 * _mp_abel(s, q, x, 1, 0.25 / max(1, abs(s)))
+        if q == 0.999:
+            want = 2 * _mp_boole(s, q, x, 1)
+        else:
+            want = 2 * _mp_abel(s, q, x, 1, 0.25 / max(1, abs(s)))
         got = zeta_Eq(s, x, params)
         assert abs(got - want) <= 1e-9 * abs(want)
 
@@ -329,8 +334,9 @@ def test_head_and_tail_share_the_term_cap():
     # which runs out before the tail's terms fall below eps
     with pytest.raises(NoConvergence):
         zeta_Eq(0.5, 1.0, ArchParams(q=q, max_terms=20))
-    # q = 9/10 reaches the tail at n = 64 (y = 0.0012), which then needs a
-    # few more terms than the one a cap of 65 leaves
+    # at q = 9/10 the limit-subtracted head hands its 64 terms (y = 0.0012)
+    # to the Euler-Boole tail, which needs a few more terms than the one a
+    # cap of 65 leaves
     with pytest.raises(NoConvergence):
         zeta_Eq(0.5, 1.0, ArchParams(q=0.9, max_terms=65))
     assert zeta_Eq(0.5, 1.0, ArchParams(q=0.9, max_terms=75)) == zeta_Eq(
@@ -486,8 +492,9 @@ def _q_int_float(x, q):
 
 @pytest.mark.parametrize("s", [0.5 + 450j, -4 + 5000j])
 def test_head_stops_at_the_binomial_handover(s):
-    # at q = 9/10 and |s| > 400 the route is taken, but its head stops where
-    # y max(1, |s|) <= 1/2, as the binomial route's would, not at 16 + |s|
+    # at q = 9/10 and |s| > 400 the plain head is taken, but it stops where
+    # y max(1, |s|) <= 1/2, as the limit-subtracted head's tail starts at
+    # n = 64, not at 16 + |s|
     q = 0.9
     params = ArchParams(q=q)
     for x in (1.0, 1 / 3):
@@ -506,9 +513,9 @@ def test_near_one_grid_against_mpmath(q):
     # Error bound 1e-10, scaled by the larger of |value| and the head's last
     # term |[A + f N]_q^(-s)|: for Re s < 0 the float head sums terms that
     # large, so a value near a zero (x = 1, s = -4, where E_{4,q}(1) is
-    # O(1 - q)) keeps only that absolute accuracy.  Points where the direct
-    # head still hands over at n = 64 (q = 0.97 with f = 3 or 5) check the
-    # binomial route on the same scale.
+    # O(1 - q)) keeps only that absolute accuracy.  Points where the
+    # limit-subtracted head still hands over at n = 64 (q = 0.97 with f = 3
+    # or 5) check that head and the same tail on the same scale.
     params = ArchParams(q=q)
     for i, (A, f) in enumerate(GRID_CLASSES):
         for s in GRID_S[i % 2 :: 2]:
@@ -517,3 +524,57 @@ def test_near_one_grid_against_mpmath(q):
             head = zeta_module._boole_head(s, A, f, q)
             last = abs(complex(_q_int_float(A + f * head, q)) ** (-s))
             assert abs(got - want) <= 1e-10 * max(abs(want), last), (A, f, s)
+
+
+# -- one tail after the limit-subtracted head -----------------------------------
+
+
+@pytest.mark.parametrize("s", [0.5 + 300j, -4 + 400j, 2.5 - 350j])
+@pytest.mark.parametrize("A, f", [(1, 1), (1 / 3, 1), (1, 3), (4, 5)])
+def test_limit_head_hands_over_to_the_tail(s, A, f):
+    # q^(A + 64 f) max(1, |s|) <= 1/2 at q = 9/10, so the limit-subtracted
+    # head runs its 64 terms and the Euler-Boole tail at N = 64 adds the rest
+    q = 0.9
+    want = _mp_abel(s, q, A, f, 0.25 / abs(s))
+    got = zeta_module._alternating_regularized(s, A, f, ArchParams(q=q))
+    scale = max(abs(want), abs(complex(1.0 - q) ** s))
+    assert abs(got - want) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("q, A, f", [(0.97, 1, 3), (0.93, 1 / 3, 1)])
+def test_unreachable_threshold_is_no_convergence(q, A, f):
+    # |c| = |(1-q)^s| is 4.9e45 and 4.4e34 at s = -30: the tail cannot meet the
+    # absolute eps at that scale, and a value from the head's 64 terms was
+    # off by a relative 73 and 1238 from 60-digit mpmath
+    with pytest.raises(NoConvergence):
+        zeta_module._alternating_regularized(-30, A, f, ArchParams(q=q))
+
+
+def test_float_overflow_is_out_of_domain(capsys):
+    # [1e-10]_q^(-s) is about 1e390 at s = 40: past the float range
+    with pytest.raises(OutOfDomain):
+        zeta_Eq(40, 1e-10, ArchParams(0.5))
+    # [3]_q^1e6 overflows in partial_zeta_Hq's factor, not in its series
+    with pytest.raises(OutOfDomain):
+        partial_zeta_Hq(-1e6, 1, 3, ArchParams(1e-3))
+    code = main(["zeta", "--s", "40", "--s-im", "1", "--x", "1e-10", "--q", "0.5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_shift_below_resolution_of_q_power_near_one():
+    # q**x rounds to 1 at x = 1e-17, but the plain head's expm1 form gives
+    # [x]_q = 1e-17 to rounding, so the value is summed, not rejected
+    want = 2 * _mp_boole(0.5, 0.999, 1e-17, 1)
+    assert abs(zeta_Eq(0.5, 1e-17, ArchParams(0.999)) - want) <= 1e-9 * abs(want)
+
+
+def test_boole_weights_grow_on_demand(monkeypatch):
+    # the table doubles from 16 only as far as a tail reaches
+    monkeypatch.setattr(zeta_module, "_boole_table", ())
+    assert len(zeta_module._boole_weights(16)) == 16
+    assert len(zeta_module._boole_weights(17)) == 32
+    assert zeta_module._boole_weights() == tuple(
+        float(euler_poly_classical(k, Fraction(0))) for k in range(64)
+    )
