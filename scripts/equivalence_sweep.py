@@ -58,9 +58,9 @@ POINTS = [
     (7, Fraction(50)),
     (31, Fraction(32)),
 ]
-# (target, working precision, max_terms, window): the default margin, no
-# margin, a short term limit, and a high target that few series reach
-BUDGETS = [(4, None, 60, 5), (3, 3, 60, 5), (4, 10, 8, 5), (6, 6, 4, 3)]
+# (target, working precision, max_terms): the default margin, no margin, a
+# short term limit, and a high target that few series reach
+BUDGETS = [(4, None, 60), (3, 3, 60), (4, 10, 8), (8, 8, 6)]
 # (r, n): n = 10 gives [pn]_q the valuation 2 at p = 5
 EXPANSION_POINTS = [(1, 2), (2, 2), (2, 4), (3, 4), (1, 10)]
 # (p, q, r, n, target): a large prime, where the engine's left-hand side
@@ -71,9 +71,9 @@ ENGINE_POINTS = [
     (5, Fraction(6), 2, 2, 20),
     (5, Fraction(1), 2, 2, 20),
 ]
-# (target, working precision, max_terms, window): term limits at which the
-# block series of theorem5_verify certify at no point, and at some only
-SHORT_BUDGETS = [(6, 6, 4, 3), (4, 4, 5, 3)]
+# (target, working precision, max_terms): term limits at which the block
+# series of theorem5_verify certify at no point, and at some only
+SHORT_BUDGETS = [(8, 8, 6), (4, 4, 7)]
 # exact layer: negative, zero, near-one, integral and non-integral q
 EXACT_QS = [Fraction(1, 2), Fraction(2, 3), Fraction(6), Fraction(-3, 7),
             Fraction(32, 31), Fraction(0), Fraction(26), Fraction(31, 6)]
@@ -115,9 +115,9 @@ def sweep(qe) -> dict:
     out = {}
     for p, qv in POINTS:
         q = qe.QParam(qv, p)
-        for target, precision, max_terms, window in BUDGETS:
-            budget = qe.SeriesBudget(target, max_terms, window)
-            at = f"p={p} q={qv} budget={target},{precision},{max_terms},{window}"
+        for target, precision, max_terms in BUDGETS:
+            budget = qe.SeriesBudget(target, max_terms)
+            at = f"p={p} q={qv} budget={target},{precision},{max_terms}"
 
             def put(name, compute):
                 out[f"{at} {name}"] = outcome(qe, compute)
@@ -171,9 +171,9 @@ def sweep(qe) -> dict:
             qe, lambda: qe.theorem5_verify(r, n, q, budget))
     for p, qv in POINTS:
         q = qe.QParam(qv, p)
-        for target, precision, max_terms, window in SHORT_BUDGETS:
-            budget = qe.SeriesBudget(target, max_terms, window)
-            at = f"p={p} q={qv} budget={target},{precision},{max_terms},{window}"
+        for target, precision, max_terms in SHORT_BUDGETS:
+            budget = qe.SeriesBudget(target, max_terms)
+            at = f"p={p} q={qv} budget={target},{precision},{max_terms}"
             for r, n in EXPANSION_POINTS:
                 out[f"{at} verify message r={r} n={n}"] = outcome(
                     qe, lambda: qe.theorem5_verify(r, n, q, budget, precision), message=True)

@@ -68,33 +68,35 @@ from .kernel import tail_merge_coefficient as _merge_coefficient
 from .padic import PadicApprox, TeichChar, _validate_precision, agreement, embed, teichmuller
 
 
+# A series stops only after this many consecutive negligible terms.
+_WINDOW = 5
+
+
 @dataclass(frozen=True)
 class SeriesBudget:
     """Truncation policy for the p-adic series.
 
     target: verify modulo p**target.
-    max_terms: hard truncation limit.
-    window: consecutive negligible terms required before stopping.
+    max_terms: hard truncation limit, above the stability window _WINDOW.
     """
 
     target: int
     max_terms: int = 60
-    window: int = 5
 
     def __post_init__(self):
         # a budget is part of the series cache key, where 3.0 == 3
-        if any(type(v) is not int for v in (self.target, self.max_terms, self.window)):
+        if type(self.target) is not int or type(self.max_terms) is not int:
             raise OutOfDomain("budget fields must be ints")
         if self.target < 1:
             raise OutOfDomain("target precision must be >= 1")
-        if not self.max_terms > self.window >= 3:
-            raise OutOfDomain("need max_terms > window >= 3")
+        if not self.max_terms > _WINDOW:
+            raise OutOfDomain(f"need max_terms > {_WINDOW}")
 
 
 class _TruncatedSeries:
     """Accumulate a p-adically convergent series under a SeriesBudget.
 
-    Stops once `window` consecutive terms have valuation >= target AND
+    Stops once _WINDOW consecutive terms have valuation >= target AND
     the audited bound v(term_k) >= k*gain - slack certifies that the
     entire dropped tail is negligible; raises TruncationNotConverged
     when max_terms is exhausted first.  The sum is reported modulo
@@ -135,7 +137,7 @@ class _TruncatedSeries:
             negligible = precision >= self.budget.target
         self.quiet = self.quiet + 1 if negligible else 0
         tail_ok = (index + 1) * self.gain - self.slack >= self.budget.target
-        self.done = self.quiet >= self.budget.window and tail_ok
+        self.done = self.quiet >= _WINDOW and tail_ok
         return self.done
 
     def certified(self) -> tuple:
@@ -143,7 +145,7 @@ class _TruncatedSeries:
         if not self.done:
             raise TruncationNotConverged(
                 f"series '{self.label}' not certified within {self.used + 1} terms "
-                f"(window {self.budget.window}, target {self.budget.target})"
+                f"(window {_WINDOW}, target {self.budget.target})"
             )
         precision = min(self.precision, self.budget.target)
         return self.residue % self.prime**precision, precision
@@ -293,7 +295,7 @@ def _series(res: _Residues, s: int, a: int, kind: str, n: int, budget, precision
     """The series kernel: sum_{j >= start} binom(-s, j) c_j mod p**precision,
     truncated per budget, over the row c_j = res.row(a, kind, n, .), for an
     integer s and precision <= res.precision.  The row is asked first for
-    the terms up to the earliest index that could certify, then `window`
+    the terms up to the earliest index that could certify, then _WINDOW
     terms at a time, and the binomial steps exactly, binom(-s, j+1) =
     binom(-s, j) (-s-j)/(j+1).  Returns the _TruncatedSeries.  Below the
     target no term can be negligible, so that raises TruncationNotConverged
@@ -308,7 +310,7 @@ def _series(res: _Residues, s: int, a: int, kind: str, n: int, budget, precision
         )
     mod = res.prime**precision
     b = binom_int(-s, start)
-    j, stop = start, max(start + budget.window, -(-budget.target // gain))
+    j, stop = start, max(start + _WINDOW, -(-budget.target // gain))
     while j <= budget.max_terms:
         stop = min(stop, budget.max_terms + 1)
         coeffs = res.row(a, kind, n, stop)
@@ -317,7 +319,7 @@ def _series(res: _Residues, s: int, a: int, kind: str, n: int, budget, precision
             b = b * (-s - j) // (j + 1)
             if done:
                 return series
-        j, stop = stop, stop + budget.window
+        j, stop = stop, stop + _WINDOW
     return series
 
 
@@ -463,11 +465,9 @@ def gen_euler_teich(n: int, chi: TeichChar, q: QParam, precision: int) -> PadicA
     p = _require_prime(q)
     _check_character(chi, p)
     _check_int("n", n)
-    if not chi.is_trivial:  # checks the precision before the order
-        _validate_precision(precision)
+    _validate_precision(precision)
     if n < 0:
         raise OutOfDomain("order must be >= 0")
-    _validate_precision(precision)
     if chi.is_trivial:
         return PadicApprox(p, _residues(q, 1, precision).euler(n), precision)
     res = _residues(q, p, precision)

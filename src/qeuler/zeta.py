@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import NoConvergence, OutOfDomain
-from .euler import PolyArg, euler_number_q, euler_poly_q
+from .euler import PolyArg, euler_poly_q
 from .kernel import _check_int, _is_odd_prime, q_int
 
 # The limit-subtracted head sums at most this many terms (an even number)
@@ -88,7 +88,8 @@ class ArchParams:
 
 
 def _q_int_real(x: float, q: float) -> float:
-    return (1.0 - q**x) / (1.0 - q)
+    """[x]_q = -expm1(x log q) / (1 - q), where 1 - q**x would cancel."""
+    return -math.expm1(x * math.log(q)) / (1.0 - q)
 
 
 def _float_range(exc: ArithmeticError, q: float, s) -> OutOfDomain:
@@ -137,12 +138,11 @@ def _boole_head(s, A, f, q: float) -> int:
 
 def _euler_boole(s, A, f, params: ArchParams, head: int) -> complex:
     """sum_{m<N} (-1)^m [A + f m]_q^(-s) plus the Euler-Boole tail at
-    N = head, with [x]_q = -expm1(x log q) / (1 - q)."""
+    N = head, with [x]_q from _q_int_real."""
     tail = _boole_tail(s, A, f, params, head)  # checks the term cap first
-    log_q = math.log(params.q)
     total = 0j
     for m in reversed(range(head)):
-        total = complex(-math.expm1((A + f * m) * log_q) / (1.0 - params.q)) ** (-s) - total
+        total = complex(_q_int_real(A + f * m, params.q)) ** (-s) - total
     return total + tail
 
 
@@ -351,8 +351,6 @@ def gen_euler_complex(k: int, chi: ComplexChar, q) -> complex:
     if not 0 < qv < 1:
         raise OutOfDomain("exact side needs rational q in (0, 1)")
     f = chi.conductor
-    if f == 1:
-        return complex(float(euler_number_q(k, qv)))
     total = 0.0 + 0.0j
     for a in range(f):
         cv = chi.value(a)

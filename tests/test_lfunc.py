@@ -375,7 +375,7 @@ def test_report_serialization_round_trip():
 
 
 def test_truncation_not_converged_is_raised():
-    tight = SeriesBudget(target=8, max_terms=5, window=4)
+    tight = SeriesBudget(target=8, max_terms=6)
     with pytest.raises(TruncationNotConverged):
         H_pq(2, 1, 5, Q6, tight)
 
@@ -406,6 +406,13 @@ def test_zp_exponent_at_q_one_certifies_without_a_precision_margin():
     assert got.render() == "...2 3 3 mod 5^3"
     got = H_pq(Fraction(3, 2), 1, 5, q1, budget, 3)
     assert got.render() == "...2 1 4 mod 5^3"
+
+
+def test_gen_euler_teich_checks_precision_before_order():
+    # one check order for every character, the trivial one included
+    for t in range(4):
+        with pytest.raises(PrecisionExhausted):
+            gen_euler_teich(-1, TeichChar(5, t), Q6, 0)
 
 
 def test_explicit_precision_below_one_rejected():
@@ -574,6 +581,6 @@ def test_budget_validation():
         with pytest.raises(OutOfDomain):
             SeriesBudget(**fields)
     with pytest.raises(OutOfDomain):
-        SeriesBudget(target=4, max_terms=5, window=5)
-    with pytest.raises(OutOfDomain):
-        SeriesBudget(target=4, max_terms=10, window=2)
+        SeriesBudget(target=4, max_terms=5)
+    with pytest.raises(TypeError):  # the stability window is fixed
+        SeriesBudget(4, 60, 5)

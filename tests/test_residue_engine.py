@@ -266,7 +266,7 @@ def _fraction_series(kind, n, s, a, F, q, budget, precision):
         if v is not None:
             slack = max(slack, j * gain - v)
         quiet = quiet + 1 if (term.precision if v is None else v) >= budget.target else 0
-        done = quiet >= budget.window and (j + 1) * gain - slack >= budget.target
+        done = quiet >= lfunc._WINDOW and (j + 1) * gain - slack >= budget.target
         if done:
             break
     if not done:
@@ -379,7 +379,7 @@ CHAR_BUDGETS = [
     (SeriesBudget(3), 3),
     (SeriesBudget(4, 10), 6),
     (SeriesBudget(4), 2),
-    (SeriesBudget(6, 4, 3), 6),
+    (SeriesBudget(8, 6), 8),
 ]
 
 
@@ -422,7 +422,7 @@ def test_a_character_over_another_prime_is_rejected(qv):
     # the explicit check keeps a w over 7 out of a sum over 5; the short
     # budget, whose series do not certify, must not get there first
     q = QParam(qv, 5)
-    for budget, precision in ((SeriesBudget(4), None), (SeriesBudget(6, 4, 3), 6)):
+    for budget, precision in ((SeriesBudget(4), None), (SeriesBudget(8, 6), 8)):
         for chi in (TeichChar(7, 0), TeichChar(7, 2)):
             with pytest.raises(OutOfDomain):
                 l_pq(1, chi, 5, q, budget, precision)
@@ -495,7 +495,7 @@ class _EveryValuation:
         negligible = (precision if v is None else v) >= self.budget.target
         self.quiet = self.quiet + 1 if negligible else 0
         tail_ok = (index + 1) * self.gain - self.slack >= self.budget.target
-        self.done = self.quiet >= self.budget.window and tail_ok
+        self.done = self.quiet >= lfunc._WINDOW and tail_ok
         return self.done
 
 
@@ -525,8 +525,7 @@ def _terms(draw, p):
 @given(st.data(), st.sampled_from([3, 5, 7]), st.integers(1, 2), st.integers(0, 1))
 def test_certificate_shortcut_keeps_the_every_valuation_rule(data, p, gain, start):
     target = data.draw(st.integers(1, 8))
-    window = data.draw(st.integers(3, 5))
-    budget = SeriesBudget(target, 60, window)
+    budget = SeriesBudget(target, 60)
     precision = data.draw(st.integers(1, 10))
     series = lfunc._TruncatedSeries(p, precision, budget, gain, "property")
     oracle = _EveryValuation(p, precision, budget, gain)
@@ -650,8 +649,8 @@ def test_assembly_names_the_series_that_did_not_certify():
     # at target 6 with 6 working digits, H(r + 1 = 3, a = 1) has no margin
     # left and runs out of its 7 terms before the assembly tail can certify
     with pytest.raises(TruncationNotConverged) as err:
-        theorem5_rhs(2, 2, QParam(6, 5), SeriesBudget(6, 6, 3))
-    assert str(err.value) == "series 'H(a=1)' not certified within 7 terms (window 3, target 6)"
+        theorem5_rhs(2, 2, QParam(6, 5), SeriesBudget(6, 6))
+    assert str(err.value) == "series 'H(a=1)' not certified within 7 terms (window 5, target 6)"
 
 
 # -- the block stages, as the engine summed them before --------------------
@@ -751,8 +750,8 @@ BLOCK_BUDGETS = [
     (SeriesBudget(4), None),
     (SeriesBudget(3), 3),
     (SeriesBudget(4, 10), 4),
-    (SeriesBudget(4, 5, 3), 4),
-    (SeriesBudget(6, 4, 3), 6),
+    (SeriesBudget(4, 7), 4),
+    (SeriesBudget(8, 6), 8),
 ]
 
 

@@ -139,6 +139,16 @@ def test_gen_euler_trivial_conductor():
         )
 
 
+@pytest.mark.parametrize("q", [1 - 1e-6, 1 - 1e-9])
+@pytest.mark.parametrize("f", [3, 5, 7])
+def test_q_int_real_near_one(q, f):
+    # 1 - q**f cancels as q -> 1, by 2e-12 to 3e-9 relative at these points
+    with mpmath.workdps(50):
+        mq = mpmath.mpf(q)
+        want = (1 - mq**f) / (1 - mq)
+        assert abs(zeta_module._q_int_real(f, q) - want) <= 1e-15 * abs(want)
+
+
 def test_gen_euler_quadratic_baseline():
     # regression: exact finite sum chi(1) E_{0} - chi(2) E_{0} ... = -2
     got = gen_euler_complex(0, ComplexChar.quadratic(3), Fraction(1, 2))
