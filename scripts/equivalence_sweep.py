@@ -14,7 +14,8 @@ precision of no digit meet in both orders of its checks), ``theorem5_lhs``, ``th
 ``theorem5_rhs_weighted``, plus
 ``theorem5_verify(...).to_dict()`` (also at p = 101, and at p = 5 to
 target 20, and the type and message of what it raises under two term
-limits too short for its series), and ``"num/den"`` of
+limits too short for its series, as for ``theorem5_rhs`` and
+``theorem5_rhs_weighted`` there), and ``"num/den"`` of
 the exact ``euler_number_q``, ``euler_poly_q``, the three
 ``alt_power_sum`` forms, ``fermionic_riemann`` and ``theorem5_lhs_exact``
 on a grid of inputs that every revision accepts.  The exact-identity
@@ -177,6 +178,10 @@ def sweep(qe) -> dict:
             for r, n in EXPANSION_POINTS:
                 out[f"{at} verify message r={r} n={n}"] = outcome(
                     qe, lambda: qe.theorem5_verify(r, n, q, budget, precision), message=True)
+                out[f"{at} rhs message r={r} n={n}"] = outcome(
+                    qe, lambda: qe.theorem5_rhs(r, n, q, budget, precision), message=True)
+                out[f"{at} rhs_weighted message r={r} n={n}"] = outcome(
+                    qe, lambda: qe.theorem5_rhs_weighted(r, n, q, budget, precision), message=True)
     return out
 
 

@@ -142,7 +142,10 @@ class QParam:
 
 
 def as_fraction(q: RationalLike) -> Fraction:
-    """Normalize an int, Fraction or QParam to the underlying Fraction."""
+    """Normalize an int, Fraction or QParam to the underlying Fraction; a
+    Fraction itself (exactly that type, not a subclass) comes back as is."""
+    if type(q) is Fraction:
+        return q
     if isinstance(q, QParam):
         return q.value
     return Fraction(q)

@@ -30,8 +30,9 @@ numbers, that table holds the Teichmuller residues w(a), the 1-units
 E_{j,Q} for H, (Q^(nj) - 1) E_{j,Q} for K, the double Euler row d_j for
 the regrouped expansion and d_j plus K's row for the block expansion, and
 per (a, kind, n) the row c_j = step(a)^j b_j, each built by running
-products.  The series kernel walks a row as a list and steps an exact
-binomial binom(-r, j) through it, at an integer exponent r.  A Z_p
+products, and the alternating q-power sums N(m, i) below.  The series
+kernel walks a row as a list and steps an exact binomial binom(-r, j)
+through it, at an integer exponent r.  A Z_p
 exponent s (a Fraction or a PadicApprox) is summed as the integer
 r == s (mod p**sigma), sigma the least of the working precision and s's
 own, with every term taken mod p**sigma: binom(-s, j) == binom(-r, j)
@@ -44,9 +45,13 @@ There is one character sum, sum_a w(a)^t v_a over (residue, precision)
 pairs, known to the least precision of the table and the summands (w(a)
 is a unit).  l_pq and K_pq_chi sum H or K pairs through it,
 gen_euler_teich the Euler-polynomial values it reads from the H rows,
-and the engine's one assembly pass each (H + K)(r+k, a) pair twice, with
-weights 1 and q^(ak), scaling both sums by 2 c_k [pn]_q^k on ints, and
-the tail sum_a w(a)^(-r) K(r, a) once for both sides.  The engine's working
+and the engine the tail sum_a w(a)^(-r) K(r, a), once for both of its
+assemblies.  The assemblies' own character sums, sum_a w(a)^(-s)
+(H + K)(s, a) at s = r + k with weights 1 and q^(ak), take no series per
+residue: each is a sum over j < target of the table's alternating
+q-power sums N(m, i) = sum_{a<p} (-1)^a q^(ai) [a]_q^(-m), exact mod
+p**target since its term j has v_p >= j (_theorem5_sides).  One pass
+over k scales both by 2 c_k [pn]_q^k on ints.  The engine's working
 precision must reach its target, below which none of its series can
 certify.  The left-hand side and its per-residue block sums are signed
 sums over one table of [j]_q^(-r) mod p**N.  The exact Euler numbers and
@@ -158,7 +163,8 @@ class _Residues:
     numbers E_{j,Q} (by the integral recurrence of the module docstring),
     the Teichmuller residues w(a) with the 1-units <a> = [a]_q / w(a), the
     common ratio step(a) of each residue, one base row per series kind and
-    n, and one coefficient row per residue, kind and n.
+    n, one coefficient row per residue, kind and n, and the alternating
+    q-power sums N(m, i) over the residues a < p.
     """
 
     def __init__(self, q: QParam, F: int, precision: int):
@@ -182,6 +188,10 @@ class _Residues:
         self._steps = {}
         self._bases = {}
         self._rows = {}
+        # P(m) for m < len(_power_sums), and per a < p [a]_q^(-1) and
+        # (-1)^a [a]_q^(-len(_power_sums)), all filled on first use
+        self._power_sums, self._inverses, self._signed_powers = [], [], []
+        self._alt_rows = {}
         # _residues shares one table per point; reentrant, since a row
         # extends its base row, and a base row the Euler table, while it grows
         self._lock = threading.RLock()
@@ -215,6 +225,40 @@ class _Residues:
                 w = teichmuller(a, self.prime, self.precision).residue
                 pair = self._units[a] = (w, self.q_ints[a] * pow(w, -1, self.mod) % self.mod)
         return pair
+
+    def alt_sums(self, d: int, stop: int) -> list:
+        """The row N(d, 0), N(d + 1, 1), ... grown to at least `stop`
+        entries, mod p**precision, of the alternating q-power sums
+
+            N(m, i) = sum_{a<p} (-1)^a q^(ai) [a]_q^(-m),
+
+        for d >= 0.  N(m, 0) = P(m) (_power_sum), and N(m, i + 1) =
+        N(m, i) + (q - 1) N(m - 1, i), as q^a = 1 + (q - 1) [a]_q.  So entry
+        i of row d is entry i - 1 of row d + 1 plus (q - 1) times its own
+        entry i - 1, and the rows d + t, t < stop, grow to stop - t entries
+        each, from the top down."""
+        mod, rows, q1 = self.mod, self._alt_rows, self.q - 1
+        with self._lock:
+            for t in reversed(range(stop)):
+                row = rows.get(d + t)
+                if row is None:
+                    row = rows[d + t] = [self._power_sum(d + t)]
+                above = rows.get(d + t + 1)
+                while len(row) < stop - t:
+                    row.append((above[len(row) - 1] + q1 * row[-1]) % mod)
+        return rows[d]
+
+    def _power_sum(self, m: int) -> int:
+        """P(m) = sum_{a<p} (-1)^a [a]_q^(-m) mod p**precision, by one
+        running power per residue (under the lock)."""
+        sums, mod = self._power_sums, self.mod
+        if not sums:
+            self._inverses = [pow(self.q_ints[a], -1, mod) for a in range(1, self.prime)]
+            self._signed_powers = [(-1) ** a for a in range(1, self.prime)]
+        while len(sums) <= m:
+            sums.append(sum(self._signed_powers) % mod)
+            self._signed_powers = [v * w % mod for v, w in zip(self._signed_powers, self._inverses)]
+        return sums[m]
 
     def row(self, a: int, kind: str, n: int, stop: int) -> list:
         """The coefficient row c_0, c_1, ... of residue a, grown to at least
@@ -603,39 +647,70 @@ def _engine_precision(budget: SeriesBudget, precision) -> int:
     return precision
 
 
+def _assembly_row(res: _Residues, n: int, stop: int) -> list:
+    """e_j = [p]_q^j Q^(nj) E_{j,Q} mod p**precision for j < stop, from a
+    table res at F = p: [p]_q^j times H's base row plus K's."""
+    mod, e, power = res.mod, [], 1
+    ratio = res.q_ints[res.prime] * pow(res.Q, n, mod) % mod
+    for j in range(stop):
+        e.append(power * res.euler(j) % mod)
+        power = power * ratio % mod
+    return e
+
+
+def _table_sum(res: _Residues, e: list, s: int, shift: int) -> int:
+    """sum_{j<len(e)} binom(-s, j) e_j N(s + j, j + shift) mod p**precision,
+    over the row e of _assembly_row: twice the character sum
+    sum_{a<p} w(a)^(-s) (H + K)(s, a) q^(a shift), exactly mod p**len(e)
+    (see _theorem5_sides)."""
+    row = res.alt_sums(s - shift, len(e) + shift)
+    total, b = 0, 1
+    for j, x in enumerate(e):
+        total += b * x * row[j + shift]
+        b = b * (-s - j) // (j + 1)
+    return total % res.mod
+
+
 def _theorem5_sides(r, n, q, budget, precision, tail=None):
     """The plain and the residue-weighted expansion side at a checked point,
-    each as (value, truncation index), from one pass over k that reads each
-    (H + K)(r + k, a) once and raises each w(a)^(-(r+k)) once, for both
-    character sums, with weight 1 and q^(ak).  A side that has not
-    certified scales its sum by 2 c_k [pn]_q^k on ints.  T's
-    sum over `tail`, the pairs (a, K(r, a)), is taken once: the plain side
-    subtracts it four times, T(r, w^(-r)), and the weighted side twice."""
+    each as (value, truncation index), from one pass over k.  Term k's two
+    character sums at s = r + k, sum_a w(a)^(-s) (H + K)(s, a) with weight
+    1 and q^(ak), are read from the alternating q-power sums N of
+    _Residues.alt_sums, not from 2(p - 1) series: as w(a)^(-s) <a>^(-s) =
+    [a]_q^(-s), H's base row plus K's is Q^(nj) E_{j,Q} and q^(aj) =
+    sum_i binom(j, i) (q - 1)^i [a]_q^i, each is
+
+        1/2 sum_j binom(-s, j) [p]_q^j Q^(nj) E_{j,Q} N(s + j, j + shift),
+
+    shift 0 or k (_table_sum).  Term j has v_p >= j, as v_p([p]_q) = 1, so
+    the terms j < low = min(precision, target) give both sums exactly mod
+    p**low: an a priori bound with no window, and a budget whose max_terms
+    stops short of them raises TruncationNotConverged.  A side that has not
+    certified scales its sum by 2 c_k [pn]_q^k on ints, the 2 cancelling
+    the 1/2.  T's sum over `tail`, the pairs (a, K(r, a)), is taken once:
+    the plain side subtracts it four times, T(r, w^(-r)), and the weighted
+    side twice."""
     p = q.prime
     precision = _engine_precision(budget, precision)
     res = _residues(q, p, precision)
     mod, g = res.mod, padic_valuation_int(p * n, p)  # g = v_p([pn]_q), as q == 1 (mod p)
+    low = min(precision, budget.target)
+    if low - 1 > budget.max_terms:
+        raise TruncationNotConverged(
+            f"series 'character sums' not certified: target {budget.target} needs the "
+            f"terms j < {low}, beyond max_terms {budget.max_terms}"
+        )
     num, den = q_int(p * n, q.value).as_integer_ratio()
     u = num // p**g * pow(den, -1, mod)  # [pn]_q = p^g u
+    e = _assembly_row(res, n, low)
     sides = [_TruncatedSeries(p, precision, budget, g, "assembly tail") for _ in range(2)]
     for k in range(1, budget.max_terms + 1):
-        # sum_a w(a)^(-(r+k)) (H + K)(r + k, a), plain and weighted by q^(ak)
-        e, q_k, q_ak = (-r - k) % (p - 1), pow(res.q, k, mod), 1
-        plain = weighted = 0
-        low = precision
-        for a in range(1, p):
-            h, h_low, _ = _partial(r + k, a, p, q, budget, precision, "H", 0)
-            kk, k_low, _ = _partial(r + k, a, p, q, budget, precision, "K", n)
-            term = pow(res.units(a)[0], e, mod) * (h + kk)
-            q_ak = q_ak * q_k % mod
-            plain += term
-            weighted += term * q_ak
-            low = min(low, h_low, k_low)
         c = _merge_coefficient(r, k)  # c_k = p^m c', with (-1)^n = 1 for even n
         m = padic_valuation_int(c.numerator, p)
-        scale = 2 * (c.numerator // p**m) * pow(c.denominator, -1, mod) * pow(u, k, mod)
-        for side, inner in zip(sides, (plain, weighted)):
-            if not side.done:  # term k: 2 c' u^k inner mod p^low, times p^(m + kg)
+        scale = (c.numerator // p**m) * pow(c.denominator, -1, mod) * pow(u, k, mod)
+        for side, shift in zip(sides, (0, k)):
+            if not side.done:  # term k: c' u^k inner mod p^low, times p^(m + kg)
+                inner = _table_sum(res, e, r + k, shift)
                 side.add(k, scale * inner % p**low * p ** (m + k * g), low + m + k * g)
         if all(side.done for side in sides):
             break

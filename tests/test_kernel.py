@@ -25,7 +25,7 @@ from qeuler import (
     q_int_neg,
 )
 from qeuler import kernel, suites
-from qeuler.kernel import _is_odd_prime
+from qeuler.kernel import _is_odd_prime, as_fraction
 
 
 def test_binom_small_pascal():
@@ -284,3 +284,17 @@ def test_float_prime_rejected_before_and_after_the_int_is_cached():
                 make()
         assert _is_odd_prime(5) and _is_odd_prime(3)
     assert not _is_odd_prime(5.0) and not _is_odd_prime(True)
+
+
+def test_as_fraction_returns_a_fraction_argument_itself():
+    x = Fraction(31, 6)
+    assert as_fraction(x) is x
+    q = QParam(x, 5)
+    assert as_fraction(q) is q.value
+    assert type(as_fraction(6)) is Fraction and as_fraction(6) == 6
+
+    class Sub(Fraction):
+        pass
+
+    # a subclass is converted, so callers always get a plain Fraction
+    assert type(as_fraction(Sub(1, 3))) is Fraction and as_fraction(Sub(1, 3)) == Fraction(1, 3)

@@ -12,9 +12,11 @@ the Fraction-scalar series loop for H, T, K and l (``binom_zp`` and
 representative), the loop that
 multiplies the unit -(-1)^a / (2 [a]_q^r) into every block-series term
 for the two block stages, the PadicApprox loops for the character sums
-and the assembly, the term-by-term double loop for the exact reindexing
-stage, and the rational alternating sum and block sums for the
-[j]_q^(-r) table that the left-hand side and the block stages read.
+and the assembly, the per-residue H and K series for the assembly's
+table of alternating q-power sums, the term-by-term double loop for the
+exact reindexing stage, and the rational alternating sum and block sums
+for the [j]_q^(-r) table that the left-hand side and the block stages
+read.
 """
 
 import sys
@@ -47,6 +49,7 @@ from qeuler import (
     q_int,
     teichmuller,
     theorem5_rhs,
+    theorem5_rhs_weighted,
     theorem5_verify,
 )
 from qeuler import lfunc
@@ -641,16 +644,127 @@ def test_one_verify_evaluates_each_series_once(monkeypatch):
         report = theorem5_verify(r, n, q, SeriesBudget(4))
         assert report.truncation_indices["assembly"] > 1
         assert len(requests) == len(set(requests)), (r, n, q)
-        assert (r + 1, 1, "H", 0) in requests
+        # the assembly reads its character sums from the alternating-sum table
+        assert not any(kind == "H" for _, _, kind, _ in requests), (r, n, q)
         assert tail_sums == [-r], (r, n, q)
 
 
 def test_assembly_names_the_series_that_did_not_certify():
-    # at target 6 with 6 working digits, H(r + 1 = 3, a = 1) has no margin
-    # left and runs out of its 7 terms before the assembly tail can certify
+    # at target 6 the character sums need the terms j < 6, within the 7
+    # allowed, but the assembly tail runs out of its 7 terms first
     with pytest.raises(TruncationNotConverged) as err:
         theorem5_rhs(2, 2, QParam(6, 5), SeriesBudget(6, 6))
-    assert str(err.value) == "series 'H(a=1)' not certified within 7 terms (window 5, target 6)"
+    assert str(err.value) == "series 'assembly tail' not certified within 7 terms (window 5, target 6)"
+    # at target 8 they need the terms j < 8, beyond max_terms 6
+    with pytest.raises(TruncationNotConverged) as err:
+        theorem5_rhs(2, 2, QParam(6, 5), SeriesBudget(8, 6))
+    assert str(err.value) == (
+        "series 'character sums' not certified: target 8 needs the terms j < 8, beyond max_terms 6")
+
+
+# -- the assembly's alternating-sum table against the series it replaces --
+
+# q = p + 1, q = 1 and a non-integral q at each prime, and v_5(q - 1) = 2
+TABLE_POINTS = [
+    (5, Fraction(6)), (5, Fraction(1)), (5, Fraction(31, 6)), (5, Fraction(26)),
+    (7, Fraction(8)), (7, Fraction(1)), (7, Fraction(15, 8)),
+    (31, Fraction(32)), (31, Fraction(1)), (31, Fraction(63, 32)),
+]
+# (budget, working precision): the default margin, and none at target 6
+TABLE_BUDGETS = [(SeriesBudget(4), 10), (SeriesBudget(6), 6)]
+
+
+def _table_mismatches(res, q, budget, precision):
+    """The (r, n, k, shift) at which the table sum _table_sum over res and
+    _assembly_row(res, ...) is not twice the character sum of the (H + K)
+    pairs that the assembly summed before, sum_a w(a)^(-s) (H + K)(s, a)
+    q^(a shift) by _char_sum over the cached _partial series, mod p^low."""
+    p = q.prime
+    low = min(precision, budget.target)
+    cached = lfunc._residues(q, p, precision)
+    mismatches = []
+    for n in (2, 4, 10) if p == 5 else (2, 4):
+        e = lfunc._assembly_row(res, n, low)
+        for r in (1, 2, 3):
+            for k in range(1, 9):
+                s = r + k
+                pairs = []
+                for a in range(1, p):
+                    h, h_low, _ = lfunc._partial(s, a, p, q, budget, precision, "H", 0)
+                    kk, k_low, _ = lfunc._partial(s, a, p, q, budget, precision, "K", n)
+                    pairs.append((a, h + kk, min(h_low, k_low)))
+                for shift in (0, k):
+                    weighted = [(a, (v * pow(cached.q, a * shift, cached.mod), t)) for a, v, t in pairs]
+                    want, want_low = lfunc._char_sum(cached, -s, weighted)
+                    assert want_low == low
+                    if (lfunc._table_sum(res, e, s, shift) - 2 * want) % p**low:
+                        mismatches.append((r, n, k, shift))
+    return mismatches
+
+
+@pytest.mark.parametrize("p, qv", TABLE_POINTS)
+def test_alternating_sum_table_matches_the_series_character_sums(p, qv):
+    q = QParam(qv, p)
+    for budget, precision in TABLE_BUDGETS:
+        assert _table_mismatches(_Residues(q, p, precision), q, budget, precision) == [], budget
+
+
+@pytest.mark.parametrize("mutate", ["euler", "alternating sum"])
+def test_alternating_sum_table_check_sees_one_wrong_entry(mutate):
+    q, (budget, precision) = QParam(6, 5), TABLE_BUDGETS[0]
+    res = _Residues(q, 5, precision)
+    if mutate == "euler":
+        res.euler(3)
+        res._euler[2] += 1  # E_{2,Q}, read through e_2
+    else:
+        res.alt_sums(1, 14)  # every row the check reads, at full length
+        res.alt_sums(2, 1)[3] += 1  # N(5, 3)
+    assert _table_mismatches(res, q, budget, precision) != []
+
+
+def _certified(compute):
+    """compute()'s value (a report's dict, or a p-adic value's residue and
+    precision), or None when it raised TruncationNotConverged."""
+    try:
+        value = compute()
+    except TruncationNotConverged:
+        return None
+    return value.to_dict() if isinstance(value, lfunc.VerificationReport) else (value.residue, value.precision)
+
+
+@pytest.mark.parametrize(
+    "p, qv",
+    [(5, Fraction(6)), (5, Fraction(26)), (5, Fraction(31, 6)), (5, Fraction(1)),
+     (7, Fraction(8)), (7, Fraction(15, 8))],
+)
+def test_tight_budgets_certify_only_the_wide_budgets_values(p, qv):
+    # max_terms < target + 4: the character sums fit, but their series
+    # would not have met a window of 5 negligible terms
+    q, certified = QParam(qv, p), 0
+    for target in range(3, 7):
+        for max_terms in range(6, target + 4):
+            for precision in (None, target):
+                for r, n in [(1, 2), (2, 2), (2, 4), (3, 4), (1, 10)]:
+                    for f in (theorem5_verify, theorem5_rhs, theorem5_rhs_weighted):
+                        got = _certified(lambda: f(r, n, q, SeriesBudget(target, max_terms), precision))
+                        if got is not None:
+                            wide = _certified(lambda: f(r, n, q, SeriesBudget(target, 60), precision))
+                            assert got == wide, (f.__name__, target, max_terms, precision, r, n)
+                            certified += 1
+    assert certified > 0
+
+
+@pytest.mark.parametrize("qv", [Fraction(6), Fraction(26), Fraction(31, 6), Fraction(1)])
+def test_a_term_limit_of_7_at_target_4(qv):
+    # where H(r + 1, a = 1) ran out of its 8 terms before the table: the
+    # verify reports of the wide budget at (r, n) = (1, 10) and (3, 4), and
+    # an assembly tail that still needs more at (2, 4)
+    q, short, wide = QParam(qv, 5), SeriesBudget(4, 7), SeriesBudget(4)
+    for r, n in [(1, 10), (3, 4)]:
+        assert theorem5_verify(r, n, q, short, 4).to_dict() == theorem5_verify(r, n, q, wide, 4).to_dict()
+    with pytest.raises(TruncationNotConverged) as err:
+        theorem5_verify(2, 4, q, short, 4)
+    assert str(err.value) == "series 'assembly tail' not certified within 8 terms (window 5, target 4)"
 
 
 # -- the block stages, as the engine summed them before --------------------
