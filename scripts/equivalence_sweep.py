@@ -33,9 +33,15 @@ alone).  The archimedean section records the ``repr`` of ``zeta_Eq``,
 valid inputs, so a change to ``zeta`` can show its floats bit for bit.
 Two checkouts compute the same values when their files are
 byte-identical, so running it on both sides of a change and comparing
-the sha256 printed at the end is an equivalence check.  Everything runs in one process, in
+the sha256 printed at the end is an equivalence check.  Before that total
+it prints one sha256 per section (``padic``, ``exact``, ``identities``,
+``suite``, ``cli`` and ``arch``, as ``sweep_diff.group`` names them), of
+that section's entries written the same way, so a moved value names its
+section; ``tests/test_equivalence_sweep.py`` compares these lines with
+``tests/sweep_digests.json``.  Everything runs in one process, in
 a fixed order, so the per-process series caches fill the same way on both
-sides.  Nothing outside SRC and OUT is read or written.
+sides.  Apart from ``sweep_diff.py`` beside it, nothing outside SRC and
+OUT is read or written.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+from sweep_diff import group
 
 # (p, q): q = 1, integral and non-integral q, and v_p(q - 1) = 1 and 2
 POINTS = [
@@ -339,6 +347,12 @@ def cli_sweep(qe) -> dict:
     return out
 
 
+def digest(values: dict) -> tuple:
+    """(sha256, text) of the sweep file that holds `values`."""
+    text = json.dumps(values, sort_keys=True, indent=0) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest(), text
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="directory that contains the qeuler package")
@@ -357,9 +371,14 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     values = (sweep(qe) | exact_sweep(qe) | identity_sweep(qe) | suite_sweep(qe) | cli_sweep(qe)
               | arch_sweep(qe))
-    text = json.dumps(values, sort_keys=True, indent=0) + "\n"
+    sections = {}
+    for key, value in values.items():
+        sections.setdefault(group(key)[0], {})[key] = value
+    for name, entries in sorted(sections.items()):
+        print(f"{digest(entries)[0]}  section {name} ({len(entries)} entries)")
+    total, text = digest(values)
     Path(args.out).write_text(text)
-    print(f"{hashlib.sha256(text.encode()).hexdigest()}  {args.out} ({text.count(chr(10)) - 1} lines)")
+    print(f"{total}  {args.out} ({text.count(chr(10)) - 1} lines)")
     return 0
 
 

@@ -28,35 +28,36 @@ shared residue table.  Besides q, Q = q^F, the q-integers and the Euler
 numbers, that table holds the Teichmuller residues w(a), the 1-units
 <a> = [a]_q / w(a), one residue-independent base row b_j per (kind, n),
 E_{j,Q} for H, (Q^(nj) - 1) E_{j,Q} for K, the double Euler row d_j for
-the regrouped expansion and d_j plus K's row for the block expansion, and
-per (a, kind, n) the row c_j = step(a)^j b_j, each built by running
-products, and the alternating q-power sums N(m, i) below.  The series
-kernel walks a row as a list and steps an exact binomial binom(-r, j)
-through it, at an integer exponent r.  A Z_p
+the regrouped expansion and d_j plus K's row for the block expansion,
+each built by running products, and the alternating q-power sums
+N(m, i) below.  The series kernel walks the coefficients step(a)^j b_j
+of residue a by a running power of step(a) and steps an exact binomial
+binom(-r, j) through them, at an integer exponent r.  A Z_p
 exponent s (a Fraction or a PadicApprox) is summed as the integer
 r == s (mod p**sigma), sigma the least of the working precision and s's
 own, with every term taken mod p**sigma: binom(-s, j) == binom(-r, j)
-(mod p**(sigma - v_p(j!))) while v_p(c_j) >= j > v_p(j!), and
+(mod p**(sigma - v_p(j!))) while v_p(step(a)^j b_j) >= j > v_p(j!), and
 <a>^(p**sigma) == 1 (mod p**(sigma+1)).  <a>^(-r) and the block stages'
 w(a)^(-r) read the same table.  So no exponent certifies a target above
-its sigma: there each series but K at q = 1 raises TruncationNotConverged.
+its sigma: there each series but K at q = 1 raises TruncationNotConverged
+before its first term.
 
 There is one character sum, sum_a w(a)^t v_a over (residue, precision)
 pairs, known to the least precision of the table and the summands (w(a)
-is a unit).  l_pq and K_pq_chi sum H or K pairs through it,
-gen_euler_teich the Euler-polynomial values it reads from the H rows,
-and the engine the tail sum_a w(a)^(-r) K(r, a), once for both of its
-assemblies.  The assemblies' own character sums, sum_a w(a)^(-s)
-(H + K)(s, a) at s = r + k with weights 1 and q^(ak), take no series per
-residue: each is a sum over j < target of the table's alternating
-q-power sums N(m, i) = sum_{a<p} (-1)^a q^(ai) [a]_q^(-m), exact mod
-p**target since its term j has v_p >= j (_theorem5_sides).  One pass
-over k scales both by 2 c_k [pn]_q^k on ints.  The engine's working
-precision must reach its target, below which none of its series can
-certify.  The left-hand side and its per-residue block sums are signed
-sums over one table of [j]_q^(-r) mod p**N.  The exact Euler numbers and
-polynomials, and the rational closed forms of both sums, stay outside
-the engine, as the tests' oracles.
+is a unit).  l_pq and K_pq_chi sum H or K pairs through it, and
+gen_euler_teich the Euler-polynomial values it reads from the H base
+row.  The expansion engine's character sums take no series per residue:
+term k's two sums, sum_a w(a)^(-s) (H + K)(s, a) at s = r + k with
+weights 1 and q^(ak), and the tail sum_a w(a)^(-r) K(r, a), are each a
+sum over j < target of the table's alternating q-power sums
+N(m, i) = sum_{a<p} (-1)^a q^(ai) [a]_q^(-m), exact mod p**target since
+its term j has v_p >= j (_theorem5_sides).  One pass over k scales the
+first two by 2 c_k [pn]_q^k on ints.  The engine's working precision
+must reach its target, below which none of its series can certify.  The
+left-hand side and its per-residue block sums are signed sums over one
+table of [j]_q^(-r) mod p**N.  The exact Euler numbers and polynomials,
+and the rational closed forms of both sums, stay outside the engine, as
+the tests' oracles.
 """
 
 from __future__ import annotations
@@ -104,11 +105,12 @@ class _TruncatedSeries:
     Stops once _WINDOW consecutive terms have valuation >= target AND
     the audited bound v(term_k) >= k*gain - slack certifies that the
     entire dropped tail is negligible; raises TruncationNotConverged
-    when max_terms is exhausted first.  The sum is reported modulo
-    p**target at most, the digits the certificate covers.
+    when max_terms is exhausted first.  Every term is known modulo
+    p**target at least, and the sum is reported modulo p**target, the
+    digits the certificate covers.
     """
 
-    def __init__(self, p, precision, budget, gain, label):
+    def __init__(self, p, budget, gain, label):
         if gain < 1:
             raise OutOfDomain(f"series '{label}' has no geometric valuation gain")
         self.budget = budget
@@ -117,43 +119,37 @@ class _TruncatedSeries:
         self.prime = p
         self._target_modulus = p**budget.target
         self.residue = 0  # reduced once, by certified()
-        self.precision = precision
         self.quiet = 0
         self.slack = 0
         self.used = 0
         self.done = False
 
-    def add(self, index: int, residue: int, precision: int) -> bool:
-        """Add term `index`, known as `residue` (already reduced) mod p**precision.
+    def add(self, index: int, residue: int) -> bool:
+        """Add term `index`, known as `residue` (already reduced) mod p**target
+        or finer.
 
-        A nonzero term is negligible when p**target divides it, a zero one
-        when its precision reaches the target.  Its valuation v moves the
-        slack only when v < index*gain - slack, that is when
-        p**(index*gain - slack) does not divide it; only then is v taken."""
+        A term is negligible when p**target divides it, zero included.  Its
+        valuation v moves the slack only when v < index*gain - slack, that is
+        when p**(index*gain - slack) does not divide it; only then is v taken."""
         self.residue += residue
-        self.precision = min(self.precision, precision)
         self.used = index
-        if residue:
-            negligible = residue % self._target_modulus == 0
-            floor = index * self.gain - self.slack
-            if floor > 0 and residue % self.prime**floor:
-                self.slack = index * self.gain - padic_valuation_int(residue, self.prime)
-        else:
-            negligible = precision >= self.budget.target
+        negligible = residue % self._target_modulus == 0
+        floor = index * self.gain - self.slack
+        if floor > 0 and residue % self.prime**floor:
+            self.slack = index * self.gain - padic_valuation_int(residue, self.prime)
         self.quiet = self.quiet + 1 if negligible else 0
         tail_ok = (index + 1) * self.gain - self.slack >= self.budget.target
         self.done = self.quiet >= _WINDOW and tail_ok
         return self.done
 
     def certified(self) -> tuple:
-        """(residue, precision) of the sum, the precision capped at the target."""
+        """(residue, precision) of the sum, mod p**target."""
         if not self.done:
             raise TruncationNotConverged(
                 f"series '{self.label}' not certified within {self.used + 1} terms "
                 f"(window {_WINDOW}, target {self.budget.target})"
             )
-        precision = min(self.precision, self.budget.target)
-        return self.residue % self.prime**precision, precision
+        return self.residue % self._target_modulus, self.budget.target
 
 
 class _Residues:
@@ -163,8 +159,7 @@ class _Residues:
     numbers E_{j,Q} (by the integral recurrence of the module docstring),
     the Teichmuller residues w(a) with the 1-units <a> = [a]_q / w(a), the
     common ratio step(a) of each residue, one base row per series kind and
-    n, one coefficient row per residue, kind and n, and the alternating
-    q-power sums N(m, i) over the residues a < p.
+    n, and the alternating q-power sums N(m, i) over the residues a < p.
     """
 
     def __init__(self, q: QParam, F: int, precision: int):
@@ -187,13 +182,13 @@ class _Residues:
         self._units = {}
         self._steps = {}
         self._bases = {}
-        self._rows = {}
         # P(m) for m < len(_power_sums), and per a < p [a]_q^(-1) and
         # (-1)^a [a]_q^(-len(_power_sums)), all filled on first use
         self._power_sums, self._inverses, self._signed_powers = [], [], []
         self._alt_rows = {}
-        # _residues shares one table per point; reentrant, since a row
-        # extends its base row, and a base row the Euler table, while it grows
+        # _residues shares one table per point; reentrant, since a base row
+        # extends the Euler table, and a block base row the double and K
+        # base rows, while it grows
         self._lock = threading.RLock()
 
     def step(self, a: int) -> int:
@@ -260,12 +255,6 @@ class _Residues:
             self._signed_powers = [v * w % mod for v, w in zip(self._signed_powers, self._inverses)]
         return sums[m]
 
-    def row(self, a: int, kind: str, n: int, stop: int) -> list:
-        """The coefficient row c_0, c_1, ... of residue a, grown to at least
-        `stop` entries: c_j = step(a)^j b_j mod p**precision, where b_j is
-        base(kind, n, .)'s entry, by a running product."""
-        return self._grown(self._rows, (a, kind, n), lambda: self._row(a, kind, n), stop)
-
     def base(self, kind: str, n: int, stop: int) -> list:
         """The residue-independent row b_0, b_1, ... of a series kind, grown
         to at least `stop` entries, mod p**precision:
@@ -273,31 +262,18 @@ class _Residues:
             H       E_{j,Q}                                       (n = 0)
             K       (Q^(nj) - 1) E_{j,Q}
             double  d_j = sum_{l<j} binom(j, l) Q^(nl) E_{l,Q} [n]_Q^(j-l)
-            block   d_j + (Q^(nj) - 1) E_{j,Q}, the double row plus K's."""
-        return self._grown(self._bases, (kind, n), lambda: self._base(kind, n), stop)
+            block   d_j + (Q^(nj) - 1) E_{j,Q}, the double row plus K's.
 
-    def _grown(self, table: dict, key, terms, stop: int) -> list:
-        """table[key]'s values, drawn from its generator terms() until there
-        are `stop`.  A values list only ever grows, so its first `stop`
-        entries stay valid to read without the lock."""
+        The values list, drawn from its generator _base, only ever grows, so
+        its first `stop` entries stay valid to read without the lock."""
         with self._lock:
-            row = table.get(key)
+            row = self._bases.get((kind, n))
             if row is None:
-                row = table[key] = ([], terms())
+                row = self._bases[kind, n] = ([], self._base(kind, n))
             values, source = row
             while len(values) < stop:
                 values.append(next(source))
         return values
-
-    def _row(self, a: int, kind: str, n: int):
-        """The c_j of row(a, kind, n, .) in order."""
-        mod, step, power, j = self.mod, self.step(a), 1, 0
-        base = self.base(kind, n, 0)  # its values list, which only grows
-        while True:
-            if len(base) <= j:
-                self.base(kind, n, j + 1)
-            yield power * base[j] % mod
-            power, j = power * step % mod, j + 1
 
     def _base(self, kind: str, n: int):
         """The b_j of base(kind, n, .) in order, by running products."""
@@ -336,31 +312,32 @@ _KINDS = {
 
 
 def _series(res: _Residues, s: int, a: int, kind: str, n: int, budget, precision: int):
-    """The series kernel: sum_{j >= start} binom(-s, j) c_j mod p**precision,
-    truncated per budget, over the row c_j = res.row(a, kind, n, .), for an
-    integer s and precision <= res.precision.  The row is asked first for
-    the terms up to the earliest index that could certify, then _WINDOW
-    terms at a time, and the binomial steps exactly, binom(-s, j+1) =
-    binom(-s, j) (-s-j)/(j+1).  Returns the _TruncatedSeries.  Below the
-    target no term can be negligible, so that raises TruncationNotConverged
-    before any row is read."""
+    """The series kernel: sum_{j >= start} binom(-s, j) step(a)^j b_j mod
+    p**precision, truncated per budget, over the base row b_j =
+    res.base(kind, n, .), for an integer s and precision <= res.precision.
+    The base row is asked first for the terms up to the earliest index that
+    could certify, then _WINDOW terms at a time; step(a)^j is a running
+    power, and the binomial steps exactly, binom(-s, j+1) = binom(-s, j)
+    (-s-j)/(j+1).  Returns the _TruncatedSeries.  Below the target no term
+    can be negligible, so that raises TruncationNotConverged before any
+    base row is read."""
     label, start = _KINDS[kind]
     gain = res.gain
-    series = _TruncatedSeries(res.prime, precision, budget, gain, label.format(a))
+    series = _TruncatedSeries(res.prime, budget, gain, label.format(a))
     if precision < budget.target:
         raise TruncationNotConverged(
             f"series '{series.label}' not certified: precision {precision} is below "
             f"the target {budget.target}"
         )
-    mod = res.prime**precision
-    b = binom_int(-s, start)
+    mod, step = res.prime**precision, res.step(a)
+    b, power = binom_int(-s, start), pow(step, start, mod)
     j, stop = start, max(start + _WINDOW, -(-budget.target // gain))
     while j <= budget.max_terms:
         stop = min(stop, budget.max_terms + 1)
-        coeffs = res.row(a, kind, n, stop)
+        base = res.base(kind, n, stop)
         for j in range(j, stop):
-            done = series.add(j, b * coeffs[j] % mod, precision)
-            b = b * (-s - j) // (j + 1)
+            done = series.add(j, b * power * base[j] % mod)
+            b, power = b * (-s - j) // (j + 1), power * step % mod
             if done:
                 return series
         j, stop = stop, stop + _WINDOW
@@ -503,8 +480,9 @@ def gen_euler_teich(n: int, chi: TeichChar, q: QParam, precision: int) -> PadicA
 
     read from the residue table: the trivial character gives E_{n,q}
     itself, and otherwise [p]_q^n E_{n,q^p}(a/p) = [a]_q^n sum_{k<=n}
-    binom(n, k) c_k over residue a's H row c_k = (q^a [p]_q/[a]_q)^k
-    E_{k,q^p}, each summand known mod p**precision.
+    binom(n, k) step(a)^k E_{k,q^p} over the H base row, step(a) =
+    q^a [p]_q/[a]_q by a running product, each summand known mod
+    p**precision.
     """
     p = _require_prime(q)
     _check_character(chi, p)
@@ -515,11 +493,13 @@ def gen_euler_teich(n: int, chi: TeichChar, q: QParam, precision: int) -> PadicA
     if chi.is_trivial:
         return PadicApprox(p, _residues(q, 1, precision).euler(n), precision)
     res = _residues(q, p, precision)
-    values = []
+    mod, base, values = res.mod, res.base("H", 0, n + 1), []
     for a in range(1, p):
-        row = res.row(a, "H", 0, n + 1)
-        e = pow(res.q_ints[a], n, res.mod) * sum(math.comb(n, k) * row[k] for k in range(n + 1))
-        values.append((a, ((-1) ** a * e, precision)))
+        step, power, total = res.step(a), 1, 0
+        for k in range(n + 1):
+            total += math.comb(n, k) * power * base[k]
+            power = power * step % mod
+        values.append((a, ((-1) ** a * pow(res.q_ints[a], n, mod) * total, precision)))
     return PadicApprox(p, *_char_sum(res, chi.exponent, values))
 
 
@@ -671,7 +651,7 @@ def _table_sum(res: _Residues, e: list, s: int, shift: int) -> int:
     return total % res.mod
 
 
-def _theorem5_sides(r, n, q, budget, precision, tail=None):
+def _theorem5_sides(r, n, q, budget, precision):
     """The plain and the residue-weighted expansion side at a checked point,
     each as (value, truncation index), from one pass over k.  Term k's two
     character sums at s = r + k, sum_a w(a)^(-s) (H + K)(s, a) with weight
@@ -683,42 +663,42 @@ def _theorem5_sides(r, n, q, budget, precision, tail=None):
         1/2 sum_j binom(-s, j) [p]_q^j Q^(nj) E_{j,Q} N(s + j, j + shift),
 
     shift 0 or k (_table_sum).  Term j has v_p >= j, as v_p([p]_q) = 1, so
-    the terms j < low = min(precision, target) give both sums exactly mod
-    p**low: an a priori bound with no window, and a budget whose max_terms
-    stops short of them raises TruncationNotConverged.  A side that has not
-    certified scales its sum by 2 c_k [pn]_q^k on ints, the 2 cancelling
-    the 1/2.  T's sum over `tail`, the pairs (a, K(r, a)), is taken once:
-    the plain side subtracts it four times, T(r, w^(-r)), and the weighted
-    side twice."""
+    the terms j < target give both sums exactly mod p**target: an a priori
+    bound with no window, and a budget whose max_terms stops short of them
+    raises TruncationNotConverged.  A side that has not certified scales its
+    sum by 2 c_k [pn]_q^k on ints, the 2 cancelling the 1/2.  T's sum is
+    read from the same table, with K's row [p]_q^j (Q^(nj) - 1) E_{j,Q} at
+    s = r and shift 0, as 2 sum_a w(a)^(-r) K(r, a): the plain side
+    subtracts it twice, T(r, w^(-r)), and the weighted side once."""
     p = q.prime
     precision = _engine_precision(budget, precision)
     res = _residues(q, p, precision)
     mod, g = res.mod, padic_valuation_int(p * n, p)  # g = v_p([pn]_q), as q == 1 (mod p)
-    low = min(precision, budget.target)
-    if low - 1 > budget.max_terms:
+    target = budget.target
+    if target - 1 > budget.max_terms:
         raise TruncationNotConverged(
-            f"series 'character sums' not certified: target {budget.target} needs the "
-            f"terms j < {low}, beyond max_terms {budget.max_terms}"
+            f"series 'character sums' not certified: target {target} needs the "
+            f"terms j < {target}, beyond max_terms {budget.max_terms}"
         )
     num, den = q_int(p * n, q.value).as_integer_ratio()
     u = num // p**g * pow(den, -1, mod)  # [pn]_q = p^g u
-    e = _assembly_row(res, n, low)
-    sides = [_TruncatedSeries(p, precision, budget, g, "assembly tail") for _ in range(2)]
+    e = _assembly_row(res, n, target)
+    sides = [_TruncatedSeries(p, budget, g, "assembly tail") for _ in range(2)]
     for k in range(1, budget.max_terms + 1):
         c = _merge_coefficient(r, k)  # c_k = p^m c', with (-1)^n = 1 for even n
         m = padic_valuation_int(c.numerator, p)
         scale = (c.numerator // p**m) * pow(c.denominator, -1, mod) * pow(u, k, mod)
         for side, shift in zip(sides, (0, k)):
-            if not side.done:  # term k: c' u^k inner mod p^low, times p^(m + kg)
+            if not side.done:  # term k: c' u^k inner mod p^target, times p^(m + kg)
                 inner = _table_sum(res, e, r + k, shift)
-                side.add(k, scale * inner % p**low * p ** (m + k * g), low + m + k * g)
+                side.add(k, scale * inner % p**target * p ** (m + k * g))
         if all(side.done for side in sides):
             break
     sums = [side.certified() for side in sides]
-    tail = tail or [(a, _partial(r, a, p, q, budget, precision, "K", n)) for a in range(1, p)]
-    t_sum, t_low = _char_sum(res, -r, tail)
-    return [(PadicApprox(p, -v - x * t_sum, min(low, t_low)), side.used)
-            for (v, low), side, x in zip(sums, sides, (4, 2))]
+    t_row = [(x - y) % mod for x, y in zip(e, _assembly_row(res, 0, target))]
+    t_sum = _table_sum(res, t_row, r, 0)
+    return [(PadicApprox(p, -v - x * t_sum, target), side.used)
+            for (v, _), side, x in zip(sums, sides, (2, 1))]
 
 
 def theorem5_rhs(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -770,19 +750,23 @@ def _reindex_exact_check(r: int, depth: int) -> bool:
 
 
 def _power_split_check(n, F, qv, l_max) -> bool:
-    """Exact check of q^(nFl) = 1 + sum_{j<=l} binom(l,j) [nF]_q^j (q-1)^j.
+    """Exact check of q^(nFl) = 1 + sum_{j<=l} binom(l,j) [nF]_q^j (q-1)^j
+    for l <= l_max.
 
-    With q = u/v and e = nF, [e]_q (q - 1) = W (u - v) / v^e for the integer
-    W = [e]_q v^(e-1) = (u^e - v^e)/(u - v) (e v^(e-1) at u = v), so v^(el)
-    times the identity is u^(el) = sum_{j<=l} binom(l,j) (W (u-v))^j
-    v^(e(l-j)), compared as ints.
+    This is the binomial theorem (1 + t)^l = sum_j binom(l,j) t^j at
+    t = (q - 1) [nF]_q, so it holds as a polynomial identity once both
+    factors do: q^e = 1 + (q - 1) [e]_q at e = nF, in Fractions, and the
+    rows binom(l, .), l <= l_max, are those that Pascal's rule builds from
+    binom(0, 0) = 1.  A wrong binomial fails at q = 1 too, where its term
+    carries (q - 1)^j = 0.
     """
-    u, v, e = qv.numerator, qv.denominator, n * F
-    W = (u**e - v**e) // (u - v) if u != v else e * v ** (e - 1)
-    d, ve = W * (u - v), v**e
+    e = n * F
+    if qv**e != 1 + (qv - 1) * q_int(e, qv):
+        return False
+    row = [1]
     for l in range(1, l_max + 1):
-        rhs = sum(binom_int(l, j) * d**j * ve ** (l - j) for j in range(l + 1))
-        if u ** (e * l) != rhs:
+        row = [x + y for x, y in zip([0, *row], [*row, 0])]
+        if [binom_int(l, j) for j in range(l + 1)] != row:
             return False
     return True
 
@@ -964,7 +948,7 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     block_terms = [_block_terms(a, n, F) for a in range(1, p)]
     blocks = [sum(sign * powers[j] for sign, j in terms) % mod for terms in block_terms]
     lhs = PadicApprox(p, 2 * sum(sign * powers[j] for sign, j in lhs_terms), precision)
-    pairs_series, pairs_regroup, tail = [], [], []  # tail: (a, K(r, a)), for T's sum too
+    pairs_series, pairs_regroup = [], []
     for a, residue in enumerate(blocks, start=1):
         block = PadicApprox(p, residue, precision)
         # the block sum's expansion, and its regrouping into the double series
@@ -974,8 +958,7 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
         trunc[f"block-expansion/a={a}"] = used
         pairs_series.append((f"a={a}", block, PadicApprox(p, scale * value, low)))
         double, d_low, _ = _partial(r, a, F, q, budget, precision, "double", n)
-        tail.append((a, _partial(r, a, F, q, budget, precision, "K", n)))
-        kk, k_low, _ = tail[-1][1]
+        kk, k_low, _ = _partial(r, a, F, q, budget, precision, "K", n)
         pairs_regroup.append((f"a={a}", block, PadicApprox(p, scale * (double + kk), min(d_low, k_low))))
     stages.append(
         _padic_stage(
@@ -1017,7 +1000,7 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
         )
     )
 
-    sides = _theorem5_sides(r, n, q, budget, precision, tail)
+    sides = _theorem5_sides(r, n, q, budget, precision)
     (rhs, trunc["assembly"]), (rhs_w, trunc["assembly-weighted"]) = sides
     assembly = _padic_stage(
         "character-sum-assembly",

@@ -337,10 +337,10 @@ POWER_SPLIT_QS = (Fraction(1), Fraction(6), Fraction(26), Fraction(31, 6), Fract
 def test_power_split_ints_match_the_fraction_identity(qv, monkeypatch):
     for n, F in ((2, 3), (2, 5), (4, 7)):
         assert _power_split_check(n, F, qv, 10) is _power_split_fraction(n, F, qv, 10) is True
-    # one wrong binomial fails both forms, except at q = 1, where its
-    # term carries the factor (q - 1)^1 = 0
+    # one wrong binomial fails the check at every q; the Fraction identity
+    # misses it at q = 1, where its term carries the factor (q - 1)^1 = 0
     monkeypatch.setattr(lfunc, "binom_int", _binom_off_at((3, 1)))
-    assert _power_split_check(2, 5, qv, 10) is (qv == 1)
+    assert _power_split_check(2, 5, qv, 10) is False
     assert _power_split_fraction(2, 5, qv, 10, _binom_off_at((3, 1))) is (qv == 1)
 
 
@@ -538,11 +538,11 @@ def test_zp_exponents_below_the_target_do_not_converge():
 
 def test_below_the_target_fails_before_any_term(monkeypatch):
     # no term of a series below the target can be negligible, so it fails
-    # before reading a coefficient row, not after max_terms of them
+    # before reading a base row, not after max_terms of them
     def no_row(*args):
-        raise AssertionError("a coefficient row was read")
+        raise AssertionError("a base row was read")
 
-    monkeypatch.setattr(_Residues, "row", no_row)
+    monkeypatch.setattr(_Residues, "base", no_row)
     budget = SeriesBudget(target=5, max_terms=40)
     for s in (2, -3, Fraction(1, 2), PadicApprox(5, 6, 3)):
         with pytest.raises(TruncationNotConverged, match="precision 3 is below the target 5"):

@@ -1,12 +1,13 @@
 """The residue engine of the expansion layer against its exact oracles.
 
 Every series in ``lfunc`` is one ``_partial`` value on integer residues
-mod p^N, summed over a coefficient row step(a)^j b_j whose base row b_j
+mod p^N, summed over the coefficients step(a)^j b_j, whose base row b_j
 has one of four kinds: H, K, the double Euler row of the regrouped
 expansion, and that row plus K's for the block expansion.  These tests
 keep the exact-rational formulation as the reference: the closed-form
 q-Euler numbers for the recurrence table, direct modular powers and sums
-for the rows, ``teichmuller``/``angle_bracket`` for the per-point tables,
+for the base rows and step(a), ``teichmuller``/``angle_bracket`` for the
+per-point tables,
 the Fraction-scalar series loop for H, T, K and l (``binom_zp`` and
 ``power_zp`` for a Z_p exponent, which the engine sums through an integer
 representative), the loop that
@@ -141,43 +142,36 @@ def _grow_in_threads(work, workers=4):
 @pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(31, 6)), (5, Fraction(1)), (7, Fraction(50))])
 @pytest.mark.parametrize("F_over_p", [1, 3])
 def test_coefficient_rows_match_direct_powers(p, qv, F_over_p):
-    # the rows' running products against the three modular powers per term
+    # the H and K base rows' running products against a modular power per term
     F = p * F_over_p
     table = _Residues(QParam(qv, p), F, 10)
     mod = table.mod
-    for a in (1, 2, F - 1):
-        step = table.step(a)
-        for n in (0, 2, 4):
-            def w(x):
-                return pow(x, n, mod) - 1 if n else 1
+    for n in (0, 2, 4):
+        def w(x):
+            return pow(x, n, mod) - 1 if n else 1
 
-            kind = "K" if n else "H"
-            for j in range(30):
-                want = pow(step, j, mod) * table.euler(j) * w(pow(table.Q, j, mod)) % mod
-                assert table.row(a, kind, n, j + 1)[j] == want, (a, n, j)
+        kind = "K" if n else "H"
+        for j in range(30):
+            want = table.euler(j) * w(pow(table.Q, j, mod)) % mod
+            assert table.base(kind, n, j + 1)[j] == want, (n, j)
 
 
 @pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(31, 6)), (7, Fraction(50))])
 def test_cached_step_keeps_every_row(p, qv):
-    # step(a) is taken once per residue; every kind's row is still its base
-    # row times powers of q^a [F]_q / [a]_q, read afresh for each entry
+    # step(a), the ratio of every series at residue a, is taken once per
+    # residue and is q^a [F]_q / [a]_q read afresh
     F = 3 * p
     table = _Residues(QParam(qv, p), F, 8)
     mod, units = table.mod, [a for a in range(1, F) if a % p]
     for a in units:
         ratio = pow(table.q, a, mod) * table.q_ints[F] * pow(table.q_ints[a], -1, mod) % mod
-        for kind, n in (("H", 0), ("K", 2), ("double", 2), ("block", 4)):
-            base = table.base(kind, n, 12)[:12]
-            want = [pow(ratio, j, mod) * b % mod for j, b in enumerate(base)]
-            assert table.row(a, kind, n, 12)[:12] == want, (a, kind, n)
         assert table.step(a) == ratio
     assert sorted(table._steps) == units
 
 
 @pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(1)), (7, Fraction(50))])
 def test_double_rows_match_the_direct_sum(p, qv):
-    # the block series' base rows, summed afresh for each s, and their
-    # per-residue rows against a modular power of the step
+    # the block series' base rows, summed afresh for each s
     table = _Residues(QParam(qv, p), p, 10)
     mod, Q = table.mod, table.Q
     for n in (2, 4):
@@ -192,9 +186,6 @@ def test_double_rows_match_the_direct_sum(p, qv):
                 if power_tail:
                     want += (pow(Q, n * s, mod) - 1) * table.euler(s)
                 assert table.base(kind, n, s + 1)[s] == want % mod, (n, power_tail, s)
-                for a in (1, p - 1):
-                    row = table.row(a, kind, n, s + 1)[s]
-                    assert row == pow(table.step(a), s, mod) * want % mod, (n, power_tail, s, a)
 
 
 @pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(1)), (7, Fraction(50)), (31, Fraction(32))])
@@ -208,8 +199,8 @@ def test_unit_table_matches_teichmuller_and_angle_bracket(p, qv):
 
 
 def test_coefficient_rows_grow_consistently_across_threads():
-    # each residue's H or K row, and its double (block at a = 1) row,
-    # which grows the base rows of double and K under it
+    # the H or K base row, and the double (block at a = 1) base row, which
+    # grows the base rows of double and K under it, with each residue's step
     q, depth = QParam(Fraction(32), 31), 40
     rows = [
         (a, kind, n)
@@ -222,14 +213,15 @@ def test_coefficient_rows_grow_consistently_across_threads():
     def extend():
         for j in range(depth):
             for a, kind, n in rows:
-                shared.row(a, kind, n, j + 1)
+                shared.base(kind, n, j + 1)
+                shared.step(a)
             shared.units(1 + j % 30)
 
     _grow_in_threads(extend)
     serial = _Residues(q, 31, 12)
     for a, kind, n in rows:
-        assert shared._rows[a, kind, n][0] == serial.row(a, kind, n, depth), (a, kind, n)
         assert shared._bases[kind, n][0] == serial.base(kind, n, depth), (a, kind, n)
+    assert shared._steps == {a: serial.step(a) for a in (1, 2, 30)}
     assert shared._units == {a: serial.units(a) for a in range(1, 31)}
 
 
@@ -483,19 +475,18 @@ class _EveryValuation:
     """The reference rule of the series certificate: it takes the exact
     valuation of every nonzero term, whether or not it can move the slack."""
 
-    def __init__(self, p, precision, budget, gain):
-        self.prime, self.precision, self.budget, self.gain = p, precision, budget, gain
+    def __init__(self, p, budget, gain):
+        self.prime, self.budget, self.gain = p, budget, gain
         self.residue = self.quiet = self.slack = self.used = 0
         self.done = False
 
-    def add(self, index, residue, precision):
+    def add(self, index, residue):
         self.residue += residue
-        self.precision = min(self.precision, precision)
         self.used = index
         v = padic_valuation_int(residue, self.prime) if residue else None
         if v is not None:
             self.slack = max(self.slack, index * self.gain - v)
-        negligible = (precision if v is None else v) >= self.budget.target
+        negligible = v is None or v >= self.budget.target
         self.quiet = self.quiet + 1 if negligible else 0
         tail_ok = (index + 1) * self.gain - self.slack >= self.budget.target
         self.done = self.quiet >= lfunc._WINDOW and tail_ok
@@ -503,24 +494,24 @@ class _EveryValuation:
 
 
 def _state(series):
-    return series.done, series.used, series.slack, series.quiet, series.residue, series.precision
+    return series.done, series.used, series.slack, series.quiet, series.residue
 
 
 @st.composite
 def _terms(draw, p):
-    """(residue, precision) terms: zeros, p**e times a unit for e up to the
-    term's precision (so also unreduced multiples of p**precision), units."""
+    """Terms as residues: zeros, p**e times a unit below p**d for e up to d
+    (so also unreduced multiples of p**d), units."""
     terms = []
     for _ in range(draw(st.integers(1, 24))):
-        precision = draw(st.integers(1, 8))
+        digits = draw(st.integers(1, 8))
         kind = draw(st.sampled_from(("zero", "multiple", "unit")))
-        unit = draw(st.integers(1, p**precision).filter(lambda u: u % p))
+        unit = draw(st.integers(1, p**digits).filter(lambda u: u % p))
         if kind == "zero":
-            terms.append((0, precision))
+            terms.append(0)
         elif kind == "multiple":
-            terms.append((p ** draw(st.integers(1, precision)) * unit, precision))
+            terms.append(p ** draw(st.integers(1, digits)) * unit)
         else:
-            terms.append((unit, precision))
+            terms.append(unit)
     return terms
 
 
@@ -529,11 +520,10 @@ def _terms(draw, p):
 def test_certificate_shortcut_keeps_the_every_valuation_rule(data, p, gain, start):
     target = data.draw(st.integers(1, 8))
     budget = SeriesBudget(target, 60)
-    precision = data.draw(st.integers(1, 10))
-    series = lfunc._TruncatedSeries(p, precision, budget, gain, "property")
-    oracle = _EveryValuation(p, precision, budget, gain)
-    for index, (residue, term_precision) in enumerate(data.draw(_terms(p)), start=start):
-        assert series.add(index, residue, term_precision) == oracle.add(index, residue, term_precision)
+    series = lfunc._TruncatedSeries(p, budget, gain, "property")
+    oracle = _EveryValuation(p, budget, gain)
+    for index, residue in enumerate(data.draw(_terms(p)), start=start):
+        assert series.add(index, residue) == oracle.add(index, residue)
         assert _state(series) == _state(oracle), index
 
 
@@ -547,7 +537,7 @@ def _padic_assembly(r, n, q, budget, precision, residue_weighted):
     precision = budget.target + 6 if precision is None else precision
     pn_q = q_int(p * n, qv)
     gain = int(padic_valuation(pn_q, p))
-    series = lfunc._TruncatedSeries(p, precision, budget, gain, "assembly tail")
+    series = lfunc._TruncatedSeries(p, budget, gain, "assembly tail")
     for k in range(1, budget.max_terms + 1):
         s, chi = r + k, TeichChar(p, -(r + k))
         inner = PadicApprox.zero(p, precision)
@@ -556,7 +546,7 @@ def _padic_assembly(r, n, q, budget, precision, residue_weighted):
             weight = qv ** (a * k) if residue_weighted else 1
             inner = inner + chi.value(a, precision) * part * weight
         term = 2 * inner * (_merge_coefficient(r, k) * (-1) ** n) * pn_q**k
-        if series.add(k, term.residue, term.precision):
+        if series.add(k, term.residue):
             break
     tail = PadicApprox(p, *series.certified())
     t_chi = T_pq_chi(n, r, TeichChar(p, -r), p, q, budget, precision)
@@ -569,7 +559,7 @@ def _padic_assembly(r, n, q, budget, precision, residue_weighted):
 class _TermLog(lfunc._TruncatedSeries):
     """The series accumulator, logging the terms each assembly-tail instance
     is given: each term gains at least one digit from [pn]_q^k, so the
-    reported value alone cannot show a term's precision off by one."""
+    reported value alone cannot show a term reduced one digit short."""
 
     logs = []  # one list per assembly-tail instance, in creation order
 
@@ -579,9 +569,9 @@ class _TermLog(lfunc._TruncatedSeries):
         if self.label == "assembly tail":
             self.logs.append(self.log)
 
-    def add(self, index, residue, precision):
-        self.log.append((index, residue, precision))
-        return super().add(index, residue, precision)
+    def add(self, index, residue):
+        self.log.append((index, residue))
+        return super().add(index, residue)
 
 
 def _assembly_outcome(compute):
@@ -624,29 +614,26 @@ def test_assembly_matches_the_padic_loop(monkeypatch, p, qv):
 
 
 def test_one_verify_evaluates_each_series_once(monkeypatch):
-    requests, tail_sums = [], []
-    partial, char_sum = lfunc._partial, lfunc._char_sum
+    requests = []
+    partial = lfunc._partial
 
     def counted_partial(s, a, F, q, budget, precision, kind, n):
         requests.append((s, a, kind, n))
         return partial(s, a, F, q, budget, precision, kind, n)
 
-    def counted_char_sum(res, exponent, values):
-        if exponent == -r:  # T's sum; term k's sums take -(r + k)
-            tail_sums.append(exponent)
-        return char_sum(res, exponent, values)
-
     monkeypatch.setattr(lfunc, "_partial", counted_partial)
-    monkeypatch.setattr(lfunc, "_char_sum", counted_char_sum)
     for r, n, q in [(2, 2, QParam(6, 5)), (1, 4, QParam(Fraction(31, 6), 5)), (3, 2, QParam(1, 7))]:
         requests.clear()
-        tail_sums.clear()
         report = theorem5_verify(r, n, q, SeriesBudget(4))
         assert report.truncation_indices["assembly"] > 1
         assert len(requests) == len(set(requests)), (r, n, q)
         # the assembly reads its character sums from the alternating-sum table
         assert not any(kind == "H" for _, _, kind, _ in requests), (r, n, q)
-        assert tail_sums == [-r], (r, n, q)
+        # and so does T's sum: either side alone requests no series at all
+        requests.clear()
+        for side in (theorem5_rhs, theorem5_rhs_weighted):
+            side(r, n, q, SeriesBudget(4))
+        assert requests == [], (r, n, q)
 
 
 def test_assembly_names_the_series_that_did_not_certify():
@@ -791,10 +778,10 @@ def _unit_block_series(r, n, a, q, budget, precision, label, power_tail, doubles
     res = _Residues(q, q.prime, precision)
     mod, step = res.mod, res.step(a)
     unit = -((-1) ** a) * pow(2 * pow(res.q_ints[a], r, mod), -1, mod)
-    series = lfunc._TruncatedSeries(q.prime, precision, budget, res.gain, label)
+    series = lfunc._TruncatedSeries(q.prime, budget, res.gain, label)
     b = binom_int(-r, 1)
     for s in range(1, budget.max_terms + 1):
-        if series.add(s, b * unit * pow(step, s, mod) * doubles[s] % mod, precision):
+        if series.add(s, b * unit * pow(step, s, mod) * doubles[s] % mod):
             break
         b = b * (-r - s) // (s + 1)
     return series
