@@ -19,14 +19,14 @@ geometric valuation gain per term; results are reported modulo
 p**target of their budget, never beyond what the certificate covers.
 
 All computation is pure; verification grids can be evaluated in any
-order and merged.  Every series is one cached _partial value, a (residue,
-precision, terms used) triple of ints, at every exponent: H and K, which
-H_pq and K_pq wrap in a PadicApprox (K at q = 1 is (0, target, 0)), and
-the verifier's two per-residue expansions of the block sum, which it
-scales by -w(a)^(-r).  Every series at one (q, F, precision) reads one
-shared residue table.  Besides q, Q = q^F, the q-integers and the Euler
-numbers, that table holds the Teichmuller residues w(a), the 1-units
-<a> = [a]_q / w(a), one residue-independent base row b_j per (kind, n),
+order and merged.  Every series of the public functions is one cached
+_partial value, a (residue, precision, terms used) triple of ints, at
+every exponent: H and K, which H_pq and K_pq wrap in a PadicApprox (K at
+q = 1 is (0, target, 0)).  Every series at one (q, F, precision) reads
+one shared residue table.  Besides q, Q = q^F, the q-integers and the
+Euler numbers, that table holds the Teichmuller residues w(a), the
+1-units <a> = [a]_q / w(a), the inverses [a]_q^(-1) for a < p from one
+batch inversion, one residue-independent base row b_j per (kind, n),
 E_{j,Q} for H, (Q^(nj) - 1) E_{j,Q} for K, the double Euler row d_j for
 the regrouped expansion and d_j plus K's row for the block expansion,
 each built by running products, and the alternating q-power sums
@@ -37,10 +37,18 @@ exponent s (a Fraction or a PadicApprox) is summed as the integer
 r == s (mod p**sigma), sigma the least of the working precision and s's
 own, with every term taken mod p**sigma: binom(-s, j) == binom(-r, j)
 (mod p**(sigma - v_p(j!))) while v_p(step(a)^j b_j) >= j > v_p(j!), and
-<a>^(p**sigma) == 1 (mod p**(sigma+1)).  <a>^(-r) and the block stages'
-w(a)^(-r) read the same table.  So no exponent certifies a target above
-its sigma: there each series but K at q = 1 raises TruncationNotConverged
-before its first term.
+<a>^(p**sigma) == 1 (mod p**(sigma+1)).  So no exponent certifies a
+target above its sigma: there each series but K at q = 1 raises
+TruncationNotConverged before its first term.
+
+The verifier's two block stages read the block, double and K rows at
+exponent r for every residue a < p, not as 3(p - 1) series: v_p(step(a))
+= v_p(F) at every a, so where a series stops does not depend on a.  Each
+row is certified once, at a = 1, and summed at every residue by Horner
+over its coefficients binom(-r, j) b_j (_row_sums).  The Teichmuller
+factors cancel: the series' (-1)^a / 2 <a>^(-r) times the stages'
+-w(a)^(-r) is -(-1)^a / (2 [a]_q^r), read from the left-hand side's
+table, so the verifier takes no w(a) and no <a>.
 
 There is one character sum, sum_a w(a)^t v_a over (residue, precision)
 pairs, known to the least precision of the table and the summands (w(a)
@@ -55,9 +63,9 @@ its term j has v_p >= j (_theorem5_sides).  One pass over k scales the
 first two by 2 c_k [pn]_q^k on ints.  The engine's working precision
 must reach its target, below which none of its series can certify.  The
 left-hand side and its per-residue block sums are signed sums over one
-table of [j]_q^(-r) mod p**N.  The exact Euler numbers and polynomials,
-and the rational closed forms of both sums, stay outside the engine, as
-the tests' oracles.
+table of [j]_q^(-r) mod p**N, from one batch inversion.  The exact Euler
+numbers and polynomials, and the rational closed forms of both sums,
+stay outside the engine, as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -152,6 +160,21 @@ class _TruncatedSeries:
         return self.residue % self._target_modulus, self.budget.target
 
 
+def _batch_inverse(values: list, mod: int) -> list:
+    """[x^(-1) mod mod for x in values], every x a unit, by one modular
+    inverse (Montgomery's trick): the prefix products forward, then the
+    inverse of their total unwound backward, three products per entry."""
+    prefixes, total = [], 1
+    for x in values:
+        prefixes.append(total)
+        total = total * x % mod
+    inverse, out = pow(total, -1, mod), [0] * len(values)
+    for i in reversed(range(len(values))):
+        out[i] = inverse * prefixes[i] % mod
+        inverse = inverse * values[i] % mod
+    return out
+
+
 class _Residues:
     """Residues mod p**precision of what every series here is built from,
     at one (q, F): q itself, Q = q^F and the q-integers [a]_q for a <= F,
@@ -160,6 +183,9 @@ class _Residues:
     the Teichmuller residues w(a) with the 1-units <a> = [a]_q / w(a), the
     common ratio step(a) of each residue, one base row per series kind and
     n, and the alternating q-power sums N(m, i) over the residues a < p.
+    The inverses [a]_q^(-1), a < p, come from one batch inversion, which
+    steps() and the sums N read; a lone step(a) inverts its [a]_q alone,
+    since a series reads only its own residue.
     """
 
     def __init__(self, q: QParam, F: int, precision: int):
@@ -180,16 +206,20 @@ class _Residues:
         self._euler = []
         self._q_powers = []
         self._units = {}
-        self._steps = {}
+        self._steps, self._step_row = {}, None
         self._bases = {}
-        # P(m) for m < len(_power_sums), and per a < p [a]_q^(-1) and
+        # [a]_q^(-1) for a < p, P(m) for m < len(_power_sums), and per a < p
         # (-1)^a [a]_q^(-len(_power_sums)), all filled on first use
-        self._power_sums, self._inverses, self._signed_powers = [], [], []
+        self._inverses, self._power_sums, self._signed_powers = None, [], []
         self._alt_rows = {}
         # _residues shares one table per point; reentrant, since a base row
         # extends the Euler table, and a block base row the double and K
         # base rows, while it grows
         self._lock = threading.RLock()
+
+    def _ratio(self, q_power: int, inverse: int) -> int:
+        """step(a) from q^a and [a]_q^(-1)."""
+        return q_power * self.q_ints[-1] * inverse % self.mod
 
     def step(self, a: int) -> int:
         """q^a [F]_q / [a]_q, the common ratio of every series at residue a."""
@@ -197,9 +227,28 @@ class _Residues:
             ratio = self._steps.get(a)
             if ratio is None:
                 mod = self.mod
-                ratio = pow(self.q, a, mod) * self.q_ints[-1] * pow(self.q_ints[a], -1, mod) % mod
-                self._steps[a] = ratio
+                ratio = self._steps[a] = self._ratio(pow(self.q, a, mod), pow(self.q_ints[a], -1, mod))
         return ratio
+
+    def steps(self) -> list:
+        """[step(a) for 0 < a < p], from the batch inverses and a running
+        power of q."""
+        with self._lock:
+            if self._step_row is None:
+                row, power = [], 1
+                for inverse in self.inverses():
+                    power = power * self.q % self.mod
+                    row.append(self._ratio(power, inverse))
+                self._step_row = row
+        return self._step_row
+
+    def inverses(self) -> list:
+        """[[a]_q^(-1) mod p**precision for 0 < a < p], by one batch
+        inversion."""
+        with self._lock:
+            if self._inverses is None:
+                self._inverses = _batch_inverse(self.q_ints[1:self.prime], self.mod)
+        return self._inverses
 
     def euler(self, m: int) -> int:
         """E_{m,Q} mod p**precision."""
@@ -246,13 +295,12 @@ class _Residues:
     def _power_sum(self, m: int) -> int:
         """P(m) = sum_{a<p} (-1)^a [a]_q^(-m) mod p**precision, by one
         running power per residue (under the lock)."""
-        sums, mod = self._power_sums, self.mod
+        sums, mod, inverses = self._power_sums, self.mod, self.inverses()
         if not sums:
-            self._inverses = [pow(self.q_ints[a], -1, mod) for a in range(1, self.prime)]
             self._signed_powers = [(-1) ** a for a in range(1, self.prime)]
         while len(sums) <= m:
             sums.append(sum(self._signed_powers) % mod)
-            self._signed_powers = [v * w % mod for v, w in zip(self._signed_powers, self._inverses)]
+            self._signed_powers = [v * w % mod for v, w in zip(self._signed_powers, inverses)]
         return sums[m]
 
     def base(self, kind: str, n: int, stop: int) -> list:
@@ -344,6 +392,34 @@ def _series(res: _Residues, s: int, a: int, kind: str, n: int, budget, precision
     return series
 
 
+def _row_sums(res: _Residues, r: int, kind: str, n: int, budget) -> tuple:
+    """(sums, used) for one of the block stages' rows (block, double or K)
+    at the integer exponent r: the series of _series at every residue
+    0 < a < p of the table res, sum_{1<=j<=used} binom(-r, j) step(a)^j b_j
+    mod p**precision.  v_p(step(a)) = v_p(F) at every a, and step(a) /
+    p**v_p(F) is a unit, so each term's residue has the same valuation
+    (capped at the precision) at every a, and with it every decision of the
+    certificate: the series at a = 1 certifies, or raises the
+    TruncationNotConverged that names a = 1, for all of them, and its
+    terms used are every residue's.  Each sum is then one Horner evaluation
+    of the coefficients binom(-r, j) b_j at step(a)."""
+    series = _series(res, r, 1, kind, n, budget, res.precision)
+    series.certified()
+    mod, used = res.mod, series.used
+    base, b, coefficients = res.base(kind, n, used + 1), binom_int(-r, 1), []
+    for j in range(1, used + 1):  # every row here starts at j = 1
+        coefficients.append(b * base[j] % mod)
+        b = b * (-r - j) // (j + 1)
+    coefficients.reverse()
+    sums = []
+    for x in res.steps():
+        total = 0
+        for c in coefficients:
+            total = (total * x + c) % mod
+        sums.append(total * x % mod)
+    return sums, used
+
+
 def _require_prime(q: QParam) -> int:
     if q.prime is None:
         raise OutOfDomain("this operation needs a QParam with prime context")
@@ -405,21 +481,19 @@ def _signed_half(a: int, modulus: int) -> int:
 
 @lru_cache(maxsize=None)
 def _partial(s, a, F, q: QParam, budget, precision, kind, n) -> tuple:
-    """Every series here, as (residue, precision, terms used) on ints:
+    """H and K, as (residue, precision, terms used) on ints:
 
         ((-1)^a / 2) <a>^(-s) sum_{j >= start} binom(-s, j)
             (q^a [F]_q/[a]_q)^j b_j,
 
-    b_j the base row of `kind` (_Residues.base): H (n = 0), K (n even) and,
-    at s = r, block and double.  As [a]_q^(-r) = w(a)^(-r) <a>^(-r),
-    -w(a)^(-r) times the block value expands the block sum
-    sum_{l<n} (-1)^(a+Fl) [a+Fl]_q^(-r), and times the double value gives
-    its double Euler series.  Reported modulo p**budget.target at most; K
-    vanishes at q = 1, (0, target, 0).  Every s is summed as its integer
-    representative r mod p**sigma (_representative, exact by the module
-    docstring's two congruences); (-1)^a / 2 and <a>^(-r) are units, so the
-    product with the certified sum is known to the sum's precision.  Equal
-    exponents, such as 1, Fraction(1) and True, share one entry."""
+    b_j the base row of `kind` (_Residues.base): H (n = 0) or K (n even).
+    Reported modulo p**budget.target at most; K vanishes at q = 1,
+    (0, target, 0).  Every s is summed as its integer representative r
+    mod p**sigma (_representative, exact by the module docstring's two
+    congruences); (-1)^a / 2 and <a>^(-r) are units, so the product with
+    the certified sum is known to the sum's precision.  Equal exponents,
+    such as 1, Fraction(1) and True, share one entry.  The verifier's
+    block stages sum their rows at every residue by _row_sums instead."""
     if kind == "K" and q.is_one:
         return 0, budget.target, 0
     p = q.prime
@@ -585,18 +659,20 @@ def theorem5_lhs_exact(r: int, n: int, q: QParam) -> Fraction:
 
 def _inverse_powers(q: QParam, r: int, n: int, precision: int):
     """{j: [j]_q^(-r) mod p**precision} over 1 <= j <= n*p coprime to p,
-    from [j+1]_q = 1 + q [j]_q on residues, and the (sign, index) pairs
-    ((-1)^j, j) of the alternating sum over them.  Each such [j]_q == j
-    (mod p) is a unit."""
+    from [j+1]_q = 1 + q [j]_q on residues and one batch inversion, and the
+    (sign, index) pairs ((-1)^j, j) of the alternating sum over them.  Each
+    such [j]_q == j (mod p) is a unit."""
     p = q.prime
     mod = p**precision
     q_res = _residues(q, p, precision).q
-    table, b = {}, 0
+    indices, values, b = [], [], 0
     for j in range(1, n * p + 1):
         b = (1 + q_res * b) % mod
         if j % p:
-            table[j] = pow(b, -r, mod)
-    return table, [((-1) ** j, j) for j in table]
+            indices.append(j)
+            values.append(b)
+    table = {j: pow(x, r, mod) for j, x in zip(indices, _batch_inverse(values, mod))}
+    return table, [((-1) ** j, j) for j in indices]
 
 
 def _block_terms(a: int, n: int, F: int) -> list:
@@ -948,18 +1024,22 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     block_terms = [_block_terms(a, n, F) for a in range(1, p)]
     blocks = [sum(sign * powers[j] for sign, j in terms) % mod for terms in block_terms]
     lhs = PadicApprox(p, 2 * sum(sign * powers[j] for sign, j in lhs_terms), precision)
-    pairs_series, pairs_regroup = [], []
+    # the block sum's expansion, and its regrouping into the double series
+    # plus w(a)^(-r) T / 2 = w(a)^(-r) K (the odd-n boundary term vanishes);
+    # K vanishes at q = 1
+    expansions, used = _row_sums(res, r, "block", n, budget)
+    regrouped, _ = _row_sums(res, r, "double", n, budget)
+    if not q.is_one:
+        regrouped = [x + y for x, y in zip(regrouped, _row_sums(res, r, "K", n, budget)[0])]
+    half, pairs_series, pairs_regroup = pow(2, -1, mod), [], []
     for a, residue in enumerate(blocks, start=1):
         block = PadicApprox(p, residue, precision)
-        # the block sum's expansion, and its regrouping into the double series
-        # plus w(a)^(-r) T / 2 = w(a)^(-r) K (the odd-n boundary term vanishes)
-        scale = -pow(res.units(a)[0], -r, mod)
-        value, low, used = _partial(r, a, F, q, budget, precision, "block", n)
+        # each series' factor (-1)^a / 2 <a>^(-r) times the block stages'
+        # -w(a)^(-r) is -(-1)^a / (2 [a]_q^r)
+        scale = (half if a % 2 else -half) * powers[a]
         trunc[f"block-expansion/a={a}"] = used
-        pairs_series.append((f"a={a}", block, PadicApprox(p, scale * value, low)))
-        double, d_low, _ = _partial(r, a, F, q, budget, precision, "double", n)
-        kk, k_low, _ = _partial(r, a, F, q, budget, precision, "K", n)
-        pairs_regroup.append((f"a={a}", block, PadicApprox(p, scale * (double + kk), min(d_low, k_low))))
+        pairs_series.append((f"a={a}", block, PadicApprox(p, scale * expansions[a - 1], target)))
+        pairs_regroup.append((f"a={a}", block, PadicApprox(p, scale * regrouped[a - 1], target)))
     stages.append(
         _padic_stage(
             "alternating-block-series",

@@ -1,9 +1,12 @@
 """The residue engine of the expansion layer against its exact oracles.
 
-Every series in ``lfunc`` is one ``_partial`` value on integer residues
-mod p^N, summed over the coefficients step(a)^j b_j, whose base row b_j
-has one of four kinds: H, K, the double Euler row of the regrouped
-expansion, and that row plus K's for the block expansion.  These tests
+Every series in ``lfunc`` is summed on integer residues mod p^N over the
+coefficients step(a)^j b_j, whose base row b_j has one of four kinds: H,
+K, the double Euler row of the regrouped expansion, and that row plus K's
+for the block expansion.  H and K are cached ``_partial`` values; the
+verifier's block stages certify each of their rows once and sum it at
+every residue (``_row_sums``), and the per-residue series check that one
+certificate serves them all.  These tests
 keep the exact-rational formulation as the reference: the closed-form
 q-Euler numbers for the recurrence table, direct modular powers and sums
 for the base rows and step(a), ``teichmuller``/``angle_bracket`` for the
@@ -159,12 +162,14 @@ def test_coefficient_rows_match_direct_powers(p, qv, F_over_p):
 @pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(31, 6)), (7, Fraction(50))])
 def test_cached_step_keeps_every_row(p, qv):
     # step(a), the ratio of every series at residue a, is taken once per
-    # residue and is q^a [F]_q / [a]_q read afresh
+    # residue and is q^a [F]_q / [a]_q read afresh; the row of every a < p
+    # at once, from the batch inverses, holds the same values
     F = 3 * p
     table = _Residues(QParam(qv, p), F, 8)
     mod, units = table.mod, [a for a in range(1, F) if a % p]
-    for a in units:
-        ratio = pow(table.q, a, mod) * table.q_ints[F] * pow(table.q_ints[a], -1, mod) % mod
+    ratios = [pow(table.q, a, mod) * table.q_ints[F] * pow(table.q_ints[a], -1, mod) % mod for a in units]
+    assert _Residues(QParam(qv, p), F, 8).steps() == ratios[:p - 1]
+    for a, ratio in zip(units, ratios):
         assert table.step(a) == ratio
     assert sorted(table._steps) == units
 
@@ -527,6 +532,25 @@ def test_certificate_shortcut_keeps_the_every_valuation_rule(data, p, gain, star
         assert _state(series) == _state(oracle), index
 
 
+@pytest.mark.parametrize("target, finish", [(6, 5), (8, 7)])
+def test_zero_terms_stop_where_the_tail_bound_first_covers_the_target(target, finish):
+    # five zero terms from index 1 fill the window at index 5, but at gain 1
+    # the dropped tail after index i is bounded only by v >= i + 1
+    series = lfunc._TruncatedSeries(5, SeriesBudget(target), 1, "zeros")
+    for index in range(1, 20):
+        if series.add(index, 0):
+            break
+    assert series.done and series.used == finish
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([3, 5, 7, 31]), st.integers(1, 12))
+def test_batch_inverse_matches_one_inverse_per_entry(data, p, N):
+    mod = p**N
+    values = data.draw(st.lists(st.integers(1, mod - 1).filter(lambda x: x % p), max_size=50))
+    assert lfunc._batch_inverse(values, mod) == [pow(x, -1, mod) for x in values]
+
+
 # -- the character-sum assembly, as the engine computed it before ----------
 
 
@@ -614,26 +638,37 @@ def test_assembly_matches_the_padic_loop(monkeypatch, p, qv):
 
 
 def test_one_verify_evaluates_each_series_once(monkeypatch):
-    requests = []
-    partial = lfunc._partial
+    partials, rows, partial, series = [], [], lfunc._partial, lfunc._series
 
-    def counted_partial(s, a, F, q, budget, precision, kind, n):
-        requests.append((s, a, kind, n))
-        return partial(s, a, F, q, budget, precision, kind, n)
+    def counted_partial(*args):
+        partials.append(args)
+        return partial(*args)
+
+    def counted_series(res, s, a, kind, n, budget, precision):
+        rows.append((a, kind))
+        return series(res, s, a, kind, n, budget, precision)
+
+    def no_teichmuller(*args):
+        raise AssertionError(f"teichmuller{args}")
 
     monkeypatch.setattr(lfunc, "_partial", counted_partial)
+    monkeypatch.setattr(lfunc, "_series", counted_series)
+    monkeypatch.setattr(lfunc, "teichmuller", no_teichmuller)
     for r, n, q in [(2, 2, QParam(6, 5)), (1, 4, QParam(Fraction(31, 6), 5)), (3, 2, QParam(1, 7))]:
-        requests.clear()
+        partials.clear()
+        rows.clear()
         report = theorem5_verify(r, n, q, SeriesBudget(4))
         assert report.truncation_indices["assembly"] > 1
-        assert len(requests) == len(set(requests)), (r, n, q)
-        # the assembly reads its character sums from the alternating-sum table
-        assert not any(kind == "H" for _, _, kind, _ in requests), (r, n, q)
-        # and so does T's sum: either side alone requests no series at all
-        requests.clear()
+        # the assembly reads its character sums from the alternating-sum
+        # table, and the block stages certify each row once, at a = 1
+        # (K vanishes at q = 1), and take no w(a)
+        assert partials == [], (r, n, q)
+        assert rows == [(1, "block"), (1, "double")] + ([] if q.is_one else [(1, "K")]), (r, n, q)
+        # T's sum comes from the table too: either side alone sums no series
+        rows.clear()
         for side in (theorem5_rhs, theorem5_rhs_weighted):
             side(r, n, q, SeriesBudget(4))
-        assert requests == [], (r, n, q)
+        assert partials == rows == [], (r, n, q)
 
 
 def test_assembly_names_the_series_that_did_not_certify():
@@ -787,13 +822,15 @@ def _unit_block_series(r, n, a, q, budget, precision, label, power_tail, doubles
     return series
 
 
-def _stage_outcome(compute):
+def _stage_outcome(compute, residue=None):
     """compute()'s (residue, precision, terms used), or the type and
-    message of the TruncationNotConverged it raised."""
+    message of the TruncationNotConverged it raised, with a = 1 in the
+    message read as a = `residue` when one is given."""
     try:
         return compute()
     except TruncationNotConverged as exc:
-        return type(exc).__name__, str(exc)
+        message = str(exc) if residue is None else str(exc).replace("(a=1)", f"(a={residue})")
+        return type(exc).__name__, message
 
 
 def _block_stage_oracle(r, n, a, q, budget, precision, doubles):
@@ -820,22 +857,29 @@ def _block_stage_oracle(r, n, a, q, budget, precision, doubles):
 
 
 def _block_stage_engine(r, n, a, q, budget, precision):
-    """The same two outcomes from the engine's cached _partial, scaled by
-    -w(a)^(-r) as theorem5_verify scales them."""
-    p = q.prime
-    unit = -pow(teichmuller(a, p, precision).residue, -r, p**precision)
+    """The same two outcomes from the engine's all-residue rows, read at
+    residue a and scaled by -(-1)^a / (2 [a]_q^r) as theorem5_verify scales
+    them.  A row that does not certify raises at a = 1 for every residue,
+    so its message is read with the label of residue a."""
+    p, target = q.prime, budget.target
+    res = lfunc._residues(q, p, precision)
+    mod = res.mod
+    unit = -((-1) ** a) * pow(2 * pow(res.q_ints[a], r, mod), -1, mod)
+
+    def row(kind):
+        sums, used = lfunc._row_sums(res, r, kind, n, budget)
+        return sums[a - 1], used
 
     def block():
-        value, low, used = lfunc._partial(r, a, p, q, budget, precision, "block", n)
-        return unit * value % p**low, low, used
+        value, used = row("block")
+        return unit * value % p**target, target, used
 
     def regrouped():
-        double, d_low, used = lfunc._partial(r, a, p, q, budget, precision, "double", n)
-        kk, k_low, _ = lfunc._partial(r, a, p, q, budget, precision, "K", n)
-        low = min(d_low, k_low)
-        return unit * (double + kk) % p**low, low, used
+        double, used = row("double")
+        kk = 0 if q.is_one else row("K")[0]
+        return unit * (double + kk) % p**target, target, used
 
-    return _stage_outcome(block), _stage_outcome(regrouped)
+    return _stage_outcome(block, a), _stage_outcome(regrouped, a)
 
 
 # q = p + 1, q = 1 and a non-integral q with v_p(q - 1) >= 1 at each prime
@@ -854,6 +898,34 @@ BLOCK_BUDGETS = [
     (SeriesBudget(4, 7), 4),
     (SeriesBudget(8, 6), 8),
 ]
+
+
+def _series_outcome(res, r, a, kind, n, budget):
+    """The terms used by _series at residue a, or the type and message of
+    what its certificate raises, with the residue label taken out."""
+    series = lfunc._series(res, r, a, kind, n, budget, res.precision)
+    try:
+        series.certified()
+    except TruncationNotConverged as exc:
+        return type(exc).__name__, str(exc).replace(f"(a={a})", "(a)")
+    return series.used
+
+
+@pytest.mark.parametrize("p, qv", BLOCK_POINTS)
+def test_each_row_certifies_alike_at_every_residue(p, qv):
+    # v_p(step(a)) = v_p(F) at every a, so one certificate serves a row's
+    # series at every residue: the same terms used, or the same error
+    q, outcomes = QParam(qv, p), set()
+    for budget, precision in BLOCK_BUDGETS:
+        res = _Residues(q, p, budget.target + 6 if precision is None else precision)
+        for n in (2, 4):
+            for r in (1, 2, 3):
+                for kind in ("block", "double", "K"):
+                    seen = {_series_outcome(res, r, a, kind, n, budget) for a in range(1, p)}
+                    assert len(seen) == 1, (budget, n, r, kind, seen)
+                    outcomes |= seen
+    # the grid holds rows that certify and rows that do not
+    assert {type(x) for x in outcomes} == {int, tuple}
 
 
 @pytest.mark.parametrize("p, qv", BLOCK_POINTS)
