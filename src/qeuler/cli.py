@@ -6,12 +6,14 @@ accepted only for s, x, q on the archimedean side.  Exit codes: 0 all
 checks pass / value computed, 1 verification failure or non-convergence,
 2 invalid input.
 
-Each handler builds its result three ways: a JSON record, a text
+Each handler describes its result three ways: a JSON record, a text
 report and, for euler-table and verify, a CSV table.  One writer,
-``_emit``, picks the one that --format names and writes it to --out or
-to stdout.  Serialization rules: rationals as "num/den" strings (never
-floats), p-adic values as {"residue", "mod", "valuation"}, complex values
-as {"re", "im"} float strings.  JSON output is key-sorted so identical
+``_emit``, builds only the one that --format names and writes it to
+--out or to stdout.  A named command is parsed by its own parser, built
+from the same argument table as the full parser's subparser.
+Serialization rules: rationals as "num/den" strings (never floats),
+p-adic values as {"residue", "mod", "valuation"}, complex values as
+{"re", "im"} float strings.  JSON output is key-sorted so identical
 configurations reproduce byte-identical records.
 """
 
@@ -56,21 +58,108 @@ def _fmt_complex(z: complex) -> dict:
     return {"re": repr(float(z.real)), "im": repr(float(z.imag))}
 
 
-def _emit(args, record, text: str, table=None) -> None:
+def _emit(args, record, text, table=None) -> None:
     """Write a command's result as --format asks, to --out or to stdout:
     the record as key-sorted JSON, the table (a header row, then one row
-    per line) as CSV, or the text as it stands."""
+    per line) as CSV, or the text as it stands.  Each of the three is a
+    function of no arguments, and only the one --format names is called."""
     if args.format == "json":
-        text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(record(), sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
-        csv.writer(buf).writerows(table)
+        csv.writer(buf).writerows(table())
         text = buf.getvalue()
+    else:
+        text = text()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+# Each command's help line and its arguments as (name, add_argument
+# keywords), read both by the full parser and by a named command's own.
+_COMMANDS = {
+    "euler-table": (
+        "tabulate q-Euler numbers",
+        (
+            ("--q", dict(type=_parse_q, required=True, help="deformation parameter NUM/DEN (1/1 = classical)")),
+            ("--max-m", dict(type=int, default=4)),
+            ("--p", dict(type=int, default=None, help="odd prime; adds an embedded residue column")),
+            ("--N", dict(type=int, default=6, help="embedding precision")),
+            ("--format", dict(choices=("json", "csv", "text"), default="text")),
+            ("--out", dict(default=None)),
+        ),
+    ),
+    "zeta": (
+        "regularized alternating q-zeta value",
+        (
+            ("--s", dict(type=float, required=True)),
+            ("--s-im", dict(type=float, default=0.0)),
+            ("--x", dict(type=float, required=True)),
+            ("--q", dict(type=float, required=True, help="real q in (0,1)")),
+            ("--eps", dict(type=float, default=1e-13)),
+            ("--max-terms", dict(type=int, default=200000)),
+            ("--format", dict(choices=("json", "text"), default="text")),
+            ("--out", dict(default=None)),
+        ),
+    ),
+    "lvalue": (
+        "one l-function value (p-adic or complex)",
+        (
+            ("--side", dict(choices=("padic", "complex"), required=True)),
+            ("--s", dict(required=True, help="exact rational for padic, float for complex")),
+            ("--s-im", dict(type=float, help="imaginary part (complex side; default 0)")),
+            ("--t", dict(type=int, help="Teichmuller exponent (padic side; default 0)")),
+            ("--p", dict(type=int, help="odd prime (padic side; default 5)")),
+            ("--q", dict(required=True, help="NUM/DEN (padic) or float (complex)")),
+            ("--F", dict(type=int, help="odd multiple of p (padic side; default p)")),
+            ("--N", dict(type=int, help="working precision (padic side)")),
+            ("--M", dict(type=int, help="target precision (padic side; default 4)")),
+            ("--kmax", dict(type=int, help="series term cap (padic side; default 60)")),
+            ("--chi", dict(help="trivial or quad:F (complex side; default trivial)")),
+            ("--eps", dict(type=float, help="stopping tolerance (complex side; default 1e-13)")),
+            ("--format", dict(choices=("json", "text"), default="text")),
+            ("--out", dict(default=None)),
+        ),
+    ),
+    "verify": (
+        "run a named verification suite",
+        (
+            ("suite", dict(choices=(*SUITES, "all"))),
+            ("--r", dict(type=int, default=None, help="restrict the theorem5 suite to one power")),
+            ("--n", dict(type=int, default=None, help="restrict the theorem5 suite to one block count")),
+            ("--p", dict(type=int, default=None, help="odd prime (theorem5 suite; default 5)")),
+            ("--q", dict(type=_parse_q, default=None, help="NUM/DEN (theorem5 suite; default 6)")),
+            ("--M", dict(type=int, default=None, help="target precision (theorem5 suite; default 4)")),
+            ("--kmax", dict(type=int, default=None, help="series term cap (theorem5 suite; default 60)")),
+            ("--format", dict(choices=("json", "csv", "text"), default="text")),
+            ("--out", dict(default=None)),
+        ),
+    ),
+    "theorem5": (
+        "staged verification of the p-adic expansion identity",
+        (
+            ("--r", dict(type=int, default=None, help="power (default: grid {1,2,3})")),
+            ("--n", dict(type=int, default=None, help="even block count (default: grid {2,4})")),
+            ("--p", dict(type=int, default=5)),
+            ("--q", dict(type=_parse_q, default=Fraction(6))),
+            ("--M", dict(type=int, default=4, help="target precision")),
+            ("--N", dict(type=int, default=None, help="working precision")),
+            ("--kmax", dict(type=int, default=60)),
+            ("--format", dict(choices=("json", "text"), default="json")),
+            ("--out", dict(default=None)),
+        ),
+    ),
+}
+
+
+def _add_arguments(parser, command: str):
+    """parser with the arguments of one command added."""
+    for name, options in _COMMANDS[command][1]:
+        parser.add_argument(name, **options)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,64 +169,28 @@ def build_parser() -> argparse.ArgumentParser:
         "complex l-values, and p-adic interpolation with a staged verifier.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    t = sub.add_parser("euler-table", help="tabulate q-Euler numbers")
-    t.add_argument("--q", type=_parse_q, required=True, help="deformation parameter NUM/DEN (1/1 = classical)")
-    t.add_argument("--max-m", type=int, default=4)
-    t.add_argument("--p", type=int, default=None, help="odd prime; adds an embedded residue column")
-    t.add_argument("--N", type=int, default=6, help="embedding precision")
-    t.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    t.add_argument("--out", default=None)
-
-    z = sub.add_parser("zeta", help="regularized alternating q-zeta value")
-    z.add_argument("--s", type=float, required=True)
-    z.add_argument("--s-im", type=float, default=0.0)
-    z.add_argument("--x", type=float, required=True)
-    z.add_argument("--q", type=float, required=True, help="real q in (0,1)")
-    z.add_argument("--eps", type=float, default=1e-13)
-    z.add_argument("--max-terms", type=int, default=200000)
-    z.add_argument("--format", choices=("json", "text"), default="text")
-    z.add_argument("--out", default=None)
-
-    lv = sub.add_parser("lvalue", help="one l-function value (p-adic or complex)")
-    lv.add_argument("--side", choices=("padic", "complex"), required=True)
-    lv.add_argument("--s", required=True, help="exact rational for padic, float for complex")
-    lv.add_argument("--s-im", type=float, help="imaginary part (complex side; default 0)")
-    lv.add_argument("--t", type=int, help="Teichmuller exponent (padic side; default 0)")
-    lv.add_argument("--p", type=int, help="odd prime (padic side; default 5)")
-    lv.add_argument("--q", required=True, help="NUM/DEN (padic) or float (complex)")
-    lv.add_argument("--F", type=int, help="odd multiple of p (padic side; default p)")
-    lv.add_argument("--N", type=int, help="working precision (padic side)")
-    lv.add_argument("--M", type=int, help="target precision (padic side; default 4)")
-    lv.add_argument("--kmax", type=int, help="series term cap (padic side; default 60)")
-    lv.add_argument("--chi", help="trivial or quad:F (complex side; default trivial)")
-    lv.add_argument("--eps", type=float, help="stopping tolerance (complex side; default 1e-13)")
-    lv.add_argument("--format", choices=("json", "text"), default="text")
-    lv.add_argument("--out", default=None)
-
-    v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument("suite", choices=(*SUITES, "all"))
-    v.add_argument("--r", type=int, default=None, help="restrict the theorem5 suite to one power")
-    v.add_argument("--n", type=int, default=None, help="restrict the theorem5 suite to one block count")
-    v.add_argument("--p", type=int, default=None, help="odd prime (theorem5 suite; default 5)")
-    v.add_argument("--q", type=_parse_q, default=None, help="NUM/DEN (theorem5 suite; default 6)")
-    v.add_argument("--M", type=int, default=None, help="target precision (theorem5 suite; default 4)")
-    v.add_argument("--kmax", type=int, default=None, help="series term cap (theorem5 suite; default 60)")
-    v.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    v.add_argument("--out", default=None)
-
-    th = sub.add_parser("theorem5", help="staged verification of the p-adic expansion identity")
-    th.add_argument("--r", type=int, default=None, help="power (default: grid {1,2,3})")
-    th.add_argument("--n", type=int, default=None, help="even block count (default: grid {2,4})")
-    th.add_argument("--p", type=int, default=5)
-    th.add_argument("--q", type=_parse_q, default=Fraction(6))
-    th.add_argument("--M", type=int, default=4, help="target precision")
-    th.add_argument("--N", type=int, default=None, help="working precision")
-    th.add_argument("--kmax", type=int, default=60)
-    th.add_argument("--format", choices=("json", "text"), default="json")
-    th.add_argument("--out", default=None)
-
+    for command, (help_text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_text), command)
     return parser
+
+
+def _parse_args(argv=None) -> argparse.Namespace:
+    """argv parsed as `qeuler` parses it.
+
+    A named command is parsed by its own parser, named `qeuler <command>`
+    as the full parser names that subparser, so it prints the same usage,
+    help and errors without building the other four.  No command, an
+    unknown one, or an argument left over goes to the full parser, whose
+    messages those are.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"qeuler {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _cmd_euler_table(args) -> int:
@@ -157,12 +210,20 @@ def _cmd_euler_table(args) -> int:
         "p": args.p,
         "N": args.N if args.p is not None else None,
     }
-    lines = [f"q-Euler numbers for q = {_fmt_rational(args.q)}"]
-    for row in rows:
-        extra = f"  ({row['residue']} mod {row['mod']})" if "residue" in row else ""
-        lines.append(f"  m={row['m']}: {row['value']}{extra}")
-    table = [list(rows[0]), *(list(row.values()) for row in rows)]
-    _emit(args, {"config": config, "rows": rows}, "\n".join(lines) + "\n", table)
+
+    def text():
+        lines = [f"q-Euler numbers for q = {_fmt_rational(args.q)}"]
+        for row in rows:
+            extra = f"  ({row['residue']} mod {row['mod']})" if "residue" in row else ""
+            lines.append(f"  m={row['m']}: {row['value']}{extra}")
+        return "\n".join(lines) + "\n"
+
+    _emit(
+        args,
+        lambda: {"config": config, "rows": rows},
+        text,
+        lambda: [list(rows[0]), *(list(row.values()) for row in rows)],
+    )
     return 0
 
 
@@ -184,7 +245,7 @@ def _cmd_zeta(args) -> int:
         },
         "value": _fmt_complex(value),
     }
-    _emit(args, record, f"zeta({s}, x={args.x}; q={args.q}) = {value}\n")
+    _emit(args, lambda: record, lambda: f"zeta({s}, x={args.x}; q={args.q}) = {value}\n")
     return 0
 
 
@@ -256,7 +317,7 @@ def _cmd_lvalue(args) -> int:
             "value": _fmt_complex(value),
         }
         text = f"l(s={s}, chi={args.chi}; q={args.q}) = {value}\n"
-    _emit(args, record, text)
+    _emit(args, lambda: record, lambda: text)
     return 0
 
 
@@ -277,15 +338,25 @@ def _cmd_verify(args) -> int:
     else:
         raise QEulerError("--r, --n, --p, --q, --M and --kmax apply only to the theorem5 suite")
     passed = all(c.passed for c in checks)
-    record = {
-        "suite": args.suite,
-        "passed": passed,
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
-    }
-    lines = [c.line() for c in checks]
-    lines.append(f"{'OK' if passed else 'FAILED'}: {sum(c.passed for c in checks)}/{len(checks)} checks passed")
-    table = [["name", "passed", "detail"], *([c.name, c.passed, c.detail] for c in checks)]
-    _emit(args, record, "\n".join(lines) + "\n", table)
+
+    def record():
+        return {
+            "suite": args.suite,
+            "passed": passed,
+            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+        }
+
+    def text():
+        lines = [c.line() for c in checks]
+        lines.append(f"{'OK' if passed else 'FAILED'}: {sum(c.passed for c in checks)}/{len(checks)} checks passed")
+        return "\n".join(lines) + "\n"
+
+    _emit(
+        args,
+        record,
+        text,
+        lambda: [["name", "passed", "detail"], *([c.name, c.passed, c.detail] for c in checks)],
+    )
     return 0 if passed else 1
 
 
@@ -318,8 +389,11 @@ def _cmd_theorem5(args) -> int:
     ns = [args.n] if args.n is not None else [2, 4]
     reports = [theorem5_verify(r, n, q, budget, args.N) for r in rs for n in ns]
     ok = all(rep.acceptable for rep in reports)
-    record = {"acceptable": ok, "reports": [rep.to_dict() for rep in reports]}
-    _emit(args, record, "".join(_report_text(rep) for rep in reports))
+    _emit(
+        args,
+        lambda: {"acceptable": ok, "reports": [rep.to_dict() for rep in reports]},
+        lambda: "".join(_report_text(rep) for rep in reports),
+    )
     return 0 if ok else 1
 
 
@@ -333,8 +407,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (NoConvergence, TruncationNotConverged) as exc:

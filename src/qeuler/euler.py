@@ -101,17 +101,41 @@ def euler_number_q(m: int, q) -> Fraction:
     return _euler_poly_q(m, 0, 1, qv.numerator, qv.denominator)
 
 
+def _euler_poly_sum(n: int, points, f: int, u: int, v: int) -> tuple:
+    """sum_j s_j E_{n,q^f}(a_j/f) at q = u/v, for points (s_j, a_j) with
+    a_j >= 0, as one unreduced (numerator, denominator) pair of ints.
+
+    With Q = q^f = U/V and last = max a_j, v^(n last) times the k-th
+    summand of the sum is binom(n,k) V^k / (V^k + U^k) times the integer
+    sum_j s_j (-u^a_j)^k v^(a_j (n-k)) v^(n (last - a_j)), built from
+    running powers; the n+1 pairs are added in one tree and the sum is
+    scaled by 2 V^n / ((V - U)^n v^(n last)).  One point is one value.
+    """
+    U, V = u**f, v**f
+    last = max(a for _, a in points)
+    coeffs = [0] * (n + 1)
+    for s, a in points:
+        x, y = -(u**a), v**a
+        # lows[i] = s v^(n (last - a)) y^i, read at i = n - k
+        lows = [s * v ** (n * (last - a))]
+        for _ in range(n):
+            lows.append(lows[-1] * y)
+        xk = 1
+        for k in range(n + 1):
+            coeffs[k] += xk * lows[n - k]
+            xk *= x
+    terms, Uk, Vk = [], 1, 1
+    for k, c in enumerate(coeffs):
+        terms.append((math.comb(n, k) * c * Vk, Vk + Uk))
+        Uk, Vk = Uk * U, Vk * V
+    num, den = _tree_sum(terms)
+    return 2 * V**n * num, (V - U) ** n * v ** (n * last) * den
+
+
 @lru_cache(maxsize=None)
 def _euler_poly_q(n: int, a: int, f: int, u: int, v: int) -> Fraction:
     # Keyed on q = u/v in lowest terms, so a hit hashes ints, not a Fraction.
-    # With Q = q^f = U/V and q^a = x/y, y^n times the k-th summand is the
-    # pair binom(n,k) (-x)^k y^(n-k) V^k / (V^k + U^k); the pairs are summed
-    # unreduced and the sum is scaled by 2 V^n / ((V - U)^n y^n), reduced once.
-    U, V, x, y = u**f, v**f, u**a, v**a
-    num, den = _tree_sum(
-        [(math.comb(n, k) * (-x) ** k * y ** (n - k) * V**k, V**k + U**k) for k in range(n + 1)]
-    )
-    return Fraction(2 * V**n * num, (V - U) ** n * y**n * den)
+    return Fraction(*_euler_poly_sum(n, ((1, a),), f, u, v))
 
 
 def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
@@ -147,30 +171,55 @@ def euler_number_classical(n: int) -> Fraction:
     return euler_poly_classical(n, 0)
 
 
-def alt_power_sum(n: int, m: int, q) -> Fraction:
-    """The finite alternating power sum 2 sum_{l<n} (-1)^l [l]_q^m, directly.
+def _alt_power_sums(ends, ms, u: int, v: int) -> dict:
+    """{(n, m): (numerator, denominator)} of 2 sum_{l<n} (-1)^l [l]_q^m at
+    q = u/v, for every n in ends and m in ms, from one direct pass.
 
-    With q = u/v, [l]_q = B_l / v^(l-1) where B_0 = 0 and
-    B_(l+1) = v^l + u B_l, so the sum is one integer, built by Horner
-    over the common denominator v^((n-2)m), divided once.  At q = 1,
+    [l]_q = B_l / v^(l-1) where B_0 = 0 and B_(l+1) = v^l + u B_l, so each
+    sum is one integer over v^((n-2)m), built by Horner up to max(ends):
+    the accumulator after term l is the numerator at n = l + 1.  At q = 1,
     B_l = l; at m = 0, [0]_q^0 = 0^0 = 1.
     """
+    ends, ms = set(ends), tuple(ms)
+    vms = [v**m for m in ms]
+    accs = [0] * len(ms)
+    out = {}
+    b, vl = 0, 1  # b = B_l, vl = v^l
+    for l in range(max(ends) + 1):
+        if l in ends:
+            # below n = 2 the sum is empty or [0]_q^m, an integer
+            for m, acc in zip(ms, accs):
+                out[l, m] = 2 * acc, v ** (max(l - 2, 0) * m)
+        sign = -1 if l % 2 else 1
+        accs = [acc * vm + sign * b**m for acc, vm, m in zip(accs, vms, ms)]
+        b, vl = vl + u * b, vl * v
+    return out
+
+
+def alt_power_sum(n: int, m: int, q) -> Fraction:
+    """The finite alternating power sum 2 sum_{l<n} (-1)^l [l]_q^m, directly:
+    one integer, summed by Horner over the common denominator v^((n-2)m)
+    (q = u/v), divided once."""
     _check_orders(n, m)
     qv = as_fraction(q)
-    u, v = qv.numerator, qv.denominator
-    vm = v**m
-    acc, b, vl = 0, 0, 1  # b = B_l, vl = v^l
-    for l in range(n):
-        acc = acc * vm + (-(b**m) if l % 2 else b**m)
-        b, vl = vl + u * b, vl * v
-    # below n = 2 the sum is empty or [0]_q^m, an integer
-    return Fraction(2 * acc, v ** (max(n - 2, 0) * m))
+    return Fraction(*_alt_power_sums((n,), (m,), qv.numerator, qv.denominator)[n, m])
 
 
 @lru_cache(maxsize=None)
 def _euler_numbers_over_lcm(m: int, u: int, v: int) -> tuple:
     """E_{0,q}..E_{m,q} at q = u/v as (numerators, den) over their lcm."""
     return _over_lcm([_euler_poly_q(l, 0, 1, u, v) for l in range(m + 1)])
+
+
+def _closed_form_pair(n: int, m: int, u: int, v: int) -> tuple:
+    """alt_power_sum_closed at q = u/v != 1 as an unreduced
+    (numerator, denominator) pair of ints."""
+    x, y = u**n, v**n
+    w = v * ((x - y) // (u - v))
+    nums, den = _euler_numbers_over_lcm(m, u, v)
+    acc = sum(math.comb(m, l) * x**l * w ** (m - l) * e for l, e in enumerate(nums))
+    ym = y**m
+    return (-1) ** (n + 1) * acc + nums[m] * ym, den * ym
 
 
 def alt_power_sum_closed(n: int, m: int, q) -> Fraction:
@@ -188,13 +237,18 @@ def alt_power_sum_closed(n: int, m: int, q) -> Fraction:
     """
     _check_orders(n, m)
     qv = _deformed(q, "closed form needs q != 1")
-    u, v = qv.numerator, qv.denominator
-    x, y = u**n, v**n
-    w = v * ((x - y) // (u - v))
-    nums, den = _euler_numbers_over_lcm(m, u, v)
-    acc = sum(math.comb(m, l) * x**l * w ** (m - l) * e for l, e in enumerate(nums))
-    ym = y**m
-    return Fraction((-1) ** (n + 1) * acc + nums[m] * ym, den * ym)
+    return Fraction(*_closed_form_pair(n, m, qv.numerator, qv.denominator))
+
+
+def _poly_form_pair(n: int, m: int, u: int, v: int) -> tuple:
+    """alt_power_sum_polyform at q = u/v != 1 as an unreduced
+    (numerator, denominator) pair of ints, from the cached E_{m,q}(n) and
+    E_{m,q}."""
+    at_n, at_0 = _euler_poly_q(m, n, 1, u, v), _euler_poly_q(m, 0, 1, u, v)
+    return (
+        (-1) ** (n + 1) * at_n.numerator * at_0.denominator + at_0.numerator * at_n.denominator,
+        at_n.denominator * at_0.denominator,
+    )
 
 
 def alt_power_sum_polyform(n: int, m: int, q) -> Fraction:
@@ -206,8 +260,7 @@ def alt_power_sum_polyform(n: int, m: int, q) -> Fraction:
     """
     _check_orders(n, m)
     qv = _deformed(q, "polynomial form needs q != 1")
-    u, v = qv.numerator, qv.denominator
-    return (-1) ** (n + 1) * _euler_poly_q(m, n, 1, u, v) + _euler_poly_q(m, 0, 1, u, v)
+    return Fraction(*_poly_form_pair(n, m, qv.numerator, qv.denominator))
 
 
 @dataclass(frozen=True)
@@ -223,24 +276,45 @@ def distribution_check(n: int, m: int, arg: PolyArg) -> DistributionCheck:
     """Check E_{n,q'}(x) = [m]_{q'}^n sum_{a<m} (-1)^a E_{n,q'^m}((a+x)/m)
     exactly at x = arg.a/arg.f with q' = arg.q**arg.f and odd m.
 
-    The inner arguments (a + x)/m have denominator m*arg.f and are formed
-    by PolyArg composition, so both sides stay exact rationals.
+    The inner arguments (a + x)/m are (j arg.f + arg.a)/(m arg.f), so the
+    right-hand side is one signed combination of Euler polynomial values
+    in base q^(m arg.f): one tree sum, compared cross-multiplied.
     """
     _check_order(n)
     _check_int("modulus m", m)
     if m < 1 or m % 2 == 0:
         raise OutOfDomain(f"modulus m must be odd and positive, got {m}")
     lhs = euler_poly_q(n, arg)
-    nums, den = _over_lcm(
-        [euler_poly_q(n, PolyArg(j * arg.f + arg.a, m * arg.f, arg.q)) for j in range(m)]
-    )
-    # one numerator over lcm(den) times [m]_{q'}^n, compared cross-multiplied
-    num = sum((-1) ** j * t for j, t in enumerate(nums))
-    qm = q_int(m, arg.q**arg.f)
-    num, den = num * qm.numerator**n, den * qm.denominator**n
+    u, v = arg.q.numerator, arg.q.denominator
+    points = [((-1) ** j, j * arg.f + arg.a) for j in range(m)]
+    num, den = _euler_poly_sum(n, points, m * arg.f, u, v)
+    # [m]_{q'} = V (U^m - V^m)/(U - V) / V^m with q' = U/V, an integer over V^m
+    U, V = u**arg.f, v**arg.f
+    num, den = num * (V * ((U**m - V**m) // (U - V))) ** n, den * V ** (m * n)
     passed = lhs.numerator * den == num * lhs.denominator
     # equal values have one reduced form, so a passing rhs is lhs itself
     return DistributionCheck(passed, lhs, lhs if passed else Fraction(num, den))
+
+
+def _fermionic_sums(ms, q: QParam, levels) -> dict:
+    """{(m, level): (numerator, denominator)} of fermionic_riemann(m, q,
+    level) for every m in ms and level in levels, from one direct pass to
+    p^max(levels).
+
+    q^(-x) (-q)^x collapses to (-1)^x, so each Riemann sum is the direct
+    alternating sum over x < p^L, divided by [2]_q [p^L]_{-q}; the sum's
+    1/2 cancels the 2 of 2/[2]_q.
+    """
+    qv, out = q.value, {}
+    counts = {level: q.prime**level for level in levels}
+    sums = _alt_power_sums(counts.values(), ms, qv.numerator, qv.denominator)
+    two = q_int(2, qv)
+    for level, count in counts.items():
+        norm = two * q_int_neg(count, qv)
+        for m in ms:
+            num, den = sums[count, m]
+            out[m, level] = num * norm.denominator, den * norm.numerator
+    return out
 
 
 def fermionic_riemann(m: int, q: QParam, level: int) -> Fraction:
@@ -257,8 +331,4 @@ def fermionic_riemann(m: int, q: QParam, level: int) -> Fraction:
     if level < 1:
         raise OutOfDomain("level must be >= 1")
     _check_order(m)
-    qv = q.value
-    count = q.prime**level
-    # q^(-x) (-q)^x collapses to (-1)^x, so the sum is alt_power_sum / 2
-    # and its 1/2 cancels the 2 of 2/[2]_q.
-    return alt_power_sum(count, m, qv) / (q_int(2, qv) * q_int_neg(count, qv))
+    return Fraction(*_fermionic_sums((m,), q, (level,))[m, level])

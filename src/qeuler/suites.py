@@ -20,15 +20,15 @@ from functools import partial
 from .errors import QEulerError
 from .euler import (
     PolyArg,
+    _alt_power_sums,
+    _closed_form_pair,
     _deformed,
     _euler_numbers_over_lcm,
-    alt_power_sum,
-    alt_power_sum_closed,
-    alt_power_sum_polyform,
+    _fermionic_sums,
+    _poly_form_pair,
     distribution_check,
     euler_number_q,
     euler_poly_q,
-    fermionic_riemann,
 )
 from .kernel import (
     QParam,
@@ -36,7 +36,7 @@ from .kernel import (
     binom_product_merge,
     binom_product_shift,
     binom_tail_merge,
-    padic_valuation,
+    padic_valuation_int,
     q_int,
 )
 from .lfunc import (
@@ -68,21 +68,36 @@ def _check(name, passed, detail="") -> CheckResult:
 # -- exact identity suite ---------------------------------------------------
 
 
-def _grid_checks(name, qs, points, holds, detail):
-    """One check per q in qs: holds(q, *point) at every grid point, with
-    the failing points listed in grid order."""
+def _grid_checks(name, qs, points, holds_at, detail):
+    """One check per q in qs: holds_at(q), the predicate of that q's grid,
+    at every grid point, with the failing points listed in grid order."""
     out = []
     for qv in qs:
-        bad = [point for point in points if not holds(qv, *point)]
+        holds = holds_at(qv)
+        bad = [point for point in points if not holds(*point)]
         out.append(
             _check(f"{name}[q={qv}]", not bad, detail + (f", failures: {bad}" if bad else ""))
         )
     return out
 
 
-def _forms_agree(qv, n, m):
-    direct = alt_power_sum(n, m, qv)
-    return direct == alt_power_sum_closed(n, m, qv) and direct == alt_power_sum_polyform(n, m, qv)
+_ALT_NS, _ALT_MS = range(1, 13), range(1, 11)
+
+
+def _forms_agree_at(qv):
+    """The alternating-sum predicate at one q: the direct sums of the whole
+    grid come from one pass, and each form is compared with them
+    cross-multiplied."""
+    u, v = qv.numerator, qv.denominator
+    direct = _alt_power_sums(_ALT_NS, _ALT_MS, u, v)
+
+    def holds(n, m):
+        num, den = direct[n, m]
+        return all(
+            num * d == c * den for c, d in (_closed_form_pair(n, m, u, v), _poly_form_pair(n, m, u, v))
+        )
+
+    return holds
 
 
 def alternating_sum_checks():
@@ -91,8 +106,8 @@ def alternating_sum_checks():
     return _grid_checks(
         "alternating-sum-forms",
         (Fraction(1, 2), Fraction(2, 3), Fraction(6)),
-        [(n, m) for n in range(1, 13) for m in range(1, 11)],
-        _forms_agree,
+        [(n, m) for n in _ALT_NS for m in _ALT_MS],
+        _forms_agree_at,
         "n<=12, m<=10",
     )
 
@@ -101,15 +116,16 @@ def convolution_rhs(n: int, a: int, q) -> tuple:
     """sum_{j<=n} binom(n,j) q^(ja) E_{j,q} [a]_q^(n-j) as an unreduced
     (numerator, denominator) pair of ints, for a >= 0.
 
-    With q = u/v, [a]_q v^a is an integer (v^(a-1) clears the denominator
-    of 1 + q + ... + q^(a-1)) and q^(ja) = u^(ja) / v^(ja), so
-    v^(an) q^(ja) [a]_q^(n-j) is the integer u^(ja) ([a]_q v^a)^(n-j), and
+    With q = u/v, [a]_q v^a is the integer v (u^a - v^a)/(u - v) (v^(a-1)
+    clears the denominator of 1 + q + ... + q^(a-1)) and q^(ja) =
+    u^(ja) / v^(ja), so v^(an) q^(ja) [a]_q^(n-j) is the integer
+    u^(ja) ([a]_q v^a)^(n-j), and
     every term lies over v^(an) lcm(den E_j), the Euler layer's cached table.
     """
     qv = _deformed(q, "use euler_number_classical for q = 1")
     u, v = qv.numerator, qv.denominator
     nums, den = _euler_numbers_over_lcm(n, u, v)
-    vb = (q_int(a, qv) * v**a).numerator
+    vb = v * ((u**a - v**a) // (u - v))
     num = sum(
         binom_int(n, j) * u ** (j * a) * vb ** (n - j) * e for j, e in enumerate(nums)
     )
@@ -129,7 +145,7 @@ def convolution_checks():
         "euler-convolution",
         (Fraction(1, 2), Fraction(6)),
         [(n, a) for n in range(11) for a in range(7)],
-        _convolution_holds,
+        lambda qv: partial(_convolution_holds, qv),
         "n<=10, a<=6",
     )
 
@@ -153,7 +169,7 @@ def distribution_checks():
         "distribution-relation",
         (Fraction(1, 2), Fraction(6)),
         [(n, m, a, f) for n in range(7) for m in (1, 3, 5) for a, f in ((0, 1), (1, 3), (2, 5))],
-        lambda qv, n, m, a, f: distribution_check(n, m, PolyArg(a, f, qv)).passed,
+        lambda qv: lambda n, m, a, f: distribution_check(n, m, PolyArg(a, f, qv)).passed,
         "n<=6, m in (1, 3, 5), x in {0, 1/3, 2/5}",
     )
 
@@ -223,14 +239,16 @@ P, Q = 5, Fraction(6)
 def fermionic_checks():
     """Riemann sums of the alternating-measure integral converge to the
     q-Euler numbers with p-adic gap >= level - 1."""
-    q = QParam(Q, P)
+    levels = (2, 3, 4)
+    sums = _fermionic_sums(range(5), QParam(Q, P), levels)
     out = []
     for m in range(5):
         target = euler_number_q(m, Q)
-        gaps = {
-            level: padic_valuation(fermionic_riemann(m, q, level) - target, P)
-            for level in (2, 3, 4)
-        }
+        gaps = {}
+        for level in levels:
+            num, den = sums[m, level]
+            gap = num * target.denominator - target.numerator * den
+            gaps[level] = padic_valuation_int(gap, P) - padic_valuation_int(den * target.denominator, P)
         ok = all(gap >= level - 1 for level, gap in gaps.items())
         out.append(_check(f"fermionic-oracle[m={m}]", ok, f"v_gap per level {gaps}"))
     return out

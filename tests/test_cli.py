@@ -1,12 +1,15 @@
 """CLI surface: exit codes, serialization, round trips."""
 
+import argparse
+import contextlib
+import io
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from qeuler import QParam, SeriesBudget, TeichChar, embed, euler_number_q, l_pq, q_int
+from qeuler import QParam, SeriesBudget, TeichChar, cli, embed, euler_number_q, l_pq, q_int
 from qeuler.cli import main
 
 
@@ -290,3 +293,72 @@ def test_malformed_input_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("invalid input:")
+
+
+def _parsed(parse, argv):
+    """What one parse of argv does: its namespace or its exit code, with
+    what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("namespace", vars(parse(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+_PARSER_CASES = [
+    [],
+    ["-h"],
+    ["nope"],
+    ["--", "verify", "all"],
+    *([command, "-h"] for command in cli._COMMANDS),
+    *([command] for command in cli._COMMANDS),
+    ["verify", "all", "--format", "xml"],
+    ["theorem5", "--r", "x"],
+    ["euler-table", "--q", "1/0"],
+    ["verify", "all", "stray"],
+    ["verify", "all", "--bogus"],
+    ["verify", "--", "all"],
+    ["verify", "all", "--", "x"],
+    ["theorem5", "--r=2"],
+    ["theorem5", "--r", "2", "--n", "2"],
+    ["verify", "all", "--form", "json"],
+    ["verify", "all", "--format"],
+    ["verify", "all", "-h", "bogus"],
+    ["euler-table", "--q", "6", "extra", "--N", "x"],
+    ["lvalue", "--side", "padic", "--s", "2", "--q", "6"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_a_named_command_parses_as_the_full_parser_does(argv):
+    # same namespace, or same exit code, usage, help and error text
+    full = _parsed(lambda v: cli.build_parser().parse_args(v), argv)
+    assert _parsed(cli._parse_args, argv) == full
+
+
+def test_a_named_command_builds_only_its_own_parser(monkeypatch):
+    def unbuilt():
+        raise AssertionError("full parser built")
+
+    monkeypatch.setattr(cli, "build_parser", unbuilt)
+    args = cli._parse_args(["theorem5", "--r", "2", "--format", "text"])
+    assert (args.command, args.r, args.n, args.format) == ("theorem5", 2, None, "text")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_emit_builds_only_the_format_it_writes(capsys, fmt):
+    def unbuilt():
+        raise AssertionError("built a format that is not written")
+
+    built = {"json": lambda: {"a": 1}, "text": lambda: "a = 1\n", "csv": lambda: [["a"], [1]]}
+    makers = {name: built[name] if name == fmt else unbuilt for name in built}
+    cli._emit(argparse.Namespace(format=fmt, out=None), makers["json"], makers["text"], makers["csv"])
+    assert capsys.readouterr().out == {"json": '{\n  "a": 1\n}\n', "text": "a = 1\n", "csv": "a\r\n1\r\n"}[fmt]
+
+
+def test_theorem5_json_renders_no_text_report(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_report_text", lambda report: pytest.fail("text report rendered"))
+    code, out, _ = run(capsys, "theorem5", "--r", "2", "--n", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["acceptable"]

@@ -20,6 +20,7 @@ from qeuler import (
     alt_power_sum_polyform,
     binom_int,
     distribution_check,
+    euler,
     euler_number_classical,
     euler_number_q,
     euler_poly_classical,
@@ -396,14 +397,22 @@ def test_distribution_matches_fraction_sum(q):
 
 
 def test_failing_distribution_reports_its_rhs(monkeypatch):
-    # negate the j = 1 term of m = 5 at x = 2/5: E_{n,q^25}(7/25)
+    # negate the j = 1 term of m = 5 at x = 2/5, E_{n,q^25}(7/25): the sign
+    # of the point a = 7 in the right-hand side's combination in base q^25
     import qeuler.euler
+
+    right = qeuler.euler._euler_poly_sum
+
+    def flipped_sum(n, points, f, u, v):
+        if f == 25 and len(points) == 5:
+            points = [(-s if a == 7 else s, a) for s, a in points]
+        return right(n, points, f, u, v)
 
     def flipped(n, arg):
         value = euler_poly_q(n, arg)
         return -value if (arg.a, arg.f) == (7, 25) else value
 
-    monkeypatch.setattr(qeuler.euler, "euler_poly_q", flipped)
+    monkeypatch.setattr(qeuler.euler, "_euler_poly_sum", flipped_sum)
     for n in range(4):
         arg = PolyArg(2, 5, Fraction(6))
         rep = distribution_check(n, 5, arg)
@@ -461,3 +470,40 @@ def test_python_dash_m_runs_the_cli():
     argv[-3:] = ["6", "--max-m", "2"]
     good = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert good.returncode == 0 and "5/259" in good.stdout
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (Fraction(1),), ids=str)
+def test_one_direct_pass_gives_every_prefix(q):
+    # the accumulator after term l is the sum at n = l + 1, for every m at once
+    sums = euler._alt_power_sums(range(16), range(9), q.numerator, q.denominator)
+    assert set(sums) == {(n, m) for n in range(16) for m in range(9)}
+    for (n, m), pair in sums.items():
+        assert Fraction(*pair) == _alt_power_sum_loop(n, m, q), (n, m)
+
+
+_SIGNED_POINTS = (
+    ((1, 0), (-1, 3), (1, 7)),
+    ((-1, 4), (1, 4), (1, 1)),
+    ((1, 2), (-1, 7), (1, 12), (-1, 17), (1, 22)),
+    ((-2, 5), (3, 0)),
+)
+
+
+@pytest.mark.parametrize("q", TREE_QS, ids=str)
+def test_a_signed_combination_is_the_sum_of_its_values(q):
+    for f in (1, 3, 5):
+        for points in _SIGNED_POINTS:
+            for n in range(13):
+                got = euler._euler_poly_sum(n, points, f, q.numerator, q.denominator)
+                want = sum(s * _euler_poly_fraction_sum(n, a, f, q) for s, a in points)
+                assert Fraction(*got) == want, (n, points, f)
+
+
+@pytest.mark.parametrize("qv", (Fraction(6), Fraction(31, 6), Fraction(1, 4)), ids=str)
+def test_one_pass_fermionic_sums_are_the_riemann_sums_at_each_level(qv):
+    q = QParam(qv, 3 if qv == Fraction(1, 4) else 5)
+    levels = (1, 2, 3)
+    sums = euler._fermionic_sums(range(6), q, levels)
+    assert set(sums) == {(m, level) for m in range(6) for level in levels}
+    for (m, level), pair in sums.items():
+        assert Fraction(*pair) == _fermionic_loop(m, q, level), (m, level)

@@ -95,10 +95,14 @@ def test_convolution_rhs_checks_q_before_the_table(monkeypatch, q, error):
 
 
 def test_a_flipped_distribution_sign_fails_its_relation(monkeypatch, capsys):
-    # the j = 1 term of m = 5 at x = 2/5 is E_{n,q^25}(7/25)
-    def flipped(n, arg):
-        value = euler_poly_q(n, arg)
-        return -value if (arg.a, arg.f, arg.q) == (7, 25, Fraction(6)) else value
+    # the j = 1 term of m = 5 at x = 2/5 is E_{n,q^25}(7/25), the point a = 7
+    # of the right-hand side's combination in base q^25
+    right = euler._euler_poly_sum
 
-    monkeypatch.setattr(euler, "euler_poly_q", flipped)
+    def flipped(n, points, f, u, v):
+        if (f, u, v) == (25, 6, 1) and len(points) == 5:
+            points = [(-s if a == 7 else s, a) for s, a in points]
+        return right(n, points, f, u, v)
+
+    monkeypatch.setattr(euler, "_euler_poly_sum", flipped)
     assert _failing(capsys) == ["distribution-relation[q=6]"]
