@@ -19,36 +19,31 @@ geometric valuation gain per term; results are reported modulo
 p**target of their budget, never beyond what the certificate covers.
 
 All computation is pure; verification grids can be evaluated in any
-order and merged.  Every series of the public functions is one cached
-_partial value, a (residue, precision, terms used) triple of ints, at
-every exponent: H and K, which H_pq and K_pq wrap in a PadicApprox (K at
-q = 1 is (0, target, 0)).  Every series at one (q, F, precision) reads
-one shared residue table.  Besides q, Q = q^F, the q-integers and the
+order and merged.  Every series at one (q, F, precision) reads one
+shared residue table.  Besides q, Q = q^F, the q-integers and the
 Euler numbers, that table holds the Teichmuller residues w(a), the
 1-units <a> = [a]_q / w(a), the inverses [a]_q^(-1) for a < p from one
 batch inversion, one residue-independent base row b_j per (kind, n),
 E_{j,Q} for H, (Q^(nj) - 1) E_{j,Q} for K, the double Euler row d_j for
 the regrouped expansion and d_j plus K's row for the block expansion,
 each built by running products, and the alternating q-power sums
-N(m, i) below.  The series kernel walks the coefficients step(a)^j b_j
-of residue a by a running power of step(a) and steps an exact binomial
-binom(-r, j) through them, at an integer exponent r.  A Z_p
-exponent s (a Fraction or a PadicApprox) is summed as the integer
-r == s (mod p**sigma), sigma the least of the working precision and s's
-own, with every term taken mod p**sigma: binom(-s, j) == binom(-r, j)
-(mod p**(sigma - v_p(j!))) while v_p(step(a)^j b_j) >= j > v_p(j!), and
-<a>^(p**sigma) == 1 (mod p**(sigma+1)).  So no exponent certifies a
-target above its sigma: there each series but K at q = 1 raises
-TruncationNotConverged before its first term.
-
-The verifier's two block stages read the block, double and K rows at
-exponent r for every residue a < p, not as 3(p - 1) series: v_p(step(a))
-= v_p(F) at every a, so where a series stops does not depend on a.  Each
-row is certified once, at a = 1, and summed at every residue by Horner
-over its coefficients binom(-r, j) b_j (_row_sums).  The Teichmuller
-factors cancel: the series' (-1)^a / 2 <a>^(-r) times the stages'
--w(a)^(-r) is -(-1)^a / (2 [a]_q^r), read from the left-hand side's
-table, so the verifier takes no w(a) and no <a>.
+N(m, i) below.  The series of residue a sums binom(-r, j) step(a)^j b_j
+at an integer exponent r.  A Z_p exponent s (a Fraction or a
+PadicApprox) is summed as the integer r == s (mod p**sigma), sigma the
+least of the working precision and s's own, with every term taken mod
+p**sigma: binom(-s, j) == binom(-r, j) (mod p**(sigma - v_p(j!))) while
+v_p(step(a)^j b_j) >= j > v_p(j!), and <a>^(p**sigma) == 1
+(mod p**(sigma+1)).  As v_p(step(a)) = v_p(F) at every a, where a series
+stops does not depend on a: one cached kernel (_series) certifies each
+(r, sigma, kind, n) row once, at a = 1, and keeps its coefficients
+binom(-r, j) b_j, which H and K (_partial; K at q = 1 is (0, target, 0))
+and the verifier's two block stages, at every a < p, evaluate by Horner
+at step(a).  No exponent certifies a target above its sigma: there each
+series but K at q = 1 raises TruncationNotConverged before its first
+term.  The Teichmuller factors of the block stages cancel: the series'
+(-1)^a / 2 <a>^(-r) times the stages' -w(a)^(-r) is
+-(-1)^a / (2 [a]_q^r), read from the left-hand side's table, so the
+verifier takes no w(a) and no <a>.
 
 There is one character sum, sum_a w(a)^t v_a over (residue, precision)
 pairs, known to the least precision of the table and the summands (w(a)
@@ -79,7 +74,7 @@ from functools import lru_cache
 from .errors import OutOfDomain, TruncationNotConverged
 from .kernel import QParam, _check_int, binom_int, padic_valuation_int, q_int
 from .kernel import tail_merge_coefficient as _merge_coefficient
-from .padic import PadicApprox, TeichChar, _validate_precision, agreement, embed, teichmuller
+from .padic import PadicApprox, TeichChar, _validate_precision, embed, teichmuller
 
 
 # A series stops only after this many consecutive negligible terms.
@@ -185,7 +180,7 @@ class _Residues:
     n, and the alternating q-power sums N(m, i) over the residues a < p.
     The inverses [a]_q^(-1), a < p, come from one batch inversion, which
     steps() and the sums N read; a lone step(a) inverts its [a]_q alone,
-    since a series reads only its own residue.
+    since H and K of one residue read only that residue.
     """
 
     def __init__(self, q: QParam, F: int, precision: int):
@@ -359,65 +354,73 @@ _KINDS = {
 }
 
 
-def _series(res: _Residues, s: int, a: int, kind: str, n: int, budget, precision: int):
-    """The series kernel: sum_{j >= start} binom(-s, j) step(a)^j b_j mod
-    p**precision, truncated per budget, over the base row b_j =
-    res.base(kind, n, .), for an integer s and precision <= res.precision.
-    The base row is asked first for the terms up to the earliest index that
-    could certify, then _WINDOW terms at a time; step(a)^j is a running
-    power, and the binomial steps exactly, binom(-s, j+1) = binom(-s, j)
-    (-s-j)/(j+1).  Returns the _TruncatedSeries.  Below the target no term
-    can be negligible, so that raises TruncationNotConverged before any
-    base row is read."""
+@lru_cache(maxsize=None)
+def _series(res: _Residues, r: int, sigma: int, kind: str, n: int, budget) -> tuple:
+    """The series kernel: the row of `kind` at the integer exponent r for
+    every residue of the table res, certified once, as (row, used,
+    failure).  The series sum_{j >= start} binom(-r, j) step(a)^j b_j,
+    b_j = res.base(kind, n, .), is summed at a = 1 with every term mod
+    p**sigma, sigma <= res.precision.  As step(a) / p**v_p(F) is a unit, a
+    term's valuation (capped at sigma), and with it every decision of the
+    certificate, is the same at every a: so are the terms used, and the
+    last `quiet` terms are 0 mod p**target at every a.  row holds
+    binom(-r, j) b_j mod p**target for j <= used - quiet (0 below start),
+    and the series at a is _horner(row, step(a), p**target).  The base row
+    is asked first up to the earliest index that could certify, then
+    _WINDOW terms at a time; binom(-r, j+1) = binom(-r, j) (-r-j)/(j+1)
+    steps exactly.  A row that does not certify has row None and failure
+    its TruncationNotConverged message, the label's residue left as a {}
+    field for _row to fill.  Below the target no term can be negligible,
+    so that fails before any base row is read."""
     label, start = _KINDS[kind]
-    gain = res.gain
-    series = _TruncatedSeries(res.prime, budget, gain, label.format(a))
-    if precision < budget.target:
-        raise TruncationNotConverged(
-            f"series '{series.label}' not certified: precision {precision} is below "
-            f"the target {budget.target}"
-        )
-    mod, step = res.prime**precision, res.step(a)
-    b, power = binom_int(-s, start), pow(step, start, mod)
-    j, stop = start, max(start + _WINDOW, -(-budget.target // gain))
-    while j <= budget.max_terms:
+    if sigma < budget.target:
+        return None, 0, f"series '{label}' not certified: precision {sigma} is below the target {budget.target}"
+    series = _TruncatedSeries(res.prime, budget, res.gain, label)
+    mod, step, row = res.prime**sigma, res.step(1), [0] * start
+    b, power = binom_int(-r, start), pow(step, start, mod)
+    j, stop = start, max(start + _WINDOW, -(-budget.target // res.gain))
+    while not series.done and j <= budget.max_terms:
         stop = min(stop, budget.max_terms + 1)
         base = res.base(kind, n, stop)
         for j in range(j, stop):
-            done = series.add(j, b * power * base[j] % mod)
-            b, power = b * (-s - j) // (j + 1), power * step % mod
-            if done:
-                return series
+            row.append(b * base[j] % mod)
+            if series.add(j, row[-1] * power % mod):
+                break
+            b, power = b * (-r - j) // (j + 1), power * step % mod
         j, stop = stop, stop + _WINDOW
-    return series
+    try:
+        series.certified()
+    except TruncationNotConverged as exc:
+        return None, series.used, str(exc)
+    target = res.prime**budget.target
+    return [c % target for c in row[:len(row) - series.quiet]], series.used, None
+
+
+def _row(res: _Residues, r: int, sigma: int, kind: str, n: int, budget, a: int) -> tuple:
+    """(row, used) of _series, or its TruncationNotConverged, labeled with
+    the residue a."""
+    row, used, failure = _series(res, r, sigma, kind, n, budget)
+    if failure is not None:
+        raise TruncationNotConverged(failure.format(a))
+    return row, used
+
+
+def _horner(row: list, x: int, mod: int) -> int:
+    """sum_j row[j] x^j mod mod."""
+    total = 0
+    for c in reversed(row):
+        total = (total * x + c) % mod
+    return total
 
 
 def _row_sums(res: _Residues, r: int, kind: str, n: int, budget) -> tuple:
     """(sums, used) for one of the block stages' rows (block, double or K)
-    at the integer exponent r: the series of _series at every residue
-    0 < a < p of the table res, sum_{1<=j<=used} binom(-r, j) step(a)^j b_j
-    mod p**precision.  v_p(step(a)) = v_p(F) at every a, and step(a) /
-    p**v_p(F) is a unit, so each term's residue has the same valuation
-    (capped at the precision) at every a, and with it every decision of the
-    certificate: the series at a = 1 certifies, or raises the
-    TruncationNotConverged that names a = 1, for all of them, and its
-    terms used are every residue's.  Each sum is then one Horner evaluation
-    of the coefficients binom(-r, j) b_j at step(a)."""
-    series = _series(res, r, 1, kind, n, budget, res.precision)
-    series.certified()
-    mod, used = res.mod, series.used
-    base, b, coefficients = res.base(kind, n, used + 1), binom_int(-r, 1), []
-    for j in range(1, used + 1):  # every row here starts at j = 1
-        coefficients.append(b * base[j] % mod)
-        b = b * (-r - j) // (j + 1)
-    coefficients.reverse()
-    sums = []
-    for x in res.steps():
-        total = 0
-        for c in coefficients:
-            total = (total * x + c) % mod
-        sums.append(total * x % mod)
-    return sums, used
+    at the integer exponent r and the working precision: the row's series
+    at every residue 0 < a < p, mod p**target.  A row that does not
+    certify raises with the label of a = 1."""
+    row, used = _row(res, r, res.precision, kind, n, budget, 1)
+    mod = res.prime**budget.target
+    return [_horner(row, x, mod) for x in res.steps()], used
 
 
 def _require_prime(q: QParam) -> int:
@@ -442,7 +445,7 @@ def _check_residue(a: int, F: int, p: int) -> None:
 
 
 def _check_exponent(s, p: int) -> None:
-    # before s joins the _partial cache key, where a list raises a bare TypeError
+    # before _representative reads s, where a list raises a bare AttributeError
     if not isinstance(s, (int, Fraction, PadicApprox)):
         raise OutOfDomain(f"unsupported exponent type {type(s).__name__}")
     if isinstance(s, PadicApprox) and s.prime != p:
@@ -473,13 +476,6 @@ def _default_precision(budget: SeriesBudget, precision) -> int:
     return precision
 
 
-def _signed_half(a: int, modulus: int) -> int:
-    """(-1)^a / 2 mod modulus."""
-    half = pow(2, -1, modulus)
-    return -half if a % 2 else half
-
-
-@lru_cache(maxsize=None)
 def _partial(s, a, F, q: QParam, budget, precision, kind, n) -> tuple:
     """H and K, as (residue, precision, terms used) on ints:
 
@@ -487,22 +483,20 @@ def _partial(s, a, F, q: QParam, budget, precision, kind, n) -> tuple:
             (q^a [F]_q/[a]_q)^j b_j,
 
     b_j the base row of `kind` (_Residues.base): H (n = 0) or K (n even).
-    Reported modulo p**budget.target at most; K vanishes at q = 1,
-    (0, target, 0).  Every s is summed as its integer representative r
-    mod p**sigma (_representative, exact by the module docstring's two
-    congruences); (-1)^a / 2 and <a>^(-r) are units, so the product with
-    the certified sum is known to the sum's precision.  Equal exponents,
-    such as 1, Fraction(1) and True, share one entry.  The verifier's
-    block stages sum their rows at every residue by _row_sums instead."""
+    Reported modulo p**budget.target; K vanishes at q = 1, (0, target, 0).
+    Every s is summed as its integer representative r mod p**sigma
+    (_representative, exact by the module docstring's two congruences),
+    as the row of _series evaluated at step(a); (-1)^a / 2 and <a>^(-r)
+    are units, so the product is known to the sum's precision.  Equal
+    exponents, such as 1, Fraction(1) and True, share one row."""
     if kind == "K" and q.is_one:
         return 0, budget.target, 0
-    p = q.prime
     res = _residues(q, F, precision)
-    r, sigma = _representative(s, p, precision)
-    series = _series(res, r, a, kind, n, budget, sigma)
-    total, t = series.certified()
-    mod = p**t
-    return _signed_half(a, mod) * total * pow(res.units(a)[1], -r, mod) % mod, t, series.used
+    r, sigma = _representative(s, q.prime, precision)
+    row, used = _row(res, r, sigma, kind, n, budget, a)
+    mod = q.prime**budget.target
+    total = (-1) ** a * pow(2, -1, mod) * _horner(row, res.step(a), mod)
+    return total * pow(res.units(a)[1], -r, mod) % mod, budget.target, used
 
 
 def H_pq(s, a: int, F: int, q: QParam, budget: SeriesBudget, precision=None) -> PadicApprox:
@@ -554,9 +548,9 @@ def gen_euler_teich(n: int, chi: TeichChar, q: QParam, precision: int) -> PadicA
 
     read from the residue table: the trivial character gives E_{n,q}
     itself, and otherwise [p]_q^n E_{n,q^p}(a/p) = [a]_q^n sum_{k<=n}
-    binom(n, k) step(a)^k E_{k,q^p} over the H base row, step(a) =
-    q^a [p]_q/[a]_q by a running product, each summand known mod
-    p**precision.
+    binom(n, k) step(a)^k E_{k,q^p}, one Horner evaluation of the row
+    binom(n, k) E_{k,q^p} from the H base row at each step(a) =
+    q^a [p]_q/[a]_q, each summand known mod p**precision.
     """
     p = _require_prime(q)
     _check_character(chi, p)
@@ -567,13 +561,10 @@ def gen_euler_teich(n: int, chi: TeichChar, q: QParam, precision: int) -> PadicA
     if chi.is_trivial:
         return PadicApprox(p, _residues(q, 1, precision).euler(n), precision)
     res = _residues(q, p, precision)
-    mod, base, values = res.mod, res.base("H", 0, n + 1), []
-    for a in range(1, p):
-        step, power, total = res.step(a), 1, 0
-        for k in range(n + 1):
-            total += math.comb(n, k) * power * base[k]
-            power = power * step % mod
-        values.append((a, ((-1) ** a * pow(res.q_ints[a], n, mod) * total, precision)))
+    mod, base = res.mod, res.base("H", 0, n + 1)
+    row = [math.comb(n, k) * base[k] for k in range(n + 1)]
+    values = [(a, ((-1) ** a * pow(res.q_ints[a], n, mod) * _horner(row, step, mod), precision))
+              for a, step in enumerate(res.steps(), start=1)]
     return PadicApprox(p, *_char_sum(res, chi.exponent, values))
 
 
@@ -967,14 +958,16 @@ def padic_to_dict(x: PadicApprox) -> dict:
     }
 
 
-def _padic_stage(name, description, pairs, target, diagnostic=False):
-    """Build a StageResult from (label, lhs, rhs) p-adic comparisons,
-    keeping the digits of the worst-agreeing pair; a comparison labeled
-    None adds nothing to the detail."""
-    worst = None
-    details = []
+def _padic_stage(name, description, p, pairs, precision, target, diagnostic=False):
+    """Build a StageResult from (label, lhs, rhs) comparisons of residues,
+    lhs known mod p**precision and rhs mod p**target, target <= precision:
+    the agreement v_p(lhs - rhs), capped at target (saturated when the two
+    agree there), keeping the digits of the worst-agreeing pair; a
+    comparison labeled None adds nothing to the detail."""
+    mod, worst, details = p**target, None, []
     for label, lhs, rhs in pairs:
-        val, sat = agreement(lhs, rhs)
+        d = (lhs - rhs) % mod
+        sat, val = d == 0, target if d == 0 else padic_valuation_int(d, p)
         if label is not None:
             details.append(f"{label}: v>={val}" if sat else f"{label}: v={val}")
         key = (sat, val)
@@ -987,8 +980,8 @@ def _padic_stage(name, description, pairs, target, diagnostic=False):
         passed=sat or val >= target,
         agreement_valuation=val,
         saturated=sat,
-        lhs_digits=lhs.render(),
-        rhs_digits=rhs.render(),
+        lhs_digits=PadicApprox(p, lhs, precision).render(),
+        rhs_digits=PadicApprox(p, rhs, target).render(),
         diagnostic=diagnostic,
         detail="; ".join(details),
     )
@@ -1031,31 +1024,18 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     regrouped, _ = _row_sums(res, r, "double", n, budget)
     if not q.is_one:
         regrouped = [x + y for x, y in zip(regrouped, _row_sums(res, r, "K", n, budget)[0])]
-    half, pairs_series, pairs_regroup = pow(2, -1, mod), [], []
-    for a, residue in enumerate(blocks, start=1):
-        block = PadicApprox(p, residue, precision)
-        # each series' factor (-1)^a / 2 <a>^(-r) times the block stages'
-        # -w(a)^(-r) is -(-1)^a / (2 [a]_q^r)
-        scale = (half if a % 2 else -half) * powers[a]
-        trunc[f"block-expansion/a={a}"] = used
-        pairs_series.append((f"a={a}", block, PadicApprox(p, scale * expansions[a - 1], target)))
-        pairs_regroup.append((f"a={a}", block, PadicApprox(p, scale * regrouped[a - 1], target)))
-    stages.append(
-        _padic_stage(
-            "alternating-block-series",
-            "per-residue alternating block sum vs its Euler-series expansion",
-            pairs_series,
-            target,
-        )
-    )
-    stages.append(
-        _padic_stage(
-            "correction-tail-regrouping",
-            "block sum vs leading double series plus the closed vanishing correction",
-            pairs_regroup,
-            target,
-        )
-    )
+    trunc.update((f"block-expansion/a={a}", used) for a in range(1, p))
+    # each series' factor (-1)^a / 2 <a>^(-r) times the block stages'
+    # -w(a)^(-r) is -(-1)^a / (2 [a]_q^r)
+    half = pow(2, -1, mod)
+    scales = [(half if a % 2 else -half) * powers[a] for a in range(1, p)]
+    for name, description, sums in (
+        ("alternating-block-series", "per-residue alternating block sum vs its Euler-series expansion", expansions),
+        ("correction-tail-regrouping", "block sum vs leading double series plus the closed vanishing correction",
+         regrouped),
+    ):
+        pairs = [(f"a={a}", x, scale * y) for a, (x, scale, y) in enumerate(zip(blocks, scales, sums), start=1)]
+        stages.append(_padic_stage(name, description, p, pairs, precision, target))
     depth = 12
     stages.append(
         _exact_stage(
@@ -1085,8 +1065,7 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     assembly = _padic_stage(
         "character-sum-assembly",
         "alternating power sum vs the assembled l-value expansion",
-        [(None, lhs, rhs)],
-        target,
+        p, [(None, lhs.residue, rhs.residue)], precision, target,
     )
     stages.append(assembly)
     stages.append(
@@ -1094,8 +1073,7 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
             "residue-weighted-assembly",
             "assembly keeping the per-residue geometric weight inside the character "
             "sums and half-normalizing the correction tail",
-            [("weighted", lhs, rhs_w)],
-            target,
+            p, [("weighted", lhs.residue, rhs_w.residue)], precision, target,
             diagnostic=True,
         )
     )

@@ -35,7 +35,7 @@ from qeuler import (
     theorem5_verify,
 )
 from qeuler import lfunc
-from qeuler.lfunc import _partial, _power_split_check, _Residues
+from qeuler.lfunc import _power_split_check, _Residues, _series
 
 Q6 = QParam(Fraction(6), 5)
 BUDGET = SeriesBudget(target=4)
@@ -383,18 +383,18 @@ def test_truncation_not_converged_is_raised():
 def test_series_cache_shares_one_entry_for_equal_exponents():
     # 2 == Fraction(2) and 1 == Fraction(1) == True, each hashing alike;
     # every exponent is summed through its integer representative, so equal
-    # exponents share one series entry in any order, with one value
+    # exponents share one row entry in any order, with one value
     q, budget = QParam(1, 5), SeriesBudget(3)
     for order in ((2, Fraction(2)), (Fraction(2), 2)):
-        _partial.cache_clear()
+        _series.cache_clear()
         for s in order:
             got = H_pq(s, 1, 5, q, budget, 3)
             assert (got.residue, got.precision) == (122, 3), s
-        assert _partial.cache_info().currsize == 1, order
+        assert _series.cache_info().currsize == 1, order
     for order in ((1, True, Fraction(1)), (True, Fraction(1), 1)):
-        _partial.cache_clear()
+        _series.cache_clear()
         assert {H_pq(s, 1, 5, q, budget, 3).render() for s in order} == {"...2 3 3 mod 5^3"}, order
-        assert _partial.cache_info().currsize == 1, order
+        assert _series.cache_info().currsize == 1, order
 
 
 def test_zp_exponent_at_q_one_certifies_without_a_precision_margin():

@@ -3,10 +3,11 @@
 Every series in ``lfunc`` is summed on integer residues mod p^N over the
 coefficients step(a)^j b_j, whose base row b_j has one of four kinds: H,
 K, the double Euler row of the regrouped expansion, and that row plus K's
-for the block expansion.  H and K are cached ``_partial`` values; the
-verifier's block stages certify each of their rows once and sum it at
-every residue (``_row_sums``), and the per-residue series check that one
-certificate serves them all.  These tests
+for the block expansion.  One cached kernel, ``_series``, certifies each
+row once and keeps its coefficients, which ``_partial`` (H and K) and the
+verifier's block stages (``_row_sums``) evaluate at every residue; a
+per-residue series loop checks that one certificate serves them all.
+These tests
 keep the exact-rational formulation as the reference: the closed-form
 q-Euler numbers for the recurrence table, direct modular powers and sums
 for the base rows and step(a), ``teichmuller``/``angle_bracket`` for the
@@ -69,6 +70,7 @@ from qeuler.lfunc import (
     _theorem5_sides,
     l_pq,
 )
+from qeuler.suites import run_suite
 
 RECURRENCE_POINTS = [
     (5, Fraction(6)),
@@ -644,9 +646,9 @@ def test_one_verify_evaluates_each_series_once(monkeypatch):
         partials.append(args)
         return partial(*args)
 
-    def counted_series(res, s, a, kind, n, budget, precision):
-        rows.append((a, kind))
-        return series(res, s, a, kind, n, budget, precision)
+    def counted_series(res, r, sigma, kind, n, budget):
+        rows.append(kind)
+        return series(res, r, sigma, kind, n, budget)
 
     def no_teichmuller(*args):
         raise AssertionError(f"teichmuller{args}")
@@ -660,15 +662,31 @@ def test_one_verify_evaluates_each_series_once(monkeypatch):
         report = theorem5_verify(r, n, q, SeriesBudget(4))
         assert report.truncation_indices["assembly"] > 1
         # the assembly reads its character sums from the alternating-sum
-        # table, and the block stages certify each row once, at a = 1
-        # (K vanishes at q = 1), and take no w(a)
+        # table, and the block stages read each row once (K vanishes at
+        # q = 1), and take no w(a)
         assert partials == [], (r, n, q)
-        assert rows == [(1, "block"), (1, "double")] + ([] if q.is_one else [(1, "K")]), (r, n, q)
+        assert rows == ["block", "double"] + ([] if q.is_one else ["K"]), (r, n, q)
         # T's sum comes from the table too: either side alone sums no series
         rows.clear()
         for side in (theorem5_rhs, theorem5_rhs_weighted):
             side(r, n, q, SeriesBudget(4))
         assert partials == rows == [], (r, n, q)
+
+
+def test_every_row_is_certified_once():
+    # the series of every residue at one (exponent, kind, n) is one row:
+    # l_pq at F = 3p sums 10 residues and K_pq_chi 4 on one certificate
+    # each, and `verify all` certifies 41 rows, the 24 behind its 96
+    # distinct H and K values and the verifier's 20, 3 of them K rows
+    # that both read
+    q, budget, chi = QParam(6, 5), SeriesBudget(4), TeichChar(5, 1)
+    for call in (lambda: l_pq(2, chi, 15, q, budget), lambda: K_pq_chi(2, 3, chi, 5, q, budget)):
+        lfunc._series.cache_clear()
+        call()
+        assert lfunc._series.cache_info().misses == 1
+    lfunc._series.cache_clear()
+    run_suite("all")
+    assert lfunc._series.cache_info().misses == 41
 
 
 def test_assembly_names_the_series_that_did_not_certify():
@@ -900,30 +918,51 @@ BLOCK_BUDGETS = [
 ]
 
 
-def _series_outcome(res, r, a, kind, n, budget):
-    """The terms used by _series at residue a, or the type and message of
-    what its certificate raises, with the residue label taken out."""
-    series = lfunc._series(res, r, a, kind, n, budget, res.precision)
+def _residue_outcome(res, r, sigma, a, kind, n, budget):
+    """The terms used by the series of residue a, summed term by term at
+    step(a) mod p^sigma under the engine's certificate, or the type and
+    message of what the certificate raises, labeled with the residue "a"."""
+    label, start = lfunc._KINDS[kind]
+    series = lfunc._TruncatedSeries(res.prime, budget, res.gain, label.format("a"))
+    mod, b = res.prime**sigma, binom_int(-r, start)
+    for j in range(start, budget.max_terms + 1):
+        if series.add(j, b * pow(res.step(a), j, mod) * res.base(kind, n, j + 1)[j] % mod):
+            break
+        b = b * (-r - j) // (j + 1)
     try:
         series.certified()
     except TruncationNotConverged as exc:
-        return type(exc).__name__, str(exc).replace(f"(a={a})", "(a)")
+        return type(exc).__name__, str(exc)
     return series.used
+
+
+def _row_outcome(res, r, sigma, kind, n, budget):
+    """The same outcome from the engine's one certificate per row."""
+    row, used, failure = lfunc._series(res, r, sigma, kind, n, budget)
+    return used if failure is None else ("TruncationNotConverged", failure.format("a"))
 
 
 @pytest.mark.parametrize("p, qv", BLOCK_POINTS)
 def test_each_row_certifies_alike_at_every_residue(p, qv):
     # v_p(step(a)) = v_p(F) at every a, so one certificate serves a row's
-    # series at every residue: the same terms used, or the same error
+    # series at every residue: the same terms used, or the same error, at
+    # F = p and 3p, and at Z_p exponents through their representatives
     q, outcomes = QParam(qv, p), set()
+    exponents = (1, 2, 3, -1, -4, Fraction(1, 2), Fraction(-7, 3), PadicApprox(p, 6, 9))
+    rows = [(kind, n) for n in (2, 4) for kind in ("block", "double", "K")] + [("H", 0)]
     for budget, precision in BLOCK_BUDGETS:
-        res = _Residues(q, p, budget.target + 6 if precision is None else precision)
-        for n in (2, 4):
-            for r in (1, 2, 3):
-                for kind in ("block", "double", "K"):
-                    seen = {_series_outcome(res, r, a, kind, n, budget) for a in range(1, p)}
-                    assert len(seen) == 1, (budget, n, r, kind, seen)
-                    outcomes |= seen
+        working = budget.target + 6 if precision is None else precision
+        for F in (p, 3 * p):
+            res = _Residues(q, F, working)
+            for s in exponents:
+                r, sigma = lfunc._representative(s, p, working)
+                for kind, n in rows if F == p else [("H", 0), ("K", 2), ("K", 4)]:
+                    want = _row_outcome(res, r, sigma, kind, n, budget)
+                    for a in range(1, F):
+                        if a % p:
+                            got = _residue_outcome(res, r, sigma, a, kind, n, budget)
+                            assert got == want, (budget, F, s, kind, n, a)
+                    outcomes.add(want)
     # the grid holds rows that certify and rows that do not
     assert {type(x) for x in outcomes} == {int, tuple}
 
