@@ -9,8 +9,10 @@ checks pass / value computed, 1 verification failure or non-convergence,
 Each handler describes its result three ways: a JSON record, a text
 report and, for euler-table and verify, a CSV table.  One writer,
 ``_emit``, builds only the one that --format names and writes it to
---out or to stdout.  A named command is parsed by its own parser, built
-from the same argument table as the full parser's subparser.
+--out or to stdout; an --out that cannot be written is invalid input.
+A well-formed command line is read straight from the argument table, and
+any other goes to the argparse parser built from that table, whose usage,
+help and error text those are.
 Serialization rules: rationals as "num/den" strings (never floats),
 p-adic values as {"residue", "mod", "valuation"}, complex values as
 {"re", "im"} float strings.  JSON output is key-sorted so identical
@@ -72,14 +74,17 @@ def _emit(args, record, text, table=None) -> None:
     else:
         text = text()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise QEulerError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 # Each command's help line and its arguments as (name, add_argument
-# keywords), read both by the full parser and by a named command's own.
+# keywords), read both by the argparse parser and by _read_args.
 _COMMANDS = {
     "euler-table": (
         "tabulate q-Euler numbers",
@@ -155,13 +160,6 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(parser, command: str):
-    """parser with the arguments of one command added."""
-    for name, options in _COMMANDS[command][1]:
-        parser.add_argument(name, **options)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qeuler",
@@ -169,26 +167,61 @@ def build_parser() -> argparse.ArgumentParser:
         "complex l-values, and p-adic interpolation with a staged verifier.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(command, help=help_text), command)
+    for command, (help_text, arguments) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for name, options in arguments:
+            command_parser.add_argument(name, **options)
     return parser
+
+
+def _read_args(command: str, tokens: list) -> argparse.Namespace | None:
+    """`qeuler command *tokens` as the argparse parser reads it, read
+    straight from the argument table, or None unless tokens are plain:
+    each option an exact table name followed by a value that does not start
+    with "-", at most one positional, every required argument present, and
+    every value one that its type and choices accept."""
+    entries = dict(_COMMANDS[command][1])
+    positional = next((name for name in entries if not name.startswith("-")), None)
+    read = {}
+    rest = iter(tokens)
+    for token in rest:
+        if token.startswith("-"):
+            name, text = token, next(rest, None)
+            if name not in entries or text is None or text.startswith("-"):
+                return None
+        elif positional is None or positional in read:
+            return None
+        else:
+            name, text = positional, token
+        options = entries[name]
+        try:
+            value = options["type"](text) if "type" in options else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        read[name] = value  # a repeated option keeps its last value
+    if any(name not in read and options.get("required", name == positional) for name, options in entries.items()):
+        return None
+    return argparse.Namespace(
+        command=command,
+        **{name.lstrip("-").replace("-", "_"): read.get(name, options.get("default")) for name, options in entries.items()},
+    )
 
 
 def _parse_args(argv=None) -> argparse.Namespace:
     """argv parsed as `qeuler` parses it.
 
-    A named command is parsed by its own parser, named `qeuler <command>`
-    as the full parser names that subparser, so it prints the same usage,
-    help and errors without building the other four.  No command, an
-    unknown one, or an argument left over goes to the full parser, whose
-    messages those are.
+    A well-formed command line is read by _read_args and builds no
+    parser.  Any other (no command or an unknown one, help, an
+    abbreviation, `--name=value`, a value starting with "-", a missing,
+    stray or invalid argument) goes to the argparse parser, whose
+    namespace, usage, help and errors those are.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _COMMANDS:
-        parser = _add_arguments(argparse.ArgumentParser(prog=f"qeuler {argv[0]}"), argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
+        args = _read_args(argv[0], argv[1:])
+        if args is not None:
             return args
     return build_parser().parse_args(argv)
 

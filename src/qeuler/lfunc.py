@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -863,7 +863,8 @@ class StageResult:
     detail: str = ""
 
     def to_dict(self):
-        return asdict(self)
+        # every field is a str, int, bool or None: nothing to copy deeply
+        return dict(vars(self))
 
 
 @dataclass

@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeuler import QParam, SeriesBudget, TeichChar, cli, embed, euler_number_q, l_pq, q_int
 from qeuler.cli import main
@@ -219,6 +221,15 @@ def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
     assert target.read_bytes() == out.encode()
 
 
+@pytest.mark.parametrize("argv", [argv for argv, _ in OUT_RUNS], ids=lambda argv: " ".join(argv[:3]))
+def test_output_into_a_missing_directory_exits_two(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input:")
+    assert not target.exists()
+
+
 def test_composite_prime_exits_two_at_once(capsys):
     # 1022117 = 1009 * 1013 has no factor below 1000
     start = time.perf_counter()
@@ -328,6 +339,11 @@ _PARSER_CASES = [
     ["verify", "all", "-h", "bogus"],
     ["euler-table", "--q", "6", "extra", "--N", "x"],
     ["lvalue", "--side", "padic", "--s", "2", "--q", "6"],
+    ["zeta", "--s", "-2", "--x", "1", "--q", "0.5"],
+    ["theorem5", "--r", "1", "--r", "2"],
+    ["verify", "--format", "json", "all"],
+    ["verify", "all", "all"],
+    ["lvalue", "--side", "padic", "--s", "2", "--q", "6", "--t"],
 ]
 
 
@@ -338,13 +354,66 @@ def test_a_named_command_parses_as_the_full_parser_does(argv):
     assert _parsed(cli._parse_args, argv) == full
 
 
-def test_a_named_command_builds_only_its_own_parser(monkeypatch):
-    def unbuilt():
-        raise AssertionError("full parser built")
+# the benchmark's six command lines and README's examples without "=" or a negative value
+_PLAIN_ARGVS = [
+    "verify all --format json",
+    "theorem5 --format json",
+    "theorem5 --r 2 --n 2 --p 31 --q 32 --M 4",
+    "theorem5 --r 2 --n 2 --p 5 --q 6 --M 20",
+    "theorem5 --r 2 --n 2 --p 31 --q 1 --M 4",
+    "theorem5 --r 2 --n 2 --p 5 --q 1 --M 20",
+    "euler-table --q 6/1 --max-m 4 --p 5 --N 6 --format csv",
+    "verify all",
+    "verify theorem5 --r 2 --n 2 --p 5 --q 6/1 --M 4",
+    "verify theorem5 --p 7 --q 8/1",
+    "theorem5 --q 6/1 --M 4",
+]
+_WELL_FORMED = [
+    *(line.split() for line in _PLAIN_ARGVS),
+    ["zeta", "--s", "1", "--x", "1", "--q", "0.5"],
+    ["lvalue", "--side", "padic", "--s", "2", "--q", "6"],
+    ["lvalue", "--side", "complex", "--s", "1", "--q", "0.5", "--chi", "quad:3"],
+]
+_OPTION_STRINGS = sorted({name for _, entries in cli._COMMANDS.values() for name, _ in entries if name.startswith("-")})
+_VALUES = ["2", "0", "-2", "-1/2", "6/1", "1/0", "0.5", "x", "", "json", "csv", "text", "all", "theorem5", "padic", "complex", "quad:3"]
+_TOKENS = [*cli._COMMANDS, *_OPTION_STRINGS, "--form", "--r=2", "-h", "--", *_VALUES]
 
-    monkeypatch.setattr(cli, "build_parser", unbuilt)
-    args = cli._parse_args(["theorem5", "--r", "2", "--format", "text"])
-    assert (args.command, args.r, args.n, args.format) == ("theorem5", 2, None, "text")
+
+@st.composite
+def _command_lines(draw):
+    """Either tokens of the pool, or a well-formed command line with a few
+    tokens of the pool inserted, replaced or deleted."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(_TOKENS), max_size=8))
+    argv = list(draw(st.sampled_from(_WELL_FORMED)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "insert pair", "replace", "delete"]))
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from(_TOKENS)))
+        elif edit == "insert pair":
+            argv[at:at] = [draw(st.sampled_from(_OPTION_STRINGS)), draw(st.sampled_from(_VALUES))]
+        elif at < len(argv):
+            argv[at : at + 1] = [draw(st.sampled_from(_TOKENS))] if edit == "replace" else []
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+def test_any_command_line_parses_as_the_full_parser_does(argv):
+    full = _parsed(lambda v: cli.build_parser().parse_args(v), argv)
+    assert _parsed(cli._parse_args, argv) == full
+
+
+def test_a_well_formed_command_builds_no_parser(monkeypatch):
+    argvs = [line.split() for line in _PLAIN_ARGVS]
+    full = [vars(cli.build_parser().parse_args(argv)) for argv in argvs]
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", unbuilt)
+    assert [vars(cli._parse_args(argv)) for argv in argvs] == full
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
