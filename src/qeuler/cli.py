@@ -25,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -174,20 +175,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse's negative-number pattern: no option string of the table looks
+# like a negative number, so argparse reads a token of this form as a value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_option(token: str) -> bool:
+    return token.startswith("-") and not _NEGATIVE_NUMBER.match(token)
+
+
 def _read_args(command: str, tokens: list) -> argparse.Namespace | None:
     """`qeuler command *tokens` as the argparse parser reads it, read
     straight from the argument table, or None unless tokens are plain:
-    each option an exact table name followed by a value that does not start
-    with "-", at most one positional, every required argument present, and
-    every value one that its type and choices accept."""
+    each option an exact table name followed by a value that is a negative
+    number or does not start with "-", at most one positional, every
+    required argument present, and every value one that its type and
+    choices accept."""
     entries = dict(_COMMANDS[command][1])
     positional = next((name for name in entries if not name.startswith("-")), None)
     read = {}
     rest = iter(tokens)
     for token in rest:
-        if token.startswith("-"):
+        if _is_option(token):
             name, text = token, next(rest, None)
-            if name not in entries or text is None or text.startswith("-"):
+            if name not in entries or text is None or _is_option(text):
                 return None
         elif positional is None or positional in read:
             return None
@@ -214,8 +225,9 @@ def _parse_args(argv=None) -> argparse.Namespace:
 
     A well-formed command line is read by _read_args and builds no
     parser.  Any other (no command or an unknown one, help, an
-    abbreviation, `--name=value`, a value starting with "-", a missing,
-    stray or invalid argument) goes to the argparse parser, whose
+    abbreviation, `--name=value`, a value starting with "-" that is not a
+    negative number, a missing, stray or invalid argument) goes to the
+    argparse parser, whose
     namespace, usage, help and errors those are.
     """
     argv = sys.argv[1:] if argv is None else list(argv)

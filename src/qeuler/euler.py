@@ -138,6 +138,32 @@ def _euler_poly_q(n: int, a: int, f: int, u: int, v: int) -> Fraction:
     return Fraction(*_euler_poly_sum(n, ((1, a),), f, u, v))
 
 
+@lru_cache(maxsize=None)
+def _euler_row(m: int, u: int, v: int) -> tuple:
+    """(W, num0, den) at q = u/v: W_k = binom(m,k) v^k D/(v^k + u^k) for
+    k <= m with D = prod_k (v^k + u^k), E_{m,q}(0) = num0/den, and
+    den = (v - u)^m D, so E_{m,q}(a) = 2 v^m sum_k W_k (-u^a)^k v^(a(m-k))
+    over den v^(am).  It serves the exact suite's grids, where one row is
+    read at many points; a one-shot value is cheaper as a tree sum."""
+    dens = [v**k + u**k for k in range(m + 1)]
+    D = math.prod(dens)
+    W = tuple(math.comb(m, k) * v**k * (D // d) for k, d in enumerate(dens))
+    scale = 2 * v**m
+    return W, scale * sum(W[::2]) - scale * sum(W[1::2]), (v - u) ** m * D
+
+
+def _euler_row_pair(m: int, a: int, u: int, v: int) -> tuple:
+    """E_{m,q}(a) at q = u/v, a >= 0, as the unreduced pair (numerator,
+    den v^(am)) of the cached row: homogeneous Horner in (-u^a, v^a)."""
+    W, _, den = _euler_row(m, u, v)
+    x, y = -(u**a), v**a
+    acc, yk = 0, 1
+    for w in reversed(W):  # after W_k, acc = sum_{j>=k} W_j x^(j-k) y^(m-j)
+        acc = acc * x + w * yk
+        yk *= y
+    return 2 * v**m * acc, den * v ** (a * m)
+
+
 def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
     """The q-Euler polynomial value E_{n, q^f}(a/f), exactly.
 
@@ -171,17 +197,19 @@ def euler_number_classical(n: int) -> Fraction:
     return euler_poly_classical(n, 0)
 
 
-def _alt_power_sums(ends, ms, u: int, v: int) -> dict:
+def _alt_power_sums(ends, ms, u: int, v: int, mod=None) -> dict:
     """{(n, m): (numerator, denominator)} of 2 sum_{l<n} (-1)^l [l]_q^m at
     q = u/v, for every n in ends and m in ms, from one direct pass.
 
     [l]_q = B_l / v^(l-1) where B_0 = 0 and B_(l+1) = v^l + u B_l, so each
     sum is one integer over v^((n-2)m), built by Horner up to max(ends):
     the accumulator after term l is the numerator at n = l + 1.  At q = 1,
-    B_l = l; at m = 0, [0]_q^0 = 0^0 = 1.
+    B_l = l; at m = 0, [0]_q^0 = 0^0 = 1.  Given an int mod, B_l and the
+    accumulators are reduced mod mod on the way, so each numerator is only
+    congruent to the exact one mod mod; the denominators stay exact.
     """
     ends, ms = set(ends), tuple(ms)
-    vms = [v**m for m in ms]
+    vms = [pow(v, m, mod) for m in ms]
     accs = [0] * len(ms)
     out = {}
     b, vl = 0, 1  # b = B_l, vl = v^l
@@ -191,8 +219,10 @@ def _alt_power_sums(ends, ms, u: int, v: int) -> dict:
             for m, acc in zip(ms, accs):
                 out[l, m] = 2 * acc, v ** (max(l - 2, 0) * m)
         sign = -1 if l % 2 else 1
-        accs = [acc * vm + sign * b**m for acc, vm, m in zip(accs, vms, ms)]
+        accs = [acc * vm + sign * pow(b, m, mod) for acc, vm, m in zip(accs, vms, ms)]
         b, vl = vl + u * b, vl * v
+        if mod:
+            accs, b, vl = [acc % mod for acc in accs], b % mod, vl % mod
     return out
 
 

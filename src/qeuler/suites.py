@@ -24,8 +24,9 @@ from .euler import (
     _closed_form_pair,
     _deformed,
     _euler_numbers_over_lcm,
+    _euler_row,
+    _euler_row_pair,
     _fermionic_sums,
-    _poly_form_pair,
     distribution_check,
     euler_number_q,
     euler_poly_q,
@@ -38,6 +39,7 @@ from .kernel import (
     binom_tail_merge,
     padic_valuation_int,
     q_int,
+    q_int_neg,
 )
 from .lfunc import (
     H_pq,
@@ -82,6 +84,15 @@ def _grid_checks(name, qs, points, holds_at, detail):
 
 
 _ALT_NS, _ALT_MS = range(1, 13), range(1, 11)
+
+
+def _poly_form_pair(n: int, m: int, u: int, v: int) -> tuple:
+    """alt_power_sum_polyform at q = u/v != 1 as an unreduced
+    (numerator, denominator) pair of ints, (-1)^(n+1) E_{m,q}(n) + E_{m,q},
+    read from the cached Euler row: E_{m,q}(n)'s denominator is
+    E_{m,q}'s times v^(nm)."""
+    num, den = _euler_row_pair(m, n, u, v)
+    return (-1) ** (n + 1) * num + _euler_row(m, u, v)[1] * v ** (n * m), den
 
 
 def _forms_agree_at(qv):
@@ -133,9 +144,9 @@ def convolution_rhs(n: int, a: int, q) -> tuple:
 
 
 def _convolution_holds(qv, n, a):
-    lhs = euler_poly_q(n, PolyArg(a, 1, qv))
+    lhs, lhs_den = _euler_row_pair(n, a, qv.numerator, qv.denominator)
     num, den = convolution_rhs(n, a, qv)
-    return lhs.numerator * den == num * lhs.denominator
+    return lhs * den == num * lhs_den
 
 
 def convolution_checks():
@@ -235,22 +246,48 @@ def l_value_checks():
 # every p-adic check runs at the one point p = 5, q = 6
 P, Q = 5, Fraction(6)
 
+# the fermionic oracle sums mod p^_GAP_DIGITS, above every gap it reports
+_GAP_DIGITS = 20
+
+
+def _fermionic_gaps(ms, q: QParam, levels) -> dict:
+    """{(m, level): v_p(fermionic_riemann(m, q, level) - E_{m,q})}, exactly.
+
+    The Riemann sums' numerators come from one direct pass mod
+    M = p^_GAP_DIGITS, normalized as `_fermionic_sums` does, with exact
+    denominators.  The gap's numerator is then known mod M, and a nonzero
+    residue has the numerator's valuation; a zero residue is read again
+    from the exact sum."""
+    p, qv = q.prime, q.value
+    mod = p**_GAP_DIGITS
+    counts = {level: p**level for level in levels}
+    sums = _alt_power_sums(counts.values(), ms, qv.numerator, qv.denominator, mod)
+    two = q_int(2, qv)
+    out = {}
+    for level, count in counts.items():
+        norm = two * q_int_neg(count, qv)
+        for m in ms:
+            target = euler_number_q(m, qv)
+            num, den = sums[count, m]
+            den *= norm.numerator
+            gap = (num * norm.denominator * target.denominator - target.numerator * den) % mod
+            if not gap:
+                num, den = _fermionic_sums((m,), q, (level,))[m, level]
+                gap = num * target.denominator - target.numerator * den
+            out[m, level] = padic_valuation_int(gap, p) - padic_valuation_int(den * target.denominator, p)
+    return out
+
 
 def fermionic_checks():
     """Riemann sums of the alternating-measure integral converge to the
     q-Euler numbers with p-adic gap >= level - 1."""
     levels = (2, 3, 4)
-    sums = _fermionic_sums(range(5), QParam(Q, P), levels)
+    gaps = _fermionic_gaps(range(5), QParam(Q, P), levels)
     out = []
     for m in range(5):
-        target = euler_number_q(m, Q)
-        gaps = {}
-        for level in levels:
-            num, den = sums[m, level]
-            gap = num * target.denominator - target.numerator * den
-            gaps[level] = padic_valuation_int(gap, P) - padic_valuation_int(den * target.denominator, P)
-        ok = all(gap >= level - 1 for level, gap in gaps.items())
-        out.append(_check(f"fermionic-oracle[m={m}]", ok, f"v_gap per level {gaps}"))
+        per_level = {level: gaps[m, level] for level in levels}
+        ok = all(gap >= level - 1 for level, gap in per_level.items())
+        out.append(_check(f"fermionic-oracle[m={m}]", ok, f"v_gap per level {per_level}"))
     return out
 
 

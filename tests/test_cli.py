@@ -344,6 +344,12 @@ _PARSER_CASES = [
     ["verify", "--format", "json", "all"],
     ["verify", "all", "all"],
     ["lvalue", "--side", "padic", "--s", "2", "--q", "6", "--t"],
+    # argparse takes "-1", "-.5" and "-0.5" as values, "-1e3", "-1/2" and "-h" as options
+    ["zeta", "--s", "-.5", "--x", "-1", "--q", "-0.5"],
+    ["zeta", "--s", "-1e3", "--x", "1", "--q", "0.5"],
+    ["lvalue", "--side", "padic", "--s", "-1/2", "--q", "6"],
+    ["lvalue", "--side", "padic", "--s", "-h", "--q", "6"],
+    ["verify", "-1"],
 ]
 
 
@@ -354,7 +360,7 @@ def test_a_named_command_parses_as_the_full_parser_does(argv):
     assert _parsed(cli._parse_args, argv) == full
 
 
-# the benchmark's six command lines and README's examples without "=" or a negative value
+# the benchmark's six command lines and README's examples without "="
 _PLAIN_ARGVS = [
     "verify all --format json",
     "theorem5 --format json",
@@ -367,6 +373,8 @@ _PLAIN_ARGVS = [
     "verify theorem5 --r 2 --n 2 --p 5 --q 6/1 --M 4",
     "verify theorem5 --p 7 --q 8/1",
     "theorem5 --q 6/1 --M 4",
+    "zeta --s -1 --x 1.0 --q 0.5 --format json",
+    "lvalue --side complex --s -3 --chi quad:3 --q 0.5",
 ]
 _WELL_FORMED = [
     *(line.split() for line in _PLAIN_ARGVS),
@@ -375,7 +383,7 @@ _WELL_FORMED = [
     ["lvalue", "--side", "complex", "--s", "1", "--q", "0.5", "--chi", "quad:3"],
 ]
 _OPTION_STRINGS = sorted({name for _, entries in cli._COMMANDS.values() for name, _ in entries if name.startswith("-")})
-_VALUES = ["2", "0", "-2", "-1/2", "6/1", "1/0", "0.5", "x", "", "json", "csv", "text", "all", "theorem5", "padic", "complex", "quad:3"]
+_VALUES = ["2", "0", "-2", "-1/2", "-0.5", "-.5", "-1e3", "6/1", "1/0", "0.5", "x", "", "json", "csv", "text", "all", "theorem5", "padic", "complex", "quad:3"]
 _TOKENS = [*cli._COMMANDS, *_OPTION_STRINGS, "--form", "--r=2", "-h", "--", *_VALUES]
 
 

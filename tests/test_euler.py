@@ -29,6 +29,7 @@ from qeuler import (
     padic_valuation,
     q_int,
     q_int_neg,
+    suites,
 )
 from qeuler.cli import main
 
@@ -497,6 +498,54 @@ def test_a_signed_combination_is_the_sum_of_its_values(q):
                 got = euler._euler_poly_sum(n, points, f, q.numerator, q.denominator)
                 want = sum(s * _euler_poly_fraction_sum(n, a, f, q) for s, a in points)
                 assert Fraction(*got) == want, (n, points, f)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + (Fraction(1),), ids=str)
+def test_a_pass_mod_m_is_the_exact_pass_mod_m(q):
+    u, v = q.numerator, q.denominator
+    exact = euler._alt_power_sums(range(16), range(9), u, v)
+    for mod in (5**3, 2**7 * 3):
+        reduced = euler._alt_power_sums(range(16), range(9), u, v, mod)
+        for key, (num, den) in exact.items():
+            assert reduced[key][1] == den and (reduced[key][0] - num) % mod == 0, (mod, key)
+
+
+@pytest.mark.parametrize("q", QS + (Fraction(-3, 7), Fraction(0)), ids=str)
+def test_the_euler_row_is_the_tree_sum_at_every_grid_point(q):
+    u, v = q.numerator, q.denominator
+    for m in range(11):
+        _, num0, den = euler._euler_row(m, u, v)
+        assert Fraction(num0, den) == euler_number_q(m, q), m
+        for a in range(13):
+            assert Fraction(*euler._euler_row_pair(m, a, u, v)) == euler_poly_q(m, PolyArg(a, 1, q)), (m, a)
+        for n in range(1, 13):
+            assert Fraction(*suites._poly_form_pair(n, m, u, v)) == alt_power_sum_polyform(n, m, q), (n, m)
+
+
+@pytest.mark.parametrize("qv", (Fraction(6), Fraction(11, 6), Fraction(26)), ids=str)
+def test_the_oracle_reads_the_exact_gap_valuations(qv):
+    q = QParam(qv, 5)
+    levels = range(1, 5)
+    gaps = suites._fermionic_gaps(range(6), q, levels)
+    for (m, level), pair in euler._fermionic_sums(range(6), q, levels).items():
+        assert gaps[m, level] == padic_valuation(Fraction(*pair) - euler_number_q(m, qv), 5), (m, level)
+
+
+@pytest.mark.parametrize("digits", (1, 3))
+def test_a_gap_that_vanishes_mod_p_to_the_k_is_read_exactly(monkeypatch, digits):
+    lines = [check.line() for check in suites.fermionic_checks()]
+    exact = []
+
+    def counted(ms, q, levels):
+        exact.append((tuple(ms), tuple(levels)))
+        return euler._fermionic_sums(ms, q, levels)
+
+    monkeypatch.setattr(suites, "_fermionic_sums", counted)
+    assert [check.line() for check in suites.fermionic_checks()] == lines and exact == []
+    monkeypatch.setattr(suites, "_GAP_DIGITS", digits)
+    assert [check.line() for check in suites.fermionic_checks()] == lines
+    # every reported gap is at least 2, so at K = 1 every residue vanishes
+    assert len(exact) == 15 if digits == 1 else 0 < len(exact) < 15
 
 
 @pytest.mark.parametrize("qv", (Fraction(6), Fraction(31, 6), Fraction(1, 4)), ids=str)

@@ -84,6 +84,25 @@ def test_a_wrong_euler_number_fails_its_convolution(monkeypatch, capsys):
     assert _failing(capsys) == ["euler-convolution[q=6]"]
 
 
+def test_a_wrong_euler_row_fails_the_grids_that_read_it(monkeypatch, capsys):
+    # W_2 of every row off by one: the polynomial form and the convolution's
+    # left side read E_{m,q}(a) from the row
+    right = euler._euler_row
+
+    def wrong(m, u, v):
+        W, num0, den = right(m, u, v)
+        return (W[:2] + (W[2] + 1,) + W[3:] if m >= 2 else W), num0, den
+
+    monkeypatch.setattr(euler, "_euler_row", wrong)
+    assert _failing(capsys) == [
+        "alternating-sum-forms[q=1/2]",
+        "alternating-sum-forms[q=2/3]",
+        "alternating-sum-forms[q=6]",
+        "euler-convolution[q=1/2]",
+        "euler-convolution[q=6]",
+    ]
+
+
 @pytest.mark.parametrize("q, error", [(1, QIsOne), (-1, OutOfDomain)])
 def test_convolution_rhs_checks_q_before_the_table(monkeypatch, q, error):
     def unread(*args):
