@@ -12,13 +12,15 @@ compiled once, before the first pair, into a temporary cache directory
 (PYTHONPYCACHEPREFIX) that is removed at exit.  Pair i runs
 PARENT first when i is even and CHANGE first when it is odd, operation by
 operation, so a drift of the host falls on both sides alike.  Per operation
-it prints both sides' median ``wall_s`` and ``wall_rel`` (``wall_s`` over
-the worker's calibration, as ``perfbench/run.py`` divides it), the change's
-ratio to the parent, and the number of pairs in which the change was
-faster; the last row sums the medians over the operations, as the
-benchmark does.  Both sides must report the same outcome (exit code,
-stdout and stderr, or the value or raised type of an API call) in every
-run, or the script stops with exit code 1.  It writes nothing in either
+it prints both sides' median ``setup_s`` (interpreter start-up plus
+importing ``qeuler`` and ``qeuler.cli``), ``wall_s`` and ``wall_rel``
+(``wall_s`` over the worker's calibration, as ``perfbench/run.py`` divides
+it), the change's ``wall_rel`` ratio to the parent, and the number of
+pairs in which the change was faster in ``setup_s`` and in ``wall_s``; the
+last row sums the medians over the operations, as the benchmark does.
+Both sides must report the same outcome (exit code, stdout and stderr, or
+the value or raised type of an API call) in every run, or the script
+stops with exit code 1.  It writes nothing in either
 checkout.
 """
 
@@ -33,6 +35,9 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+# the worker's timings that the table reports, in column order
+FIELDS = ("setup_s", "wall_s", "wall_rel")
 
 
 def load_ops(change: Path, workload: str) -> list:
@@ -108,26 +113,33 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
 
     print(f"{args.workload}: {args.pairs} cold pairs per operation, same outcome on both sides")
-    header = f"{'operation':48s} {'wall_s parent / change':>25s} {'wall_rel parent / change':>25s}  ratio  faster"
+    header = (
+        f"{'operation':48s} {'setup_s parent / change':>25s} {'wall_s parent / change':>25s} "
+        f"{'wall_rel parent / change':>25s}  ratio  faster setup / wall"
+    )
     print(header)
-    totals = {"parent": [0.0, 0.0], "change": [0.0, 0.0]}
+    totals = {"parent": [0.0] * len(FIELDS), "change": [0.0] * len(FIELDS)}
     for op in ops:
         med = {}
         for side, records in runs[op.id].items():
-            med[side] = [statistics.median(r[field] for r in records) for field in ("wall_s", "wall_rel")]
+            med[side] = [statistics.median(r[field] for r in records) for field in FIELDS]
             totals[side] = [t + m for t, m in zip(totals[side], med[side])]
-        faster = sum(c["wall_s"] < p["wall_s"] for p, c in zip(runs[op.id]["parent"], runs[op.id]["change"]))
-        print(_row(op.id, med["parent"], med["change"]) + f"  {faster:2d}/{args.pairs}")
+        pairs = list(zip(runs[op.id]["parent"], runs[op.id]["change"]))
+        faster = [sum(c[field] < p[field] for p, c in pairs) for field in ("setup_s", "wall_s")]
+        print(_row(op.id, med["parent"], med["change"]) + "".join(f"  {n:2d}/{args.pairs}" for n in faster))
     if len(ops) > 1:
         print(_row("sum of medians", totals["parent"], totals["change"]))
     return 0
 
 
 def _row(label: str, parent: list, change: list) -> str:
-    """One table row: both sides' wall_s (in ms) and wall_rel, and the
-    change's wall_rel over the parent's."""
-    (pw, pr), (cw, cr) = parent, change
-    return f"{label[:48]:48s} {pw * 1e3:9.2f} ms / {cw * 1e3:7.2f} ms {pr:11.4f} / {cr:11.4f}  {cr / pr:5.3f}"
+    """One table row: both sides' setup_s and wall_s (in ms) and wall_rel,
+    and the change's wall_rel over the parent's."""
+    (ps, pw, pr), (cs, cw, cr) = parent, change
+    return (
+        f"{label[:48]:48s} {ps * 1e3:9.2f} ms / {cs * 1e3:7.2f} ms {pw * 1e3:9.2f} ms / {cw * 1e3:7.2f} ms "
+        f"{pr:11.4f} / {cr:11.4f}  {cr / pr:5.3f}"
+    )
 
 
 if __name__ == "__main__":

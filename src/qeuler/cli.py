@@ -9,7 +9,8 @@ checks pass / value computed, 1 verification failure or non-convergence,
 Each handler describes its result three ways: a JSON record, a text
 report and, for euler-table and verify, a CSV table.  One writer,
 ``_emit``, builds only the one that --format names and writes it to
---out or to stdout; an --out that cannot be written is invalid input.
+--out or to stdout; an --out that cannot be written is invalid input,
+and one whose directory does not exist is rejected before any work.
 A well-formed command line is read straight from the argument table, and
 any other goes to the argparse parser built from that table, whose usage,
 help and error text those are.
@@ -22,9 +23,10 @@ configurations reproduce byte-identical records.
 from __future__ import annotations
 
 import argparse
-import csv
+import errno
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -69,6 +71,8 @@ def _emit(args, record, text, table=None) -> None:
     if args.format == "json":
         text = json.dumps(record(), sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
+        import csv  # only this branch needs it; start-up stays without
+
         buf = io.StringIO()
         csv.writer(buf).writerows(table())
         text = buf.getvalue()
@@ -451,9 +455,18 @@ _HANDLERS = {
 }
 
 
+def _check_out(path: str) -> None:
+    """Reject an --out whose directory does not exist, before a handler
+    computes anything; _emit still reports any other failure to write."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise QEulerError(f"cannot write --out {path!r}: {os.strerror(errno.ENOENT)}")
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return _HANDLERS[args.command](args)
     except (NoConvergence, TruncationNotConverged) as exc:
         print(f"computation did not converge: {exc}", file=sys.stderr)

@@ -17,34 +17,32 @@ otherwise, by the kernel's ``_check_int``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OutOfDomain, QIsOne
-from .kernel import QParam, _check_int, as_fraction, q_int, q_int_neg
+from .kernel import QParam, _check_int, _Value, as_fraction, q_int, q_int_neg
 
 
-@dataclass(frozen=True)
-class PolyArg:
+class PolyArg(_Value):
     """The argument x = a/f of a q-Euler polynomial taken in base q^f.
 
     Represents the exact evaluation point of E_{n, q^f}(a/f): the base
     is q**f and powers (q^f)^(a/f) are realized as q**a.
     """
 
-    a: int
-    f: int
-    q: Fraction
+    _fields = __slots__ = ("a", "f", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        _check_int("numerator a", self.a)
-        _check_int("denominator f", self.f)
-        if self.a < 0:
-            raise OutOfDomain(f"numerator a must be >= 0, got {self.a}")
-        if self.f < 1 or self.f % 2 == 0:
-            raise OutOfDomain(f"denominator f must be odd and positive, got {self.f}")
+    def __init__(self, a: int, f: int, q: Fraction):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "q", Fraction(q))
+        _check_int("numerator a", a)
+        _check_int("denominator f", f)
+        if a < 0:
+            raise OutOfDomain(f"numerator a must be >= 0, got {a}")
+        if f < 1 or f % 2 == 0:
+            raise OutOfDomain(f"denominator f must be odd and positive, got {f}")
 
 
 def _deformed(q, message: str) -> Fraction:
@@ -293,13 +291,15 @@ def alt_power_sum_polyform(n: int, m: int, q) -> Fraction:
     return Fraction(*_poly_form_pair(n, m, qv.numerator, qv.denominator))
 
 
-@dataclass(frozen=True)
-class DistributionCheck:
+class DistributionCheck(_Value):
     """Outcome of one multiplication-theorem instance, both sides exact."""
 
-    passed: bool
-    lhs: Fraction
-    rhs: Fraction
+    _fields = __slots__ = ("passed", "lhs", "rhs")
+
+    def __init__(self, passed: bool, lhs: Fraction, rhs: Fraction):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
 def distribution_check(n: int, m: int, arg: PolyArg) -> DistributionCheck:

@@ -12,14 +12,14 @@ with ``OutOfDomain``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from operator import attrgetter
 
 from .errors import OutOfDomain, QIsOne
 
-RationalLike = Union[int, Fraction, "QParam"]
+# annotations are strings (from __future__), so the alias can be one too
+RationalLike = "int | Fraction | QParam"
 
 
 def _check_int(name: str, x) -> None:
@@ -104,8 +104,48 @@ def binom_int(n: int, k: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class QParam:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in ``_fields`` and in ``__slots__`` (two
+    or more: attrgetter of one name returns no tuple) and sets each once
+    in ``__init__`` with ``object.__setattr__``.  Equality (same class
+    only), hash and repr are those of a frozen dataclass over the fields;
+    assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # one C call builds the field tuple: these objects key the series
+        # caches, so hash and == are on the hot path
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._key(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QParam(_Value):
     """The deformation parameter q as an exact rational.
 
     An optional odd-prime context ``prime`` asserts the p-adic closeness
@@ -114,24 +154,25 @@ class QParam:
     that divide by (1 - q) reject it individually with ``QIsOne``.
     """
 
-    value: Fraction
-    prime: int | None = None
+    _fields = ("value", "prime")
+    __slots__ = (*_fields, "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        if self.prime is not None:
-            p = self.prime
-            if not _is_odd_prime(p):
-                raise OutOfDomain(f"prime context must be an odd prime, got {p}")
-            if padic_valuation_int(self.value.denominator, p) != 0:
-                raise OutOfDomain(f"q = {self.value} is not a p-adic integer for p = {p}")
-            if padic_valuation(self.value - 1, p) < 1:
+    def __init__(self, value: Fraction, prime: int | None = None):
+        value = Fraction(value)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "prime", prime)
+        if prime is not None:
+            if not _is_odd_prime(prime):
+                raise OutOfDomain(f"prime context must be an odd prime, got {prime}")
+            if padic_valuation_int(value.denominator, prime) != 0:
+                raise OutOfDomain(f"q = {value} is not a p-adic integer for p = {prime}")
+            if padic_valuation(value - 1, prime) < 1:
                 raise OutOfDomain(
-                    f"q = {self.value} violates v_{p}(q - 1) >= 1"
+                    f"q = {value} violates v_{prime}(q - 1) >= 1"
                 )
         # the series caches hash a QParam on every lookup; Fraction.__hash__
         # is not cached, so the field hash is taken once here
-        object.__setattr__(self, "_hash", hash((self.value, self.prime)))
+        object.__setattr__(self, "_hash", hash((value, prime)))
 
     def __hash__(self):
         return self._hash

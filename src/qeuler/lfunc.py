@@ -67,12 +67,11 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OutOfDomain, TruncationNotConverged
-from .kernel import QParam, _check_int, binom_int, padic_valuation_int, q_int
+from .kernel import QParam, _check_int, _Value, binom_int, padic_valuation_int, q_int
 from .kernel import tail_merge_coefficient as _merge_coefficient
 from .padic import PadicApprox, TeichChar, _validate_precision, embed, teichmuller
 
@@ -81,25 +80,25 @@ from .padic import PadicApprox, TeichChar, _validate_precision, embed, teichmull
 _WINDOW = 5
 
 
-@dataclass(frozen=True)
-class SeriesBudget:
+class SeriesBudget(_Value):
     """Truncation policy for the p-adic series.
 
     target: verify modulo p**target.
     max_terms: hard truncation limit, above the stability window _WINDOW.
     """
 
-    target: int
-    max_terms: int = 60
+    _fields = __slots__ = ("target", "max_terms")
 
-    def __post_init__(self):
+    def __init__(self, target: int, max_terms: int = 60):
         # a budget is part of the series cache key, where 3.0 == 3
-        if type(self.target) is not int or type(self.max_terms) is not int:
+        if type(target) is not int or type(max_terms) is not int:
             raise OutOfDomain("budget fields must be ints")
-        if self.target < 1:
+        if target < 1:
             raise OutOfDomain("target precision must be >= 1")
-        if not self.max_terms > _WINDOW:
+        if not max_terms > _WINDOW:
             raise OutOfDomain(f"need max_terms > {_WINDOW}")
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "max_terms", max_terms)
 
 
 class _TruncatedSeries:
@@ -848,27 +847,46 @@ def _index_range_check(lhs_terms, block_terms, lhs: int, blocks, mod: int) -> bo
     return paired and (lhs - 2 * sum(blocks)) % mod == 0
 
 
-@dataclass
-class StageResult:
+class _Record:
+    """Base of the engine's mutable results: attributes set in field order
+    by ``__init__``, shown in dataclass form."""
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class StageResult(_Record):
     """Outcome of one derivation stage inside the expansion engine."""
 
-    name: str
-    description: str
-    passed: bool
-    agreement_valuation: int | None = None
-    saturated: bool = False
-    lhs_digits: str | None = None
-    rhs_digits: str | None = None
-    diagnostic: bool = False
-    detail: str = ""
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        passed: bool,
+        agreement_valuation: int | None = None,
+        saturated: bool = False,
+        lhs_digits: str | None = None,
+        rhs_digits: str | None = None,
+        diagnostic: bool = False,
+        detail: str = "",
+    ):
+        self.name = name
+        self.description = description
+        self.passed = passed
+        self.agreement_valuation = agreement_valuation
+        self.saturated = saturated
+        self.lhs_digits = lhs_digits
+        self.rhs_digits = rhs_digits
+        self.diagnostic = diagnostic
+        self.detail = detail
 
     def to_dict(self):
         # every field is a str, int, bool or None: nothing to copy deeply
         return dict(vars(self))
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Complete audit of the expansion identity at one (r, n) point.
 
     agreement_valuation is v_p(lhs - rhs) capped at the compared
@@ -876,18 +894,33 @@ class VerificationReport:
     the same measurement for each intermediate derivation step.
     """
 
-    r: int
-    n: int
-    prime: int
-    q: Fraction
-    target: int
-    working_precision: int
-    lhs: PadicApprox
-    rhs: PadicApprox
-    agreement_valuation: int
-    agreement_saturated: bool
-    stages: list = field(default_factory=list)
-    truncation_indices: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        r: int,
+        n: int,
+        prime: int,
+        q: Fraction,
+        target: int,
+        working_precision: int,
+        lhs: PadicApprox,
+        rhs: PadicApprox,
+        agreement_valuation: int,
+        agreement_saturated: bool,
+        stages: list | None = None,
+        truncation_indices: dict | None = None,
+    ):
+        self.r = r
+        self.n = n
+        self.prime = prime
+        self.q = q
+        self.target = target
+        self.working_precision = working_precision
+        self.lhs = lhs
+        self.rhs = rhs
+        self.agreement_valuation = agreement_valuation
+        self.agreement_saturated = agreement_saturated
+        self.stages = [] if stages is None else stages
+        self.truncation_indices = {} if truncation_indices is None else truncation_indices
 
     @property
     def identity_holds(self) -> bool:

@@ -20,7 +20,6 @@ All values are immutable and all operations pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     OutOfDomain,
     PrecisionExhausted,
 )
-from .kernel import QParam, _check_int, _is_odd_prime, padic_valuation_int, q_int
+from .kernel import QParam, _check_int, _is_odd_prime, _Value, padic_valuation_int, q_int
 
 
 def _validate_prime(p: int) -> None:
@@ -44,8 +43,7 @@ def _validate_precision(precision: int) -> None:
         raise PrecisionExhausted(f"cannot represent a value with {precision} guaranteed digits")
 
 
-@dataclass(frozen=True)
-class PadicApprox:
+class PadicApprox(_Value):
     """An element of Z_p known modulo p**precision.
 
     Invariants: 0 <= residue < p**precision and precision >= 1.  The
@@ -54,15 +52,15 @@ class PadicApprox:
     ">= precision" is known.
     """
 
-    prime: int
-    residue: int
-    precision: int
+    _fields = __slots__ = ("prime", "residue", "precision")
 
-    def __post_init__(self):
-        _validate_prime(self.prime)
-        _validate_precision(self.precision)
-        _check_int("residue", self.residue)
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+    def __init__(self, prime: int, residue: int, precision: int):
+        _validate_prime(prime)
+        _validate_precision(precision)
+        _check_int("residue", residue)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "residue", residue % prime**precision)
+        object.__setattr__(self, "precision", precision)
 
     # -- structure ---------------------------------------------------
 
@@ -382,8 +380,7 @@ def angle_bracket(a: int, q: QParam, precision: int) -> PadicApprox:
     return val
 
 
-@dataclass(frozen=True)
-class TeichChar:
+class TeichChar(_Value):
     """A power w^t of the Teichmuller character.
 
     The exponent is reduced mod p-1.  Exponent 0 is the trivial
@@ -392,13 +389,13 @@ class TeichChar:
     of p.
     """
 
-    prime: int
-    exponent: int
+    _fields = __slots__ = ("prime", "exponent")
 
-    def __post_init__(self):
-        _validate_prime(self.prime)
-        _check_int("character exponent", self.exponent)
-        object.__setattr__(self, "exponent", self.exponent % (self.prime - 1))
+    def __init__(self, prime: int, exponent: int):
+        _validate_prime(prime)
+        _check_int("character exponent", exponent)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "exponent", exponent % (prime - 1))
 
     @property
     def conductor(self) -> int:

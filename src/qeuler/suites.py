@@ -13,7 +13,6 @@ the checks are scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -33,6 +32,7 @@ from .euler import (
 )
 from .kernel import (
     QParam,
+    _Value,
     binom_int,
     binom_product_merge,
     binom_product_shift,
@@ -53,11 +53,13 @@ from .padic import TeichChar, agreement, embed, teichmuller
 from .zeta import ArchParams, ComplexChar, gen_euler_complex, l_q_complex, zeta_Eq
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(_Value):
+    _fields = __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}  {self.detail}".rstrip()

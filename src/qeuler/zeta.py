@@ -52,12 +52,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import NoConvergence, OutOfDomain
 from .euler import PolyArg, euler_poly_q
-from .kernel import _check_int, _is_odd_prime, q_int
+from .kernel import _check_int, _is_odd_prime, _Value, q_int
 
 # The limit-subtracted head sums at most this many terms (an even number)
 # before the tail takes over; every value it finishes within them (every
@@ -67,24 +66,24 @@ _HEAD_MIN = 64
 _BOOLE_TERMS = 64
 
 
-@dataclass(frozen=True)
-class ArchParams:
+class ArchParams(_Value):
     """Summation policy for the archimedean side: the real deformation
     parameter q in (0, 1), the tail threshold, and the term cap."""
 
-    q: float
-    eps: float = 1e-13
-    max_terms: int = 200000
+    _fields = __slots__ = ("q", "eps", "max_terms")
 
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise OutOfDomain(f"q must lie strictly in (0, 1), got {self.q}")
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise OutOfDomain(f"tail threshold must be positive and finite, got {self.eps}")
-        _check_int("max_terms", self.max_terms)
-        if self.max_terms < 3:
+    def __init__(self, q: float, eps: float = 1e-13, max_terms: int = 200000):
+        if not 0.0 < q < 1.0:
+            raise OutOfDomain(f"q must lie strictly in (0, 1), got {q}")
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise OutOfDomain(f"tail threshold must be positive and finite, got {eps}")
+        _check_int("max_terms", max_terms)
+        if max_terms < 3:
             # the tail test starts at n = 2
-            raise OutOfDomain(f"max_terms must be >= 3, got {self.max_terms}")
+            raise OutOfDomain(f"max_terms must be >= 3, got {max_terms}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "max_terms", max_terms)
 
 
 def _q_int_real(x: float, q: float) -> float:
@@ -251,7 +250,7 @@ def partial_zeta_Hq(s, a: int, f: int, params: ArchParams) -> complex:
     via its reduction (-1)^a [f]_q^(-s) zeta(s, a/f; base q^f) / 2."""
     _check_class(a, f)
     q = params.q
-    inner = zeta_Eq(s, a / f, replace(params, q=q**f))
+    inner = zeta_Eq(s, a / f, ArchParams(q**f, params.eps, params.max_terms))
     try:
         factor = complex(_q_int_real(f, q)) ** (-s)
     except (OverflowError, ZeroDivisionError) as exc:
@@ -268,27 +267,27 @@ def partial_zeta_Hq_series(s, a: int, f: int, params: ArchParams) -> complex:
     return (-1) ** a * _alternating_regularized(s, a, f, params)
 
 
-@dataclass(frozen=True)
-class ComplexChar:
+class ComplexChar(_Value):
     """A Dirichlet character of odd conductor with complex values.
 
     values[a] is the character at the residue a; root of unity when a is
     coprime to the conductor, zero otherwise, completely multiplicative.
     """
 
-    conductor: int
-    values: tuple
+    _fields = __slots__ = ("conductor", "values")
 
-    def __post_init__(self):
-        f = self.conductor
+    def __init__(self, conductor: int, values: tuple):
+        f = conductor
         _check_int("conductor", f)
         if f < 1 or f % 2 == 0:
             raise OutOfDomain(f"conductor must be odd and positive, got {f}")
-        if len(self.values) != f:
+        if len(values) != f:
             raise OutOfDomain("need exactly one value per residue class")
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
+        values = tuple(complex(v) for v in values)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "values", values)
         for a in range(f):
-            v = self.values[a]
+            v = values[a]
             if math.gcd(a, f) == 1 and f > 1:
                 if abs(abs(v) - 1.0) > 1e-12:
                     raise OutOfDomain(f"value at unit {a} must be a root of unity")
@@ -296,8 +295,8 @@ class ComplexChar:
                 raise OutOfDomain(f"value at non-unit {a} must vanish")
         for a in range(f):
             for b in range(f):
-                lhs = self.values[a * b % f]
-                if abs(lhs - self.values[a] * self.values[b]) > 1e-9:
+                lhs = values[a * b % f]
+                if abs(lhs - values[a] * values[b]) > 1e-9:
                     raise OutOfDomain("character values are not multiplicative")
 
     @classmethod

@@ -4,8 +4,11 @@ import argparse
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +231,37 @@ def test_output_into_a_missing_directory_exits_two(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("invalid input:")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in OUT_RUNS], ids=lambda argv: " ".join(argv[:3]))
+def test_output_into_a_missing_directory_exits_before_computing(tmp_path, capsys, monkeypatch, argv):
+    def compute(args):
+        raise AssertionError("the command computed before its --out was checked")
+
+    monkeypatch.setitem(cli._HANDLERS, argv[0], compute)
+    (tmp_path / "file").write_text("")
+    for target in (tmp_path / "missing" / "x", tmp_path / "file" / "x"):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == f"invalid input: cannot write --out {str(target)!r}: No such file or directory\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == ""
+
+
+# modules that `import qeuler, qeuler.cli` does not need and whose import
+# costs start-up time (dataclasses alone brings inspect, ast and dis)
+_STARTUP_UNLOADED = ("dataclasses", "inspect", "ast", "dis", "typing", "csv")
+
+
+def test_startup_loads_none_of_the_costly_modules():
+    # -S: without site, whose .pth files may import some of these anyway
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import qeuler, qeuler.cli; "
+        f"print(sorted(set({_STARTUP_UNLOADED!r}) & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_composite_prime_exits_two_at_once(capsys):
