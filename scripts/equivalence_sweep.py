@@ -20,8 +20,7 @@ the exact ``euler_number_q``, ``euler_poly_q``, the three
 ``alt_power_sum`` forms, ``fermionic_riemann`` and ``theorem5_lhs_exact``
 on a grid of inputs that every revision accepts.  The exact-identity
 suite's own grid adds the booleans of the three binomial predicates, the
-convolution right-hand side (``qeuler.suites.convolution_rhs`` where the
-checkout has it, else the per-term Fraction sum it replaced) and both
+convolution right-hand side (``qeuler.suites.convolution_rhs``) and both
 sides of every ``distribution_check``.  Last come the report lines of
 every suite in ``qeuler.suites.SUITES``, read through ``run_suite``, and
 the exit code and stdout of ``qeuler.cli.main`` for every subcommand in
@@ -231,17 +230,6 @@ def exact_sweep(qe) -> dict:
     return out
 
 
-def convolution_rhs(qe, n, a, q):
-    """sum_j binom(n,j) q^(ja) E_{j,q} [a]_q^(n-j) as the suite computes it."""
-    integer_form = getattr(qe.suites, "convolution_rhs", None)
-    if integer_form is not None:
-        return Fraction(*integer_form(n, a, q))
-    return sum(
-        qe.binom_int(n, j) * q ** (j * a) * qe.euler_number_q(j, q) * qe.q_int(a, q) ** (n - j)
-        for j in range(n + 1)
-    )
-
-
 def identity_sweep(qe) -> dict:
     out = {}
 
@@ -262,7 +250,7 @@ def identity_sweep(qe) -> dict:
     for qv in EXACT_QS:
         for n in range(11):
             for a in range(7):
-                put(f"q={qv} convolution_rhs n={n} a={a}", convolution_rhs(qe, n, a, qv))
+                put(f"q={qv} convolution_rhs n={n} a={a}", Fraction(*qe.suites.convolution_rhs(n, a, qv)))
         for n in range(7):
             for m in (1, 3, 5):
                 for a, f in ((0, 1), (1, 3), (2, 5)):

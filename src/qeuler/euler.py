@@ -34,9 +34,7 @@ class PolyArg(_Value):
     _fields = __slots__ = ("a", "f", "q")
 
     def __init__(self, a: int, f: int, q: Fraction):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "q", Fraction(q))
+        self._set(a, f, Fraction(q))
         _check_int("numerator a", a)
         _check_int("denominator f", f)
         if a < 0:
@@ -268,17 +266,6 @@ def alt_power_sum_closed(n: int, m: int, q) -> Fraction:
     return Fraction(*_closed_form_pair(n, m, qv.numerator, qv.denominator))
 
 
-def _poly_form_pair(n: int, m: int, u: int, v: int) -> tuple:
-    """alt_power_sum_polyform at q = u/v != 1 as an unreduced
-    (numerator, denominator) pair of ints, from the cached E_{m,q}(n) and
-    E_{m,q}."""
-    at_n, at_0 = _euler_poly_q(m, n, 1, u, v), _euler_poly_q(m, 0, 1, u, v)
-    return (
-        (-1) ** (n + 1) * at_n.numerator * at_0.denominator + at_0.numerator * at_n.denominator,
-        at_n.denominator * at_0.denominator,
-    )
-
-
 def alt_power_sum_polyform(n: int, m: int, q) -> Fraction:
     """Polynomial form of the alternating power sum:
 
@@ -288,7 +275,8 @@ def alt_power_sum_polyform(n: int, m: int, q) -> Fraction:
     """
     _check_orders(n, m)
     qv = _deformed(q, "polynomial form needs q != 1")
-    return Fraction(*_poly_form_pair(n, m, qv.numerator, qv.denominator))
+    u, v = qv.numerator, qv.denominator
+    return (-1) ** (n + 1) * _euler_poly_q(m, n, 1, u, v) + _euler_poly_q(m, 0, 1, u, v)
 
 
 class DistributionCheck(_Value):
@@ -297,9 +285,7 @@ class DistributionCheck(_Value):
     _fields = __slots__ = ("passed", "lhs", "rhs")
 
     def __init__(self, passed: bool, lhs: Fraction, rhs: Fraction):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+        self._set(passed, lhs, rhs)
 
 
 def distribution_check(n: int, m: int, arg: PolyArg) -> DistributionCheck:
@@ -326,18 +312,19 @@ def distribution_check(n: int, m: int, arg: PolyArg) -> DistributionCheck:
     return DistributionCheck(passed, lhs, lhs if passed else Fraction(num, den))
 
 
-def _fermionic_sums(ms, q: QParam, levels) -> dict:
+def _fermionic_sums(ms, q: QParam, levels, mod=None) -> dict:
     """{(m, level): (numerator, denominator)} of fermionic_riemann(m, q,
     level) for every m in ms and level in levels, from one direct pass to
     p^max(levels).
 
     q^(-x) (-q)^x collapses to (-1)^x, so each Riemann sum is the direct
     alternating sum over x < p^L, divided by [2]_q [p^L]_{-q}; the sum's
-    1/2 cancels the 2 of 2/[2]_q.
+    1/2 cancels the 2 of 2/[2]_q.  A mod goes to _alt_power_sums, so each
+    numerator is then only congruent to the exact one mod mod.
     """
     qv, out = q.value, {}
     counts = {level: q.prime**level for level in levels}
-    sums = _alt_power_sums(counts.values(), ms, qv.numerator, qv.denominator)
+    sums = _alt_power_sums(counts.values(), ms, qv.numerator, qv.denominator, mod)
     two = q_int(2, qv)
     for level, count in counts.items():
         norm = two * q_int_neg(count, qv)

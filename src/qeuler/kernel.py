@@ -108,8 +108,8 @@ class _Value:
     """Base of the package's immutable value types.
 
     A subclass lists its fields in ``_fields`` and in ``__slots__`` (two
-    or more: attrgetter of one name returns no tuple) and sets each once
-    in ``__init__`` with ``object.__setattr__``.  Equality (same class
+    or more: attrgetter of one name returns no tuple) and sets them once,
+    in ``__init__``, with ``_set``.  Equality (same class
     only), hash and repr are those of a frozen dataclass over the fields;
     assigning or deleting an attribute raises AttributeError.
     """
@@ -122,6 +122,10 @@ class _Value:
         # one C call builds the field tuple: these objects key the series
         # caches, so hash and == are on the hot path
         cls._key = attrgetter(*cls._fields)
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -159,8 +163,7 @@ class QParam(_Value):
 
     def __init__(self, value: Fraction, prime: int | None = None):
         value = Fraction(value)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "prime", prime)
+        self._set(value, prime)
         if prime is not None:
             if not _is_odd_prime(prime):
                 raise OutOfDomain(f"prime context must be an odd prime, got {prime}")

@@ -97,8 +97,7 @@ class SeriesBudget(_Value):
             raise OutOfDomain("target precision must be >= 1")
         if not max_terms > _WINDOW:
             raise OutOfDomain(f"need max_terms > {_WINDOW}")
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "max_terms", max_terms)
+        self._set(target, max_terms)
 
 
 class _TruncatedSeries:
@@ -693,20 +692,22 @@ def _engine_precision(budget: SeriesBudget, precision) -> int:
     return precision
 
 
-def _assembly_row(res: _Residues, n: int, stop: int) -> list:
-    """e_j = [p]_q^j Q^(nj) E_{j,Q} mod p**precision for j < stop, from a
-    table res at F = p: [p]_q^j times H's base row plus K's."""
-    mod, e, power = res.mod, [], 1
-    ratio = res.q_ints[res.prime] * pow(res.Q, n, mod) % mod
+def _assembly_rows(res: _Residues, n: int, stop: int) -> tuple:
+    """(e, t) for j < stop, mod p**precision, from a table res at F = p:
+    e_j = [p]_q^j (H_j + K_j) = [p]_q^j Q^(nj) E_{j,Q} and T's row
+    t_j = [p]_q^j K_j, over the H and K base rows."""
+    mod, e, t, power = res.mod, [], [], 1
+    H, K = res.base("H", 0, stop), res.base("K", n, stop)
     for j in range(stop):
-        e.append(power * res.euler(j) % mod)
-        power = power * ratio % mod
-    return e
+        e.append(power * (H[j] + K[j]) % mod)
+        t.append(power * K[j] % mod)
+        power = power * res.q_ints[res.prime] % mod
+    return e, t
 
 
 def _table_sum(res: _Residues, e: list, s: int, shift: int) -> int:
     """sum_{j<len(e)} binom(-s, j) e_j N(s + j, j + shift) mod p**precision,
-    over the row e of _assembly_row: twice the character sum
+    over a row e of _assembly_rows: twice the character sum
     sum_{a<p} w(a)^(-s) (H + K)(s, a) q^(a shift), exactly mod p**len(e)
     (see _theorem5_sides)."""
     row = res.alt_sums(s - shift, len(e) + shift)
@@ -748,7 +749,7 @@ def _theorem5_sides(r, n, q, budget, precision):
         )
     num, den = q_int(p * n, q.value).as_integer_ratio()
     u = num // p**g * pow(den, -1, mod)  # [pn]_q = p^g u
-    e = _assembly_row(res, n, target)
+    e, t_row = _assembly_rows(res, n, target)
     sides = [_TruncatedSeries(p, budget, g, "assembly tail") for _ in range(2)]
     for k in range(1, budget.max_terms + 1):
         c = _merge_coefficient(r, k)  # c_k = p^m c', with (-1)^n = 1 for even n
@@ -761,7 +762,6 @@ def _theorem5_sides(r, n, q, budget, precision):
         if all(side.done for side in sides):
             break
     sums = [side.certified() for side in sides]
-    t_row = [(x - y) % mod for x, y in zip(e, _assembly_row(res, 0, target))]
     t_sum = _table_sum(res, t_row, r, 0)
     return [(PadicApprox(p, -v - x * t_sum, target), side.used)
             for (v, _), side, x in zip(sums, sides, (2, 1))]
@@ -1031,11 +1031,19 @@ def _exact_stage(name, description, ok: bool) -> StageResult:
 
 
 def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None) -> VerificationReport:
-    """Run the full staged verification of the expansion identity at one
-    (r, n) point: every intermediate derivation step is checked against
-    an independent oracle, then the assembled identity itself is
-    measured, with a residue-weighted diagnostic assembly to localize
-    any shortfall.  Failures are report content, never exceptions.
+    """Run the staged verification of the expansion identity at one (r, n)
+    point; failures are report content, never exceptions.  Each stage's two
+    sides (every lhs sums _inverse_powers' table; the block stages' rows are _series'):
+    alternating-block-series: each a's block sum vs the block row at step(a);
+    correction-tail-regrouping: the same vs the double row plus K's;
+    double-series-reindexing: binom(-r, k+l) binom(k+l, l) vs c_k binom(-r-k, l)
+      to k + l <= 12, though the assembly reads c_k up to k = 23 at M = 20;
+    geometric-power-splitting: q^(nF) vs 1 + (q - 1) [nF]_q, which reads back
+      q_int's own formula, and binom_int vs Pascal's rule, to l <= 10;
+    index-range-rearrangement: the (sign, index) pairs, exactly, then lhs vs
+      2 sum(blocks) mod p**N, implied by the pairing (detail "exact rational");
+    character-sum-assembly: lhs vs _theorem5_sides' plain side (table N);
+    residue-weighted-assembly: lhs vs its weighted side, which localizes a gap.
     """
     p = _check_point(r, n, q)
     precision = _engine_precision(budget, precision)

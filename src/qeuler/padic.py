@@ -58,9 +58,7 @@ class PadicApprox(_Value):
         _validate_prime(prime)
         _validate_precision(precision)
         _check_int("residue", residue)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "residue", residue % prime**precision)
-        object.__setattr__(self, "precision", precision)
+        self._set(prime, residue % prime**precision, precision)
 
     # -- structure ---------------------------------------------------
 
@@ -394,8 +392,7 @@ class TeichChar(_Value):
     def __init__(self, prime: int, exponent: int):
         _validate_prime(prime)
         _check_int("character exponent", exponent)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "exponent", exponent % (prime - 1))
+        self._set(prime, exponent % (prime - 1))
 
     @property
     def conductor(self) -> int:

@@ -39,7 +39,6 @@ from .kernel import (
     binom_tail_merge,
     padic_valuation_int,
     q_int,
-    q_int_neg,
 )
 from .lfunc import (
     H_pq,
@@ -57,9 +56,7 @@ class CheckResult(_Value):
     _fields = __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+        self._set(name, passed, detail)
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}  {self.detail}".rstrip()
@@ -255,28 +252,19 @@ _GAP_DIGITS = 20
 def _fermionic_gaps(ms, q: QParam, levels) -> dict:
     """{(m, level): v_p(fermionic_riemann(m, q, level) - E_{m,q})}, exactly.
 
-    The Riemann sums' numerators come from one direct pass mod
-    M = p^_GAP_DIGITS, normalized as `_fermionic_sums` does, with exact
-    denominators.  The gap's numerator is then known mod M, and a nonzero
-    residue has the numerator's valuation; a zero residue is read again
-    from the exact sum."""
+    The Riemann sums come from `_fermionic_sums`' one direct pass mod
+    M = p^_GAP_DIGITS, with exact denominators.  The gap's numerator is
+    then known mod M, and a nonzero residue has the numerator's valuation;
+    a zero residue is read again from the exact sum."""
     p, qv = q.prime, q.value
-    mod = p**_GAP_DIGITS
-    counts = {level: p**level for level in levels}
-    sums = _alt_power_sums(counts.values(), ms, qv.numerator, qv.denominator, mod)
-    two = q_int(2, qv)
-    out = {}
-    for level, count in counts.items():
-        norm = two * q_int_neg(count, qv)
-        for m in ms:
-            target = euler_number_q(m, qv)
-            num, den = sums[count, m]
-            den *= norm.numerator
-            gap = (num * norm.denominator * target.denominator - target.numerator * den) % mod
-            if not gap:
-                num, den = _fermionic_sums((m,), q, (level,))[m, level]
-                gap = num * target.denominator - target.numerator * den
-            out[m, level] = padic_valuation_int(gap, p) - padic_valuation_int(den * target.denominator, p)
+    mod, out = p**_GAP_DIGITS, {}
+    for (m, level), (num, den) in _fermionic_sums(ms, q, levels, mod).items():
+        target = euler_number_q(m, qv)
+        gap = (num * target.denominator - target.numerator * den) % mod
+        if not gap:
+            num, den = _fermionic_sums((m,), q, (level,))[m, level]
+            gap = num * target.denominator - target.numerator * den
+        out[m, level] = padic_valuation_int(gap, p) - padic_valuation_int(den * target.denominator, p)
     return out
 
 

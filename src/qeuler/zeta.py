@@ -81,9 +81,7 @@ class ArchParams(_Value):
         if max_terms < 3:
             # the tail test starts at n = 2
             raise OutOfDomain(f"max_terms must be >= 3, got {max_terms}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "max_terms", max_terms)
+        self._set(q, eps, max_terms)
 
 
 def _q_int_real(x: float, q: float) -> float:
@@ -284,8 +282,7 @@ class ComplexChar(_Value):
         if len(values) != f:
             raise OutOfDomain("need exactly one value per residue class")
         values = tuple(complex(v) for v in values)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "values", values)
+        self._set(conductor, values)
         for a in range(f):
             v = values[a]
             if math.gcd(a, f) == 1 and f > 1:

@@ -536,9 +536,10 @@ def test_a_gap_that_vanishes_mod_p_to_the_k_is_read_exactly(monkeypatch, digits)
     lines = [check.line() for check in suites.fermionic_checks()]
     exact = []
 
-    def counted(ms, q, levels):
-        exact.append((tuple(ms), tuple(levels)))
-        return euler._fermionic_sums(ms, q, levels)
+    def counted(ms, q, levels, mod=None):
+        if mod is None:
+            exact.append((tuple(ms), tuple(levels)))
+        return euler._fermionic_sums(ms, q, levels, mod)
 
     monkeypatch.setattr(suites, "_fermionic_sums", counted)
     assert [check.line() for check in suites.fermionic_checks()] == lines and exact == []
@@ -556,3 +557,9 @@ def test_one_pass_fermionic_sums_are_the_riemann_sums_at_each_level(qv):
     assert set(sums) == {(m, level) for m in range(6) for level in levels}
     for (m, level), pair in sums.items():
         assert Fraction(*pair) == _fermionic_loop(m, q, level), (m, level)
+    # the modulus path: the same denominators, numerators congruent mod mod
+    for mod in (q.prime**3, q.prime**20):
+        reduced = euler._fermionic_sums(range(6), q, levels, mod)
+        assert set(reduced) == set(sums)
+        for key, (num, den) in sums.items():
+            assert reduced[key][1] == den and (reduced[key][0] - num) % mod == 0, (mod, key)

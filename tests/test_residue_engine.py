@@ -716,7 +716,7 @@ TABLE_BUDGETS = [(SeriesBudget(4), 10), (SeriesBudget(6), 6)]
 
 def _table_mismatches(res, q, budget, precision):
     """The (r, n, k, shift) at which the table sum _table_sum over res and
-    _assembly_row(res, ...) is not twice the character sum of the (H + K)
+    _assembly_rows(res, ...)[0] is not twice the character sum of the (H + K)
     pairs that the assembly summed before, sum_a w(a)^(-s) (H + K)(s, a)
     q^(a shift) by _char_sum over the cached _partial series, mod p^low."""
     p = q.prime
@@ -724,7 +724,7 @@ def _table_mismatches(res, q, budget, precision):
     cached = lfunc._residues(q, p, precision)
     mismatches = []
     for n in (2, 4, 10) if p == 5 else (2, 4):
-        e = lfunc._assembly_row(res, n, low)
+        e = lfunc._assembly_rows(res, n, low)[0]
         for r in (1, 2, 3):
             for k in range(1, 9):
                 s = r + k
