@@ -109,9 +109,9 @@ class _Value:
 
     A subclass lists its fields in ``_fields`` and in ``__slots__`` (two
     or more: attrgetter of one name returns no tuple) and sets them once,
-    in ``__init__``, with ``_set``.  Equality (same class
-    only), hash and repr are those of a frozen dataclass over the fields;
-    assigning or deleting an attribute raises AttributeError.
+    in ``__init__``, with ``_set``.  Equality (same class only), hash and
+    repr are those of a frozen dataclass over the fields; assigning or
+    deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
@@ -119,13 +119,14 @@ class _Value:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # one C call builds the field tuple: these objects key the series
-        # caches, so hash and == are on the hot path
+        # hash and == read the field tuple in one C call, and _set writes
+        # through the slots' descriptors: both are on the engine's hot path
         cls._key = attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def _set(self, *values):
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -696,13 +696,9 @@ def _assembly_rows(res: _Residues, n: int, stop: int) -> tuple:
     """(e, t) for j < stop, mod p**precision, from a table res at F = p:
     e_j = [p]_q^j (H_j + K_j) = [p]_q^j Q^(nj) E_{j,Q} and T's row
     t_j = [p]_q^j K_j, over the H and K base rows."""
-    mod, e, t, power = res.mod, [], [], 1
-    H, K = res.base("H", 0, stop), res.base("K", n, stop)
-    for j in range(stop):
-        e.append(power * (H[j] + K[j]) % mod)
-        t.append(power * K[j] % mod)
-        power = power * res.q_ints[res.prime] % mod
-    return e, t
+    mod, H, K = res.mod, res.base("H", 0, stop), res.base("K", n, stop)
+    powers = [pow(res.q_ints[res.prime], j, mod) for j in range(stop)]  # [p]_q^j
+    return [x * (h + k) % mod for x, h, k in zip(powers, H, K)], [x * k % mod for x, k in zip(powers, K)]
 
 
 def _table_sum(res: _Residues, e: list, s: int, shift: int) -> int:
@@ -1042,7 +1038,8 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
       q_int's own formula, and binom_int vs Pascal's rule, to l <= 10;
     index-range-rearrangement: the (sign, index) pairs, exactly, then lhs vs
       2 sum(blocks) mod p**N, implied by the pairing (detail "exact rational");
-    character-sum-assembly: lhs vs _theorem5_sides' plain side (table N);
+    character-sum-assembly: lhs vs _theorem5_sides' plain side, from c_k,
+      _assembly_rows and the sums N of _Residues.alt_sums;
     residue-weighted-assembly: lhs vs its weighted side, which localizes a gap.
     """
     p = _check_point(r, n, q)
