@@ -10,8 +10,8 @@ interpreter imports ``qeuler.cli`` first, then calls the checks in registry
 order, as ``qeuler verify all`` does, so a check finds the caches that the
 checks before it filled; each call is timed with ``time.perf_counter``.
 The script prints each check's median time in ms with its smallest and
-largest, and the sum of the medians.  As in ``scripts/op_pairs.py``, the
-interpreters import cached bytecode, compiled once before the first run
+largest, and the sum of the medians.  Through ``scripts/op_pairs.py``'s
+``worker_env`` and ``compile_checkout``, the interpreters import cached bytecode, compiled once before the first run
 into a temporary cache directory (PYTHONPYCACHEPREFIX) that is removed at
 exit, so it writes nothing in the checkout.
 """
@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from op_pairs import compile_checkout, worker_env
 
 # one interpreter's run: [(check name, seconds)] in registry order, as JSON
 _CHILD = """
@@ -59,9 +60,8 @@ def main(argv=None) -> int:
 
     root = args.root.resolve()
     with tempfile.TemporaryDirectory(prefix="check_times-") as cache:
-        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0", PYTHONPYCACHEPREFIX=cache)
-        env.pop("PYTHONDONTWRITEBYTECODE", None)
-        subprocess.run([sys.executable, "-m", "compileall", "-q", str(root / "src")], env=env, check=True)
+        env = worker_env(root, cache)
+        compile_checkout(root, cache)
         runs = []
         for _ in range(args.runs):
             proc = subprocess.run([sys.executable, "-c", _CHILD], cwd=root, env=env, capture_output=True, text=True)

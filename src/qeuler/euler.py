@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import OutOfDomain, QIsOne
-from .kernel import QParam, _check_int, _Value, as_fraction, q_int, q_int_neg
+from .kernel import QParam, _binom, _check_int, _rational, _Value, as_fraction, q_int, q_int_neg
 
 
 class PolyArg(_Value):
@@ -34,7 +34,7 @@ class PolyArg(_Value):
     _fields = __slots__ = ("a", "f", "q")
 
     def __init__(self, a: int, f: int, q: Fraction):
-        self._set(a, f, Fraction(q))
+        self._set(a, f, _rational(q))
         _check_int("numerator a", a)
         _check_int("denominator f", f)
         if a < 0:
@@ -160,6 +160,15 @@ def _euler_row_pair(m: int, a: int, u: int, v: int) -> tuple:
     return 2 * v**m * acc, den * v ** (a * m)
 
 
+def _poly_form_pair(n: int, m: int, u: int, v: int) -> tuple:
+    """alt_power_sum_polyform at q = u/v != 1 as an unreduced
+    (numerator, denominator) pair of ints, (-1)^(n+1) E_{m,q}(n) + E_{m,q},
+    read from the cached Euler row: E_{m,q}(n)'s denominator is
+    E_{m,q}'s times v^(nm)."""
+    num, den = _euler_row_pair(m, n, u, v)
+    return (-1) ** (n + 1) * num + _euler_row(m, u, v)[1] * v ** (n * m), den
+
+
 def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
     """The q-Euler polynomial value E_{n, q^f}(a/f), exactly.
 
@@ -185,7 +194,7 @@ def euler_poly_classical(n: int, x) -> Fraction:
     """Classical Euler polynomial E_n(x), defined through the contract
     E_n(x+1) + E_n(x) = 2 x^n with E_0 = 1."""
     _check_order(n)
-    return _euler_poly_classical(n, Fraction(x))
+    return _euler_poly_classical(n, _rational(x))
 
 
 def euler_number_classical(n: int) -> Fraction:
@@ -237,29 +246,50 @@ def _euler_numbers_over_lcm(m: int, u: int, v: int) -> tuple:
     return _over_lcm([_euler_poly_q(l, 0, 1, u, v) for l in range(m + 1)])
 
 
+def _convolution_sum(nums: tuple, a: int, u: int, v: int) -> int:
+    """The binomial convolution sum_{j<=n} binom(n,j) q^(ja) E_{j,q} [a]_q^(n-j)
+    at q = u/v != 1 and a >= 0, times v^(an) den, for (nums, den) the cached
+    table of E_0..E_n over their lcm: with q^a = x/v^a and [a]_q = w/v^a for
+    the integers x = u^a and w = v (u^a - v^a)/(u - v), the integer
+    sum_j binom(n,j) x^j w^(n-j) nums[j], by homogeneous Horner."""
+    n = len(nums) - 1
+    x = u**a
+    w = v * ((x - v**a) // (u - v))
+    acc, xj = 0, 1
+    for j, e in enumerate(nums):  # after E_j, acc = sum_{i<=j} binom(n,i) x^i w^(j-i) E_i
+        acc = acc * w + _binom(n, j) * e * xj
+        xj *= x
+    return acc
+
+
+def convolution_rhs(n: int, a: int, q) -> tuple:
+    """The binomial convolution of E_{n,q}(a), sum_{j<=n} binom(n,j) q^(ja)
+    E_{j,q} [a]_q^(n-j), as an unreduced (numerator, denominator) pair of
+    ints, for a >= 0 and q != 1, -1."""
+    qv = _deformed(q, "use euler_number_classical for q = 1")
+    u, v = qv.numerator, qv.denominator
+    nums, den = _euler_numbers_over_lcm(n, u, v)
+    return _convolution_sum(nums, a, u, v), v ** (a * n) * den
+
+
 def _closed_form_pair(n: int, m: int, u: int, v: int) -> tuple:
     """alt_power_sum_closed at q = u/v != 1 as an unreduced
-    (numerator, denominator) pair of ints."""
-    x, y = u**n, v**n
-    w = v * ((x - y) // (u - v))
+    (numerator, denominator) pair of ints: (-1)^(n+1) times the
+    convolution at (m, n), plus E_{m,q}, over v^(nm) den."""
     nums, den = _euler_numbers_over_lcm(m, u, v)
-    acc = sum(math.comb(m, l) * x**l * w ** (m - l) * e for l, e in enumerate(nums))
-    ym = y**m
-    return (-1) ** (n + 1) * acc + nums[m] * ym, den * ym
+    vm = v ** (n * m)
+    return (-1) ** (n + 1) * _convolution_sum(nums, n, u, v) + nums[m] * vm, den * vm
 
 
 def alt_power_sum_closed(n: int, m: int, q) -> Fraction:
     """Closed form of the alternating power sum through q-Euler numbers:
 
     (-1)^(n+1) sum_{l<m} binom(m,l) q^(nl) E_{l,q} [n]_q^(m-l)
-        + ((-1)^(n+1) q^(nm) + 1) E_{m,q}.
+        + ((-1)^(n+1) q^(nm) + 1) E_{m,q},
 
-    With q = u/v, q^n = x/y for x = u^n, y = v^n, and [n]_q = w/y for the
-    integer w = v (u^n - v^n)/(u - v) = v sum_{i<n} u^i v^(n-1-i), so the
-    l-th summand is the integer binom(m,l) x^l w^(m-l) times E_{l,q}, over
-    the one denominator y^m; the q^(nm) E_{m,q} part is the summand at
-    l = m.  The sum is one integer numerator over y^m lcm(den E_l),
-    divided once.
+    that is (-1)^(n+1) times the binomial convolution at (m, n), whose
+    l = m summand is q^(nm) E_{m,q}, plus E_{m,q}: one integer numerator
+    over v^(nm) lcm(den E_l) at q = u/v, divided once.
     """
     _check_orders(n, m)
     qv = _deformed(q, "closed form needs q != 1")

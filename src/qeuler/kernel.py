@@ -29,6 +29,16 @@ def _check_int(name: str, x) -> None:
         raise OutOfDomain(f"{name} must be an int, got {x!r}")
 
 
+def _rational(x) -> Fraction:
+    """Fraction(x): an int, Fraction, float, Decimal or rational string.
+    What Fraction() cannot read (None, "x", "1/0", inf, nan) raises
+    OutOfDomain, not a bare TypeError, ValueError or ArithmeticError."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        raise OutOfDomain(f"{x!r} is not a rational number") from None
+
+
 def padic_valuation_int(n: int, p: int):
     """v_p(n) for an integer; returns math.inf for n = 0."""
     if n == 0:
@@ -45,7 +55,7 @@ def padic_valuation(x, p: int):
     """v_p of an exact int or Fraction; math.inf for zero."""
     if p < 2:
         raise OutOfDomain(f"a valuation needs a base p >= 2, got {p}")
-    x = Fraction(x)
+    x = _rational(x)
     if x == 0:
         return math.inf
     return padic_valuation_int(x.numerator, p) - padic_valuation_int(x.denominator, p)
@@ -163,7 +173,7 @@ class QParam(_Value):
     __slots__ = (*_fields, "_hash")
 
     def __init__(self, value: Fraction, prime: int | None = None):
-        value = Fraction(value)
+        value = _rational(value)
         self._set(value, prime)
         if prime is not None:
             if not _is_odd_prime(prime):
@@ -193,7 +203,7 @@ def as_fraction(q: RationalLike) -> Fraction:
         return q
     if isinstance(q, QParam):
         return q.value
-    return Fraction(q)
+    return _rational(q)
 
 
 def q_int(x: int, q: RationalLike) -> Fraction:
@@ -236,7 +246,8 @@ def q_int_neg(x: int, q: RationalLike) -> Fraction:
 # the truth of the identity at one exact integer point, comparing the two
 # sides cross-multiplied as integers (a/b == c/d iff a d == c b for
 # nonzero b, d).  The suite's grid asks for 441 distinct binomials 13,516
-# times, so they come from a bounded memo that starts empty.
+# times, so they come from a bounded memo that starts empty.  The Euler
+# layer's binomial convolution (euler._convolution_sum) reads it too.
 
 _binom = lru_cache(maxsize=512)(binom_int)
 

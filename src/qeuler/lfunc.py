@@ -843,17 +843,13 @@ def _index_range_check(lhs_terms, block_terms, lhs: int, blocks, mod: int) -> bo
     return paired and (lhs - 2 * sum(blocks)) % mod == 0
 
 
-class _Record:
-    """Base of the engine's mutable results: attributes set in field order
-    by ``__init__``, shown in dataclass form."""
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class StageResult(_Record):
+class StageResult(_Value):
     """Outcome of one derivation stage inside the expansion engine."""
+
+    _fields = __slots__ = (
+        "name", "description", "passed", "agreement_valuation", "saturated", "lhs_digits", "rhs_digits",
+        "diagnostic", "detail",
+    )
 
     def __init__(
         self,
@@ -867,28 +863,28 @@ class StageResult(_Record):
         diagnostic: bool = False,
         detail: str = "",
     ):
-        self.name = name
-        self.description = description
-        self.passed = passed
-        self.agreement_valuation = agreement_valuation
-        self.saturated = saturated
-        self.lhs_digits = lhs_digits
-        self.rhs_digits = rhs_digits
-        self.diagnostic = diagnostic
-        self.detail = detail
+        self._set(
+            name, description, passed, agreement_valuation, saturated, lhs_digits, rhs_digits, diagnostic, detail
+        )
 
     def to_dict(self):
         # every field is a str, int, bool or None: nothing to copy deeply
-        return dict(vars(self))
+        return dict(zip(self._fields, self._key(self)))
 
 
-class VerificationReport(_Record):
+class VerificationReport(_Value):
     """Complete audit of the expansion identity at one (r, n) point.
 
     agreement_valuation is v_p(lhs - rhs) capped at the compared
     precision (saturated=True when the cap was reached); stages carry
-    the same measurement for each intermediate derivation step.
+    the same measurement for each intermediate derivation step.  A
+    report holds a list and a dict, so it has no hash.
     """
+
+    _fields = __slots__ = (
+        "r", "n", "prime", "q", "target", "working_precision", "lhs", "rhs", "agreement_valuation",
+        "agreement_saturated", "stages", "truncation_indices",
+    )
 
     def __init__(
         self,
@@ -905,18 +901,10 @@ class VerificationReport(_Record):
         stages: list | None = None,
         truncation_indices: dict | None = None,
     ):
-        self.r = r
-        self.n = n
-        self.prime = prime
-        self.q = q
-        self.target = target
-        self.working_precision = working_precision
-        self.lhs = lhs
-        self.rhs = rhs
-        self.agreement_valuation = agreement_valuation
-        self.agreement_saturated = agreement_saturated
-        self.stages = [] if stages is None else stages
-        self.truncation_indices = {} if truncation_indices is None else truncation_indices
+        self._set(
+            r, n, prime, q, target, working_precision, lhs, rhs, agreement_valuation, agreement_saturated,
+            [] if stages is None else stages, {} if truncation_indices is None else truncation_indices,
+        )
 
     @property
     def identity_holds(self) -> bool:

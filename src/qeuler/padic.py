@@ -29,7 +29,7 @@ from .errors import (
     OutOfDomain,
     PrecisionExhausted,
 )
-from .kernel import QParam, _check_int, _is_odd_prime, _Value, padic_valuation_int, q_int
+from .kernel import QParam, _check_int, _is_odd_prime, _rational, _Value, padic_valuation_int, q_int
 
 
 def _validate_prime(p: int) -> None:
@@ -262,7 +262,7 @@ def agreement(x: PadicApprox, y: PadicApprox):
 
 def embed(r, p: int, precision: int) -> PadicApprox:
     """Embed an exact rational with p-unit denominator into Z_p mod p^N."""
-    r = Fraction(r)
+    r = _rational(r)
     _validate_prime(p)
     _validate_precision(precision)
     if r.denominator % p == 0:

@@ -21,11 +21,10 @@ from .euler import (
     PolyArg,
     _alt_power_sums,
     _closed_form_pair,
-    _deformed,
-    _euler_numbers_over_lcm,
-    _euler_row,
     _euler_row_pair,
     _fermionic_sums,
+    _poly_form_pair,
+    convolution_rhs,
     distribution_check,
     euler_number_q,
     euler_poly_q,
@@ -33,7 +32,6 @@ from .euler import (
 from .kernel import (
     QParam,
     _Value,
-    binom_int,
     binom_product_merge,
     binom_product_shift,
     binom_tail_merge,
@@ -85,15 +83,6 @@ def _grid_checks(name, qs, points, holds_at, detail):
 _ALT_NS, _ALT_MS = range(1, 13), range(1, 11)
 
 
-def _poly_form_pair(n: int, m: int, u: int, v: int) -> tuple:
-    """alt_power_sum_polyform at q = u/v != 1 as an unreduced
-    (numerator, denominator) pair of ints, (-1)^(n+1) E_{m,q}(n) + E_{m,q},
-    read from the cached Euler row: E_{m,q}(n)'s denominator is
-    E_{m,q}'s times v^(nm)."""
-    num, den = _euler_row_pair(m, n, u, v)
-    return (-1) ** (n + 1) * num + _euler_row(m, u, v)[1] * v ** (n * m), den
-
-
 def _forms_agree_at(qv):
     """The alternating-sum predicate at one q: the direct sums of the whole
     grid come from one pass, and each form is compared with them
@@ -120,26 +109,6 @@ def alternating_sum_checks():
         _forms_agree_at,
         "n<=12, m<=10",
     )
-
-
-def convolution_rhs(n: int, a: int, q) -> tuple:
-    """sum_{j<=n} binom(n,j) q^(ja) E_{j,q} [a]_q^(n-j) as an unreduced
-    (numerator, denominator) pair of ints, for a >= 0.
-
-    With q = u/v, [a]_q v^a is the integer v (u^a - v^a)/(u - v) (v^(a-1)
-    clears the denominator of 1 + q + ... + q^(a-1)) and q^(ja) =
-    u^(ja) / v^(ja), so v^(an) q^(ja) [a]_q^(n-j) is the integer
-    u^(ja) ([a]_q v^a)^(n-j), and
-    every term lies over v^(an) lcm(den E_j), the Euler layer's cached table.
-    """
-    qv = _deformed(q, "use euler_number_classical for q = 1")
-    u, v = qv.numerator, qv.denominator
-    nums, den = _euler_numbers_over_lcm(n, u, v)
-    vb = v * ((u**a - v**a) // (u - v))
-    num = sum(
-        binom_int(n, j) * u ** (j * a) * vb ** (n - j) * e for j, e in enumerate(nums)
-    )
-    return num, v ** (a * n) * den
 
 
 def _convolution_holds(qv, n, a):

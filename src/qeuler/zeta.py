@@ -52,11 +52,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 from .errors import NoConvergence, OutOfDomain
 from .euler import PolyArg, euler_poly_q
-from .kernel import _check_int, _is_odd_prime, _Value, q_int
+from .kernel import _check_int, _is_odd_prime, _rational, _Value, q_int
 
 # The limit-subtracted head sums at most this many terms (an even number)
 # before the tail takes over; every value it finishes within them (every
@@ -343,7 +342,7 @@ def gen_euler_complex(k: int, chi: ComplexChar, q) -> complex:
 
     with the Euler-polynomial values taken exactly from the rational
     layer and only the character values complex."""
-    qv = Fraction(q)
+    qv = _rational(q)
     if not 0 < qv < 1:
         raise OutOfDomain("exact side needs rational q in (0, 1)")
     f = chi.conductor

@@ -60,8 +60,15 @@ def _wrong_binomial(n, k):
 
 
 def test_a_wrong_binomial_fails_the_convolution(monkeypatch, capsys):
-    monkeypatch.setattr(suites, "binom_int", _wrong_binomial)
-    assert _failing(capsys) == ["euler-convolution[q=1/2]", "euler-convolution[q=6]"]
+    # the closed form is the convolution at (m, n), so it reads the same sum
+    monkeypatch.setattr(euler, "_binom", _wrong_binomial)
+    assert _failing(capsys) == [
+        "alternating-sum-forms[q=1/2]",
+        "alternating-sum-forms[q=2/3]",
+        "alternating-sum-forms[q=6]",
+        "euler-convolution[q=1/2]",
+        "euler-convolution[q=6]",
+    ]
 
 
 def test_a_wrong_binomial_fails_the_identities(monkeypatch, capsys):
@@ -71,8 +78,9 @@ def test_a_wrong_binomial_fails_the_identities(monkeypatch, capsys):
 
 
 def test_a_wrong_euler_number_fails_its_convolution(monkeypatch, capsys):
-    # the convolution reads E_0..E_n over their lcm from the Euler layer's table
-    right = suites._euler_numbers_over_lcm
+    # the convolution, and the closed form through it, read E_0..E_n over
+    # their lcm from the Euler layer's table
+    right = euler._euler_numbers_over_lcm
 
     def wrong(n, u, v):
         nums, den = right(n, u, v)
@@ -80,8 +88,8 @@ def test_a_wrong_euler_number_fails_its_convolution(monkeypatch, capsys):
             nums = nums[:3] + (nums[3] + den,) + nums[4:]
         return nums, den
 
-    monkeypatch.setattr(suites, "_euler_numbers_over_lcm", wrong)
-    assert _failing(capsys) == ["euler-convolution[q=6]"]
+    monkeypatch.setattr(euler, "_euler_numbers_over_lcm", wrong)
+    assert _failing(capsys) == ["alternating-sum-forms[q=6]", "euler-convolution[q=6]"]
 
 
 def test_a_wrong_euler_row_fails_the_grids_that_read_it(monkeypatch, capsys):
@@ -108,7 +116,7 @@ def test_convolution_rhs_checks_q_before_the_table(monkeypatch, q, error):
     def unread(*args):
         raise AssertionError("table read")
 
-    monkeypatch.setattr(suites, "_euler_numbers_over_lcm", unread)
+    monkeypatch.setattr(euler, "_euler_numbers_over_lcm", unread)
     with pytest.raises(error):
         suites.convolution_rhs(3, 2, q)
 

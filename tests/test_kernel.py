@@ -24,7 +24,17 @@ from qeuler import (
     q_int,
     q_int_neg,
 )
-from qeuler import kernel, suites
+from qeuler import (
+    PolyArg,
+    alt_power_sum,
+    alt_power_sum_closed,
+    alt_power_sum_polyform,
+    euler_number_q,
+    euler_poly_classical,
+    gen_euler_complex,
+    kernel,
+    suites,
+)
 from qeuler.kernel import _is_odd_prime, as_fraction
 
 
@@ -298,3 +308,34 @@ def test_as_fraction_returns_a_fraction_argument_itself():
 
     # a subclass is converted, so callers always get a plain Fraction
     assert type(as_fraction(Sub(1, 3))) is Fraction and as_fraction(Sub(1, 3)) == Fraction(1, 3)
+
+
+# every call that reads a rational argument through the kernel's reader:
+# QParam, PolyArg, embed, padic_valuation, euler_poly_classical,
+# gen_euler_complex, and the functions that read q through as_fraction
+RATIONAL_ARGUMENTS = {
+    "QParam": lambda x: QParam(x),
+    "PolyArg": lambda x: PolyArg(1, 1, x),
+    "embed": lambda x: embed(x, 5, 4),
+    "padic_valuation": lambda x: padic_valuation(x, 5),
+    "euler_poly_classical": lambda x: euler_poly_classical(2, x),
+    "gen_euler_complex": lambda x: gen_euler_complex(1, ComplexChar.trivial(), x),
+    "q_int": lambda x: q_int(2, x),
+    "q_int_neg": lambda x: q_int_neg(2, x),
+    "euler_number_q": lambda x: euler_number_q(2, x),
+    "alt_power_sum": lambda x: alt_power_sum(3, 2, x),
+    "alt_power_sum_closed": lambda x: alt_power_sum_closed(3, 2, x),
+    "alt_power_sum_polyform": lambda x: alt_power_sum_polyform(3, 2, x),
+}
+
+
+@pytest.mark.parametrize("name", RATIONAL_ARGUMENTS)
+def test_unreadable_rationals_raise_out_of_domain(name):
+    # each escaped as a bare TypeError, ValueError or ArithmeticError
+    call = RATIONAL_ARGUMENTS[name]
+    value = call(Fraction(1, 2))
+    for x in (1 / 2, "1/2", " 0.5 "):
+        assert call(x) == value
+    for x in (None, "x", "1/0", math.inf, math.nan):
+        with pytest.raises(OutOfDomain, match="is not a rational number"):
+            call(x)

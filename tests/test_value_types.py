@@ -1,7 +1,7 @@
 """The package's value types keep the contract of the frozen dataclasses
 they replace: equality within one class only, a hash that agrees with it,
 dataclass-form repr and no assignment after construction; the engine's
-mutable results keep their fields and fresh defaults."""
+verification report is one too, without a hash, and keeps fresh defaults."""
 
 import pickle
 from fractions import Fraction
@@ -39,6 +39,12 @@ VALUES = [
     (CheckResult, ("name", True, "detail"), "CheckResult(name='name', passed=True, detail='detail')"),
     (ArchParams, (0.5, 1e-13, 200000), "ArchParams(q=0.5, eps=1e-13, max_terms=200000)"),
     (ComplexChar, (1, (1,)), "ComplexChar(conductor=1, values=((1+0j),))"),
+    (
+        StageResult,
+        ("name", "description", True),
+        "StageResult(name='name', description='description', passed=True, agreement_valuation=None, "
+        "saturated=False, lhs_digits=None, rhs_digits=None, diagnostic=False, detail='')",
+    ),
 ]
 
 frozen = pytest.mark.parametrize("cls, args, shown", VALUES, ids=[cls.__name__ for cls, _, _ in VALUES])
@@ -107,3 +113,36 @@ def test_verification_reports_do_not_share_defaults():
     a.stages.append(StageResult("name", "description", True))
     a.truncation_indices["H"] = 3
     assert b.stages == [] and b.truncation_indices == {}
+
+
+def _report(stages=None):
+    one = PadicApprox(5, 1, 4)
+    return VerificationReport(2, 2, 5, Fraction(6), 4, 8, one, one, 4, True, stages, {"assembly": 3})
+
+
+def test_verification_reports_compare_by_fields():
+    stage = StageResult("name", "description", True)
+    a, b = _report([stage]), _report([StageResult("name", "description", True)])
+    assert a == b and not a != b
+    assert a != _report([StageResult("name", "description", False)])
+    assert a != _report()
+
+
+def test_verification_report_fields_cannot_be_assigned_or_deleted():
+    report = _report()
+    for name in (*VerificationReport._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+        with pytest.raises(AttributeError):
+            delattr(report, name)
+
+
+def test_verification_report_pickle_round_trip():
+    report = _report([StageResult("name", "description", True, 4, True, "1", "1")])
+    assert pickle.loads(pickle.dumps(report)) == report
+
+
+def test_verification_reports_are_unhashable():
+    # a report holds its stages in a list and its truncation indices in a dict
+    with pytest.raises(TypeError):
+        hash(_report())
