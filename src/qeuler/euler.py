@@ -94,53 +94,29 @@ def euler_number_q(m: int, q) -> Fraction:
     """
     _check_order(m)
     qv = _deformed(q, "use euler_number_classical for q = 1")
-    return _euler_poly_q(m, 0, 1, qv.numerator, qv.denominator)
-
-
-def _euler_poly_sum(n: int, points, f: int, u: int, v: int) -> tuple:
-    """sum_j s_j E_{n,q^f}(a_j/f) at q = u/v, for points (s_j, a_j) with
-    a_j >= 0, as one unreduced (numerator, denominator) pair of ints.
-
-    With Q = q^f = U/V and last = max a_j, v^(n last) times the k-th
-    summand of the sum is binom(n,k) V^k / (V^k + U^k) times the integer
-    sum_j s_j (-u^a_j)^k v^(a_j (n-k)) v^(n (last - a_j)), built from
-    running powers; the n+1 pairs are added in one tree and the sum is
-    scaled by 2 V^n / ((V - U)^n v^(n last)).  One point is one value.
-    """
-    U, V = u**f, v**f
-    last = max(a for _, a in points)
-    coeffs = [0] * (n + 1)
-    for s, a in points:
-        x, y = -(u**a), v**a
-        # lows[i] = s v^(n (last - a)) y^i, read at i = n - k
-        lows = [s * v ** (n * (last - a))]
-        for _ in range(n):
-            lows.append(lows[-1] * y)
-        xk = 1
-        for k in range(n + 1):
-            coeffs[k] += xk * lows[n - k]
-            xk *= x
-    terms, Uk, Vk = [], 1, 1
-    for k, c in enumerate(coeffs):
-        terms.append((math.comb(n, k) * c * Vk, Vk + Uk))
-        Uk, Vk = Uk * U, Vk * V
-    num, den = _tree_sum(terms)
-    return 2 * V**n * num, (V - U) ** n * v ** (n * last) * den
+    return _euler_number_q(m, qv.numerator, qv.denominator)
 
 
 @lru_cache(maxsize=None)
-def _euler_poly_q(n: int, a: int, f: int, u: int, v: int) -> Fraction:
-    # Keyed on q = u/v in lowest terms, so a hit hashes ints, not a Fraction.
-    return Fraction(*_euler_poly_sum(n, ((1, a),), f, u, v))
+def _euler_number_q(m: int, u: int, v: int) -> Fraction:
+    """E_{m,q} at q = u/v in lowest terms: the pairs binom(m,k) (-1)^k v^k /
+    (v^k + u^k) added in one tree, times 2 v^m / (v - u)^m.  It never reads
+    the Euler row, so the convolution's right side is independent of it."""
+    terms, uk, vk = [], 1, 1
+    for k in range(m + 1):
+        terms.append(((-1) ** k * math.comb(m, k) * vk, vk + uk))
+        uk, vk = uk * u, vk * v
+    num, den = _tree_sum(terms)
+    return Fraction(2 * v**m * num, (v - u) ** m * den)
 
 
 @lru_cache(maxsize=None)
 def _euler_row(m: int, u: int, v: int) -> tuple:
     """(W, num0, den) at q = u/v: W_k = binom(m,k) v^k D/(v^k + u^k) for
     k <= m with D = prod_k (v^k + u^k), E_{m,q}(0) = num0/den, and
-    den = (v - u)^m D, so E_{m,q}(a) = 2 v^m sum_k W_k (-u^a)^k v^(a(m-k))
-    over den v^(am).  It serves the exact suite's grids, where one row is
-    read at many points; a one-shot value is cheaper as a tree sum."""
+    den = (v - u)^m D, so E_{m,q}(x) at q^x = X/Y is
+    2 v^m sum_k W_k (-X)^k Y^(m-k) over den Y^m.  It serves every
+    polynomial value; a one-shot Euler number is cheaper as a tree sum."""
     dens = [v**k + u**k for k in range(m + 1)]
     D = math.prod(dens)
     W = tuple(math.comb(m, k) * v**k * (D // d) for k, d in enumerate(dens))
@@ -148,16 +124,18 @@ def _euler_row(m: int, u: int, v: int) -> tuple:
     return W, scale * sum(W[::2]) - scale * sum(W[1::2]), (v - u) ** m * D
 
 
-def _euler_row_pair(m: int, a: int, u: int, v: int) -> tuple:
-    """E_{m,q}(a) at q = u/v, a >= 0, as the unreduced pair (numerator,
-    den v^(am)) of the cached row: homogeneous Horner in (-u^a, v^a)."""
-    W, _, den = _euler_row(m, u, v)
+def _euler_row_pair(m: int, a: int, u: int, v: int, f: int = 1) -> tuple:
+    """E_{m,q^f}(a/f) at q = u/v, a >= 0, as the unreduced pair (numerator,
+    den v^(am)) of the cached row in base q^f = u^f/v^f: homogeneous Horner
+    in (-u^a, v^a), since (q^f)^(a/f) = q^a."""
+    V = v**f
+    W, _, den = _euler_row(m, u**f, V)
     x, y = -(u**a), v**a
     acc, yk = 0, 1
     for w in reversed(W):  # after W_k, acc = sum_{j>=k} W_j x^(j-k) y^(m-j)
         acc = acc * x + w * yk
         yk *= y
-    return 2 * v**m * acc, den * v ** (a * m)
+    return 2 * V**m * acc, den * v ** (a * m)
 
 
 def _poly_form_pair(n: int, m: int, u: int, v: int) -> tuple:
@@ -177,7 +155,7 @@ def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
     """
     _check_order(n)
     _deformed(arg.q, "use euler_poly_classical for q = 1")
-    return _euler_poly_q(n, arg.a, arg.f, arg.q.numerator, arg.q.denominator)
+    return Fraction(*_euler_row_pair(n, arg.a, arg.q.numerator, arg.q.denominator, arg.f))
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +221,7 @@ def alt_power_sum(n: int, m: int, q) -> Fraction:
 @lru_cache(maxsize=None)
 def _euler_numbers_over_lcm(m: int, u: int, v: int) -> tuple:
     """E_{0,q}..E_{m,q} at q = u/v as (numerators, den) over their lcm."""
-    return _over_lcm([_euler_poly_q(l, 0, 1, u, v) for l in range(m + 1)])
+    return _over_lcm([_euler_number_q(l, u, v) for l in range(m + 1)])
 
 
 def _convolution_sum(nums: tuple, a: int, u: int, v: int) -> int:
@@ -305,8 +283,7 @@ def alt_power_sum_polyform(n: int, m: int, q) -> Fraction:
     """
     _check_orders(n, m)
     qv = _deformed(q, "polynomial form needs q != 1")
-    u, v = qv.numerator, qv.denominator
-    return (-1) ** (n + 1) * _euler_poly_q(m, n, 1, u, v) + _euler_poly_q(m, 0, 1, u, v)
+    return Fraction(*_poly_form_pair(n, m, qv.numerator, qv.denominator))
 
 
 class DistributionCheck(_Value):
@@ -323,8 +300,9 @@ def distribution_check(n: int, m: int, arg: PolyArg) -> DistributionCheck:
     exactly at x = arg.a/arg.f with q' = arg.q**arg.f and odd m.
 
     The inner arguments (a + x)/m are (j arg.f + arg.a)/(m arg.f), so the
-    right-hand side is one signed combination of Euler polynomial values
-    in base q^(m arg.f): one tree sum, compared cross-multiplied.
+    right-hand side is one signed combination of m values of the Euler row
+    in base q^(m arg.f), summed over the last point's denominator and
+    compared cross-multiplied.
     """
     _check_order(n)
     _check_int("modulus m", m)
@@ -332,8 +310,12 @@ def distribution_check(n: int, m: int, arg: PolyArg) -> DistributionCheck:
         raise OutOfDomain(f"modulus m must be odd and positive, got {m}")
     lhs = euler_poly_q(n, arg)
     u, v = arg.q.numerator, arg.q.denominator
-    points = [((-1) ** j, j * arg.f + arg.a) for j in range(m)]
-    num, den = _euler_poly_sum(n, points, m * arg.f, u, v)
+    num, step = 0, v ** (n * arg.f)
+    # the point a_j = j f + a is over den v^(n a_j): Horner in v^(n f)
+    # brings each to the last point's den, where the loop leaves den
+    for j in range(m):
+        num_j, den = _euler_row_pair(n, j * arg.f + arg.a, u, v, m * arg.f)
+        num = num * step + (-1) ** j * num_j
     # [m]_{q'} = V (U^m - V^m)/(U - V) / V^m with q' = U/V, an integer over V^m
     U, V = u**arg.f, v**arg.f
     num, den = num * (V * ((U**m - V**m) // (U - V))) ** n, den * V ** (m * n)

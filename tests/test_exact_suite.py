@@ -93,8 +93,9 @@ def test_a_wrong_euler_number_fails_its_convolution(monkeypatch, capsys):
 
 
 def test_a_wrong_euler_row_fails_the_grids_that_read_it(monkeypatch, capsys):
-    # W_2 of every row off by one: the polynomial form and the convolution's
-    # left side read E_{m,q}(a) from the row
+    # W_2 of every row off by one: the polynomial form, the convolution's
+    # left side and both sides of the distribution relation read E_{m,q}(a)
+    # from the row
     right = euler._euler_row
 
     def wrong(m, u, v):
@@ -106,6 +107,8 @@ def test_a_wrong_euler_row_fails_the_grids_that_read_it(monkeypatch, capsys):
         "alternating-sum-forms[q=1/2]",
         "alternating-sum-forms[q=2/3]",
         "alternating-sum-forms[q=6]",
+        "distribution-relation[q=1/2]",
+        "distribution-relation[q=6]",
         "euler-convolution[q=1/2]",
         "euler-convolution[q=6]",
     ]
@@ -124,12 +127,11 @@ def test_convolution_rhs_checks_q_before_the_table(monkeypatch, q, error):
 def test_a_flipped_distribution_sign_fails_its_relation(monkeypatch, capsys):
     # the j = 1 term of m = 5 at x = 2/5 is E_{n,q^25}(7/25), the point a = 7
     # of the right-hand side's combination in base q^25
-    right = euler._euler_poly_sum
+    right = euler._euler_row_pair
 
-    def flipped(n, points, f, u, v):
-        if (f, u, v) == (25, 6, 1) and len(points) == 5:
-            points = [(-s if a == 7 else s, a) for s, a in points]
-        return right(n, points, f, u, v)
+    def flipped(m, a, u, v, f=1):
+        num, den = right(m, a, u, v, f)
+        return (-num if (a, f, u, v) == (7, 25, 6, 1) else num), den
 
-    monkeypatch.setattr(euler, "_euler_poly_sum", flipped)
+    monkeypatch.setattr(euler, "_euler_row_pair", flipped)
     assert _failing(capsys) == ["distribution-relation[q=6]"]
