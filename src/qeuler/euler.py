@@ -154,6 +154,8 @@ def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
     with q' = q**f and q'^x = q**a.
     """
     _check_order(n)
+    if not isinstance(arg, PolyArg):
+        raise OutOfDomain(f"the argument must be a PolyArg, got {arg!r}")
     _deformed(arg.q, "use euler_poly_classical for q = 1")
     return Fraction(*_euler_row_pair(n, arg.a, arg.q.numerator, arg.q.denominator, arg.f))
 
@@ -244,6 +246,10 @@ def convolution_rhs(n: int, a: int, q) -> tuple:
     """The binomial convolution of E_{n,q}(a), sum_{j<=n} binom(n,j) q^(ja)
     E_{j,q} [a]_q^(n-j), as an unreduced (numerator, denominator) pair of
     ints, for a >= 0 and q != 1, -1."""
+    _check_order(n)
+    _check_int("point a", a)
+    if a < 0:
+        raise OutOfDomain(f"point a must be >= 0, got {a}")
     qv = _deformed(q, "use euler_number_classical for q = 1")
     u, v = qv.numerator, qv.denominator
     nums, den = _euler_numbers_over_lcm(n, u, v)
@@ -354,7 +360,7 @@ def fermionic_riemann(m: int, q: QParam, level: int) -> Fraction:
 
     Exact rational; converges p-adically to E_{m,q} as the level grows.
     """
-    if q.prime is None:
+    if not isinstance(q, QParam) or q.prime is None:
         raise OutOfDomain("fermionic_riemann needs a QParam with prime context")
     _check_int("level", level)
     if level < 1:

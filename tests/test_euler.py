@@ -444,6 +444,20 @@ def test_q_minus_one_rejected():
     assert alt_power_sum(4, 2, q) == -4 == _alt_power_sum_loop(4, 2, q)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: euler_poly_q(2, Fraction(1, 2)),
+        lambda: distribution_check(2, 3, Fraction(1, 2)),
+        lambda: fermionic_riemann(2, Fraction(6), 2),
+    ],
+    ids=["euler_poly_q", "distribution_check", "fermionic_riemann"],
+)
+def test_a_bare_fraction_for_a_poly_arg_or_qparam_is_out_of_domain(call):
+    with pytest.raises(OutOfDomain):
+        call()
+
+
 def test_negative_orders_rejected():
     q = Fraction(1, 2)
     for fn in (alt_power_sum, alt_power_sum_closed, alt_power_sum_polyform):

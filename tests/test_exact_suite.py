@@ -2,6 +2,7 @@
 formulations they replace, and mutations that must each turn the matching
 `qeuler verify exact-identities` line to FAIL."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,42 @@ def test_convolution_rhs_checks_q_before_the_table(monkeypatch, q, error):
     monkeypatch.setattr(euler, "_euler_numbers_over_lcm", unread)
     with pytest.raises(error):
         suites.convolution_rhs(3, 2, q)
+
+
+@pytest.mark.parametrize(
+    "n, a, q",
+    [(-1, 2, Fraction(1, 2)), (3, -1, Fraction(6)), (2, 1.0, Fraction(6)), (True, 1, Fraction(6)), (2.0, 1, Fraction(6))],
+    ids=str,
+)
+def test_convolution_rhs_checks_its_order_and_point_before_the_table(monkeypatch, n, a, q):
+    def unread(*args):
+        raise AssertionError("table read")
+
+    monkeypatch.setattr(euler, "_euler_numbers_over_lcm", unread)
+    with pytest.raises(OutOfDomain):
+        suites.convolution_rhs(n, a, q)
+
+
+def test_the_euler_numbers_stay_off_the_row(monkeypatch, capsys):
+    # d_2 = 2v^2 + u^2 in place of v^2 + u^2 in every row.  The convolution
+    # holds for any sequence put in place of 1/(1 + q^k), so its lines fail
+    # only because E_{j,q} comes from the tree sum, not from the row
+    def wrong(m, u, v):
+        dens = [v**k + u**k + (v**k if k == 2 else 0) for k in range(m + 1)]
+        D = math.prod(dens)
+        W = tuple(math.comb(m, k) * v**k * (D // d) for k, d in enumerate(dens))
+        return W, 2 * v**m * sum((-1) ** k * w for k, w in enumerate(W)), (v - u) ** m * D
+
+    monkeypatch.setattr(euler, "_euler_row", wrong)
+    assert _failing(capsys) == [
+        "alternating-sum-forms[q=1/2]",
+        "alternating-sum-forms[q=2/3]",
+        "alternating-sum-forms[q=6]",
+        "distribution-relation[q=1/2]",
+        "distribution-relation[q=6]",
+        "euler-convolution[q=1/2]",
+        "euler-convolution[q=6]",
+    ]
 
 
 def test_a_flipped_distribution_sign_fails_its_relation(monkeypatch, capsys):
