@@ -509,7 +509,8 @@ def test_a_signed_combination_is_the_sum_of_its_values(q):
     for f in (1, 3, 5):
         for points in _SIGNED_POINTS:
             for n in range(13):
-                got = sum(s * Fraction(*euler._euler_row_pair(n, a, q.numerator, q.denominator, f)) for s, a in points)
+                u, v = q.numerator, q.denominator
+                got = sum(s * Fraction(*euler._euler_row_pair(n, a, u, v, f)) for s, a in points)
                 want = sum(s * _euler_poly_fraction_sum(n, a, f, q) for s, a in points)
                 assert got == want, (n, points, f)
 
