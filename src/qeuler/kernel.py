@@ -276,8 +276,11 @@ def binom_product_merge(r: int, j: int, k: int) -> bool:
     return lhs * (r - 1) == rhs * (r + k - 1)
 
 
+@lru_cache(maxsize=None)
 def tail_merge_coefficient(r: int, k: int) -> Fraction:
-    """(r/(r+k)) binom(-r-1, k); integer-valued by the tail-merge identity."""
+    """(r/(r+k)) binom(-r-1, k); integer-valued by the tail-merge identity.
+    Memoized: the expansion's assembly and its reindexing stage both read
+    it at every point."""
     return Fraction(r, r + k) * binom_int(-r - 1, k)
 
 

@@ -273,9 +273,13 @@ class _Residues:
         N(m, i) + (q - 1) N(m - 1, i), as q^a = 1 + (q - 1) [a]_q.  So entry
         i of row d is entry i - 1 of row d + 1 plus (q - 1) times its own
         entry i - 1, and the rows d + t, t < stop, grow to stop - t entries
-        each, from the top down."""
+        each, from the top down.  A row d that already has `stop` entries
+        is returned as it is: its entry i - 1 was built from row d + 1's,
+        so the rows below it are long enough too."""
         mod, rows, q1 = self.mod, self._alt_rows, self.q - 1
         with self._lock:
+            if len(rows.get(d, ())) >= stop:
+                return rows[d]
             for t in reversed(range(stop)):
                 row = rows.get(d + t)
                 if row is None:
@@ -422,6 +426,9 @@ def _row_sums(res: _Residues, r: int, kind: str, n: int, budget) -> tuple:
 
 
 def _require_prime(q: QParam) -> int:
+    # before q.prime is read, where anything else raises a bare AttributeError
+    if not isinstance(q, QParam):
+        raise OutOfDomain(f"q must be a QParam, got {q!r}")
     if q.prime is None:
         raise OutOfDomain("this operation needs a QParam with prime context")
     return q.prime
@@ -451,6 +458,8 @@ def _check_exponent(s, p: int) -> None:
 
 
 def _check_character(chi: TeichChar, p: int) -> None:
+    if not isinstance(chi, TeichChar):
+        raise OutOfDomain(f"character must be a TeichChar, got {chi!r}")
     if chi.prime != p:
         raise OutOfDomain("character prime does not match q's prime context")
 
@@ -468,6 +477,8 @@ def _representative(s, p: int, precision: int) -> tuple:
 
 
 def _default_precision(budget: SeriesBudget, precision) -> int:
+    if not isinstance(budget, SeriesBudget):
+        raise OutOfDomain(f"budget must be a SeriesBudget, got {budget!r}")
     if precision is None:
         return budget.target + 6
     _validate_precision(precision)
@@ -701,17 +712,23 @@ def _assembly_rows(res: _Residues, n: int, stop: int) -> tuple:
     return [x * (h + k) % mod for x, h, k in zip(powers, H, K)], [x * k % mod for x, k in zip(powers, K)]
 
 
-def _table_sum(res: _Residues, e: list, s: int, shift: int) -> int:
-    """sum_{j<len(e)} binom(-s, j) e_j N(s + j, j + shift) mod p**precision,
-    over a row e of _assembly_rows: twice the character sum
-    sum_{a<p} w(a)^(-s) (H + K)(s, a) q^(a shift), exactly mod p**len(e)
-    (see _theorem5_sides)."""
-    row = res.alt_sums(s - shift, len(e) + shift)
-    total, b = 0, 1
+def _coefficients(e: list, s: int) -> list:
+    """[binom(-s, j) e_j for j < len(e)]: binom(-s, j+1) = binom(-s, j)
+    (-s-j)/(j+1) steps exactly."""
+    row, b = [], 1
     for j, x in enumerate(e):
-        total += b * x * row[j + shift]
+        row.append(b * x)
         b = b * (-s - j) // (j + 1)
-    return total % res.mod
+    return row
+
+
+def _table_sum(res: _Residues, coefficients: list, s: int, shift: int) -> int:
+    """sum_j binom(-s, j) e_j N(s + j, j + shift) mod p**precision, over the
+    row _coefficients(e, s) of a row e of _assembly_rows: twice the
+    character sum sum_{a<p} w(a)^(-s) (H + K)(s, a) q^(a shift), exactly
+    mod p**len(e) (see _theorem5_sides)."""
+    row = res.alt_sums(s - shift, len(coefficients) + shift)
+    return sum(c * x for c, x in zip(coefficients, row[shift:])) % res.mod
 
 
 def _theorem5_sides(r, n, q, budget, precision):
@@ -725,14 +742,15 @@ def _theorem5_sides(r, n, q, budget, precision):
 
         1/2 sum_j binom(-s, j) [p]_q^j Q^(nj) E_{j,Q} N(s + j, j + shift),
 
-    shift 0 or k (_table_sum).  Term j has v_p >= j, as v_p([p]_q) = 1, so
-    the terms j < target give both sums exactly mod p**target: an a priori
-    bound with no window, and a budget whose max_terms stops short of them
-    raises TruncationNotConverged.  A side that has not certified scales its
-    sum by 2 c_k [pn]_q^k on ints, the 2 cancelling the 1/2.  T's sum is
-    read from the same table, with K's row [p]_q^j (Q^(nj) - 1) E_{j,Q} at
-    s = r and shift 0, as 2 sum_a w(a)^(-r) K(r, a): the plain side
-    subtracts it twice, T(r, w^(-r)), and the weighted side once."""
+    shift 0 or k (_table_sum, one coefficient row per k).  Term j has
+    v_p >= j, as v_p([p]_q) = 1, so the terms j < target give both sums
+    exactly mod p**target: an a priori bound with no window, and a budget
+    whose max_terms stops short of them raises TruncationNotConverged.  A
+    side that has not certified scales its sum by 2 c_k [pn]_q^k on ints,
+    the 2 cancelling the 1/2.  T's sum is read from the same table, with
+    K's row [p]_q^j (Q^(nj) - 1) E_{j,Q} at s = r and shift 0, as
+    2 sum_a w(a)^(-r) K(r, a): the plain side subtracts it twice,
+    T(r, w^(-r)), and the weighted side once."""
     p = q.prime
     precision = _engine_precision(budget, precision)
     res = _residues(q, p, precision)
@@ -746,19 +764,22 @@ def _theorem5_sides(r, n, q, budget, precision):
     num, den = q_int(p * n, q.value).as_integer_ratio()
     u = num // p**g * pow(den, -1, mod)  # [pn]_q = p^g u
     e, t_row = _assembly_rows(res, n, target)
-    sides = [_TruncatedSeries(p, budget, g, "assembly tail") for _ in range(2)]
+    plain, weighted = sides = [_TruncatedSeries(p, budget, g, "assembly tail") for _ in range(2)]
     for k in range(1, budget.max_terms + 1):
         c = _merge_coefficient(r, k)  # c_k = p^m c', with (-1)^n = 1 for even n
         m = padic_valuation_int(c.numerator, p)
         scale = (c.numerator // p**m) * pow(c.denominator, -1, mod) * pow(u, k, mod)
-        for side, shift in zip(sides, (0, k)):
+        coefficients = _coefficients(e, r + k)
+        # the weighted side first: its row N(r, .) grows the plain side's
+        # N(r + k, .) with it
+        for side, shift in ((weighted, k), (plain, 0)):
             if not side.done:  # term k: c' u^k inner mod p^target, times p^(m + kg)
-                inner = _table_sum(res, e, r + k, shift)
+                inner = _table_sum(res, coefficients, r + k, shift)
                 side.add(k, scale * inner % p**target * p ** (m + k * g))
-        if all(side.done for side in sides):
+        if plain.done and weighted.done:
             break
     sums = [side.certified() for side in sides]
-    t_sum = _table_sum(res, t_row, r, 0)
+    t_sum = _table_sum(res, _coefficients(t_row, r), r, 0)
     return [(PadicApprox(p, -v - x * t_sum, target), side.used)
             for (v, _), side, x in zip(sums, sides, (2, 1))]
 
@@ -800,14 +821,46 @@ def _reindex_exact_check(r: int, depth: int) -> bool:
     neither q nor the residue a, so equal tables give equal sums at every
     residue.  This is kernel.binom_tail_merge over the table, with the
     coefficient c = _merge_coefficient(r, k) looked up once per k at call
-    time and compared cross-multiplied by its denominator.
+    time and compared cross-multiplied by its denominator.  The outcome is
+    memoized on (r, depth, the _merge_coefficient object read), so a grid
+    evaluates it once per r, and a replaced coefficient is checked afresh.
     """
+    return _reindex_tables_equal(r, depth, _merge_coefficient)
+
+
+def _falling_row(n: int, stop: int) -> list:
+    """[binom(n, j) for j <= stop] as binom_int defines them: entry j is the
+    running falling-factorial product n(n-1)...(n-j+1) divided exactly by
+    j!, so the reflection identity stays a test, not the definition."""
+    row, num, fact = [1], 1, 1
+    for j in range(1, stop + 1):
+        num, fact = num * (n - j + 1), fact * j
+        row.append(num // fact)
+    return row
+
+
+@lru_cache(maxsize=None)
+def _reindex_tables_equal(r: int, depth: int, merge) -> bool:
+    """_reindex_exact_check's tables, with the coefficient function merge:
+    binom(-r, .) is one row, and binom(-r-k, .) one row per k."""
+    left = _falling_row(-r, depth)
     for k in range(1, depth + 1):
-        c = _merge_coefficient(r, k)
+        c, right = merge(r, k), _falling_row(-r - k, depth - k)
         for l in range(depth - k + 1):
-            lhs = binom_int(-r, k + l) * math.comb(k + l, l) * c.denominator
-            if lhs != c.numerator * binom_int(-r - k, l):
+            if left[k + l] * math.comb(k + l, l) * c.denominator != c.numerator * right[l]:
                 return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _pascal_rows_check(l_max: int, binom) -> bool:
+    """The rows binom(l, .), l <= l_max, of the binomial function binom
+    against those that Pascal's rule builds from binom(0, 0) = 1."""
+    row = [1]
+    for l in range(1, l_max + 1):
+        row = [x + y for x, y in zip([0, *row], [*row, 0])]
+        if [binom(l, j) for j in range(l + 1)] != row:
+            return False
     return True
 
 
@@ -820,17 +873,12 @@ def _power_split_check(n, F, qv, l_max) -> bool:
     factors do: q^e = 1 + (q - 1) [e]_q at e = nF, in Fractions, and the
     rows binom(l, .), l <= l_max, are those that Pascal's rule builds from
     binom(0, 0) = 1.  A wrong binomial fails at q = 1 too, where its term
-    carries (q - 1)^j = 0.
+    carries (q - 1)^j = 0.  The Pascal half depends on no point: it is
+    memoized on (l_max, the binom_int object checked), so a replaced
+    binom_int is checked afresh; the q^(nF) half runs at every point.
     """
     e = n * F
-    if qv**e != 1 + (qv - 1) * q_int(e, qv):
-        return False
-    row = [1]
-    for l in range(1, l_max + 1):
-        row = [x + y for x, y in zip([0, *row], [*row, 0])]
-        if [binom_int(l, j) for j in range(l + 1)] != row:
-            return False
-    return True
+    return qv**e == 1 + (qv - 1) * q_int(e, qv) and _pascal_rows_check(l_max, binom_int)
 
 
 def _index_range_check(lhs_terms, block_terms, lhs: int, blocks, mod: int) -> bool:
@@ -1029,6 +1077,11 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     character-sum-assembly: lhs vs _theorem5_sides' plain side, from c_k,
       _assembly_rows and the sums N of _Residues.alt_sums;
     residue-weighted-assembly: lhs vs its weighted side, which localizes a gap.
+    Two exact facts do not depend on the point, and each is evaluated once
+    per process: the reindexing tables once per (r, depth), memoized on
+    (r, depth, the _merge_coefficient object read), and the Pascal rows
+    once, on (l_max, the binom_int object checked).  A coefficient or
+    binom_int replaced later is a new key, so it is checked afresh.
     """
     p = _check_point(r, n, q)
     precision = _engine_precision(budget, precision)

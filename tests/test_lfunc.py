@@ -35,6 +35,7 @@ from qeuler import (
     theorem5_verify,
 )
 from qeuler import lfunc
+from qeuler.cli import main
 from qeuler.lfunc import _power_split_check, _Residues, _series
 
 Q6 = QParam(Fraction(6), 5)
@@ -352,6 +353,46 @@ def test_power_split_stage_fails_on_a_wrong_binomial(monkeypatch, row):
     assert failed == ["geometric-power-splitting"]
 
 
+def _exact_stages(report):
+    names = ("double-series-reindexing", "geometric-power-splitting")
+    return {s.name: s.passed for s in report.stages if s.name in names}
+
+
+def test_the_once_per_process_stages_still_see_a_mutant(monkeypatch):
+    # the two point-independent checks are memoized on the function they
+    # read, so one replaced after the memo is filled is checked afresh
+    both = {"double-series-reindexing": True, "geometric-power-splitting": True}
+    assert _exact_stages(theorem5_verify(2, 2, QParam(6, 5), SeriesBudget(4))) == both
+    right = lfunc._merge_coefficient
+    monkeypatch.setattr(lfunc, "_merge_coefficient", lambda r, k: right(r, k) + (k == 3))
+    assert _exact_stages(theorem5_verify(2, 2, QParam(6, 5), SeriesBudget(4))) == {
+        **both, "double-series-reindexing": False}
+    monkeypatch.undo()
+    monkeypatch.setattr(lfunc, "binom_int", _binom_off_at((3, 1)))
+    assert _exact_stages(theorem5_verify(2, 2, QParam(6, 5), SeriesBudget(4))) == {
+        **both, "geometric-power-splitting": False}
+    monkeypatch.undo()
+    assert _exact_stages(theorem5_verify(2, 2, QParam(6, 5), SeriesBudget(4))) == both
+
+
+def test_the_default_grid_reads_few_binomials(monkeypatch, capsys):
+    # the reindexing tables are rows and the Pascal rows are checked once
+    # per process: 83 calls, where re-deriving both at each of the grid's
+    # six points took 1,344
+    calls = []
+
+    def counting(n, k):
+        calls.append((n, k))
+        return binom_int(n, k)
+
+    monkeypatch.setattr(lfunc, "binom_int", counting)
+    lfunc._residues.cache_clear()
+    lfunc._series.cache_clear()
+    assert main(["theorem5", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 100
+
+
 def _assert_headline_is_the_assembly_stage(report):
     # the report's agreement is the character-sum-assembly stage's record
     stage = next(s for s in report.stages if s.name == "character-sum-assembly")
@@ -489,6 +530,50 @@ INT_ARGUMENTS = {
     "theorem5_verify r": (1, lambda q, x: theorem5_verify(x, 2, q, BUDGET)),
     "theorem5_verify n": (2, lambda q, x: theorem5_verify(2, x, q, BUDGET)),
 }
+
+
+# every argument of a public lfunc entry point that must be a QParam,
+# SeriesBudget or TeichChar: (its valid value, the call with it set to x);
+# the budget calls pass a precision, so no default reads the budget first
+TYPED_ARGUMENTS = {
+    "H_pq q": (Q6, lambda x: H_pq(2, 1, 5, x, BUDGET)),
+    "H_pq budget": (BUDGET, lambda x: H_pq(2, 1, 5, Q6, x, 8)),
+    "K_pq q": (Q6, lambda x: K_pq(2, 2, 1, 5, x, BUDGET)),
+    "K_pq budget": (BUDGET, lambda x: K_pq(2, 2, 1, 5, Q6, x, 8)),
+    "K_pq budget at q = 1": (BUDGET, lambda x: K_pq(2, 2, 1, 5, QParam(1, 5), x, 8)),
+    "T_pq q": (Q6, lambda x: T_pq(2, 2, 1, 5, x, BUDGET)),
+    "T_pq budget": (BUDGET, lambda x: T_pq(2, 2, 1, 5, Q6, x, 8)),
+    "l_pq q": (Q6, lambda x: l_pq(2, TeichChar(5, 2), 5, x, BUDGET)),
+    "l_pq chi": (TeichChar(5, 2), lambda x: l_pq(2, x, 5, Q6, BUDGET)),
+    "l_pq budget": (BUDGET, lambda x: l_pq(2, TeichChar(5, 2), 5, Q6, x, 8)),
+    "K_pq_chi q": (Q6, lambda x: K_pq_chi(2, 2, TeichChar(5, 2), 5, x, BUDGET)),
+    "K_pq_chi chi": (TeichChar(5, 2), lambda x: K_pq_chi(2, 2, x, 5, Q6, BUDGET)),
+    "K_pq_chi budget": (BUDGET, lambda x: K_pq_chi(2, 2, TeichChar(5, 2), 5, Q6, x, 8)),
+    "T_pq_chi q": (Q6, lambda x: T_pq_chi(2, 2, TeichChar(5, 2), 5, x, BUDGET)),
+    "T_pq_chi chi": (TeichChar(5, 2), lambda x: T_pq_chi(2, 2, x, 5, Q6, BUDGET)),
+    "T_pq_chi budget": (BUDGET, lambda x: T_pq_chi(2, 2, TeichChar(5, 2), 5, Q6, x, 8)),
+    "gen_euler_teich q": (Q6, lambda x: gen_euler_teich(2, TeichChar(5, 2), x, 4)),
+    "gen_euler_teich chi": (TeichChar(5, 2), lambda x: gen_euler_teich(2, x, Q6, 4)),
+    "theorem5_lhs_exact q": (Q6, lambda x: theorem5_lhs_exact(2, 2, x)),
+    "theorem5_lhs q": (Q6, lambda x: theorem5_lhs(2, 2, x, 4)),
+    "theorem5_rhs q": (Q6, lambda x: theorem5_rhs(2, 2, x, BUDGET)),
+    "theorem5_rhs budget": (BUDGET, lambda x: theorem5_rhs(2, 2, Q6, x, 8)),
+    "theorem5_rhs_weighted q": (Q6, lambda x: theorem5_rhs_weighted(2, 2, x, BUDGET)),
+    "theorem5_rhs_weighted budget": (BUDGET, lambda x: theorem5_rhs_weighted(2, 2, Q6, x, 8)),
+    "theorem5_verify q": (Q6, lambda x: theorem5_verify(2, 2, x, BUDGET)),
+    "theorem5_verify budget": (BUDGET, lambda x: theorem5_verify(2, 2, Q6, x, 8)),
+}
+
+
+@pytest.mark.parametrize("name", TYPED_ARGUMENTS)
+def test_an_argument_of_the_wrong_type_is_out_of_domain(name):
+    # each raised a bare AttributeError reading .prime, .target or .exponent
+    valid, call = TYPED_ARGUMENTS[name]
+    call(valid)
+    for x in (None, 6, Fraction(6), "6", Q6, BUDGET, TeichChar(5, 2)):
+        if type(x) is not type(valid):
+            with pytest.raises(OutOfDomain):
+                call(x)
 
 
 def test_non_int_integer_arguments_rejected():

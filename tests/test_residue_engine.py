@@ -737,7 +737,7 @@ def _table_mismatches(res, q, budget, precision):
                     weighted = [(a, (v * pow(cached.q, a * shift, cached.mod), t)) for a, v, t in pairs]
                     want, want_low = lfunc._char_sum(cached, -s, weighted)
                     assert want_low == low
-                    if (lfunc._table_sum(res, e, s, shift) - 2 * want) % p**low:
+                    if (lfunc._table_sum(res, lfunc._coefficients(e, s), s, shift) - 2 * want) % p**low:
                         mismatches.append((r, n, k, shift))
     return mismatches
 

@@ -5,7 +5,7 @@ FAIL, with these detail strings."""
 import math
 from fractions import Fraction
 
-from qeuler import l_pq, l_q_complex, suites, teichmuller, zeta_Eq
+from qeuler import l_pq, l_q_complex, lfunc, suites, teichmuller, zeta_Eq
 from qeuler.cli import main
 
 
@@ -83,4 +83,28 @@ def test_a_nan_error_fails_instead_of_vanishing_from_the_worst(monkeypatch, caps
         "FAIL  zeta-negative-integers[q=1/4]  k<=6, x in {1,2}, worst |err| = nan",
         "FAIL  l-value-interpolation[trivial]  k in 1..5, q=1/2, worst |err| = nan",
         "FAIL  l-value-interpolation[quad3]  k in 1..5, q=1/2, worst |err| = nan",
+    ]
+
+
+def test_a_wrong_weighted_assembly_table_fails_the_expansion_lines(monkeypatch, capsys):
+    # P(2) off by 1 breaks the residue-weighted assembly at r <= 2 (agreement
+    # 1 and 2 < 4); the plain assembly already fails there by design, so
+    # only the weighted stage's pass bit can fail these lines
+    right = lfunc._Residues._power_sum
+
+    def off(self, m):
+        return (right(self, m) + (m == 2)) % self.mod
+
+    monkeypatch.setattr(lfunc._Residues, "_power_sum", off)
+    lfunc._residues.cache_clear()
+    lfunc._series.cache_clear()
+    try:
+        failing = _fail_lines(capsys, "theorem5")
+    finally:  # no table that holds the wrong sum outlives the test
+        lfunc._residues.cache_clear()
+        lfunc._series.cache_clear()
+    assert failing == [
+        f"FAIL  expansion[q=6, r={r}, n={n}]  unlocalized failure: first failing stage: character-sum-assembly"
+        for r in (1, 2)
+        for n in (2, 4)
     ]
