@@ -357,10 +357,14 @@ def theorem5_checks(p=5, qnum=6, rs=(1, 2, 3), ns=(2, 4), target=4, max_terms=60
     for r in sorted(rs):
         for n in sorted(ns):
             report = theorem5_verify(r, n, q, budget)
-            stage_ok = all(s.passed for s in report.stages if s.name in _KEY_STAGES)
-            if report.identity_holds:
+            failed = [s.name for s in report.stages if s.name in _KEY_STAGES and not s.passed]
+            if failed:
+                # the weighted assembly is diagnostic, so no first failing stage names it
+                note = report.localization_note()
+                detail = f"failing key stage: {', '.join(failed)}" + (f"; {note}" if note else "")
+            elif report.identity_holds:
                 detail = f"identity holds, agreement >= {report.agreement_valuation}"
-            elif report.acceptable and stage_ok:
+            elif report.acceptable:
                 detail = (
                     f"agreement = {report.agreement_valuation} < {target}; "
                     + (report.localization_note() or "")
@@ -370,7 +374,7 @@ def theorem5_checks(p=5, qnum=6, rs=(1, 2, 3), ns=(2, 4), target=4, max_terms=60
             out.append(
                 _check(
                     f"expansion[q={qnum}, r={r}, n={n}]",
-                    stage_ok and report.acceptable,
+                    not failed and report.acceptable,
                     detail,
                 )
             )

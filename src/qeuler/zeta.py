@@ -12,9 +12,9 @@ Euler-Maclaurin (Euler-Boole) formula of Borwein, Calkin and Manna
 
 w_k the Taylor coefficients at 0 of [A + f N + f t]_q^(-s), from Miller's
 power recurrence (Knuth, TAOCP vol. 2, 4.7), and E_k(0) the Euler
-polynomials at 0, read from the tangent numbers.  The tail is asymptotic:
-it stops at its first term below eps, and raises NoConvergence if its
-terms grow again first.
+polynomials at 0, a constant table of 64 doubles from the tangent
+numbers.  The tail is asymptotic: it stops at its first term below eps,
+and raises NoConvergence if its terms grow again first.
 
 Two heads feed it.  Where q^(A + f _HEAD_MIN) max(1, |s|) <= 1/2 (at
 q <= 9/10, every point with |s| < 400), the head is the exact
@@ -42,10 +42,20 @@ use the principal branch with no cut ambiguity.  A power that leaves the
 float range (a base [x]_q that rounds to 0, or a value past 1e308) raises
 OutOfDomain.
 
-An integer argument (a partial zeta's residue a and modulus f,
-``ArchParams.max_terms``, a ``ComplexChar``'s conductor and the residue
-of ``ComplexChar.value``) must be an int, as in the exact layer
-(``kernel._check_int``): a float, bool or Fraction raises ``OutOfDomain``.
+An l-value reduces once: l_q_complex checks its arguments, builds the
+base-q^f params and takes [f]_q^(-s) once, and sums each residue's
+H_q(s, a:f) through the kernel partial_zeta_Hq shares, so its value is
+2 sum_a chi(a) partial_zeta_Hq(s, a, f) bit for bit.
+
+Every argument is checked where it enters the public functions, and a
+wrong one raises ``OutOfDomain``.  An integer argument (a partial zeta's
+residue a and modulus f, ``ArchParams.max_terms``, a ``ComplexChar``'s
+conductor and the residue of ``ComplexChar.value``) must be an int, as in
+the exact layer (``kernel._check_int``): a float, bool or Fraction is
+wrong.  s must mix with a complex and x and q with a float, so a str,
+None, Decimal or int past the float range is wrong, and so is a complex x
+or q; so are a params that is not an ``ArchParams``, a character that is
+not a ``ComplexChar``, and character values that include a NaN.
 """
 
 from __future__ import annotations
@@ -61,8 +71,29 @@ from .kernel import _check_int, _is_odd_prime, _rational, _Value, q_int
 # before the tail takes over; every value it finishes within them (every
 # q <= 1/2 point of the complex suite) is the direct loop's bit for bit.
 _HEAD_MIN = 64
-# The tail's weights E_k(0), k < _BOOLE_TERMS, bound its length.
-_BOOLE_TERMS = 64
+# The tail's weights, the Euler numbers E_k(0) for k < _BOOLE_TERMS (row i
+# holds k = 4i to 4i + 3): 1 at k = 0, 0 at even k > 0, and
+# (-1)^((k+1)/2) T_k / 2^k at odd k, T_k the tangent numbers, each the
+# nearest double.
+_BOOLE_WEIGHTS = (
+    1.0, -0.5, 0.0, 0.25,
+    0.0, -0.5, 0.0, 2.125,
+    0.0, -15.5, 0.0, 172.75,
+    0.0, -2730.5, 0.0, 58098.0625,
+    0.0, -1601145.5, 0.0, 55482645.25,
+    0.0, -2361058260.5, 0.0, 121047960103.375,
+    0.0, -7358833557075.5, 0.0, 523415219813167.75,
+    0.0, -4.306283628160059e+16, 0.0, 4.057755115034603e+18,
+    0.0, -4.3416019805247544e+20, 0.0, 5.234765393691163e+22,
+    0.0, -7.064829775372775e+24, 0.0, 1.0608406681372981e+27,
+    0.0, -1.7627643672862315e+29, 0.0, 3.2256130214981557e+31,
+    0.0, -6.471094000344547e+33, 0.0, 1.4175345495307498e+36,
+    0.0, -3.378090068258793e+38, 0.0, 8.727938146243367e+40,
+    0.0, -2.437199765412252e+43, 0.0, 7.334116960630601e+45,
+    0.0, -2.37197970526042e+48, 0.0, 8.224153898716803e+50,
+    0.0, -3.049808487357524e+53, 0.0, 1.2069938639388262e+56,
+)
+_BOOLE_TERMS = len(_BOOLE_WEIGHTS)  # bounds the tail's length
 
 
 class ArchParams(_Value):
@@ -72,10 +103,11 @@ class ArchParams(_Value):
     _fields = __slots__ = ("q", "eps", "max_terms")
 
     def __init__(self, q: float, eps: float = 1e-13, max_terms: int = 200000):
-        if not 0.0 < q < 1.0:
-            raise OutOfDomain(f"q must lie strictly in (0, 1), got {q}")
-        if not (math.isfinite(eps) and eps > 0.0):
-            raise OutOfDomain(f"tail threshold must be positive and finite, got {eps}")
+        # q + 0.0 is the q the float arithmetic will see: a Decimal has none
+        if not _holds(lambda: 0.0 < q + 0.0 < 1.0):
+            raise OutOfDomain(f"q must lie strictly in (0, 1), got {q!r}")
+        if not _holds(lambda: math.isfinite(eps) and eps > 0.0):
+            raise OutOfDomain(f"tail threshold must be positive and finite, got {eps!r}")
         _check_int("max_terms", max_terms)
         if max_terms < 3:
             # the tail test starts at n = 2
@@ -86,6 +118,22 @@ class ArchParams(_Value):
 def _q_int_real(x: float, q: float) -> float:
     """[x]_q = -expm1(x log q) / (1 - q), where 1 - q**x would cancel."""
     return -math.expm1(x * math.log(q)) / (1.0 - q)
+
+
+def _holds(test) -> bool:
+    """test(), or False where it raises TypeError, for an argument that is
+    not the kind of number it reads (a str, None, a Decimal beside a float,
+    a complex compared with one), or OverflowError, for an int past the
+    float range."""
+    try:
+        return test()
+    except (TypeError, OverflowError):
+        return False
+
+
+def _check_params(params) -> None:
+    if not isinstance(params, ArchParams):
+        raise OutOfDomain(f"params must be an ArchParams, got {params!r}")
 
 
 def _float_range(exc: ArithmeticError, q: float, s) -> OutOfDomain:
@@ -102,12 +150,16 @@ def _alternating_regularized(s, A, f, params: ArchParams) -> complex:
     try:
         if q ** (A + f * _HEAD_MIN) * max(1.0, abs(s)) > 0.5:
             return _euler_boole(s, A, f, params, _boole_head(s, A, f, q))
-        limit = complex(1.0 - q) ** s
+        one_q, neg_s = 1.0 - q, -s
+        limit = complex(one_q) ** s
         total = limit / 2.0
         for n in range(min(_HEAD_MIN, max_terms)):
             y = q ** (A + f * n)
-            delta = complex((1.0 - y) / (1.0 - q)) ** (-s) - limit
-            total += (-1) ** n * delta
+            delta = complex((1.0 - y) / one_q) ** neg_s - limit
+            if n % 2:
+                total -= delta
+            else:
+                total += delta
             if n >= 2 and abs(delta) < eps:
                 return total
         return total - limit / 2.0 + _boole_tail(s, A, f, params, _HEAD_MIN)
@@ -134,11 +186,13 @@ def _boole_head(s, A, f, q: float) -> int:
 
 def _euler_boole(s, A, f, params: ArchParams, head: int) -> complex:
     """sum_{m<N} (-1)^m [A + f m]_q^(-s) plus the Euler-Boole tail at
-    N = head, with [x]_q from _q_int_real."""
+    N = head, with [x]_q as _q_int_real gives it."""
     tail = _boole_tail(s, A, f, params, head)  # checks the term cap first
+    q = params.q
+    log_q, one_q, neg_s = math.log(q), 1.0 - q, -s
     total = 0j
     for m in reversed(range(head)):
-        total = complex(_q_int_real(A + f * m, params.q)) ** (-s) - total
+        total = complex(-math.expm1((A + f * m) * log_q) / one_q) ** neg_s - total
     return total + tail
 
 
@@ -158,14 +212,11 @@ def _boole_tail(s, A, f, params: ArchParams, head: int) -> complex:
     gap = -math.expm1(x)  # 1 - y
     w0 = complex(gap / (1.0 - q)) ** (-s)
     size0 = abs(w0)
-    weights = _boole_weights(16)
     lam, one_s = f * log_q, 1.0 - s
     u = -math.exp(x) / gap  # u_j / u_0 = -y lam^j / (j! (1 - y)) for j >= 1
     us, ws = [1.0], [1.0 + 0j]  # u_j / u_0 and w_j / w_0
     tail, smallest = 0.5, math.inf
     for k in range(1, min(_BOOLE_TERMS, max_terms - head)):
-        if k == len(weights):
-            weights = _boole_weights(2 * k)
         u *= lam / k
         us.append(u)
         acc = 0j
@@ -173,7 +224,7 @@ def _boole_tail(s, A, f, params: ArchParams, head: int) -> complex:
             acc += (one_s * j - k) * us[j] * ws[k - j]
         ws.append(acc / k)
         if k % 2:
-            term = 0.5 * weights[k] * ws[k]
+            term = 0.5 * _BOOLE_WEIGHTS[k] * ws[k]
             tail += term
             bound = abs(term) * size0
             if bound < eps:
@@ -190,36 +241,11 @@ def _boole_tail(s, A, f, params: ArchParams, head: int) -> complex:
     )
 
 
-_boole_table = ()  # E_k(0), grown by doubling on first use of each k
-
-
-def _boole_weights(count: int = _BOOLE_TERMS) -> tuple:
-    """The Euler-Boole weights E_k(0) as floats, k < count at least (the
-    table doubles from 16 up to _BOOLE_TERMS as the tail reaches further):
-    1 at k = 0, 0 at even k > 0, and (-1)^((k+1)/2) T_k / 2^k at odd k,
-    with the tangent numbers T_k from their integer recurrence (Knuth and
-    Buckholtz)."""
-    global _boole_table
-    if len(_boole_table) < count:
-        n = 8
-        while 2 * n < count:
-            n *= 2
-        t = [0, 1] + [0] * (n - 1)  # t[i] = T_{2i-1}
-        for i in range(2, n + 1):
-            t[i] = (i - 1) * t[i - 1]
-        for i in range(2, n + 1):
-            for j in range(i, n + 1):
-                t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
-        weights = [1.0] + [0.0] * (2 * n - 1)
-        for i in range(1, n + 1):
-            weights[2 * i - 1] = (-1) ** i * math.ldexp(float(t[i]), 1 - 2 * i)
-        _boole_table = tuple(weights)
-    return _boole_table
-
-
 def _check_s(s) -> None:
-    if not cmath.isfinite(complex(s)):
-        raise OutOfDomain(f"exponent s must be finite, got {s}")
+    # s + 0j, not complex(s): that reads a "1" or a Decimal, which then
+    # fail in the series, and fails "x" as a bare ValueError
+    if not _holds(lambda: cmath.isfinite(s + 0j)):
+        raise OutOfDomain(f"exponent s must be a finite number, got {s!r}")
 
 
 def _check_class(a, f) -> None:
@@ -236,9 +262,15 @@ def zeta_Eq(s, x: float, params: ArchParams) -> complex:
     E_{k,q}(x); the series is regularized as described in the module
     docstring.
     """
-    if not (math.isfinite(x) and x > 0):
-        raise OutOfDomain(f"shift x must be positive and finite, got {x}")
+    if not _holds(lambda: math.isfinite(x + 0.0) and x > 0):
+        raise OutOfDomain(f"shift x must be positive and finite, got {x!r}")
     _check_s(s)
+    _check_params(params)
+    return _zeta(s, x, params)
+
+
+def _zeta(s, x, params: ArchParams) -> complex:
+    """zeta_Eq's value on checked arguments."""
     return 2.0 * _alternating_regularized(s, x, 1, params)
 
 
@@ -246,13 +278,28 @@ def partial_zeta_Hq(s, a: int, f: int, params: ArchParams) -> complex:
     """Partial q-zeta H_q(s, a:f) over the congruence class a mod f,
     via its reduction (-1)^a [f]_q^(-s) zeta(s, a/f; base q^f) / 2."""
     _check_class(a, f)
+    _check_s(s)
+    _check_params(params)
+    return next(_partial_zetas(s, (a,), f, params))
+
+
+def _partial_zetas(s, residues, f: int, params: ArchParams):
+    """H_q(s, a:f) for each a in residues, in order, by partial_zeta_Hq's
+    reduction on checked arguments.  The base-q^f params and the factor
+    [f]_q^(-s) are made once, the factor after the first zeta value, as
+    partial_zeta_Hq orders them: where both would fail, the zeta value's
+    error is the one raised."""
     q = params.q
-    inner = zeta_Eq(s, a / f, ArchParams(q**f, params.eps, params.max_terms))
-    try:
-        factor = complex(_q_int_real(f, q)) ** (-s)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise _float_range(exc, q, s) from exc
-    return (-1) ** a * factor / 2.0 * inner
+    base = ArchParams(q**f, params.eps, params.max_terms)
+    factor = None
+    for a in residues:
+        inner = _zeta(s, a / f, base)
+        if factor is None:
+            try:
+                factor = complex(_q_int_real(f, q)) ** (-s)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise _float_range(exc, q, s) from exc
+        yield (-1) ** a * factor / 2.0 * inner
 
 
 def partial_zeta_Hq_series(s, a: int, f: int, params: ArchParams) -> complex:
@@ -261,6 +308,7 @@ def partial_zeta_Hq_series(s, a: int, f: int, params: ArchParams) -> complex:
     kept as an independent cross-check of the reduction form."""
     _check_class(a, f)
     _check_s(s)
+    _check_params(params)
     return (-1) ** a * _alternating_regularized(s, a, f, params)
 
 
@@ -282,17 +330,18 @@ class ComplexChar(_Value):
             raise OutOfDomain("need exactly one value per residue class")
         values = tuple(complex(v) for v in values)
         self._set(conductor, values)
+        # each test fails on a NaN, which compares false with everything
         for a in range(f):
             v = values[a]
             if math.gcd(a, f) == 1 and f > 1:
-                if abs(abs(v) - 1.0) > 1e-12:
+                if not abs(abs(v) - 1.0) <= 1e-12:
                     raise OutOfDomain(f"value at unit {a} must be a root of unity")
             elif f > 1 and v != 0:
                 raise OutOfDomain(f"value at non-unit {a} must vanish")
         for a in range(f):
             for b in range(f):
                 lhs = values[a * b % f]
-                if abs(lhs - values[a] * values[b]) > 1e-9:
+                if not abs(lhs - values[a] * values[b]) <= 1e-9:
                     raise OutOfDomain("character values are not multiplicative")
 
     @classmethod
@@ -319,19 +368,27 @@ class ComplexChar(_Value):
         return self.values[a % self.conductor]
 
 
+def _check_char(chi) -> None:
+    if not isinstance(chi, ComplexChar):
+        raise OutOfDomain(f"character must be a ComplexChar, got {chi!r}")
+
+
 def l_q_complex(s, chi: ComplexChar, params: ArchParams) -> complex:
     """Dirichlet-type l-value 2 sum'_{n>=1} chi(n) (-1)^n [n]_q^(-s),
-    assembled from partial zetas as 2 sum_a chi(a) H_q(s, a:f).
+    assembled from partial zetas as 2 sum_a chi(a) H_q(s, a:f), each
+    H_q(s, a:f) partial_zeta_Hq's value bit for bit.
 
     The conductor-1 character reduces by reindexing to -zeta(s, 1)."""
-    f = chi.conductor
+    _check_s(s)
+    _check_params(params)
+    _check_char(chi)
+    f, values = chi.conductor, chi.values
     if f == 1:
-        return -zeta_Eq(s, 1.0, params)
-    total = 0.0 + 0.0j
-    for a in range(1, f):
-        cv = chi.value(a)
-        if cv != 0:
-            total += cv * partial_zeta_Hq(s, a, f, params)
+        return -_zeta(s, 1.0, params)
+    units = [a for a in range(1, f) if values[a] != 0]
+    total = 0j
+    for a, h in zip(units, _partial_zetas(s, units, f, params)):
+        total += values[a] * h
     return 2.0 * total
 
 
@@ -345,6 +402,7 @@ def gen_euler_complex(k: int, chi: ComplexChar, q) -> complex:
     qv = _rational(q)
     if not 0 < qv < 1:
         raise OutOfDomain("exact side needs rational q in (0, 1)")
+    _check_char(chi)
     f = chi.conductor
     total = 0.0 + 0.0j
     for a in range(f):

@@ -104,7 +104,8 @@ def test_a_wrong_weighted_assembly_table_fails_the_expansion_lines(monkeypatch, 
         lfunc._residues.cache_clear()
         lfunc._series.cache_clear()
     assert failing == [
-        f"FAIL  expansion[q=6, r={r}, n={n}]  unlocalized failure: first failing stage: character-sum-assembly"
+        f"FAIL  expansion[q=6, r={r}, n={n}]  failing key stage: residue-weighted-assembly; "
+        "first failing stage: character-sum-assembly"
         for r in (1, 2)
         for n in (2, 4)
     ]

@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -171,6 +172,58 @@ def test_character_validation():
     for f in (1, 9, 15, -3, 0):  # the Legendre symbol needs an odd prime
         with pytest.raises(OutOfDomain):
             ComplexChar.quadratic(f)
+
+
+def test_a_nan_character_value_is_out_of_domain():
+    # a NaN compares false with every bound: it passed the unit and
+    # multiplicativity checks, and l_q_complex returned (nan+nanj)
+    nan = float("nan")
+    for f, values in ((3, (0, nan, 1)), (3, (0, 1, complex(-1, nan))), (1, (nan,))):
+        with pytest.raises(OutOfDomain):
+            ComplexChar(f, values)
+
+
+PARAMS, CHI = ArchParams(0.5), ComplexChar.quadratic(3)
+NOT_PARAMS = (None, 0.5, "0.5", CHI)
+NOT_S = ("x", None, "1", Decimal(1), 10**400)
+
+# every argument of a zeta-side entry point that a wrong type (or an int
+# past the float range) got past with a bare AttributeError, TypeError,
+# ValueError or OverflowError: (its valid value, the call with it set to
+# x, the wrong values)
+ARCH_ARGUMENTS = {
+    "zeta_Eq params": (PARAMS, lambda x: zeta_Eq(0.5, 1.0, x), NOT_PARAMS),
+    "partial_zeta_Hq params": (PARAMS, lambda x: partial_zeta_Hq(0.5, 1, 3, x), NOT_PARAMS),
+    "partial_zeta_Hq_series params": (PARAMS, lambda x: partial_zeta_Hq_series(0.5, 1, 3, x), NOT_PARAMS),
+    "l_q_complex params": (PARAMS, lambda x: l_q_complex(0.5, CHI, x), NOT_PARAMS),
+    "l_q_complex chi": (CHI, lambda x: l_q_complex(0.5, x, PARAMS), (None, 3, "quad:3", PARAMS)),
+    "gen_euler_complex chi": (CHI, lambda x: gen_euler_complex(2, x, Fraction(1, 2)), (None, 3, PARAMS)),
+    "ArchParams q": (0.5, lambda x: ArchParams(x), ("0.5", None, 0.5 + 0j, Decimal("0.5"))),
+    "ArchParams eps": (1e-13, lambda x: ArchParams(0.5, x), ("1e-13", None, 1e-13 + 0j, 10**400)),
+    "zeta_Eq s": (0.5, lambda x: zeta_Eq(x, 1.0, PARAMS), NOT_S),
+    "zeta_Eq x": (1.0, lambda x: zeta_Eq(0.5, x, PARAMS), ("1", 1 + 0j, Decimal(1), None, 10**400)),
+    "partial_zeta_Hq s": (0.5, lambda x: partial_zeta_Hq(x, 1, 3, PARAMS), NOT_S),
+    "partial_zeta_Hq_series s": (0.5, lambda x: partial_zeta_Hq_series(x, 1, 3, PARAMS), NOT_S),
+    "l_q_complex s": (0.5, lambda x: l_q_complex(x, CHI, PARAMS), NOT_S),
+    "l_q_complex s at conductor 1": (0.5, lambda x: l_q_complex(x, ComplexChar.trivial(), PARAMS), NOT_S),
+}
+
+
+@pytest.mark.parametrize("name", ARCH_ARGUMENTS)
+def test_an_archimedean_argument_of_the_wrong_type_is_out_of_domain(name):
+    valid, call, wrong = ARCH_ARGUMENTS[name]
+    call(valid)
+    for x in wrong:
+        with pytest.raises(OutOfDomain):
+            call(x)
+
+
+def test_the_real_and_complex_number_types_stay_accepted():
+    # a Fraction or bool reads as the number it is, as before the checks
+    assert ArchParams(Fraction(1, 2)).q == Fraction(1, 2)
+    assert zeta_Eq(Fraction(-1), Fraction(1), PARAMS) == zeta_Eq(-1.0, 1.0, PARAMS)
+    assert zeta_Eq(True, 1.0, PARAMS) == zeta_Eq(1, 1.0, PARAMS)
+    assert ArchParams(0.5, Decimal("1e-13")).eps == Decimal("1e-13")
 
 
 def test_integer_arguments_must_be_ints():
@@ -474,7 +527,7 @@ def test_negative_real_part_near_one(q):
 
 
 def test_boole_weights_are_the_euler_values():
-    weights = zeta_module._boole_weights()
+    weights = zeta_module._BOOLE_WEIGHTS
     assert len(weights) == 64
     for k, weight in enumerate(weights):
         assert weight == float(euler_poly_classical(k, Fraction(0)))
@@ -580,11 +633,50 @@ def test_shift_below_resolution_of_q_power_near_one():
     assert abs(zeta_Eq(0.5, 1e-17, ArchParams(0.999)) - want) <= 1e-9 * abs(want)
 
 
-def test_boole_weights_grow_on_demand(monkeypatch):
-    # the table doubles from 16 only as far as a tail reaches
-    monkeypatch.setattr(zeta_module, "_boole_table", ())
-    assert len(zeta_module._boole_weights(16)) == 16
-    assert len(zeta_module._boole_weights(17)) == 32
-    assert zeta_module._boole_weights() == tuple(
-        float(euler_poly_classical(k, Fraction(0))) for k in range(64)
-    )
+def _tangent_weights(count):
+    """E_k(0) for k < count (even) as floats: 1 at k = 0, 0 at even k > 0,
+    and (-1)^((k+1)/2) T_k / 2^k at odd k, with the tangent numbers T_k
+    from their integer recurrence (Knuth and Buckholtz)."""
+    n = count // 2
+    t = [0, 1] + [0] * (n - 1)  # t[i] = T_{2i-1}
+    for i in range(2, n + 1):
+        t[i] = (i - 1) * t[i - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    weights = [1.0] + [0.0] * (2 * n - 1)
+    for i in range(1, n + 1):
+        weights[2 * i - 1] = (-1) ** i * math.ldexp(float(t[i]), 1 - 2 * i)
+    return tuple(weights)
+
+
+def test_boole_weights_are_the_tangent_number_recurrence():
+    assert zeta_module._BOOLE_WEIGHTS == _tangent_weights(64)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("f", [3, 7])
+@pytest.mark.parametrize("s", [-2, 0.5, 0.5 + 14j])
+def test_an_l_value_is_its_partial_zetas_bit_for_bit(q, f, s):
+    # one reduction per l-value sums what the public partial zetas give,
+    # in the same order
+    params, chi = ArchParams(q), ComplexChar.quadratic(f)
+    total = 0j
+    for a in range(1, f):
+        total += chi.values[a] * partial_zeta_Hq(s, a, f, params)
+    want, got = 2.0 * total, l_q_complex(s, chi, params)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_one_l_value_builds_one_base_params(monkeypatch):
+    # the base-q^7 params once for all six residues (once per residue before)
+    params, built = ArchParams(0.99), []
+    init = ArchParams.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ArchParams, "__init__", counted)
+    l_q_complex(0.5 + 14j, ComplexChar.quadratic(7), params)
+    assert len(built) == 1
