@@ -124,27 +124,35 @@ def _euler_row(m: int, u: int, v: int) -> tuple:
     return W, scale * sum(W[::2]) - scale * sum(W[1::2]), (v - u) ** m * D
 
 
-def _euler_row_pair(m: int, a: int, u: int, v: int, f: int = 1) -> tuple:
-    """E_{m,q^f}(a/f) at q = u/v, a >= 0, as the unreduced pair (numerator,
-    den v^(am)) of the cached row in base q^f = u^f/v^f: homogeneous Horner
-    in (-u^a, v^a), since (q^f)^(a/f) = q^a."""
+def _euler_row_pairs(m: int, points, u: int, v: int, f: int = 1) -> list:
+    """E_{m,q^f}(a/f) at q = u/v for each a >= 0 in points, as unreduced
+    pairs (numerator, den v^(am)) of the cached row in base q^f = u^f/v^f:
+    the row and 2 V^m are read once, then each point takes one homogeneous
+    Horner pass in (-u^a, v^a), since (q^f)^(a/f) = q^a."""
     V = v**f
     W, _, den = _euler_row(m, u**f, V)
-    x, y = -(u**a), v**a
-    acc, yk = 0, 1
-    for w in reversed(W):  # after W_k, acc = sum_{j>=k} W_j x^(j-k) y^(m-j)
-        acc = acc * x + w * yk
-        yk *= y
-    return 2 * V**m * acc, den * v ** (a * m)
+    scale, W = 2 * V**m, W[::-1]
+    out = []
+    for a in points:
+        x, y = -(u**a), v**a
+        acc, yk = 0, 1
+        for w in W:  # after W_k, acc = sum_{j>=k} W_j x^(j-k) y^(m-j)
+            acc = acc * x + w * yk
+            yk *= y
+        out.append((scale * acc, den * v ** (a * m)))
+    return out
 
 
-def _poly_form_pair(n: int, m: int, u: int, v: int) -> tuple:
-    """alt_power_sum_polyform at q = u/v != 1 as an unreduced
-    (numerator, denominator) pair of ints, (-1)^(n+1) E_{m,q}(n) + E_{m,q},
-    read from the cached Euler row: E_{m,q}(n)'s denominator is
-    E_{m,q}'s times v^(nm)."""
-    num, den = _euler_row_pair(m, n, u, v)
-    return (-1) ** (n + 1) * num + _euler_row(m, u, v)[1] * v ** (n * m), den
+def _poly_form_pairs(m: int, ns, u: int, v: int) -> list:
+    """alt_power_sum_polyform at q = u/v != 1 for each n in ns, as unreduced
+    (numerator, denominator) pairs of ints, (-1)^(n+1) E_{m,q}(n) + E_{m,q},
+    read from the cached Euler row: E_{m,q}(n)'s denominator is E_{m,q}'s
+    times v^(nm)."""
+    num0 = _euler_row(m, u, v)[1]
+    return [
+        ((-1) ** (n + 1) * num + num0 * v ** (n * m), den)
+        for n, (num, den) in zip(ns, _euler_row_pairs(m, ns, u, v))
+    ]
 
 
 def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
@@ -157,7 +165,7 @@ def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
     if not isinstance(arg, PolyArg):
         raise OutOfDomain(f"the argument must be a PolyArg, got {arg!r}")
     _deformed(arg.q, "use euler_poly_classical for q = 1")
-    return Fraction(*_euler_row_pair(n, arg.a, arg.q.numerator, arg.q.denominator, arg.f))
+    return Fraction(*_euler_row_pairs(n, (arg.a,), arg.q.numerator, arg.q.denominator, arg.f)[0])
 
 
 @lru_cache(maxsize=None)
@@ -226,20 +234,26 @@ def _euler_numbers_over_lcm(m: int, u: int, v: int) -> tuple:
     return _over_lcm([_euler_number_q(l, u, v) for l in range(m + 1)])
 
 
-def _convolution_sum(nums: tuple, a: int, u: int, v: int) -> int:
+def _convolution_pairs(n: int, points, u: int, v: int) -> list:
     """The binomial convolution sum_{j<=n} binom(n,j) q^(ja) E_{j,q} [a]_q^(n-j)
-    at q = u/v != 1 and a >= 0, times v^(an) den, for (nums, den) the cached
-    table of E_0..E_n over their lcm: with q^a = x/v^a and [a]_q = w/v^a for
-    the integers x = u^a and w = v (u^a - v^a)/(u - v), the integer
-    sum_j binom(n,j) x^j w^(n-j) nums[j], by homogeneous Horner."""
-    n = len(nums) - 1
-    x = u**a
-    w = v * ((x - v**a) // (u - v))
-    acc, xj = 0, 1
-    for j, e in enumerate(nums):  # after E_j, acc = sum_{i<=j} binom(n,i) x^i w^(j-i) E_i
-        acc = acc * w + _binom(n, j) * e * xj
-        xj *= x
-    return acc
+    at q = u/v != 1 for each a >= 0 in points, as unreduced pairs
+    (numerator, v^(an) den), for (nums, den) the cached table of E_0..E_n
+    over their lcm: with q^a = x/v^a and [a]_q = w/v^a for the integers
+    x = u^a and w = v (u^a - v^a)/(u - v), the numerator is
+    sum_j binom(n,j) x^j w^(n-j) nums[j], by homogeneous Horner.  The table
+    and binom(n, .) are read once, then each point takes one pass."""
+    nums, den = _euler_numbers_over_lcm(n, u, v)
+    terms = [_binom(n, j) * e for j, e in enumerate(nums)]
+    out = []
+    for a in points:
+        x = u**a
+        w = v * ((x - v**a) // (u - v))
+        acc, xj = 0, 1
+        for t in terms:  # after E_j, acc = sum_{i<=j} binom(n,i) x^i w^(j-i) E_i
+            acc = acc * w + t * xj
+            xj *= x
+        out.append((acc, v ** (a * n) * den))
+    return out
 
 
 def convolution_rhs(n: int, a: int, q) -> tuple:
@@ -251,18 +265,18 @@ def convolution_rhs(n: int, a: int, q) -> tuple:
     if a < 0:
         raise OutOfDomain(f"point a must be >= 0, got {a}")
     qv = _deformed(q, "use euler_number_classical for q = 1")
-    u, v = qv.numerator, qv.denominator
-    nums, den = _euler_numbers_over_lcm(n, u, v)
-    return _convolution_sum(nums, a, u, v), v ** (a * n) * den
+    return _convolution_pairs(n, (a,), qv.numerator, qv.denominator)[0]
 
 
-def _closed_form_pair(n: int, m: int, u: int, v: int) -> tuple:
-    """alt_power_sum_closed at q = u/v != 1 as an unreduced
-    (numerator, denominator) pair of ints: (-1)^(n+1) times the
+def _closed_form_pairs(m: int, ns, u: int, v: int) -> list:
+    """alt_power_sum_closed at q = u/v != 1 for each n in ns, as unreduced
+    (numerator, denominator) pairs of ints: (-1)^(n+1) times the
     convolution at (m, n), plus E_{m,q}, over v^(nm) den."""
     nums, den = _euler_numbers_over_lcm(m, u, v)
-    vm = v ** (n * m)
-    return (-1) ** (n + 1) * _convolution_sum(nums, n, u, v) + nums[m] * vm, den * vm
+    return [
+        ((-1) ** (n + 1) * num + nums[m] * v ** (n * m), conv_den)
+        for n, (num, conv_den) in zip(ns, _convolution_pairs(m, ns, u, v))
+    ]
 
 
 def alt_power_sum_closed(n: int, m: int, q) -> Fraction:
@@ -277,7 +291,7 @@ def alt_power_sum_closed(n: int, m: int, q) -> Fraction:
     """
     _check_orders(n, m)
     qv = _deformed(q, "closed form needs q != 1")
-    return Fraction(*_closed_form_pair(n, m, qv.numerator, qv.denominator))
+    return Fraction(*_closed_form_pairs(m, (n,), qv.numerator, qv.denominator)[0])
 
 
 def alt_power_sum_polyform(n: int, m: int, q) -> Fraction:
@@ -289,7 +303,7 @@ def alt_power_sum_polyform(n: int, m: int, q) -> Fraction:
     """
     _check_orders(n, m)
     qv = _deformed(q, "polynomial form needs q != 1")
-    return Fraction(*_poly_form_pair(n, m, qv.numerator, qv.denominator))
+    return Fraction(*_poly_form_pairs(m, (n,), qv.numerator, qv.denominator)[0])
 
 
 class DistributionCheck(_Value):
@@ -316,11 +330,11 @@ def distribution_check(n: int, m: int, arg: PolyArg) -> DistributionCheck:
         raise OutOfDomain(f"modulus m must be odd and positive, got {m}")
     lhs = euler_poly_q(n, arg)
     u, v = arg.q.numerator, arg.q.denominator
+    points = range(arg.a, arg.a + m * arg.f, arg.f)
     num, step = 0, v ** (n * arg.f)
     # the point a_j = j f + a is over den v^(n a_j): Horner in v^(n f)
     # brings each to the last point's den, where the loop leaves den
-    for j in range(m):
-        num_j, den = _euler_row_pair(n, j * arg.f + arg.a, u, v, m * arg.f)
+    for j, (num_j, den) in enumerate(_euler_row_pairs(n, points, u, v, m * arg.f)):
         num = num * step + (-1) ** j * num_j
     # [m]_{q'} = V (U^m - V^m)/(U - V) / V^m with q' = U/V, an integer over V^m
     U, V = u**arg.f, v**arg.f

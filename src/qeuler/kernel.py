@@ -242,14 +242,81 @@ def q_int_neg(x: int, q: RationalLike) -> Fraction:
 # --- named binomial-coefficient identities -------------------------------
 #
 # These predicates are not used by any computation path; they exist so the
-# verification suite can cite each identity individually.  Each returns
-# the truth of the identity at one exact integer point, comparing the two
-# sides cross-multiplied as integers (a/b == c/d iff a d == c b for
-# nonzero b, d).  The suite's grid asks for 441 distinct binomials 13,516
-# times, so they come from a bounded memo that starts empty.  The Euler
-# layer's binomial convolution (euler._convolution_sum) reads it too.
+# verification suite can cite each identity individually.  Each compares
+# the two sides of its identity cross-multiplied as integers (a/b == c/d
+# iff a d == c b for nonzero b, d).  Each identity's formula is written
+# once, over rows of binomials: rows[d][i] = binom(1-r-d, i) and
+# pascal[k][j] = binom(k+j, j).  The suite's grid reads each row once
+# (_identity_rows, _pascal_rows); a single point reads its four binomials
+# one at a time (_point_rows, _POINT_PASCAL).  Both read a bounded memo
+# that starts empty and that the suite's 441 distinct binomials fit.  The
+# Euler layer's binomial convolution (euler._convolution_pairs) reads it
+# too.
 
 _binom = lru_cache(maxsize=512)(binom_int)
+
+
+class _Lazy:
+    """A read-only row, or table of rows, whose entry i is at(i), computed
+    when indexed."""
+
+    __slots__ = ("at",)
+
+    def __init__(self, at):
+        self.at = at
+
+    def __getitem__(self, i):
+        return self.at(i)
+
+
+def _point_rows(r: int) -> _Lazy:
+    """rows[d][i] = binom(1-r-d, i), each read from the memo when indexed."""
+    return _Lazy(lambda d: _Lazy(lambda i: _binom(1 - r - d, i)))
+
+
+_POINT_PASCAL = _Lazy(lambda k: _Lazy(lambda j: _binom(k + j, j)))
+
+
+def _identity_rows(r: int, size: int) -> list:
+    """rows[d][i] = binom(1-r-d, i) for d <= size, each read once from the
+    memo, as far as the identities read them over j, k < size: rows 0 and
+    1 to i < 2 size - 1, the others to i < size.  Row 0 serves only the
+    two identities that need r >= 2, so at r = 1 it is left empty."""
+    lengths = [2 * size - 1 if r > 1 else 0, 2 * size - 1] + [size] * (size - 1)
+    return [[_binom(1 - r - d, i) for i in range(n)] for d, n in enumerate(lengths)]
+
+
+def _pascal_rows(size: int) -> list:
+    """pascal[k][j] = binom(k+j, j) for j, k < size, each read once from
+    the memo."""
+    return [[_binom(k + j, j) for j in range(size)] for k in range(size)]
+
+
+def _shift_holds(r: int, points, rows, pascal) -> bool:
+    """binom_product_shift's identity at r and every (j, k) in points."""
+    neg = rows[1]
+    return all(
+        neg[k] * rows[k][j] * (j + k) == -neg[k + j - 1] * pascal[k][j] * (r + k - 1)
+        for j, k in points
+    )
+
+
+def _merge_holds(r: int, points, rows, pascal) -> bool:
+    """binom_product_merge's identity at r and every (j, k) in points."""
+    neg, one = rows[1], rows[0]
+    return all(
+        neg[k] * rows[k][j] * (r - 1) == one[k + j] * pascal[k][j] * (r + k - 1)
+        for j, k in points
+    )
+
+
+def _tail_holds(r: int, points, rows, pascal) -> bool:
+    """binom_tail_merge's identity at r and every (j, k) in points."""
+    neg, down = rows[1], rows[2]
+    return all(
+        r * down[k] * rows[k + 1][j] == neg[k + j] * pascal[k][j] * (r + k)
+        for j, k in points
+    )
 
 
 def binom_product_shift(r: int, j: int, k: int) -> bool:
@@ -259,9 +326,7 @@ def binom_product_shift(r: int, j: int, k: int) -> bool:
     """
     if j < 0 or k < 0 or j + k == 0 or r == 1 - k:
         raise OutOfDomain("identity requires j,k >= 0, j+k > 0, r != 1-k")
-    lhs = _binom(-r, k) * _binom(1 - r - k, j)
-    rhs = -_binom(-r, k + j - 1) * _binom(k + j, j)
-    return lhs * (j + k) == rhs * (r + k - 1)
+    return _shift_holds(r, ((j, k),), _point_rows(r), _POINT_PASCAL)
 
 
 def binom_product_merge(r: int, j: int, k: int) -> bool:
@@ -271,9 +336,7 @@ def binom_product_merge(r: int, j: int, k: int) -> bool:
     """
     if r < 2 or j < 0 or k < 0:
         raise OutOfDomain("identity requires r >= 2 and j,k >= 0")
-    lhs = _binom(-r, k) * _binom(1 - r - k, j)
-    rhs = _binom(-r + 1, k + j) * _binom(k + j, j)
-    return lhs * (r - 1) == rhs * (r + k - 1)
+    return _merge_holds(r, ((j, k),), _point_rows(r), _POINT_PASCAL)
 
 
 @lru_cache(maxsize=None)
@@ -292,6 +355,4 @@ def binom_tail_merge(r: int, j: int, k: int) -> bool:
     """
     if r < 1 or j < 0 or k < 0:
         raise OutOfDomain("identity requires r >= 1 and j,k >= 0")
-    lhs = r * _binom(-r - 1, k) * _binom(-r - k, j)
-    rhs = _binom(-r, k + j) * _binom(k + j, j)
-    return lhs == rhs * (r + k)
+    return _tail_holds(r, ((j, k),), _point_rows(r), _POINT_PASCAL)

@@ -242,12 +242,19 @@ class PadicApprox(_Value):
         return PadicApprox(base.prime, pow(base.residue, k, base.prime**precision), precision)
 
 
+def _check_padic(name: str, x) -> None:
+    if not isinstance(x, PadicApprox):
+        raise OutOfDomain(f"{name} must be a PadicApprox, got {x!r}")
+
+
 def agreement(x: PadicApprox, y: PadicApprox):
     """Agreement valuation v_p(x - y), capped at the shared precision.
 
     Returns (valuation, saturated); saturated means the two residues are
     congruent at full shared precision, so only ">= valuation" is known.
     """
+    _check_padic("x", x)
+    _check_padic("y", y)
     if x.prime != y.prime:
         raise OutOfDomain("prime mismatch")
     cap = min(x.precision, y.precision)
@@ -294,6 +301,7 @@ def padic_log(u: PadicApprox) -> PadicApprox:
     v_p(z^k / k) >= k v_p(z) - log_p k, not by testing terms; the partial
     sum is evaluated in exact rational arithmetic and reduced once.
     """
+    _check_padic("u", u)
     p, n = u.prime, u.precision
     if u.residue % p != 1:
         raise NotOneUnit(f"residue {u.residue} is not congruent to 1 mod {p}")
@@ -316,6 +324,7 @@ def padic_exp(x: PadicApprox) -> PadicApprox:
     Truncation from the bound v_p(x^k / k!) >= k v_p(x) - (k-1)/(p-1);
     the partial sum is exact rational, reduced once at the end.
     """
+    _check_padic("x", x)
     p, n = x.prime, x.precision
     if x.residue == 0:
         return PadicApprox.one(p, n)
@@ -338,10 +347,12 @@ def power_zp(u: PadicApprox, s) -> PadicApprox:
     Integer exponents take the exact modular-power path and agree with
     repeated multiplication.
     """
+    _check_padic("u", u)
     if isinstance(s, int):
         return u**s
     if isinstance(s, Fraction):
         s = embed(s, u.prime, u.precision)
+    _check_padic("exponent s", s)
     if u.residue % u.prime != 1:
         raise NotOneUnit(f"residue {u.residue} is not a 1-unit mod {u.prime}")
     return padic_exp(s * padic_log(u))
@@ -354,6 +365,8 @@ def binom_zp(s: PadicApprox, k: int) -> PadicApprox:
     result carries the reduced precision, and the operation fails with
     PrecisionExhausted when nothing would remain.
     """
+    _check_padic("s", s)
+    _check_int("lower index", k)
     if k < 0:
         raise OutOfDomain("binomial lower index must be >= 0")
     acc = PadicApprox.one(s.prime, s.precision)
@@ -367,8 +380,9 @@ def angle_bracket(a: int, q: QParam, precision: int) -> PadicApprox:
 
     [a]_q == a == w(a) mod p forces <a> == 1 mod p, which is asserted.
     """
-    if q.prime is None:
+    if not isinstance(q, QParam) or q.prime is None:
         raise OutOfDomain("angle_bracket needs a QParam with prime context")
+    _check_int("residue", a)
     p = q.prime
     if math.gcd(a, p) != 1:
         raise NotCoprime(f"{a} is divisible by {p}")

@@ -20,21 +20,24 @@ from .errors import QEulerError
 from .euler import (
     PolyArg,
     _alt_power_sums,
-    _closed_form_pair,
-    _euler_row_pair,
+    _closed_form_pairs,
+    _convolution_pairs,
+    _euler_row_pairs,
     _fermionic_sums,
-    _poly_form_pair,
-    convolution_rhs,
+    _poly_form_pairs,
+    convolution_rhs,  # unused here: the tests and the sweep script read suites.convolution_rhs
     distribution_check,
     euler_number_q,
     euler_poly_q,
 )
 from .kernel import (
     QParam,
+    _identity_rows,
+    _merge_holds,
+    _pascal_rows,
+    _shift_holds,
+    _tail_holds,
     _Value,
-    binom_product_merge,
-    binom_product_shift,
-    binom_tail_merge,
     padic_valuation_int,
     q_int,
 )
@@ -85,18 +88,17 @@ _ALT_NS, _ALT_MS = range(1, 13), range(1, 11)
 
 def _forms_agree_at(qv):
     """The alternating-sum predicate at one q: the direct sums of the whole
-    grid come from one pass, and each form is compared with them
-    cross-multiplied."""
+    grid come from one pass, each m's closed and polynomial forms from one
+    row over n, and each form is compared with them cross-multiplied."""
     u, v = qv.numerator, qv.denominator
     direct = _alt_power_sums(_ALT_NS, _ALT_MS, u, v)
-
-    def holds(n, m):
-        num, den = direct[n, m]
-        return all(
-            num * d == c * den for c, d in (_closed_form_pair(n, m, u, v), _poly_form_pair(n, m, u, v))
-        )
-
-    return holds
+    holds = {}
+    for m in _ALT_MS:
+        rows = zip(_ALT_NS, _closed_form_pairs(m, _ALT_NS, u, v), _poly_form_pairs(m, _ALT_NS, u, v))
+        for n, (closed, closed_den), (poly, poly_den) in rows:
+            num, den = direct[n, m]
+            holds[n, m] = num * closed_den == closed * den and num * poly_den == poly * den
+    return lambda *point: holds[point]
 
 
 def alternating_sum_checks():
@@ -111,10 +113,19 @@ def alternating_sum_checks():
     )
 
 
-def _convolution_holds(qv, n, a):
-    lhs, lhs_den = _euler_row_pair(n, a, qv.numerator, qv.denominator)
-    num, den = convolution_rhs(n, a, qv)
-    return lhs * den == num * lhs_den
+_CONV_NS, _CONV_AS = range(11), range(7)
+
+
+def _convolution_holds_at(qv):
+    """The convolution predicate at one q: for each n, both sides over the
+    row of points a, compared cross-multiplied."""
+    u, v = qv.numerator, qv.denominator
+    holds = {}
+    for n in _CONV_NS:
+        rows = zip(_CONV_AS, _euler_row_pairs(n, _CONV_AS, u, v), _convolution_pairs(n, _CONV_AS, u, v))
+        for a, (lhs, lhs_den), (num, den) in rows:
+            holds[n, a] = lhs * den == num * lhs_den
+    return lambda *point: holds[point]
 
 
 def convolution_checks():
@@ -123,18 +134,24 @@ def convolution_checks():
     return _grid_checks(
         "euler-convolution",
         (Fraction(1, 2), Fraction(6)),
-        [(n, a) for n in range(11) for a in range(7)],
-        lambda qv: partial(_convolution_holds, qv),
+        [(n, a) for n in _CONV_NS for a in _CONV_AS],
+        _convolution_holds_at,
         "n<=10, a<=6",
     )
 
 
 def binomial_identity_checks():
-    """The three named binomial-coefficient identities on exhaustive grids."""
-    grid = [(r, j, k) for r in range(1, 11) for j in range(11) for k in range(11)]
-    shift_ok = all(binom_product_shift(r, j, k) for r, j, k in grid if r > 1 and j + k > 0)
-    merge_ok = all(binom_product_merge(r, j, k) for r, j, k in grid if r > 1)
-    tail_ok = all(binom_tail_merge(r, j, k) for r, j, k in grid)
+    """The three named binomial-coefficient identities on exhaustive grids:
+    each r's binomial rows are read once, then each identity sweeps its
+    (j, k) grid."""
+    size = 11
+    grid = [(j, k) for j in range(size) for k in range(size)]
+    pascal = _pascal_rows(size)
+    rows = {r: _identity_rows(r, size) for r in range(1, 11)}
+    # grid[0] is (0, 0), outside the shift's domain j + k > 0
+    shift_ok = all(_shift_holds(r, grid[1:], rows[r], pascal) for r in range(2, 11))
+    merge_ok = all(_merge_holds(r, grid, rows[r], pascal) for r in range(2, 11))
+    tail_ok = all(_tail_holds(r, grid, rows[r], pascal) for r in range(1, 11))
     return [
         _check("binom-product-shift", shift_ok, "r,j,k <= 10"),
         _check("binom-product-merge", merge_ok, "r,j,k <= 10"),

@@ -326,9 +326,14 @@ class ComplexChar(_Value):
         _check_int("conductor", f)
         if f < 1 or f % 2 == 0:
             raise OutOfDomain(f"conductor must be odd and positive, got {f}")
+        # one probe per value, v + 0j as for s: complex() would also read a
+        # string such as "1"
+        try:
+            values = tuple(v + 0j for v in values)
+        except (TypeError, OverflowError):
+            raise OutOfDomain(f"character values must be numbers, got {values!r}") from None
         if len(values) != f:
             raise OutOfDomain("need exactly one value per residue class")
-        values = tuple(complex(v) for v in values)
         self._set(conductor, values)
         # each test fails on a NaN, which compares false with everything
         for a in range(f):

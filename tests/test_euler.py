@@ -402,18 +402,18 @@ def test_failing_distribution_reports_its_rhs(monkeypatch):
     # of the point a = 7 in the right-hand side's combination in base q^25
     import qeuler.euler
 
-    right = qeuler.euler._euler_row_pair
+    right = qeuler.euler._euler_row_pairs
 
-    def flipped_pair(m, a, u, v, f=1):
-        num, den = right(m, a, u, v, f)
-        return (-num if (a, f) == (7, 25) else num), den
+    def flipped_pairs(m, points, u, v, f=1):
+        pairs = zip(points, right(m, points, u, v, f))
+        return [((-num if (a, f) == (7, 25) else num), den) for a, (num, den) in pairs]
 
     def flipped(n, arg):
         # euler_poly_q reads the patched row too, so the oracle reads right
-        value = Fraction(*right(n, arg.a, arg.q.numerator, arg.q.denominator, arg.f))
+        value = Fraction(*right(n, (arg.a,), arg.q.numerator, arg.q.denominator, arg.f)[0])
         return -value if (arg.a, arg.f) == (7, 25) else value
 
-    monkeypatch.setattr(qeuler.euler, "_euler_row_pair", flipped_pair)
+    monkeypatch.setattr(qeuler.euler, "_euler_row_pairs", flipped_pairs)
     for n in range(4):
         arg = PolyArg(2, 5, Fraction(6))
         rep = distribution_check(n, 5, arg)
@@ -510,7 +510,7 @@ def test_a_signed_combination_is_the_sum_of_its_values(q):
         for points in _SIGNED_POINTS:
             for n in range(13):
                 u, v = q.numerator, q.denominator
-                got = sum(s * Fraction(*euler._euler_row_pair(n, a, u, v, f)) for s, a in points)
+                got = sum(s * Fraction(*euler._euler_row_pairs(n, (a,), u, v, f)[0]) for s, a in points)
                 want = sum(s * _euler_poly_fraction_sum(n, a, f, q) for s, a in points)
                 assert got == want, (n, points, f)
 
@@ -531,10 +531,10 @@ def test_the_euler_row_is_the_tree_sum_at_every_grid_point(q):
     for m in range(11):
         _, num0, den = euler._euler_row(m, u, v)
         assert Fraction(num0, den) == euler_number_q(m, q), m
-        for a in range(13):
-            assert Fraction(*euler._euler_row_pair(m, a, u, v)) == _euler_poly_fraction_sum(m, a, 1, q), (m, a)
-        for n in range(1, 13):
-            assert Fraction(*suites._poly_form_pair(n, m, u, v)) == _polyform_loop(n, m, q), (n, m)
+        for a, pair in zip(range(13), euler._euler_row_pairs(m, range(13), u, v), strict=True):
+            assert Fraction(*pair) == _euler_poly_fraction_sum(m, a, 1, q), (m, a)
+        for n, pair in zip(range(1, 13), suites._poly_form_pairs(m, range(1, 13), u, v), strict=True):
+            assert Fraction(*pair) == _polyform_loop(n, m, q), (n, m)
 
 
 @pytest.mark.parametrize("qv", (Fraction(6), Fraction(11, 6), Fraction(26)), ids=str)

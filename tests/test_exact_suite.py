@@ -164,11 +164,11 @@ def test_the_euler_numbers_stay_off_the_row(monkeypatch, capsys):
 def test_a_flipped_distribution_sign_fails_its_relation(monkeypatch, capsys):
     # the j = 1 term of m = 5 at x = 2/5 is E_{n,q^25}(7/25), the point a = 7
     # of the right-hand side's combination in base q^25
-    right = euler._euler_row_pair
+    right = euler._euler_row_pairs
 
-    def flipped(m, a, u, v, f=1):
-        num, den = right(m, a, u, v, f)
-        return (-num if (a, f, u, v) == (7, 25, 6, 1) else num), den
+    def flipped(m, points, u, v, f=1):
+        pairs = zip(points, right(m, points, u, v, f))
+        return [((-num if (a, f, u, v) == (7, 25, 6, 1) else num), den) for a, (num, den) in pairs]
 
-    monkeypatch.setattr(euler, "_euler_row_pair", flipped)
+    monkeypatch.setattr(euler, "_euler_row_pairs", flipped)
     assert _failing(capsys) == ["distribution-relation[q=6]"]

@@ -250,6 +250,21 @@ def test_binom_memo_holds_the_suite_grid():
     assert info.currsize == 441 < info.maxsize
 
 
+def test_the_suite_grid_reads_each_binomial_row_once(monkeypatch):
+    # the grid reads 1,620 binomials: rows binom(1-r-d, .) once per r, and
+    # binom(k+j, j) once; one read per binomial of every point is 13,516
+    reads = []
+    right = kernel._binom
+
+    def counting(n, k):
+        reads.append((n, k))
+        return right(n, k)
+
+    monkeypatch.setattr(kernel, "_binom", counting)
+    assert all(check.passed for check in suites.binomial_identity_checks())
+    assert len(reads) <= 1_620 and len(set(reads)) == 441
+
+
 def test_binom_identities_fail_on_a_wrong_binomial(monkeypatch):
     # one wrong value (binom(5, 2) = 11) breaks each identity somewhere
     def wrong(n, k):

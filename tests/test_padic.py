@@ -307,6 +307,55 @@ def test_non_int_teichmuller_residue_rejected():
     assert TeichChar(5, 1).value(10, 4).residue == 0
 
 
+_UNIT = PadicApprox(5, 6, 4)  # 1 mod 5: a 1-unit
+
+
+# each of these escaped as a bare AttributeError or TypeError, or in
+# power_zp(Fraction(6), 2) returned the Fraction 36
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: agreement(Fraction(6), _UNIT),
+        lambda: agreement(_UNIT, 6),
+        lambda: agreement(None, None),
+        lambda: padic_log(Fraction(6)),
+        lambda: padic_log(6),
+        lambda: padic_log(None),
+        lambda: padic_exp(Fraction(5)),
+        lambda: padic_exp(5),
+        lambda: padic_exp(None),
+        lambda: power_zp(Fraction(6), 2),
+        lambda: power_zp(6, Fraction(1, 2)),
+        lambda: power_zp(None, _UNIT),
+        lambda: power_zp(_UNIT, 0.5),
+        lambda: power_zp(_UNIT, None),
+        lambda: binom_zp(Fraction(1, 2), 3),
+        lambda: binom_zp(6, 3),
+        lambda: binom_zp(None, 3),
+        lambda: binom_zp(_UNIT, 2.0),
+        lambda: binom_zp(_UNIT, None),
+        lambda: angle_bracket(2, Fraction(6), 4),
+        lambda: angle_bracket(2, 6, 4),
+        lambda: angle_bracket(2, None, 4),
+        lambda: angle_bracket(2.0, QParam(Fraction(6), 5), 4),
+    ],
+    ids=[
+        "agreement Fraction", "agreement int", "agreement None",
+        "padic_log Fraction", "padic_log int", "padic_log None",
+        "padic_exp Fraction", "padic_exp int", "padic_exp None",
+        "power_zp Fraction", "power_zp int", "power_zp None",
+        "power_zp float s", "power_zp None s",
+        "binom_zp Fraction", "binom_zp int", "binom_zp None",
+        "binom_zp float k", "binom_zp None k",
+        "angle_bracket Fraction q", "angle_bracket int q", "angle_bracket None q",
+        "angle_bracket float a",
+    ],
+)
+def test_a_value_that_is_no_padic_approx_is_out_of_domain(call):
+    with pytest.raises(OutOfDomain):
+        call()
+
+
 def test_composite_primes_rejected_at_every_boundary():
     composite = 1009 * 1013  # no factor below 1000
     with pytest.raises(OutOfDomain):

@@ -21,14 +21,14 @@ def _fail_lines(capsys, suite):
 
 
 def test_grid_failures_are_listed_in_grid_order(monkeypatch, capsys):
-    # the polynomial form, as a (numerator, denominator) pair, off by 1
-    right = suites._poly_form_pair
+    # the polynomial form, as a row of (numerator, denominator) pairs over
+    # n, off by 1 at two points
+    right = suites._poly_form_pairs
 
-    def off(n, m, u, v):
-        num, den = right(n, m, u, v)
-        return num + den * ((n, m) in {(7, 3), (2, 9)}), den
+    def off(m, ns, u, v):
+        return [(num + den * ((n, m) in {(7, 3), (2, 9)}), den) for n, (num, den) in zip(ns, right(m, ns, u, v))]
 
-    monkeypatch.setattr(suites, "_poly_form_pair", off)
+    monkeypatch.setattr(suites, "_poly_form_pairs", off)
     assert _fail_lines(capsys, "exact-identities") == [
         f"FAIL  alternating-sum-forms[q={q}]  n<=12, m<=10, failures: [(2, 9), (7, 3)]"
         for q in ("1/2", "2/3", "6")

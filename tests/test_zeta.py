@@ -1,5 +1,6 @@
 """Regularized complex zeta/l-values against the exact rational layer."""
 
+import cmath
 import json
 import math
 from decimal import Decimal
@@ -181,6 +182,25 @@ def test_a_nan_character_value_is_out_of_domain():
     for f, values in ((3, (0, nan, 1)), (3, (0, 1, complex(-1, nan))), (1, (nan,))):
         with pytest.raises(OutOfDomain):
             ComplexChar(f, values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [("0", "1", "-1"), (0, "x", 1), 5, None, (0, 1j, None), (0, 1, Decimal(-1)), (0, 10**400, -1)],
+    ids=["strings", "x", "int", "None", "a None value", "Decimal", "int past float range"],
+)
+def test_character_values_that_are_no_numbers_are_out_of_domain(values):
+    # strings were read by complex(); "x", None, a Decimal mixed with
+    # floats and a non-sequence escaped as a bare ValueError or TypeError
+    with pytest.raises(OutOfDomain):
+        ComplexChar(3, values)
+
+
+def test_character_values_of_every_number_type_keep_their_values():
+    w = cmath.exp(2j * math.pi / 3)
+    assert ComplexChar(3, (0, 1, -1)).values == ComplexChar(3, (0.0, Fraction(1), -1 + 0j)).values
+    assert ComplexChar(3, (0, True, -1.0)).values == (0j, 1 + 0j, -1 + 0j)
+    assert ComplexChar(7, [0, 1, w * w, w, w, w * w, 1]).values[3] == w
 
 
 PARAMS, CHI = ArchParams(0.5), ComplexChar.quadratic(3)
