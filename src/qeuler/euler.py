@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import neg
 
 from .errors import OutOfDomain, QIsOne
 from .kernel import QParam, _binom, _check_int, _rational, _Value, as_fraction, q_int, q_int_neg
@@ -155,6 +157,13 @@ def _poly_form_pairs(m: int, ns, u: int, v: int) -> list:
     ]
 
 
+def _check_poly_arg(arg) -> None:
+    """A q-deformed polynomial value needs a PolyArg whose q is not 1 or -1."""
+    if not isinstance(arg, PolyArg):
+        raise OutOfDomain(f"the argument must be a PolyArg, got {arg!r}")
+    _deformed(arg.q, "use euler_poly_classical for q = 1")
+
+
 def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
     """The q-Euler polynomial value E_{n, q^f}(a/f), exactly.
 
@@ -162,9 +171,7 @@ def euler_poly_q(n: int, arg: PolyArg) -> Fraction:
     with q' = q**f and q'^x = q**a.
     """
     _check_order(n)
-    if not isinstance(arg, PolyArg):
-        raise OutOfDomain(f"the argument must be a PolyArg, got {arg!r}")
-    _deformed(arg.q, "use euler_poly_classical for q = 1")
+    _check_poly_arg(arg)
     return Fraction(*_euler_row_pairs(n, (arg.a,), arg.q.numerator, arg.q.denominator, arg.f)[0])
 
 
@@ -192,30 +199,41 @@ def euler_number_classical(n: int) -> Fraction:
 
 def _alt_power_sums(ends, ms, u: int, v: int, mod=None) -> dict:
     """{(n, m): (numerator, denominator)} of 2 sum_{l<n} (-1)^l [l]_q^m at
-    q = u/v, for every n in ends and m in ms, from one direct pass.
+    q = u/v, for every n in ends and m in ms, a row at a time.
 
     [l]_q = B_l / v^(l-1) where B_0 = 0 and B_(l+1) = v^l + u B_l, so each
-    sum is one integer over v^((n-2)m), built by Horner up to max(ends):
-    the accumulator after term l is the numerator at n = l + 1.  At q = 1,
+    sum is one integer over v^((n-2)m), the Horner sum
+    sum_{l<n} (-1)^l B_l^m v^((n-1-l)m).  One pass builds the row of B_l
+    for l < max(ends); each m then takes the row's m-th powers and their
+    Horner prefix sums, whose entry n is the numerator at n, by C-level
+    maps and accumulate (a plain running sum where v^m = 1).  At q = 1,
     B_l = l; at m = 0, [0]_q^0 = 0^0 = 1.  Given an int mod, B_l and the
-    accumulators are reduced mod mod on the way, so each numerator is only
-    congruent to the exact one mod mod; the denominators stay exact.
+    Horner sums are reduced mod mod (a running sum only at its ends), so
+    each numerator is only congruent to the exact one mod mod; the
+    denominators stay exact.
     """
-    ends, ms = set(ends), tuple(ms)
-    vms = [pow(v, m, mod) for m in ms]
-    accs = [0] * len(ms)
-    out = {}
-    b, vl = 0, 1  # b = B_l, vl = v^l
-    for l in range(max(ends) + 1):
-        if l in ends:
-            # below n = 2 the sum is empty or [0]_q^m, an integer
-            for m, acc in zip(ms, accs):
-                out[l, m] = 2 * acc, v ** (max(l - 2, 0) * m)
-        sign = -1 if l % 2 else 1
-        accs = [acc * vm + sign * pow(b, m, mod) for acc, vm, m in zip(accs, vms, ms)]
+    ends, ms = sorted(set(ends)), tuple(ms)
+    row, b, vl = [], 0, 1  # b = B_l, vl = v^l
+    for _ in range(ends[-1]):
+        row.append(b)
         b, vl = vl + u * b, vl * v
         if mod:
-            accs, b, vl = [acc % mod for acc in accs], b % mod, vl % mod
+            b, vl = b % mod, vl % mod
+    # below n = 2 the sum is empty or [0]_q^m, an integer
+    lows = [(n, max(n - 2, 0)) for n in ends]
+    out = {}
+    for m in ms:
+        terms = list(map(pow, row, repeat(m)))
+        terms[1::2] = map(neg, terms[1::2])
+        vm = pow(v, m, mod)
+        if vm == 1:
+            sums = list(accumulate(terms, initial=0))
+        elif mod:
+            sums = list(accumulate(terms, lambda acc, t: (acc * vm + t) % mod, initial=0))
+        else:
+            sums = list(accumulate(terms, lambda acc, t: acc * vm + t, initial=0))
+        for n, low in lows:
+            out[n, m] = 2 * (sums[n] % mod if mod else sums[n]), v ** (low * m)
     return out
 
 
@@ -319,29 +337,46 @@ def distribution_check(n: int, m: int, arg: PolyArg) -> DistributionCheck:
     """Check E_{n,q'}(x) = [m]_{q'}^n sum_{a<m} (-1)^a E_{n,q'^m}((a+x)/m)
     exactly at x = arg.a/arg.f with q' = arg.q**arg.f and odd m.
 
-    The inner arguments (a + x)/m are (j arg.f + arg.a)/(m arg.f), so the
-    right-hand side is one signed combination of m values of the Euler row
-    in base q^(m arg.f), summed over the last point's denominator and
-    compared cross-multiplied.
+    Both sides come from the row form `_distribution_pairs` at this one m
+    and are compared cross-multiplied.
     """
     _check_order(n)
     _check_int("modulus m", m)
     if m < 1 or m % 2 == 0:
         raise OutOfDomain(f"modulus m must be odd and positive, got {m}")
-    lhs = euler_poly_q(n, arg)
-    u, v = arg.q.numerator, arg.q.denominator
-    points = range(arg.a, arg.a + m * arg.f, arg.f)
-    num, step = 0, v ** (n * arg.f)
-    # the point a_j = j f + a is over den v^(n a_j): Horner in v^(n f)
-    # brings each to the last point's den, where the loop leaves den
-    for j, (num_j, den) in enumerate(_euler_row_pairs(n, points, u, v, m * arg.f)):
-        num = num * step + (-1) ** j * num_j
-    # [m]_{q'} = V (U^m - V^m)/(U - V) / V^m with q' = U/V, an integer over V^m
-    U, V = u**arg.f, v**arg.f
-    num, den = num * (V * ((U**m - V**m) // (U - V))) ** n, den * V ** (m * n)
-    passed = lhs.numerator * den == num * lhs.denominator
+    _check_poly_arg(arg)
+    (lhs_num, lhs_den), [(num, den)] = _distribution_pairs(
+        n, (m,), arg.a, arg.f, arg.q.numerator, arg.q.denominator
+    )
+    lhs = Fraction(lhs_num, lhs_den)
+    passed = lhs_num * den == num * lhs_den
     # equal values have one reduced form, so a passing rhs is lhs itself
     return DistributionCheck(passed, lhs, lhs if passed else Fraction(num, den))
+
+
+def _distribution_pairs(n: int, ms, a: int, f: int, u: int, v: int) -> tuple:
+    """Both sides of the multiplication theorem at x = a/f and q = u/v != 1,
+    for each odd m in ms, as unreduced (numerator, denominator) pairs:
+    (E_{n,q^f}(a/f), [its right side at each m]).  The left side is read
+    once for the whole row of m.
+
+    The inner arguments (j + x)/m are (j f + a)/(m f), so each right side
+    is one signed combination of m values of the Euler row in base
+    q^(m f), summed over the last point's denominator.
+    """
+    lhs = _euler_row_pairs(n, (a,), u, v, f)[0]
+    U, V = u**f, v**f
+    step = v ** (n * f)
+    rhs = []
+    for m in ms:
+        num = 0
+        # the point a_j = j f + a is over den v^(n a_j): Horner in v^(n f)
+        # brings each to the last point's den, where the loop leaves den
+        for j, (num_j, den) in enumerate(_euler_row_pairs(n, range(a, a + m * f, f), u, v, m * f)):
+            num = num * step + (-1) ** j * num_j
+        # [m]_{q^f} = V (U^m - V^m)/(U - V) / V^m, an integer over V^m
+        rhs.append((num * (V * ((U**m - V**m) // (U - V))) ** n, den * V ** (m * n)))
+    return lhs, rhs
 
 
 def _fermionic_sums(ms, q: QParam, levels, mod=None) -> dict:

@@ -22,11 +22,11 @@ from .euler import (
     _alt_power_sums,
     _closed_form_pairs,
     _convolution_pairs,
+    _distribution_pairs,
     _euler_row_pairs,
     _fermionic_sums,
     _poly_form_pairs,
     convolution_rhs,  # unused here: the tests and the sweep script read suites.convolution_rhs
-    distribution_check,
     euler_number_q,
     euler_poly_q,
 )
@@ -159,13 +159,29 @@ def binomial_identity_checks():
     ]
 
 
+_DIST_NS, _DIST_MS, _DIST_XS = range(7), (1, 3, 5), ((0, 1), (1, 3), (2, 5))
+
+
+def _distribution_holds_at(qv):
+    """The distribution predicate at one q: for each (n, x), one left side
+    and the row of right sides over m, compared cross-multiplied."""
+    u, v = qv.numerator, qv.denominator
+    holds = {}
+    for n in _DIST_NS:
+        for a, f in _DIST_XS:
+            (lhs, lhs_den), rhs = _distribution_pairs(n, _DIST_MS, a, f, u, v)
+            for m, (num, den) in zip(_DIST_MS, rhs):
+                holds[n, m, a, f] = lhs * den == num * lhs_den
+    return lambda *point: holds[point]
+
+
 def distribution_checks():
     """Multiplication theorem, exactly, at x in {0, 1/3, 2/5}."""
     return _grid_checks(
         "distribution-relation",
         (Fraction(1, 2), Fraction(6)),
-        [(n, m, a, f) for n in range(7) for m in (1, 3, 5) for a, f in ((0, 1), (1, 3), (2, 5))],
-        lambda qv: lambda n, m, a, f: distribution_check(n, m, PolyArg(a, f, qv)).passed,
+        [(n, m, a, f) for n in _DIST_NS for m in _DIST_MS for a, f in _DIST_XS],
+        _distribution_holds_at,
         "n<=6, m in (1, 3, 5), x in {0, 1/3, 2/5}",
     )
 
@@ -282,15 +298,18 @@ def interpolation_checks():
     q = QParam(Q, P)
     target, precision = 6, 12
     budget = SeriesBudget(target=target)
+    # [p]_q, q^p and the Teichmueller values are read once for every (n, a)
+    p_int, q_p = q_int(P, Q), Q**P
+    omega = {a: teichmuller(a, P, precision) for a in range(1, P)}
 
     def partial_values(n, a):
         lhs = H_pq(-n, a, P, q, budget, precision)
-        hq = Fraction((-1) ** a, 2) * q_int(P, Q) ** n * euler_poly_q(n, PolyArg(a, P, Q))
-        return lhs, teichmuller(a, P, precision) ** (-n) * embed(hq, P, precision)
+        hq = Fraction((-1) ** a, 2) * p_int**n * euler_poly_q(n, PolyArg(a, P, Q))
+        return lhs, omega[a] ** (-n) * embed(hq, P, precision)
 
     def l_value(n):
         lhs = l_pq(-n, TeichChar(P, n), P, q, budget, precision)
-        exact = euler_number_q(n, Q) - q_int(P, Q) ** n * euler_number_q(n, Q**P)
+        exact = euler_number_q(n, Q) - p_int**n * euler_number_q(n, q_p)
         return lhs, embed(exact, P, precision).reduce(target)
 
     return [
@@ -417,9 +436,20 @@ SUITES = {
 }
 
 
+def _run_checks(checks) -> list:
+    """The results of one check function.  A QEulerError raised inside it
+    is an internal fault of the code under check, not a bad input, so it
+    becomes one failing result named after the check function."""
+    try:
+        return checks()
+    except QEulerError as exc:
+        name = getattr(checks, "func", checks).__name__
+        return [_check(name, False, f"{type(exc).__name__}: {exc}")]
+
+
 def run_suite(name: str):
     """Run one named suite, or all of them in registry order."""
     if name != "all" and name not in SUITES:
         raise QEulerError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     names = SUITES if name == "all" else (name,)
-    return [check for key in names for checks in SUITES[key] for check in checks()]
+    return [check for key in names for checks in SUITES[key] for check in _run_checks(checks)]

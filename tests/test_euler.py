@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qeuler import (
     OutOfDomain,
@@ -523,6 +525,54 @@ def test_a_pass_mod_m_is_the_exact_pass_mod_m(q):
         reduced = euler._alt_power_sums(range(16), range(9), u, v, mod)
         for key, (num, den) in exact.items():
             assert reduced[key][1] == den and (reduced[key][0] - num) % mod == 0, (mod, key)
+
+
+def _horner_alt_power_sums(ends, ms, u, v, mod=None):
+    """The one-pass Horner loop that the row kernel replaced, kept as its
+    oracle: after term l, accumulator m is the numerator at n = l + 1."""
+    ends, ms = set(ends), tuple(ms)
+    vms = [pow(v, m, mod) for m in ms]
+    accs = [0] * len(ms)
+    out = {}
+    b, vl = 0, 1  # b = B_l, vl = v^l
+    for l in range(max(ends) + 1):
+        if l in ends:
+            for m, acc in zip(ms, accs):
+                out[l, m] = 2 * acc, v ** (max(l - 2, 0) * m)
+        sign = -1 if l % 2 else 1
+        accs = [acc * vm + sign * pow(b, m, mod) for acc, vm, m in zip(accs, vms, ms)]
+        b, vl = vl + u * b, vl * v
+        if mod:
+            accs, b, vl = [acc % mod for acc in accs], b % mod, vl % mod
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ends=st.lists(st.integers(0, 24), min_size=1, max_size=6),
+    ms=st.lists(st.integers(0, 8), min_size=1, max_size=4),
+    u=st.integers(-12, 12),
+    v=st.integers(1, 12),
+    mod=st.sampled_from([None, 5**3, 7**2, 2**7 * 3]),
+)
+@example(ends=[0, 1, 1], ms=[0, 0], u=0, v=1, mod=None)
+@example(ends=[1, 7, 7, 13], ms=[0, 3], u=-5, v=2, mod=2**7 * 3)
+@example(ends=[24, 2], ms=[5, 1], u=1, v=6, mod=2**7 * 3)
+def test_the_row_kernel_is_the_horner_loop(ends, ms, u, v, mod):
+    # v = 2 and v = 6 share a factor with 2^7 * 3, so no inverse of v mod
+    # mod exists: the kernel must take none
+    assert euler._alt_power_sums(ends, ms, u, v, mod) == _horner_alt_power_sums(ends, ms, u, v, mod)
+
+
+@pytest.mark.parametrize("q", (Fraction(1, 2), Fraction(6), Fraction(-3, 7)), ids=str)
+def test_the_distribution_row_is_each_single_check(q):
+    # one left side for the row of m, each right side the single check's
+    for n in range(6):
+        for a, f in ((0, 1), (1, 3), (2, 5), (4, 3)):
+            lhs, rhs = euler._distribution_pairs(n, (1, 3, 5, 7), a, f, q.numerator, q.denominator)
+            for m, pair in zip((1, 3, 5, 7), rhs, strict=True):
+                rep = distribution_check(n, m, PolyArg(a, f, q))
+                assert rep.passed and rep.lhs == Fraction(*lhs) == Fraction(*pair), (n, m, a, f)
 
 
 @pytest.mark.parametrize("q", QS + (Fraction(-3, 7), Fraction(0)), ids=str)

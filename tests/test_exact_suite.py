@@ -172,3 +172,34 @@ def test_a_flipped_distribution_sign_fails_its_relation(monkeypatch, capsys):
 
     monkeypatch.setattr(euler, "_euler_row_pairs", flipped)
     assert _failing(capsys) == ["distribution-relation[q=6]"]
+
+
+def test_a_wrong_power_row_entry_fails_the_direct_sums(monkeypatch):
+    # B_4^2 off by one in the direct kernel's power row: B_4 is 15, 65 and
+    # 259 at q = 1/2, 2/3 and 6, the fermionic oracle's q.  The power row is
+    # the kernel's only two-argument pow, so the mutant patches that name
+    def wrong(b, m, *mod):
+        return pow(b, m, *mod) + (not mod and m == 2 and b in {15, 65, 259})
+
+    monkeypatch.setattr(euler, "pow", wrong, raising=False)
+    assert [c.name for c in suites.run_suite("all") if not c.passed] == [
+        "alternating-sum-forms[q=1/2]",
+        "alternating-sum-forms[q=2/3]",
+        "alternating-sum-forms[q=6]",
+        "fermionic-oracle[m=2]",
+    ]
+
+
+def test_the_distribution_grid_reads_one_left_side_per_q_n_x(monkeypatch):
+    # 2 q x 7 n x 3 x rows, each one left side and three right sides; one
+    # left side and one right side per (q, n, m, x) would be 252 reads
+    calls = []
+    right = euler._euler_row_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return right(*args)
+
+    monkeypatch.setattr(euler, "_euler_row_pairs", counted)
+    assert all(check.passed for check in suites.distribution_checks())
+    assert len(calls) <= 168

@@ -109,3 +109,18 @@ def test_a_wrong_weighted_assembly_table_fails_the_expansion_lines(monkeypatch, 
         for r in (1, 2)
         for n in (2, 4)
     ]
+
+
+def test_an_error_inside_a_check_fails_that_check(monkeypatch, capsys):
+    # [5]_6 + 1/5 puts 5 in the partial function's exact value, which then
+    # cannot be embedded in Z_5: an internal fault, so one FAIL line named
+    # after the check that raised and exit 1, not an input error and exit 2
+    right = suites.q_int
+    monkeypatch.setattr(suites, "q_int", lambda x, q: right(x, q) + (Fraction(1, 5) if x == 5 else 0))
+    assert _fail_lines(capsys, "all") == [
+        "FAIL  interpolation_checks  DenominatorDivisibleByP: 6038064/60466175 has negative "
+        "5-adic valuation and cannot live in Z_5",
+    ]
+    # a grid the user gives is still checked as input
+    assert main(["verify", "theorem5", "--p", "4"]) == 2
+    assert capsys.readouterr().err.startswith("invalid input:")
