@@ -20,7 +20,7 @@ the exact ``euler_number_q``, ``euler_poly_q``, the three
 ``alt_power_sum`` forms, ``fermionic_riemann`` and ``theorem5_lhs_exact``
 on a grid of inputs that every revision accepts.  The exact-identity
 suite's own grid adds the booleans of the three binomial predicates, the
-convolution right-hand side (``qeuler.suites.convolution_rhs``) and both
+convolution right-hand side (``qeuler.euler.convolution_rhs``) and both
 sides of every ``distribution_check``.  Last come the report lines of
 every suite in ``qeuler.suites.SUITES``, read through ``run_suite``, and
 the exit code and stdout of ``qeuler.cli.main`` for every subcommand in
@@ -250,7 +250,7 @@ def identity_sweep(qe) -> dict:
     for qv in EXACT_QS:
         for n in range(11):
             for a in range(7):
-                put(f"q={qv} convolution_rhs n={n} a={a}", Fraction(*qe.suites.convolution_rhs(n, a, qv)))
+                put(f"q={qv} convolution_rhs n={n} a={a}", Fraction(*qe.euler.convolution_rhs(n, a, qv)))
         for n in range(7):
             for m in (1, 3, 5):
                 for a, f in ((0, 1), (1, 3), (2, 5)):

@@ -174,14 +174,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, arguments) in _COMMANDS.items():
         command_parser = sub.add_parser(command, help=help_text)
+        # argparse reads a token that this matches as a value, not an option
+        command_parser._negative_number_matcher = _NEGATIVE_NUMBER
         for name, options in arguments:
             command_parser.add_argument(name, **options)
     return parser
 
 
-# argparse's negative-number pattern: no option string of the table looks
-# like a negative number, so argparse reads a token of this form as a value
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# argparse's negative-number pattern, plus negative rationals such as -1/2,
+# which build_parser gives each command parser: no option string of the
+# table looks like a negative number, so both parse paths read a token of
+# this form as a value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
 
 def _is_option(token: str) -> bool:

@@ -20,10 +20,11 @@ p**target of their budget, never beyond what the certificate covers.
 
 All computation is pure; verification grids can be evaluated in any
 order and merged.  Every series at one (q, F, precision) reads one
-shared residue table.  Besides q, Q = q^F, the q-integers and the
-Euler numbers, that table holds the Teichmuller residues w(a), the
-1-units <a> = [a]_q / w(a), the inverses [a]_q^(-1) for a < p from one
-batch inversion, one residue-independent base row b_j per (kind, n),
+shared residue table.  Besides q, Q = q^F and the Euler numbers, that
+table holds the q-integers [j]_q with one row of their inverses (0 where
+p | j), grown as far as it is read, each new stretch by one batch
+inversion, the Teichmuller residues w(a), the 1-units <a> = [a]_q / w(a),
+one residue-independent base row b_j per (kind, n),
 E_{j,Q} for H, (Q^(nj) - 1) E_{j,Q} for K, the double Euler row d_j for
 the regrouped expansion and d_j plus K's row for the block expansion,
 each built by running products, and the alternating q-power sums
@@ -57,8 +58,8 @@ N(m, i) = sum_{a<p} (-1)^a q^(ai) [a]_q^(-m), exact mod p**target since
 its term j has v_p >= j (_theorem5_sides).  One pass over k scales the
 first two by 2 c_k [pn]_q^k on ints.  The engine's working precision
 must reach its target, below which none of its series can certify.  The
-left-hand side and its per-residue block sums are signed sums over one
-table of [j]_q^(-r) mod p**N, from one batch inversion.  The exact Euler
+left-hand side and its per-residue block sums are signed sums of r-th
+powers of the same inverse row, j <= n*p, mod p**N.  The exact Euler
 numbers and polynomials, and the rational closed forms of both sums,
 stay outside the engine, as the tests' oracles.
 """
@@ -170,15 +171,16 @@ def _batch_inverse(values: list, mod: int) -> list:
 
 class _Residues:
     """Residues mod p**precision of what every series here is built from,
-    at one (q, F): q itself, Q = q^F and the q-integers [a]_q for a <= F,
-    and tables that grow on demand under one lock: the q-Euler
+    at one (q, F): q itself, Q = q^F, and tables that grow on demand under
+    one lock.  The q-integers [j]_q, by [j+1]_q = 1 + q [j]_q, start out
+    to F, and the one row of inverses [j]_q^(-1) (0 where p | j) next to
+    them grows as far as a caller reads, each new stretch by one batch
+    inversion: the common ratio step(a) of residue a, the alternating
+    q-power sums N(m, i) over the residues a < p and the left-hand side of
+    the expansion identity all read it.  The other tables are the q-Euler
     numbers E_{j,Q} (by the integral recurrence of the module docstring),
-    the Teichmuller residues w(a) with the 1-units <a> = [a]_q / w(a), the
-    common ratio step(a) of each residue, one base row per series kind and
-    n, and the alternating q-power sums N(m, i) over the residues a < p.
-    The inverses [a]_q^(-1), a < p, come from one batch inversion, which
-    steps() and the sums N read; a lone step(a) inverts its [a]_q alone,
-    since H and K of one residue read only that residue.
+    the Teichmuller residues w(a) with the 1-units <a> = [a]_q / w(a), and
+    one base row per series kind and n.
     """
 
     def __init__(self, q: QParam, F: int, precision: int):
@@ -187,61 +189,55 @@ class _Residues:
         self.prime = p
         self.precision = precision
         self.mod = mod
+        self.F = F
         # v_p([F]_q / [a]_q) = v_p(F): [a]_q is a unit and q == 1 (mod p)
         self.gain = padic_valuation_int(F, p)
         self.q = q.value.numerator * pow(q.value.denominator, -1, mod) % mod
         self.Q = pow(self.q, F, mod)
-        q_ints, power = [0], 1
-        for _ in range(F):
-            q_ints.append((q_ints[-1] + power) % mod)
-            power = power * self.q % mod
-        self.q_ints = q_ints
+        self.q_ints, self._inverses = [0], [0]
+        self._grow_q_ints(F + 1)
         self._euler = []
         self._q_powers = []
         self._units = {}
-        self._steps, self._step_row = {}, None
         self._bases = {}
-        # [a]_q^(-1) for a < p, P(m) for m < len(_power_sums), and per a < p
-        # (-1)^a [a]_q^(-len(_power_sums)), all filled on first use
-        self._inverses, self._power_sums, self._signed_powers = None, [], []
+        # P(m) for m < len(_power_sums), and per a < p (-1)^a
+        # [a]_q^(-len(_power_sums)), with 0 at a = 0; filled on first use
+        self._power_sums, self._signed_powers = [], []
         self._alt_rows = {}
         # _residues shares one table per point; reentrant, since a base row
         # extends the Euler table, and a block base row the double and K
         # base rows, while it grows
         self._lock = threading.RLock()
 
-    def _ratio(self, q_power: int, inverse: int) -> int:
-        """step(a) from q^a and [a]_q^(-1)."""
-        return q_power * self.q_ints[-1] * inverse % self.mod
+    def _grow_q_ints(self, stop: int) -> None:
+        """Extend q_ints to `stop` entries by [j+1]_q = 1 + q [j]_q."""
+        ints, q, mod = self.q_ints, self.q, self.mod
+        while len(ints) < stop:
+            ints.append((1 + q * ints[-1]) % mod)
+
+    def inverses(self, stop: int) -> list:
+        """The row [j]_q^(-1) mod p**precision, 0 where p | j, grown to at
+        least `stop` entries, the new ones by one batch inversion.  The row
+        only ever grows, so its first `stop` entries stay valid to read
+        without the lock."""
+        row, p = self._inverses, self.prime
+        with self._lock:
+            if len(row) < stop:
+                self._grow_q_ints(stop)
+                new = range(len(row), stop)
+                inverse = iter(_batch_inverse([self.q_ints[j] for j in new if j % p], self.mod))
+                row.extend(next(inverse) if j % p else 0 for j in new)
+        return row
 
     def step(self, a: int) -> int:
-        """q^a [F]_q / [a]_q, the common ratio of every series at residue a."""
-        with self._lock:
-            ratio = self._steps.get(a)
-            if ratio is None:
-                mod = self.mod
-                ratio = self._steps[a] = self._ratio(pow(self.q, a, mod), pow(self.q_ints[a], -1, mod))
-        return ratio
+        """q^a [F]_q / [a]_q, the common ratio of every series at residue
+        a, as [F]_q ([a]_q^(-1) + q - 1), since q^a = 1 + (q - 1) [a]_q."""
+        return self.q_ints[self.F] * (self.inverses(a + 1)[a] + self.q - 1) % self.mod
 
     def steps(self) -> list:
-        """[step(a) for 0 < a < p], from the batch inverses and a running
-        power of q."""
-        with self._lock:
-            if self._step_row is None:
-                row, power = [], 1
-                for inverse in self.inverses():
-                    power = power * self.q % self.mod
-                    row.append(self._ratio(power, inverse))
-                self._step_row = row
-        return self._step_row
-
-    def inverses(self) -> list:
-        """[[a]_q^(-1) mod p**precision for 0 < a < p], by one batch
-        inversion."""
-        with self._lock:
-            if self._inverses is None:
-                self._inverses = _batch_inverse(self.q_ints[1:self.prime], self.mod)
-        return self._inverses
+        """[step(a) for 0 < a < p], in one pass over the inverse row."""
+        scale, shift, mod = self.q_ints[self.F], self.q - 1, self.mod
+        return [scale * (x + shift) % mod for x in self.inverses(self.prime)[1:self.prime]]
 
     def euler(self, m: int) -> int:
         """E_{m,Q} mod p**precision."""
@@ -291,10 +287,11 @@ class _Residues:
 
     def _power_sum(self, m: int) -> int:
         """P(m) = sum_{a<p} (-1)^a [a]_q^(-m) mod p**precision, by one
-        running power per residue (under the lock)."""
-        sums, mod, inverses = self._power_sums, self.mod, self.inverses()
+        running power per residue over the inverse row's a < p entries
+        (under the lock)."""
+        sums, mod, inverses = self._power_sums, self.mod, self.inverses(self.prime)
         if not sums:
-            self._signed_powers = [(-1) ** a for a in range(1, self.prime)]
+            self._signed_powers = [(-1) ** a if a else 0 for a in range(self.prime)]
         while len(sums) <= m:
             sums.append(sum(self._signed_powers) % mod)
             self._signed_powers = [v * w % mod for v, w in zip(self._signed_powers, inverses)]
@@ -415,14 +412,15 @@ def _horner(row: list, x: int, mod: int) -> int:
     return total
 
 
-def _row_sums(res: _Residues, r: int, kind: str, n: int, budget) -> tuple:
+def _row_sums(res: _Residues, steps: list, r: int, kind: str, n: int, budget) -> tuple:
     """(sums, used) for one of the block stages' rows (block, double or K)
     at the integer exponent r and the working precision: the row's series
-    at every residue 0 < a < p, mod p**target.  A row that does not
-    certify raises with the label of a = 1."""
+    at every residue 0 < a < p, evaluated at each entry of the row
+    steps = res.steps(), mod p**target.  A row that does not certify raises
+    with the label of a = 1."""
     row, used = _row(res, r, res.precision, kind, n, budget, 1)
     mod = res.prime**budget.target
-    return [_horner(row, x, mod) for x in res.steps()], used
+    return [_horner(row, x, mod) for x in steps], used
 
 
 def _require_prime(q: QParam) -> int:
@@ -657,22 +655,10 @@ def theorem5_lhs_exact(r: int, n: int, q: QParam) -> Fraction:
     )
 
 
-def _inverse_powers(q: QParam, r: int, n: int, precision: int):
-    """{j: [j]_q^(-r) mod p**precision} over 1 <= j <= n*p coprime to p,
-    from [j+1]_q = 1 + q [j]_q on residues and one batch inversion, and the
-    (sign, index) pairs ((-1)^j, j) of the alternating sum over them.  Each
-    such [j]_q == j (mod p) is a unit."""
-    p = q.prime
-    mod = p**precision
-    q_res = _residues(q, p, precision).q
-    indices, values, b = [], [], 0
-    for j in range(1, n * p + 1):
-        b = (1 + q_res * b) % mod
-        if j % p:
-            indices.append(j)
-            values.append(b)
-    table = {j: pow(x, r, mod) for j, x in zip(indices, _batch_inverse(values, mod))}
-    return table, [((-1) ** j, j) for j in indices]
+def _lhs_terms(n: int, p: int) -> list:
+    """The (sign, index) pairs ((-1)^j, j), 1 <= j <= n*p coprime to p, of
+    the alternating sum; each such [j]_q == j (mod p) is a unit."""
+    return [((-1) ** j, j) for j in range(1, n * p + 1) if j % p]
 
 
 def _block_terms(a: int, n: int, F: int) -> list:
@@ -686,8 +672,9 @@ def theorem5_lhs(r: int, n: int, q: QParam, precision: int) -> PadicApprox:
     summed on residues mod p**precision."""
     p = _check_point(r, n, q)
     _validate_precision(precision)
-    powers, terms = _inverse_powers(q, r, n, precision)
-    return PadicApprox(p, 2 * sum(sign * powers[j] for sign, j in terms), precision)
+    res = _residues(q, p, precision)
+    powers = [pow(x, r, res.mod) for x in res.inverses(n * p + 1)[:n * p + 1]]
+    return PadicApprox(p, 2 * sum(sign * powers[j] for sign, j in _lhs_terms(n, p)), precision)
 
 
 def _engine_precision(budget: SeriesBudget, precision) -> int:
@@ -1065,7 +1052,8 @@ def _exact_stage(name, description, ok: bool) -> StageResult:
 def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None) -> VerificationReport:
     """Run the staged verification of the expansion identity at one (r, n)
     point; failures are report content, never exceptions.  Each stage's two
-    sides (every lhs sums _inverse_powers' table; the block stages' rows are _series'):
+    sides (every lhs sums r-th powers of _Residues' inverse row; the block
+    stages' rows are _series', at the step row built once per report):
     alternating-block-series: each a's block sum vs the block row at step(a);
     correction-tail-regrouping: the same vs the double row plus K's;
     double-series-reindexing: binom(-r, k+l) binom(k+l, l) vs c_k binom(-r-k, l)
@@ -1093,17 +1081,21 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
 
     res = _residues(q, p, precision)
     mod = res.mod
-    powers, lhs_terms = _inverse_powers(q, r, n, precision)
+    # [j]_q^(-r) for j <= n*p, 0 where p | j
+    powers = [pow(x, r, mod) for x in res.inverses(n * p + 1)[:n * p + 1]]
+    lhs_terms = _lhs_terms(n, p)
     block_terms = [_block_terms(a, n, F) for a in range(1, p)]
     blocks = [sum(sign * powers[j] for sign, j in terms) % mod for terms in block_terms]
     lhs = PadicApprox(p, 2 * sum(sign * powers[j] for sign, j in lhs_terms), precision)
     # the block sum's expansion, and its regrouping into the double series
     # plus w(a)^(-r) T / 2 = w(a)^(-r) K (the odd-n boundary term vanishes);
     # K vanishes at q = 1
-    expansions, used = _row_sums(res, r, "block", n, budget)
-    regrouped, _ = _row_sums(res, r, "double", n, budget)
+    steps = res.steps()
+    expansions, used = _row_sums(res, steps, r, "block", n, budget)
+    regrouped, _ = _row_sums(res, steps, r, "double", n, budget)
     if not q.is_one:
-        regrouped = [x + y for x, y in zip(regrouped, _row_sums(res, r, "K", n, budget)[0])]
+        regrouped = [x + y for x, y in zip(regrouped, _row_sums(res, steps, r, "K", n, budget)[0])]
+    del steps  # p residues, not kept through the assembly's peak
     trunc.update((f"block-expansion/a={a}", used) for a in range(1, p))
     # each series' factor (-1)^a / 2 <a>^(-r) times the block stages'
     # -w(a)^(-r) is -(-1)^a / (2 [a]_q^r)

@@ -26,7 +26,6 @@ from .euler import (
     _euler_row_pairs,
     _fermionic_sums,
     _poly_form_pairs,
-    convolution_rhs,  # unused here: the tests and the sweep script read suites.convolution_rhs
     euler_number_q,
     euler_poly_q,
 )

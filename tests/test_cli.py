@@ -119,6 +119,15 @@ def test_lvalue_below_the_target_exits_one(capsys, s):
     assert "not certified" in err
 
 
+def test_negative_rational_after_an_option_is_a_value(capsys):
+    joined = run(capsys, "lvalue", "--side", "padic", "--s=-1/2", "--q", "6")
+    assert joined[0] == 0
+    assert run(capsys, "lvalue", "--side", "padic", "--s", "-1/2", "--q", "6") == joined
+    code, out, _ = run(capsys, "euler-table", "--q", "-1/2", "--max-m", "2")
+    assert code == 0
+    assert out.startswith("q-Euler numbers for q = -1/2\n")
+
+
 def test_lvalue_complex(capsys):
     code, out, _ = run(
         capsys, "lvalue", "--side", "complex", "--s", "-1", "--chi", "trivial",
@@ -378,10 +387,11 @@ _PARSER_CASES = [
     ["verify", "--format", "json", "all"],
     ["verify", "all", "all"],
     ["lvalue", "--side", "padic", "--s", "2", "--q", "6", "--t"],
-    # argparse takes "-1", "-.5" and "-0.5" as values, "-1e3", "-1/2" and "-h" as options
+    # both paths take "-1", "-.5", "-0.5" and "-1/2" as values, "-1e3" and "-h" as options
     ["zeta", "--s", "-.5", "--x", "-1", "--q", "-0.5"],
     ["zeta", "--s", "-1e3", "--x", "1", "--q", "0.5"],
     ["lvalue", "--side", "padic", "--s", "-1/2", "--q", "6"],
+    ["euler-table", "--q", "-1/2", "--max-m", "2"],
     ["lvalue", "--side", "padic", "--s", "-h", "--q", "6"],
     ["verify", "-1"],
 ]

@@ -36,7 +36,7 @@ def _convolution_fraction_rhs(n, a, q):
 def test_convolution_rhs_matches_fraction_sum(q):
     for n in range(13):
         for a in range(8):
-            num, den = suites.convolution_rhs(n, a, q)
+            num, den = euler.convolution_rhs(n, a, q)
             want = _convolution_fraction_rhs(n, a, q)
             assert Fraction(num, den) == want == euler_poly_q(n, PolyArg(a, 1, q)), (n, a)
 
@@ -122,7 +122,7 @@ def test_convolution_rhs_checks_q_before_the_table(monkeypatch, q, error):
 
     monkeypatch.setattr(euler, "_euler_numbers_over_lcm", unread)
     with pytest.raises(error):
-        suites.convolution_rhs(3, 2, q)
+        euler.convolution_rhs(3, 2, q)
 
 
 @pytest.mark.parametrize(
@@ -136,7 +136,7 @@ def test_convolution_rhs_checks_its_order_and_point_before_the_table(monkeypatch
 
     monkeypatch.setattr(euler, "_euler_numbers_over_lcm", unread)
     with pytest.raises(OutOfDomain):
-        suites.convolution_rhs(n, a, q)
+        euler.convolution_rhs(n, a, q)
 
 
 def test_the_euler_numbers_stay_off_the_row(monkeypatch, capsys):

@@ -19,9 +19,9 @@ multiplies the unit -(-1)^a / (2 [a]_q^r) into every block-series term
 for the two block stages, the PadicApprox loops for the character sums
 and the assembly, the per-residue H and K series for the assembly's
 table of alternating q-power sums, the term-by-term double loop for the
-exact reindexing stage, and the rational alternating sum and block sums
-for the [j]_q^(-r) table that the left-hand side and the block stages
-read.
+exact reindexing stage, and the rational alternating sum and block sums,
+with a loop of one modular inverse per q-integer, for the inverse row
+whose r-th powers the left-hand side and the block stages read.
 """
 
 import sys
@@ -163,9 +163,9 @@ def test_coefficient_rows_match_direct_powers(p, qv, F_over_p):
 
 @pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(31, 6)), (7, Fraction(50))])
 def test_cached_step_keeps_every_row(p, qv):
-    # step(a), the ratio of every series at residue a, is taken once per
-    # residue and is q^a [F]_q / [a]_q read afresh; the row of every a < p
-    # at once, from the batch inverses, holds the same values
+    # step(a), the ratio of every series at residue a, is q^a [F]_q / [a]_q
+    # read from the inverse row, which a lone step(a) grows only to a; the
+    # row of every a < p at once holds the same values
     F = 3 * p
     table = _Residues(QParam(qv, p), F, 8)
     mod, units = table.mod, [a for a in range(1, F) if a % p]
@@ -173,7 +173,34 @@ def test_cached_step_keeps_every_row(p, qv):
     assert _Residues(QParam(qv, p), F, 8).steps() == ratios[:p - 1]
     for a, ratio in zip(units, ratios):
         assert table.step(a) == ratio
-    assert sorted(table._steps) == units
+        assert len(table._inverses) == a + 1
+
+
+@pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(31, 6)), (5, Fraction(1)), (7, Fraction(50))])
+@pytest.mark.parametrize("F_over_p", [1, 3])
+def test_inverse_row_is_one_inverse_per_q_integer(p, qv, F_over_p):
+    # grown in two stretches, to p and then past F, as far as it is read
+    table = _Residues(QParam(qv, p), p * F_over_p, 8)
+    mod = table.mod
+    for stop in (p, 4 * p + 1):
+        row = table.inverses(stop)
+        q_ints = [embed(q_int(j, qv), p, 8).residue for j in range(stop)]
+        assert table.q_ints[:stop] == q_ints
+        assert row == [pow(x, -1, mod) if j % p else 0 for j, x in enumerate(q_ints)], stop
+
+
+def test_a_lone_series_inverts_only_the_q_integers_it_reads(monkeypatch):
+    # one H at a = 1 reads step(1) alone: no row of all F inverses
+    right, inverted = lfunc._batch_inverse, []
+
+    def counted(values, mod):
+        inverted.extend(values)
+        return right(values, mod)
+
+    monkeypatch.setattr(lfunc, "_batch_inverse", counted)
+    lfunc._residues.cache_clear()
+    H_pq(2, 1, 2003, QParam(2004, 2003), SeriesBudget(4))
+    assert 0 < len(inverted) <= 2
 
 
 @pytest.mark.parametrize("p, qv", [(5, Fraction(6)), (5, Fraction(1)), (7, Fraction(50))])
@@ -228,7 +255,7 @@ def test_coefficient_rows_grow_consistently_across_threads():
     serial = _Residues(q, 31, 12)
     for a, kind, n in rows:
         assert shared._bases[kind, n][0] == serial.base(kind, n, depth), (a, kind, n)
-    assert shared._steps == {a: serial.step(a) for a in (1, 2, 30)}
+    assert shared._inverses == serial.inverses(31)
     assert shared._units == {a: serial.units(a) for a in range(1, 31)}
 
 
@@ -885,7 +912,7 @@ def _block_stage_engine(r, n, a, q, budget, precision):
     unit = -((-1) ** a) * pow(2 * pow(res.q_ints[a], r, mod), -1, mod)
 
     def row(kind):
-        sums, used = lfunc._row_sums(res, r, kind, n, budget)
+        sums, used = lfunc._row_sums(res, res.steps(), r, kind, n, budget)
         return sums[a - 1], used
 
     def block():
@@ -1086,6 +1113,21 @@ def test_reindex_stage_passes_with_the_merge_identity():
 # -- the left-hand side and block sums against their rational oracles -----
 
 
+def _inverse_powers(q, r, n, precision):
+    """{j: [j]_q^(-r) mod p**precision} over 1 <= j <= n*p coprime to p,
+    from [j+1]_q = 1 + q [j]_q on residues and one modular inverse per
+    entry, and the (sign, index) pairs ((-1)^j, j) of the alternating sum."""
+    p = q.prime
+    mod = p**precision
+    q_res = embed(q.value, p, precision).residue
+    table, b = {}, 0
+    for j in range(1, n * p + 1):
+        b = (1 + q_res * b) % mod
+        if j % p:
+            table[j] = pow(b, -r, mod)
+    return table, [((-1) ** j, j) for j in table]
+
+
 def _block_sum_exact(r, n, a, F, qv):
     """sum_{l<n} (-1)^(Fl+a) / [Fl+a]_q^r, exactly."""
     return sum(Fraction((-1) ** (F * l + a), 1) / q_int(F * l + a, qv) ** r for l in range(n))
@@ -1111,7 +1153,10 @@ def test_residue_lhs_and_blocks_match_the_rational_oracles(p, qv):
         for n in (2, 4):
             want = embed(lfunc.theorem5_lhs_exact(r, n, q), p, precision)
             assert _pair(lfunc.theorem5_lhs(r, n, q, precision)) == _pair(want), (r, n)
-            powers, _ = lfunc._inverse_powers(q, r, n, precision)
+            powers, terms = _inverse_powers(q, r, n, precision)
+            assert lfunc._lhs_terms(n, p) == terms
+            row = lfunc._residues(q, p, precision).inverses(n * p + 1)
+            assert {j: pow(row[j], r, mod) for _, j in terms} == powers, (r, n)
             for a in range(1, p):
                 block = sum(sign * powers[j] for sign, j in lfunc._block_terms(a, n, p)) % mod
                 assert block == embed(_block_sum_exact(r, n, a, p, qv), p, precision).residue, (r, n, a)
@@ -1162,7 +1207,7 @@ def test_index_range_stage_fails_on_a_broken_block(monkeypatch, mutate):
 def test_index_range_check_needs_both_the_index_map_and_the_residues():
     q, r, n, p, precision = QParam(Fraction(6), 5), 2, 2, 5, 10
     mod = p**precision
-    powers, lhs_terms = lfunc._inverse_powers(q, r, n, precision)
+    powers, lhs_terms = _inverse_powers(q, r, n, precision)
     block_terms = [lfunc._block_terms(a, n, p) for a in range(1, p)]
     blocks = [sum(sign * powers[j] for sign, j in terms) % mod for terms in block_terms]
     lhs = 2 * sum(sign * powers[j] for sign, j in lhs_terms) % mod

@@ -1,6 +1,6 @@
-"""Smoke runs of the timing scripts: each exits 0, prints one row per
-check or operation plus the sum, and leaves src/ and perfbench/ as it
-found them."""
+"""Smoke runs of the timing and line-count scripts: each exits 0, prints
+one row per check, operation or module plus the sum, and leaves src/ and
+perfbench/ as it found them."""
 
 import subprocess
 import sys
@@ -38,3 +38,14 @@ def test_op_pairs_prints_both_verify_all_operations_and_the_sum():
     assert title == "verify-all: 1 cold pairs per operation, same outcome on both sides"
     assert [row.split("  ")[0] for row in rows] == ["qeuler verify all --format json", "qeuler theorem5 --format json"]
     assert total.startswith("sum of medians ")
+
+
+def test_code_lines_prints_every_module_and_the_total():
+    *rows, total = _run("code_lines.py", "src/qeuler")
+    modules = sorted((ROOT / "src" / "qeuler").glob("*.py"))
+    counts = [int(row.split()[0]) for row in rows]
+    assert [row.split(maxsplit=1)[1] for row in rows] == [str(path.relative_to(ROOT)) for path in modules]
+    assert total == f"{sum(counts):>7} total"
+    # blank lines, comments and docstrings are not counted
+    for count, path in zip(counts, modules):
+        assert 0 < count < len(path.read_text().splitlines()), path
