@@ -26,13 +26,15 @@ p | j), grown as far as it is read, each new stretch by one batch
 inversion, the Teichmuller residues w(a), the 1-units <a> = [a]_q / w(a),
 one residue-independent base row b_j per (kind, n),
 E_{j,Q} for H, (Q^(nj) - 1) E_{j,Q} for K, the double Euler row d_j for
-the regrouped expansion and d_j plus K's row for the block expansion,
-each built by running products, and the alternating q-power sums
-N(m, i) below.  The series of residue a sums binom(-r, j) step(a)^j b_j
-at an integer exponent r.  A Z_p exponent s (a Fraction or a
-PadicApprox) is summed as the integer r == s (mod p**sigma), sigma the
-least of the working precision and s's own, with every term taken mod
-p**sigma: binom(-s, j) == binom(-r, j) (mod p**(sigma - v_p(j!))) while
+the regrouped expansion and -2 sum_{l<n} (-1)^l [l]_Q^j for the block
+expansion, which reads no Euler number and, by E_{j,Q}(x + 1) +
+E_{j,Q}(x) = 2 [x]_Q^j, equals d_j plus K's row, each built by running
+products, and the alternating q-power sums N(m, i) below.  The series
+of residue a sums binom(-r, j) step(a)^j b_j at an integer exponent r.
+A Z_p exponent s (a Fraction or a PadicApprox) is summed as the integer
+r == s (mod p**sigma), sigma the least of the working precision and s's
+own, with every term taken mod p**sigma:
+binom(-s, j) == binom(-r, j) (mod p**(sigma - v_p(j!))) while
 v_p(step(a)^j b_j) >= j > v_p(j!), and <a>^(p**sigma) == 1
 (mod p**(sigma+1)).  As v_p(step(a)) = v_p(F) at every a, where a series
 stops does not depend on a: one cached kernel (_series) certifies each
@@ -58,10 +60,11 @@ N(m, i) = sum_{a<p} (-1)^a q^(ai) [a]_q^(-m), exact mod p**target since
 its term j has v_p >= j (_theorem5_sides).  One pass over k scales the
 first two by 2 c_k [pn]_q^k on ints.  The engine's working precision
 must reach its target, below which none of its series can certify.  The
-left-hand side and its per-residue block sums are signed sums of r-th
-powers of the same inverse row, j <= n*p, mod p**N.  The exact Euler
-numbers and polynomials, and the rational closed forms of both sums,
-stay outside the engine, as the tests' oracles.
+left-hand side is twice the sum of one signed row (-1)^j [j]_q^(-r),
+j <= n*p, the r-th powers of the same inverse row mod p**N, and the
+block sum of residue a sums that row over j = a + pl, l < n.  The exact
+Euler numbers and polynomials, and the rational closed forms of both
+sums, stay outside the engine, as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import OutOfDomain, TruncationNotConverged
 from .kernel import QParam, _check_int, _Value, binom_int, padic_valuation_int, q_int
@@ -205,8 +209,8 @@ class _Residues:
         self._power_sums, self._signed_powers = [], []
         self._alt_rows = {}
         # _residues shares one table per point; reentrant, since a base row
-        # extends the Euler table, and a block base row the double and K
-        # base rows, while it grows
+        # extends the Euler table, and the sums N(m, i) the inverse row,
+        # while they grow
         self._lock = threading.RLock()
 
     def _grow_q_ints(self, stop: int) -> None:
@@ -304,7 +308,11 @@ class _Residues:
             H       E_{j,Q}                                       (n = 0)
             K       (Q^(nj) - 1) E_{j,Q}
             double  d_j = sum_{l<j} binom(j, l) Q^(nl) E_{l,Q} [n]_Q^(j-l)
-            block   d_j + (Q^(nj) - 1) E_{j,Q}, the double row plus K's.
+            block   -2 sum_{l<n} (-1)^l [l]_Q^j, from no Euler number.
+
+        For even n the block row is the double row plus K's, as both are
+        E_{j,Q}(n) - E_{j,Q}(0) for the q-Euler polynomial, so the two
+        block stages compare the block sums with two routes to one value.
 
         The values list, drawn from its generator _base, only ever grows, so
         its first `stop` entries stay valid to read without the lock."""
@@ -320,7 +328,12 @@ class _Residues:
     def _base(self, kind: str, n: int):
         """The b_j of base(kind, n, .) in order, by running products."""
         mod, Qn = self.mod, pow(self.Q, n, self.mod)
-        h = sum(pow(self.Q, i, mod) for i in range(n)) % mod  # [n]_Q
+        ints = [sum(pow(self.Q, i, mod) for i in range(l)) % mod for l in range(n + 1)]  # [l]_Q, l <= n
+        if kind == "block":  # n is even: E_{j,Q}(n) - E_{j,Q}, from no Euler number
+            powers = [(-1) ** l for l in range(n)]
+            while True:
+                yield -2 * sum(powers) % mod
+                powers = [x * y % mod for x, y in zip(powers, ints)]
         Qnj, lead, h_pows, j = 1, [], [1], 0  # Q^(nj), Q^(nl) E_{l,Q}, [n]_Q^i
         while True:
             e = self.euler(j)
@@ -328,12 +341,10 @@ class _Residues:
                 yield e
             elif kind == "K":
                 yield (Qnj - 1) * e % mod
-            elif kind == "double":
+            else:  # double
                 yield sum(math.comb(j, l) * lead[l] * h_pows[j - l] for l in range(j)) % mod
                 lead.append(Qnj * e % mod)
-                h_pows.append(h_pows[-1] * h % mod)
-            else:  # block: n is even, so the expansion's (-1)^n signs are 1
-                yield (self.base("double", n, j + 1)[j] + self.base("K", n, j + 1)[j]) % mod
+                h_pows.append(h_pows[-1] * ints[n] % mod)
             Qnj, j = Qnj * Qn % mod, j + 1
 
 
@@ -410,17 +421,6 @@ def _horner(row: list, x: int, mod: int) -> int:
     for c in reversed(row):
         total = (total * x + c) % mod
     return total
-
-
-def _row_sums(res: _Residues, steps: list, r: int, kind: str, n: int, budget) -> tuple:
-    """(sums, used) for one of the block stages' rows (block, double or K)
-    at the integer exponent r and the working precision: the row's series
-    at every residue 0 < a < p, evaluated at each entry of the row
-    steps = res.steps(), mod p**target.  A row that does not certify raises
-    with the label of a = 1."""
-    row, used = _row(res, r, res.precision, kind, n, budget, 1)
-    mod = res.prime**budget.target
-    return [_horner(row, x, mod) for x in steps], used
 
 
 def _require_prime(q: QParam) -> int:
@@ -655,16 +655,20 @@ def theorem5_lhs_exact(r: int, n: int, q: QParam) -> Fraction:
     )
 
 
-def _lhs_terms(n: int, p: int) -> list:
-    """The (sign, index) pairs ((-1)^j, j), 1 <= j <= n*p coprime to p, of
-    the alternating sum; each such [j]_q == j (mod p) is a unit."""
-    return [((-1) ** j, j) for j in range(1, n * p + 1) if j % p]
+def _signed_powers(res: _Residues, r: int, n: int) -> list:
+    """The row (-1)^j [j]_q^(-r) mod p**precision, j <= n*p, as r-th powers
+    of res's inverse row, so 0 where p | j (the odd entries negated, not
+    reduced); the left-hand side is twice its sum."""
+    stop = n * res.prime + 1
+    row = [pow(x, r, res.mod) for x in res.inverses(stop)[:stop]]
+    row[1::2] = [-x for x in row[1::2]]
+    return row
 
 
-def _block_terms(a: int, n: int, F: int) -> list:
-    """The (sign, index) pairs ((-1)^(Fl+a), Fl+a), l < n, of the block sum
-    sum_{l<n} (-1)^(Fl+a) / [Fl+a]_q^r of residue a."""
-    return [((-1) ** (F * l + a), F * l + a) for l in range(n)]
+def _block_indices(a: int, n: int, F: int) -> range:
+    """The indices a + Fl, l < n, of the block sum
+    sum_{l<n} (-1)^(a+Fl) / [a+Fl]_q^r of residue a."""
+    return range(a, a + n * F, F)
 
 
 def theorem5_lhs(r: int, n: int, q: QParam, precision: int) -> PadicApprox:
@@ -672,9 +676,7 @@ def theorem5_lhs(r: int, n: int, q: QParam, precision: int) -> PadicApprox:
     summed on residues mod p**precision."""
     p = _check_point(r, n, q)
     _validate_precision(precision)
-    res = _residues(q, p, precision)
-    powers = [pow(x, r, res.mod) for x in res.inverses(n * p + 1)[:n * p + 1]]
-    return PadicApprox(p, 2 * sum(sign * powers[j] for sign, j in _lhs_terms(n, p)), precision)
+    return PadicApprox(p, 2 * sum(_signed_powers(_residues(q, p, precision), r, n)), precision)
 
 
 def _engine_precision(budget: SeriesBudget, precision) -> int:
@@ -868,13 +870,14 @@ def _power_split_check(n, F, qv, l_max) -> bool:
     return qv**e == 1 + (qv - 1) * q_int(e, qv) and _pascal_rows_check(l_max, binom_int)
 
 
-def _index_range_check(lhs_terms, block_terms, lhs: int, blocks, mod: int) -> bool:
+def _index_range_check(indices, n: int, p: int, lhs: int, blocks, mod: int) -> bool:
     """The coprime-index sum equals its per-residue double-sum rearrangement
     2 sum_a sum_{l<n} (-1)^(a+pl) / [a+pl]_q^r.  Exactly: (a, l) -> a + pl
-    maps the blocks' (sign, index) pairs one to one onto the alternating
-    sum's, which proves the rational identity term by term.  And on the
-    residues summed: lhs == 2 sum_a block (mod p**N)."""
-    paired = sorted(t for terms in block_terms for t in terms) == sorted(lhs_terms)
+    maps the blocks' indices one to one onto the j <= n*p coprime to p,
+    which proves the rational identity term by term, as both sides read
+    the sign (-1)^j of the same j.  And on the residues summed:
+    lhs == 2 sum_a block (mod p**N)."""
+    paired = sorted(j for block in indices for j in block) == [j for j in range(1, n * p + 1) if j % p]
     return paired and (lhs - 2 * sum(blocks)) % mod == 0
 
 
@@ -1052,16 +1055,20 @@ def _exact_stage(name, description, ok: bool) -> StageResult:
 def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=None) -> VerificationReport:
     """Run the staged verification of the expansion identity at one (r, n)
     point; failures are report content, never exceptions.  Each stage's two
-    sides (every lhs sums r-th powers of _Residues' inverse row; the block
-    stages' rows are _series', at the step row built once per report):
-    alternating-block-series: each a's block sum vs the block row at step(a);
+    sides (every lhs reads the signed row of _signed_powers; the block
+    stages read _series' rows at each step(a), in one pass over the
+    residues that builds both stages' comparisons):
+    alternating-block-series: each a's block sum vs the block row, which
+      reads no Euler number (_Residues.base);
     correction-tail-regrouping: the same vs the double row plus K's;
     double-series-reindexing: binom(-r, k+l) binom(k+l, l) vs c_k binom(-r-k, l)
       to k + l <= 12, though the assembly reads c_k up to k = 23 at M = 20;
     geometric-power-splitting: q^(nF) vs 1 + (q - 1) [nF]_q, which reads back
       q_int's own formula, and binom_int vs Pascal's rule, to l <= 10;
-    index-range-rearrangement: the (sign, index) pairs, exactly, then lhs vs
-      2 sum(blocks) mod p**N, implied by the pairing (detail "exact rational");
+    index-range-rearrangement: the blocks' sorted index ranges vs the j <= n*p
+      coprime to p, exactly (both sides read (-1)^j from the one row, so
+      signs need no pairing), then lhs vs 2 sum(blocks) mod p**N, implied by
+      the index map (detail "exact rational");
     character-sum-assembly: lhs vs _theorem5_sides' plain side, from c_k,
       _assembly_rows and the sums N of _Residues.alt_sums;
     residue-weighted-assembly: lhs vs its weighted side, which localizes a gap.
@@ -1077,60 +1084,48 @@ def theorem5_verify(r: int, n: int, q: QParam, budget: SeriesBudget, precision=N
     qv = q.value
     target = budget.target
     stages = []
-    trunc = {}
 
     res = _residues(q, p, precision)
     mod = res.mod
-    # [j]_q^(-r) for j <= n*p, 0 where p | j
-    powers = [pow(x, r, mod) for x in res.inverses(n * p + 1)[:n * p + 1]]
-    lhs_terms = _lhs_terms(n, p)
-    block_terms = [_block_terms(a, n, F) for a in range(1, p)]
-    blocks = [sum(sign * powers[j] for sign, j in terms) % mod for terms in block_terms]
-    lhs = PadicApprox(p, 2 * sum(sign * powers[j] for sign, j in lhs_terms), precision)
+    row = _signed_powers(res, r, n)
+    lhs = PadicApprox(p, 2 * sum(row), precision)
+    blocks = [sum(map(row.__getitem__, _block_indices(a, n, F))) % mod for a in range(1, p)]
+    indices = (_block_indices(a, n, F) for a in range(1, p))
+    rearranged = _index_range_check(indices, n, p, lhs.residue, blocks, mod)
     # the block sum's expansion, and its regrouping into the double series
     # plus w(a)^(-r) T / 2 = w(a)^(-r) K (the odd-n boundary term vanishes);
     # K vanishes at q = 1
-    steps = res.steps()
-    expansions, used = _row_sums(res, steps, r, "block", n, budget)
-    regrouped, _ = _row_sums(res, steps, r, "double", n, budget)
+    block_row, used = _row(res, r, precision, "block", n, budget, 1)
+    regrouped_row = _row(res, r, precision, "double", n, budget, 1)[0]
     if not q.is_one:
-        regrouped = [x + y for x, y in zip(regrouped, _row_sums(res, steps, r, "K", n, budget)[0])]
-    del steps  # p residues, not kept through the assembly's peak
-    trunc.update((f"block-expansion/a={a}", used) for a in range(1, p))
+        k_row = _row(res, r, precision, "K", n, budget, 1)[0]
+        regrouped_row = [x + y for x, y in zip_longest(regrouped_row, k_row, fillvalue=0)]
+    trunc = {f"block-expansion/a={a}": used for a in range(1, p)}
     # each series' factor (-1)^a / 2 <a>^(-r) times the block stages'
-    # -w(a)^(-r) is -(-1)^a / (2 [a]_q^r)
-    half = pow(2, -1, mod)
-    scales = [(half if a % 2 else -half) * powers[a] for a in range(1, p)]
-    for name, description, sums in (
-        ("alternating-block-series", "per-residue alternating block sum vs its Euler-series expansion", expansions),
+    # -w(a)^(-r) is -(-1)^a / (2 [a]_q^r) = -row[a] / 2
+    low, half = p**target, pow(2, -1, mod)
+    block_pairs, regrouped_pairs = [], []
+    for a, (block, x) in enumerate(zip(blocks, res.steps()), start=1):
+        label, scale = f"a={a}", -half * row[a] % low
+        block_pairs.append((label, block, scale * _horner(block_row, x, low)))
+        regrouped_pairs.append((label, block, scale * _horner(regrouped_row, x, low)))
+    for name, description, pairs in (
+        ("alternating-block-series", "per-residue alternating block sum vs its Euler-series expansion", block_pairs),
         ("correction-tail-regrouping", "block sum vs leading double series plus the closed vanishing correction",
-         regrouped),
+         regrouped_pairs),
     ):
-        pairs = [(f"a={a}", x, scale * y) for a, (x, scale, y) in enumerate(zip(blocks, scales, sums), start=1)]
         stages.append(_padic_stage(name, description, p, pairs, precision, target))
+    # n*p or p entries each, not kept through the assembly's peak
+    del row, blocks, block_pairs, regrouped_pairs, pairs
     depth = 12
-    stages.append(
-        _exact_stage(
-            "double-series-reindexing",
-            f"exact reindexing of the double expansion via the coefficient-merge "
-            f"identity (depth {depth}, all residues)",
-            _reindex_exact_check(r, depth),
-        )
-    )
-    stages.append(
-        _exact_stage(
-            "geometric-power-splitting",
-            "exact expansion of q^(nFl) - 1 through scaled q-integer powers (l <= 10)",
-            _power_split_check(n, F, qv, 10),
-        )
-    )
-    stages.append(
-        _exact_stage(
-            "index-range-rearrangement",
-            "coprime-index alternating sum equals its per-residue double sum",
-            _index_range_check(lhs_terms, block_terms, lhs.residue, blocks, mod),
-        )
-    )
+    for name, description, ok in (
+        ("double-series-reindexing", f"exact reindexing of the double expansion via the coefficient-merge "
+         f"identity (depth {depth}, all residues)", _reindex_exact_check(r, depth)),
+        ("geometric-power-splitting", "exact expansion of q^(nFl) - 1 through scaled q-integer powers (l <= 10)",
+         _power_split_check(n, F, qv, 10)),
+        ("index-range-rearrangement", "coprime-index alternating sum equals its per-residue double sum", rearranged),
+    ):
+        stages.append(_exact_stage(name, description, ok))
 
     sides = _theorem5_sides(r, n, q, budget, precision)
     (rhs, trunc["assembly"]), (rhs_w, trunc["assembly-weighted"]) = sides

@@ -181,6 +181,15 @@ def test_binom_tail_merge_exhaustive():
     )
 
 
+def test_merge_coefficients_are_binomials_at_every_k_the_assembly_reads():
+    # c_k = (r/(r+k)) binom(-r-1, k) = binom(-r, k).  The reindexing stage
+    # checks c_k to depth 12 only, while the expansion's assembly reads it
+    # up to its truncation index (23 at p = 5, M = 20)
+    for r in range(1, 11):
+        for k in range(1, 121):
+            assert kernel.tail_merge_coefficient(r, k) == binom_int(-r, k), (r, k)
+
+
 def test_identity_domain_guards():
     with pytest.raises(OutOfDomain):
         binom_product_shift(1, 0, 0)  # j + k == 0

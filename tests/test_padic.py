@@ -254,6 +254,17 @@ def test_digit_rendering():
     x = PadicApprox(5, 290, 4)
     assert x.digits() == (0, 3, 1, 2)
     assert x.render() == "...0 3 1 2 mod 5^4"
+    assert str(x) == x.render()
+
+
+def test_a_rational_over_a_padic_value():
+    # int / PadicApprox and Fraction / PadicApprox embed the numerator at the
+    # divisor's precision; any other numerator is not a p-adic value
+    x = embed(Fraction(7, 3), 5, 6)
+    for c in (3, Fraction(1, 2)):
+        assert c / x == embed(c, 5, 6) / x, c
+    with pytest.raises(TypeError):
+        "3" / x
 
 
 def test_reduce_and_guards():

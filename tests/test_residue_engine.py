@@ -2,10 +2,11 @@
 
 Every series in ``lfunc`` is summed on integer residues mod p^N over the
 coefficients step(a)^j b_j, whose base row b_j has one of four kinds: H,
-K, the double Euler row of the regrouped expansion, and that row plus K's
-for the block expansion.  One cached kernel, ``_series``, certifies each
+K, the double Euler row of the regrouped expansion, and for the block
+expansion the finite sum -2 sum_{l<n} (-1)^l [l]_Q^j, which equals that
+row plus K's.  One cached kernel, ``_series``, certifies each
 row once and keeps its coefficients, which ``_partial`` (H and K) and the
-verifier's block stages (``_row_sums``) evaluate at every residue; a
+verifier's block stages evaluate at every residue; a
 per-residue series loop checks that one certificate serves them all.
 These tests
 keep the exact-rational formulation as the reference: the closed-form
@@ -912,8 +913,8 @@ def _block_stage_engine(r, n, a, q, budget, precision):
     unit = -((-1) ** a) * pow(2 * pow(res.q_ints[a], r, mod), -1, mod)
 
     def row(kind):
-        sums, used = lfunc._row_sums(res, res.steps(), r, kind, n, budget)
-        return sums[a - 1], used
+        coefficients, used = lfunc._row(res, r, precision, kind, n, budget, 1)
+        return lfunc._horner(coefficients, res.steps()[a - 1], p**target), used
 
     def block():
         value, used = row("block")
@@ -1022,6 +1023,28 @@ def test_block_stages_match_the_unit_loop(p, qv):
                     assert got[1].startswith(("series 'H(", "series 'K(", "series 'assembly tail'")), got
                 else:
                     assert got == [block[2] for block, _ in wants], (budget, r, n)
+
+
+@pytest.mark.parametrize("qv", [Fraction(6), Fraction(1)])
+def test_a_wrong_euler_number_fails_the_regrouping_not_the_block_series(monkeypatch, qv):
+    # the block row reads no Euler number, and the double row does: E_1 off
+    # by 1 is the regrouping stage's to catch, at q = 1 too
+    right = lfunc._Residues.euler
+
+    def off(self, m):
+        return (right(self, m) + (m == 1)) % self.mod
+
+    monkeypatch.setattr(lfunc._Residues, "euler", off)
+    lfunc._residues.cache_clear()
+    lfunc._series.cache_clear()
+    try:
+        report = theorem5_verify(2, 2, QParam(qv, 5), SeriesBudget(target=4))
+    finally:  # no table that holds the wrong number outlives the test
+        lfunc._residues.cache_clear()
+        lfunc._series.cache_clear()
+    passed = {stage.name: stage.passed for stage in report.stages}
+    assert passed["alternating-block-series"] is True
+    assert passed["correction-tail-regrouping"] is False
 
 
 # -- the exact reindexing oracle -------------------------------------------
@@ -1154,11 +1177,11 @@ def test_residue_lhs_and_blocks_match_the_rational_oracles(p, qv):
             want = embed(lfunc.theorem5_lhs_exact(r, n, q), p, precision)
             assert _pair(lfunc.theorem5_lhs(r, n, q, precision)) == _pair(want), (r, n)
             powers, terms = _inverse_powers(q, r, n, precision)
-            assert lfunc._lhs_terms(n, p) == terms
-            row = lfunc._residues(q, p, precision).inverses(n * p + 1)
-            assert {j: pow(row[j], r, mod) for _, j in terms} == powers, (r, n)
+            row = lfunc._signed_powers(lfunc._residues(q, p, precision), r, n)
+            assert len(row) == n * p + 1 and row[::p] == [0] * (n + 1), (r, n)
+            assert {j: sign * row[j] % mod for sign, j in terms} == powers, (r, n)
             for a in range(1, p):
-                block = sum(sign * powers[j] for sign, j in lfunc._block_terms(a, n, p)) % mod
+                block = sum(row[j] for j in lfunc._block_indices(a, n, p)) % mod
                 assert block == embed(_block_sum_exact(r, n, a, p, qv), p, precision).residue, (r, n, a)
 
 
@@ -1173,48 +1196,64 @@ def _range_stage(report):
     return next(s for s in report.stages if s.name == "index-range-rearrangement")
 
 
-def _drop_one(terms):
-    return terms[1:]
+def _drop_one(indices):
+    return indices[1:]
 
 
-def _shift_one(terms):
-    # stays within 1..np, so the block still reads a table entry
-    (sign, j), *rest = terms
-    return [(sign, j + 5), *rest]
+def _shift_one(indices):
+    # stays within 1..np, so the block still reads a row entry
+    j, *rest = indices
+    return [j + 5, *rest]
 
 
-def _flip_one(terms):
-    (sign, j), *rest = terms
-    return [(-sign, j), *rest]
-
-
-@pytest.mark.parametrize("mutate", [_drop_one, _shift_one, _flip_one])
+@pytest.mark.parametrize("mutate", [_drop_one, _shift_one])
 def test_index_range_stage_fails_on_a_broken_block(monkeypatch, mutate):
-    right = lfunc._block_terms
+    right = lfunc._block_indices
     q, budget = QParam(Fraction(6), 5), SeriesBudget(target=4)
     assert _range_stage(theorem5_verify(2, 2, q, budget)).passed is True
 
     def broken(a, n, F):
-        terms = right(a, n, F)
-        return mutate(terms) if a == 2 else terms
+        indices = right(a, n, F)
+        return mutate(indices) if a == 2 else indices
 
-    monkeypatch.setattr(lfunc, "_block_terms", broken)
+    monkeypatch.setattr(lfunc, "_block_indices", broken)
     stage = _range_stage(theorem5_verify(2, 2, q, budget))
     assert stage.passed is False
     assert stage.detail == "exact rational comparison"
+
+
+def test_a_flipped_sign_fails_the_block_series_not_the_index_map(monkeypatch):
+    # both sides of the index-range stage read (-1)^j from the one signed
+    # row, so a sign flipped there, at j = 2 + p in the block of a = 2, is
+    # the block expansion's to catch
+    right, p = lfunc._signed_powers, 5
+    q, budget = QParam(Fraction(6), p), SeriesBudget(target=4)
+
+    def flipped(res, r, n):
+        row = right(res, r, n)
+        row[2 + p] = -row[2 + p]
+        return row
+
+    monkeypatch.setattr(lfunc, "_signed_powers", flipped)
+    report = theorem5_verify(2, 2, q, budget)
+    stages = {stage.name: stage for stage in report.stages}
+    assert stages["alternating-block-series"].passed is False
+    assert "a=2: v=" in stages["alternating-block-series"].detail
+    assert _range_stage(report).passed is True
 
 
 def test_index_range_check_needs_both_the_index_map_and_the_residues():
     q, r, n, p, precision = QParam(Fraction(6), 5), 2, 2, 5, 10
     mod = p**precision
     powers, lhs_terms = _inverse_powers(q, r, n, precision)
-    block_terms = [lfunc._block_terms(a, n, p) for a in range(1, p)]
-    blocks = [sum(sign * powers[j] for sign, j in terms) % mod for terms in block_terms]
-    lhs = 2 * sum(sign * powers[j] for sign, j in lhs_terms) % mod
-    assert lfunc._index_range_check(lhs_terms, block_terms, lhs, blocks, mod) is True
+    indices = [lfunc._block_indices(a, n, p) for a in range(1, p)]
+    signed = {j: sign * powers[j] for sign, j in lhs_terms}
+    blocks = [sum(signed[j] for j in block) % mod for block in indices]
+    lhs = 2 * sum(signed.values()) % mod
+    assert lfunc._index_range_check(indices, n, p, lhs, blocks, mod) is True
     # a broken index map fails even where the residues summed are right
-    for mutate in (_drop_one, _shift_one, _flip_one):
-        broken = [mutate(block_terms[0]), *block_terms[1:]]
-        assert lfunc._index_range_check(lhs_terms, broken, lhs, blocks, mod) is False, mutate
+    for mutate in (_drop_one, _shift_one):
+        broken = [mutate(indices[0]), *indices[1:]]
+        assert lfunc._index_range_check(broken, n, p, lhs, blocks, mod) is False, mutate
     # and a wrong residue fails under the right index map
-    assert lfunc._index_range_check(lhs_terms, block_terms, lhs, [blocks[0] + 1, *blocks[1:]], mod) is False
+    assert lfunc._index_range_check(indices, n, p, lhs, [blocks[0] + 1, *blocks[1:]], mod) is False
